@@ -7,12 +7,16 @@ Such a piece is pinned down by where it sends one representative x0, and the
 image y0 must be fixed by every automorphism fixing x0 and the allowed
 parameters, i.e. its least support lies inside theirs.  Enumerating those
 finitely many candidate images yields every piece; a backtracking perfect
-matching over pieces, pruned by per-symbol compatibility checks on orbit
-representatives, then decides existence.
+matching over pieces, pruned by per-symbol compatibility checks, then
+decides existence.
 
-Pieces and compatibility checks quantify over whole orbits but always fix
-one representative pair; this is sound because orbits are transitive under
-the parameter-fixing automorphisms and every set in play is invariant.
+A compatibility check is the transport sentence of structures.py on a tuple
+of pieces, with the first piece fixed at its representative pair and the
+rest quantified over their whole orbits; fixing one pair is sound because
+orbits are transitive under the parameter-fixing automorphisms and every set
+in play is invariant.  Each assembled candidate is then verified in full:
+its graph is checked to be a map of the requested kind, and the same
+sentences are decided for every tuple of its clauses, none fixed.
 """
 
 import itertools
@@ -29,7 +33,6 @@ from .algebra import (
     least_support,
     orbit_decomposition,
     orbit_expression,
-    set_equal,
 )
 from .compile import Compiler
 from .errors import (
@@ -38,9 +41,16 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .exprs import ETuple, Expr, expr_names, expr_params, rename_clause, union_of
-from .structures import Structure, check_isomorphism, signatures_match
-from .theories.formulas import And, Forall, Implies, land
+from .exprs import ETuple, Expr, SetComp, expr_params, union_of
+from .structures import (
+    Structure,
+    check_isomorphism,
+    counterpart,
+    signatures_match,
+    transports_symbols,
+    transports_tuple,
+)
+from .theories.formulas import TRUE, Forall, Implies, land
 
 DEFAULT_BUDGET = 1 << 16
 
@@ -70,7 +80,6 @@ class Certificate:
     caveat: str | None = None
 
     def to_dict(self, backend_name: str) -> dict:
-        from .parser import print_expr
         from .structures import function_to_dict
 
         out = {
@@ -196,76 +205,31 @@ class _MorphismChecker:
         """All symbol conditions on tuples over assigned+new that involve
         the new piece."""
         pool = assigned + [new]
-        for sym_kind, sym in self._symbols():
-            r = sym.arity
-            for combo in itertools.product(pool, repeat=r):
+        for sym in (*self.A.relations, *self.A.families):
+            for combo in itertools.product(pool, repeat=sym.arity):
                 if not any(p is new for p in combo):
                     continue
-                if not self._tuple_ok(sym_kind, sym, combo):
+                if not self._tuple_ok(sym, combo):
                     return False
         return True
 
-    def _symbols(self):
-        for r in self.A.relations:
-            yield "rel", r
-        for f in self.A.families:
-            yield "fam", f
-
-    def _tuple_ok(self, sym_kind: str, sym, combo) -> bool:
+    def _tuple_ok(self, sym, combo) -> bool:
         key = (sym.name, tuple(id(p) for p in combo))
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        ok = self._check_tuple(sym_kind, sym, combo)
+        first = combo[0]
+        fixed = SetComp(ETuple((first.x0, first.y0)), (), TRUE)
+        parts = [fixed, *(_clause_of(p.expr) for p in combo[1:])]
+        ok = transports_tuple(
+            self.comp,
+            sym,
+            counterpart(self.B, sym).interp,
+            parts,
+            reflect=self.two_way,
+        )
         self.cache[key] = ok
         return ok
-
-    def _check_tuple(self, sym_kind: str, sym, combo) -> bool:
-        comp = self.comp
-        interp_a = sym.interp
-        if sym_kind == "rel":
-            interp_b = next(
-                r.interp for r in self.B.relations if r.name == sym.name
-            )
-        else:
-            interp_b = next(
-                f.interp for f in self.B.families if f.name == sym.name
-            )
-        for p in combo:
-            comp.names.reserve(expr_names(p.expr))
-        xs: list[Expr] = [combo[0].x0]
-        ys: list[Expr] = [combo[0].y0]
-        binders: list[str] = []
-        guards = []
-        for p in combo[1:]:
-            c = rename_clause(_clause_of(p.expr), comp.names)
-            binders.extend(c.binders)
-            guards.append(c.guard)
-            xs.append(c.element.items[0])
-            ys.append(c.element.items[1])
-
-        def condition(extra_head=None):
-            xa = _mk_tuple(extra_head, xs)
-            yb = _mk_tuple(extra_head, ys)
-            ma = comp.member(xa, interp_a)
-            mb = comp.member(yb, interp_b)
-            if self.two_way:
-                return And((Implies(ma, mb), Implies(mb, ma)))
-            return Implies(ma, mb)
-
-        if sym_kind == "fam":
-            inner = comp.forall_elem(sym.index_set, lambda v: condition(v))
-        else:
-            inner = condition()
-        body = Implies(land(*guards), inner) if guards else inner
-        return comp.holds(_quantify(binders, body))
-
-
-def _mk_tuple(head, items: list[Expr]) -> Expr:
-    parts = ([head] if head is not None else []) + items
-    if len(parts) == 1:
-        return parts[0]
-    return ETuple(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -391,47 +355,14 @@ def find_definable_map(
 def _verify_witness(
     comp: Compiler, fn: DefFunction, A: Structure, B: Structure, mode: str
 ) -> bool:
-    fn_validate(comp, fn)
+    """Full re-check of a candidate assembled from pieces: a map of the
+    mode's kind whose transport sentences all hold."""
     if mode == "iso":
         return check_isomorphism(comp, fn, A, B)
+    fn_validate(comp, fn)
     if not fn_check(comp, fn, injective=mode == "emb"):
         return False
-    T = A.params() | B.params() | expr_params(fn.graph)
-    return _preserves_symbols(comp, fn, A, B, T, reflect=mode == "emb")
-
-
-def _preserves_symbols(comp, fn, A, B, T, *, reflect: bool) -> bool:
-    from .structures import _indexed_power, _power, _symbol_transported
-
-    brel = {r.name: r for r in B.relations}
-    bfam = {f.name: f for f in B.families}
-    for r in A.relations:
-        prod = _power(A.universe, r.arity)
-        for orbit in orbit_decomposition(comp, prod, frozenset(T)):
-            rep = orbit.rep_element()
-            xs = [rep] if r.arity == 1 else list(rep.items)
-            ys = [fn_apply(comp, fn, x) for x in xs]
-            image = ys[0] if r.arity == 1 else ETuple(tuple(ys))
-            in_a = is_member(comp, rep, r.interp)
-            in_b = is_member(comp, image, brel[r.name].interp)
-            if in_a and not in_b:
-                return False
-            if reflect and in_b and not in_a:
-                return False
-    for f in A.families:
-        prod = _indexed_power(f.index_set, A.universe, f.arity)
-        for orbit in orbit_decomposition(comp, prod, frozenset(T)):
-            rep = orbit.rep_element()
-            head, xs = rep.items[0], list(rep.items[1:])
-            ys = [fn_apply(comp, fn, x) for x in xs]
-            image = ETuple(tuple([head, *ys]))
-            in_a = is_member(comp, rep, f.interp)
-            in_b = is_member(comp, image, bfam[f.name].interp)
-            if in_a and not in_b:
-                return False
-            if reflect and in_b and not in_a:
-                return False
-    return True
+    return transports_symbols(comp, fn, A, B, reflect=mode == "emb")
 
 
 def decide_definable_iso(

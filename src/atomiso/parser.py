@@ -63,6 +63,13 @@ KEYWORDS = {
 
 _SYMBOLS = ("->", "!=", "<=", "{", "}", "(", ")", "|", ",", ".", "+", "=", "<")
 
+# Deepest nesting the parser accepts.  A level is a set or tuple inside
+# another expression, a parenthesized or quantified formula, or one more
+# arrow of an implication chain.  Each level costs a handful of interpreter
+# frames here and in the layers that walk the result, so the limit keeps
+# deep input a ParseError instead of a RecursionError.
+MAX_NESTING = 100
+
 
 class _Token:
     __slots__ = ("kind", "value", "line", "col")
@@ -148,6 +155,21 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
+def _nested(production):
+    """Count one nesting level for the duration of a recursive production."""
+
+    def parse_nested(self):
+        self.depth += 1
+        try:
+            if self.depth > MAX_NESTING:
+                self.err_here(f"input nested deeper than {MAX_NESTING} levels")
+            return production(self)
+        finally:
+            self.depth -= 1
+
+    return parse_nested
+
+
 class _Parser:
     """Recursive descent over the token stream.
 
@@ -159,6 +181,7 @@ class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -202,6 +225,7 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------
 
+    @_nested
     def parse_expr(self):
         t0 = self.peek()
         ast, free = self.parse_primary()
@@ -312,6 +336,7 @@ class _Parser:
     def parse_formula(self):
         return self.parse_implies()
 
+    @_nested
     def parse_implies(self):
         lhs, free = self.parse_or()
         if self.at_sym("->"):
@@ -342,10 +367,12 @@ class _Parser:
         return (land(*parts) if len(parts) > 1 else lhs), free
 
     def parse_unary(self):
-        if self.at_kw("not"):
+        # a run of negations is read in a loop: it does not deepen the
+        # result, since double negations cancel
+        negations = 0
+        while self.at_kw("not"):
             self.next()
-            body, free = self.parse_unary()
-            return lnot(body), free
+            negations += 1
         if self.at_kw("exists") or self.at_kw("forall"):
             ctor = Exists if self.peek().value == "exists" else Forall
             self.next()
@@ -353,8 +380,12 @@ class _Parser:
             self.expect_sym(".")
             body, free = self.parse_formula()
             free.pop(v.value, None)
-            return ctor(v.value, body), free
-        return self.parse_atomic()
+            out = ctor(v.value, body)
+        else:
+            out, free = self.parse_atomic()
+        for _ in range(negations):
+            out = lnot(out)
+        return out, free
 
     def parse_atomic(self):
         t = self.peek()

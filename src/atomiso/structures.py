@@ -6,29 +6,32 @@ flat tuples whose first component is the index.  Structures serialize to a
 small JSON document holding expressions in concrete syntax.
 
 `check_isomorphism` decides whether a definable bijection is an isomorphism
-by testing each symbol on one representative per orbit of the relevant
-product, with all parameters in play fixed; membership in a definable set is
-constant along such orbits, so the finitely many tests are exact.
+with one first-order sentence per symbol and per tuple of graph clauses:
+for all instances of the clauses, the arguments lie in the symbol of A
+exactly when their images lie in the symbol of B.  `transports_tuple` is
+that one kernel; the homomorphism and embedding checks and the search's
+pruning in engine.py use it too.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
-from .algebra import (
-    DefFunction,
-    fn_apply,
-    fn_check,
-    fn_validate,
-    is_member,
-    is_subset,
-    orbit_decomposition,
-    set_equal,
-)
+from .algebra import DefFunction, fn_check, fn_validate, is_subset, set_equal
 from .compile import Compiler
 from .errors import ValidationError
-from .exprs import ETuple, Expr, expr_params, product_expr
+from .exprs import (
+    ETuple,
+    Expr,
+    clauses,
+    expr_names,
+    expr_params,
+    product_expr,
+    rename_clause,
+)
 from .parser import parse, print_expr
 from .theories import get_backend
+from .theories.formulas import And, Exists, Implies, land, lnot
 
 MAX_ARITY = 4
 
@@ -240,7 +243,12 @@ def check_isomorphism(
     verify_function: bool = True,
 ) -> bool:
     """Whether fn is an isomorphism from A onto B: a bijection between the
-    universes that preserves and reflects every symbol."""
+    universes that preserves and reflects every symbol.
+
+    With verify_function=False the caller vouches that fn is already
+    validated (fn_validate) and is a bijection from A's universe onto B's
+    (fn_check with injective and surjective); the symbol check is exact only
+    for such maps."""
     if A.backend_name != comp.backend.name or B.backend_name != comp.backend.name:
         raise ValidationError("structures and compiler use different backends")
     if not signatures_match(comp, A, B):
@@ -253,49 +261,79 @@ def check_isomorphism(
             return False
         if not fn_check(comp, fn, injective=True, surjective=True):
             return False
-    T = A.params() | B.params() | expr_params(fn.graph)
-    brel = {r.name: r for r in B.relations}
-    for r in A.relations:
-        if not _symbol_transported(comp, fn, r.interp, brel[r.name].interp,
-                                   _power(A.universe, r.arity), r.arity, T,
-                                   indexed=False):
-            return False
-    bfam = {f.name: f for f in B.families}
-    for f in A.families:
-        prod = _indexed_power(f.index_set, A.universe, f.arity)
-        if not _symbol_transported(comp, fn, f.interp, bfam[f.name].interp,
-                                   prod, f.arity, T, indexed=True):
-            return False
-    return True
+    return transports_symbols(comp, fn, A, B, reflect=True)
 
 
-def _symbol_transported(
-    comp: Compiler,
-    fn: DefFunction,
-    interp_a: Expr,
-    interp_b: Expr,
-    prod: Expr,
-    arity: int,
-    T: frozenset,
-    *,
-    indexed: bool,
+def transports_symbols(
+    comp: Compiler, fn: DefFunction, A: Structure, B: Structure, *, reflect: bool
 ) -> bool:
-    """Membership agreement between a tuple and its image, tested on one
-    representative per T-orbit of the ambient product."""
-    T = frozenset(T)
-    for orbit in orbit_decomposition(comp, prod, T):
-        rep = orbit.rep_element()
-        if arity == 1 and not indexed:
-            xs = [rep]
-        else:
-            xs = list(rep.items)
-        if indexed:
-            head, xs = xs[0], xs[1:]
-        ys = [fn_apply(comp, fn, x) for x in xs]
-        if indexed:
-            image = ETuple(tuple([head, *ys]))
-        else:
-            image = ys[0] if arity == 1 else ETuple(tuple(ys))
-        if is_member(comp, rep, interp_a) != is_member(comp, image, interp_b):
-            return False
+    """Whether fn carries every symbol of A into its namesake in B (and,
+    with reflect, back), decided by one transport sentence per symbol and
+    per tuple of graph clauses.
+
+    Exact for a graph that is functional and total on A's universe: every
+    tuple of domain elements, paired with its image, is then an instance of
+    some tuple of clauses, and each sentence quantifies over all instances
+    of its tuple.  The signatures must match."""
+    graph = clauses(fn.graph)
+    for sym in (*A.relations, *A.families):
+        interp_b = counterpart(B, sym).interp
+        for parts in itertools.product(graph, repeat=sym.arity):
+            if not transports_tuple(comp, sym, interp_b, parts, reflect=reflect):
+                return False
     return True
+
+
+def counterpart(B: Structure, sym):
+    """The symbol of B named like sym."""
+    return next(s for s in (*B.relations, *B.families) if s.name == sym.name)
+
+
+def transports_tuple(
+    comp: Compiler, sym, interp_b: Expr, parts, *, reflect: bool
+) -> bool:
+    """Decide forall binders: guards -> (xs in R_A <-> ys in R_B).
+
+    Each part is a clause whose element is a pair (x, y) of an argument and
+    its image; a fixed pair is a clause without binders.  The parts are
+    renamed apart, so the sentence ranges over every combination of their
+    instances.  For a family the condition holds at every index of its
+    index set.  Without reflect only -> is required."""
+    xs: list[Expr] = []
+    ys: list[Expr] = []
+    binders: list[str] = []
+    guards = []
+    for c in parts:
+        comp.names.reserve(expr_names(c))
+    for c in parts:
+        c = rename_clause(c, comp.names)
+        binders.extend(c.binders)
+        guards.append(c.guard)
+        xs.append(c.element.items[0])
+        ys.append(c.element.items[1])
+
+    def condition(head=None):
+        ma = comp.member(_mk_tuple(head, xs), sym.interp)
+        mb = comp.member(_mk_tuple(head, ys), interp_b)
+        if reflect:
+            return And((Implies(ma, mb), Implies(mb, ma)))
+        return Implies(ma, mb)
+
+    if isinstance(sym, FamilySymbol):
+        body = comp.forall_elem(sym.index_set, condition)
+    else:
+        body = condition()
+    # decided as the absence of a breach, so the binders form one block of
+    # existentials and elimination stays in disjunctive normal form; a
+    # block of universals would negate the formula at every binder
+    breach = land(*guards, lnot(body))
+    for b in reversed(binders):
+        breach = Exists(b, breach)
+    return not comp.holds(breach)
+
+
+def _mk_tuple(head, items: list[Expr]) -> Expr:
+    parts = ([head] if head is not None else []) + items
+    if len(parts) == 1:
+        return parts[0]
+    return ETuple(tuple(parts))

@@ -1,16 +1,31 @@
 """Independent brute-force evaluators used to cross-check the symbolic
 engine.
 
-Everything here works over a finite atom pool chosen large enough to
-realize every type the checked formula or expression can distinguish, so
-finite enumeration is faithful to the infinite structure.  Nothing in this
-module calls the engine's own decision procedures.
+Most of it works over a finite atom pool chosen large enough to realize
+every type the checked formula or expression can distinguish, so finite
+enumeration is faithful to the infinite structure, and calls none of the
+engine's decision procedures.  The exception is `orbit_transport`, which
+tests a map on structures by another method than the library's: on orbit
+representatives, built from the library's orbit decomposition and
+membership queries.
 """
 
 import itertools
 from fractions import Fraction
 
-from atomiso.exprs import AtomParam, AtomsSet, ETuple, EVar, SetComp, Union
+from atomiso.algebra import fn_apply, is_member, orbit_decomposition
+from atomiso.exprs import (
+    AtomParam,
+    AtomsSet,
+    ETuple,
+    EVar,
+    SetComp,
+    Union,
+    expr_params,
+    free_expr_vars,
+    product_expr,
+)
+from atomiso.structures import FamilySymbol
 from atomiso.theories.formulas import (
     And,
     Bot,
@@ -164,12 +179,24 @@ def enum_value(e, valuation: dict, backend_name: str, pool):
 
 
 def _enum_clause(c: SetComp, valuation: dict, backend_name: str, pool) -> set:
+    """The elements of the clause, with the binders the element shows drawn
+    from the pool.  A binder only the guard uses is instead quantified in
+    the guard, which eval_formula sweeps over every region of the atoms in
+    scope.  Drawn from the pool it would find no atom beyond the pool's
+    ends, so over dlo {x | x, y in atoms, y < x} would lose the least pool
+    atom."""
+    shown = free_expr_vars(c.element)
+    guard = c.guard
+    for name in reversed(c.binders):
+        if name not in shown:
+            guard = Exists(name, guard)
     out = set()
     stack = [valuation]
     for name in c.binders:
-        stack = [{**v, name: a} for v in stack for a in pool]
+        if name in shown:
+            stack = [{**v, name: a} for v in stack for a in pool]
     for v in stack:
-        if eval_formula(backend_name, c.guard, v):
+        if eval_formula(backend_name, guard, v):
             out.add(enum_value(c.element, v, backend_name, pool))
     return out
 
@@ -216,3 +243,33 @@ def count_tuple_orbits(backend_name: str, n: int) -> int:
         "cyclic": _cyclic_signature,
     }[backend_name]
     return len({sig(t) for t in itertools.product(pool, repeat=n)})
+
+
+# ---------------------------------------------------------------------------
+# symbol transport tested on orbit representatives
+
+
+def orbit_transport(comp, fn, A, B, *, reflect: bool = True) -> bool:
+    """Whether the map fn carries every symbol of A into its namesake in B
+    (and back, with reflect), tested on one representative per orbit of
+    the symbol's ambient product under the automorphisms fixing every atom
+    in play.  Membership in a definable set is constant along such orbits,
+    so the finitely many tests are exact.  Images come from fn_apply, a
+    witness search, so nothing is shared with the library's transport
+    sentences.  The signatures must match and fn must be a total function."""
+    T = A.params() | B.params() | expr_params(fn.graph)
+    b_syms = {s.name: s for s in (*B.relations, *B.families)}
+    for sym in (*A.relations, *A.families):
+        head = [sym.index_set] if isinstance(sym, FamilySymbol) else []
+        factors = head + [A.universe] * sym.arity
+        ambient = factors[0] if len(factors) == 1 else product_expr(*factors)
+        for orbit in orbit_decomposition(comp, ambient, T):
+            rep = orbit.rep_element()
+            items = [rep] if len(factors) == 1 else list(rep.items)
+            image = items[: len(head)] + [fn_apply(comp, fn, x) for x in items[len(head) :]]
+            image = image[0] if len(image) == 1 else ETuple(tuple(image))
+            in_a = is_member(comp, rep, sym.interp)
+            in_b = is_member(comp, image, b_syms[sym.name].interp)
+            if (in_a and not in_b) or (reflect and in_b and not in_a):
+                return False
+    return True

@@ -32,6 +32,13 @@ def test_parse_error_exit(capsys):
     assert "line 1" in err
 
 
+def test_deep_nesting_exit(capsys):
+    guard = "(" * 2000 + "a = a" + ")" * 2000
+    code, _, err = run(capsys, "check-eq", "{a | a in atoms, %s}" % guard, "atoms")
+    assert code == 2
+    assert "nested deeper" in err
+
+
 def test_orbits_and_fix(capsys):
     code, out, _ = run(capsys, "orbits", "atoms", "--fix", "#1")
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from atomiso.errors import ParseError, VocabularyError
 from atomiso.exprs import AtomParam, ETuple, EVar, SetComp, Union, expr_params
 from atomiso.parser import (
+    MAX_NESTING,
     parse,
     parse_formula,
     print_expr,
@@ -167,3 +168,21 @@ def test_error_positions():
     with pytest.raises(ParseError) as ei2:
         parse("{a |\n a in}")
     assert ei2.value.line == 2
+
+
+def test_nesting_limit():
+    deep = "(" * 2000 + "a = a" + ")" * 2000
+    with pytest.raises(ParseError) as ei:
+        parse("{a | a in atoms, %s}" % deep)
+    assert "nested deeper" in str(ei.value)
+    # each arrow of a chain nests; runs of negations do not
+    chain = " -> ".join(["a = a"] * 2000)
+    with pytest.raises(ParseError):
+        parse("{a | a in atoms, %s}" % chain)
+    assert parse("{a | a in atoms, %sa = a}" % ("not " * 2000)) == parse(
+        "{a | a in atoms, a = a}"
+    )
+    sets = "{" * (MAX_NESTING - 1) + "#1" + "}" * (MAX_NESTING - 1)
+    assert print_expr(parse(sets)) == sets
+    with pytest.raises(ParseError):
+        parse("{" + sets + "}")

@@ -2,11 +2,21 @@
 checks, and isomorphism verification including indexed families."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from atomiso.algebra import DefFunction, set_equal
+from atomiso.algebra import (
+    DefFunction,
+    fn_check,
+    fn_validate,
+    orbit_decomposition,
+    set_equal,
+)
+from atomiso.engine import FOUND, decide_definable_iso
 from atomiso.errors import ValidationError
+from atomiso.exprs import product_expr, union_of
 from atomiso.parser import parse
 from atomiso.structures import (
     check_isomorphism,
@@ -17,9 +27,12 @@ from atomiso.structures import (
     signatures_match,
     structure_from_dict,
     structure_to_dict,
+    transports_symbols,
     validate_structure,
 )
-from fixtures_helpers import kneser_pair, smoothing_parts
+from fixtures_helpers import kneser_pair, neighborhoods_pair, smoothing_parts
+from generators import gen_structure_pair
+from oracles import orbit_transport
 
 
 def test_roundtrip(tmp_path, eq_comp):
@@ -179,3 +192,106 @@ def test_function_document_roundtrip(eq_comp):
     assert backend_name == "equality"
     assert fn2.graph == fn.graph
     assert set_equal(eq_comp, fn2.dom, fn.dom)
+
+
+# ---------------------------------------------------------------------------
+# transport sentences against the orbit-representative oracle
+
+
+def test_transport_matches_orbit_oracle_on_union_graphs(eq_comp):
+    """Every bijective union of product orbits between random universes,
+    as the exhaustive reference search enumerates them."""
+    rng = random.Random(23)
+    verdicts = Counter()
+    pairs = 0
+    while pairs < 20:
+        A, B = gen_structure_pair(rng)
+        prod = product_expr(A.universe, B.universe)
+        orbits = orbit_decomposition(eq_comp, prod, frozenset())
+        if len(orbits) > 7:
+            continue
+        pairs += 1
+        for mask in range(1, 1 << len(orbits)):
+            graph = union_of(*(o.piece() for i, o in enumerate(orbits) if mask >> i & 1))
+            fn = DefFunction(A.universe, B.universe, graph)
+            try:
+                fn_validate(eq_comp, fn)
+            except ValidationError:
+                continue
+            if not fn_check(eq_comp, fn, injective=True, surjective=True):
+                continue
+            got = check_isomorphism(eq_comp, fn, A, B, verify_function=False)
+            want = orbit_transport(eq_comp, fn, A, B)
+            assert got == want, (A.universe, B.universe, graph)
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def _with_relations(st, relations):
+    doc = structure_to_dict(st)
+    doc["relations"] = [
+        {"name": name, "arity": arity, "interp": interp}
+        for name, arity, interp in relations
+    ]
+    return structure_from_dict(doc)
+
+
+def _transport_agrees(comp, fn, A, B) -> Counter:
+    verdicts = Counter()
+    for reflect in (False, True):
+        got = transports_symbols(comp, fn, A, B, reflect=reflect)
+        assert got == orbit_transport(comp, fn, A, B, reflect=reflect)
+        verdicts[got] += 1
+    return verdicts
+
+
+@pytest.mark.parametrize("name", ["kneser", "neighborhoods", "smoothing"])
+def test_transport_matches_orbit_oracle_on_fixture_maps(eq_comp, name):
+    """The search's witnesses in hom, emb and iso mode, plus the shipped
+    smoothing map, in both directions of the transport condition."""
+    if name == "smoothing":
+        st, given = smoothing_parts()
+        # the shipped structure has no symbols; these make the marked map
+        # fail them while the parameter-free identity keeps them
+        st = _with_relations(
+            st,
+            [("P", 1, "{a | a in atoms}"), ("E", 2, "{(a, (a, b)) | a, b in atoms}")],
+        )
+        A = B = st
+        maps = [given]
+    else:
+        A, B = kneser_pair() if name == "kneser" else neighborhoods_pair()
+        maps = []
+    for mode in ("hom", "emb", "iso"):
+        cert = decide_definable_iso(eq_comp, A, B, mode=mode)
+        assert cert.verdict == FOUND
+        assert orbit_transport(eq_comp, cert.witness, A, B, reflect=mode != "hom")
+        maps.append(cert.witness)
+    verdicts = Counter()
+    for fn in maps:
+        verdicts += _transport_agrees(eq_comp, fn, A, B)
+    assert verdicts[True]
+    if name == "smoothing":
+        assert verdicts[False]
+
+
+# swapping the atoms #1 and #2 inside every unordered pair: an automorphism
+# of the disjointness graph that moves neighborhoods between indices
+_SWAP_12 = (
+    "{({a, b}, {a, b}) | a, b in atoms, "
+    "a != b and a != #1 and a != #2 and b != #1 and b != #2} + "
+    "{({#1, a}, {#2, a}) | a in atoms, a != #1 and a != #2} + "
+    "{({#2, a}, {#1, a}) | a in atoms, a != #1 and a != #2} + "
+    "{({#1, #2}, {#1, #2})}"
+)
+
+
+def test_bijection_breaking_a_family_member(eq_comp):
+    kA, kB = kneser_pair()
+    nA, nB = neighborhoods_pair()
+    fn = DefFunction(kA.universe, kB.universe, parse(_SWAP_12, eq_comp.backend))
+    assert check_isomorphism(eq_comp, fn, kA, kB)
+    assert orbit_transport(eq_comp, fn, kA, kB)
+    # the family keeps its index in place while the members move
+    assert not check_isomorphism(eq_comp, fn, nA, nB)
+    assert _transport_agrees(eq_comp, fn, nA, nB) == Counter({False: 2})
