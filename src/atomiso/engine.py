@@ -26,6 +26,7 @@ from .algebra import (
     DefFunction,
     fn_apply,
     fn_check,
+    fn_domain_expr,
     fn_image_expr,
     fn_inverse,
     fn_validate,
@@ -110,25 +111,17 @@ def _quantify(binders, body):
     return body
 
 
-def _piece_functional(comp: Compiler, piece: GraphPiece) -> bool:
+def _piece_determined(comp: Compiler, piece: GraphPiece, by: int) -> bool:
+    """Whether, across the piece's orbit of pairs, component `by` equal to
+    its value in (x0, y0) forces the other component to its value there:
+    by=0 says the piece is functional, by=1 that it is injective."""
     c = _clause_of(piece.expr)
+    rep = (piece.x0, piece.y0)
     body = Implies(
         c.guard,
         Implies(
-            comp.equal(c.element.items[0], piece.x0),
-            comp.equal(c.element.items[1], piece.y0),
-        ),
-    )
-    return comp.holds(_quantify(c.binders, body))
-
-
-def _piece_injective(comp: Compiler, piece: GraphPiece) -> bool:
-    c = _clause_of(piece.expr)
-    body = Implies(
-        c.guard,
-        Implies(
-            comp.equal(c.element.items[1], piece.y0),
-            comp.equal(c.element.items[0], piece.x0),
+            comp.equal(c.element.items[by], rep[by]),
+            comp.equal(c.element.items[1 - by], rep[1 - by]),
         ),
     )
     return comp.holds(_quantify(c.binders, body))
@@ -169,9 +162,9 @@ def enumerate_pieces(
             pair = ETuple((x0, y0))
             piece_expr = orbit_expression(comp, pair, T)
             piece = GraphPiece(piece_expr, x0, y0, i, -1)
-            if not _piece_functional(comp, piece):
+            if not _piece_determined(comp, piece, by=0):
                 continue
-            if require_injective and not _piece_injective(comp, piece):
+            if require_injective and not _piece_determined(comp, piece, by=1):
                 continue
             j = _orbit_index_of(comp, y0, b_orbits)
             pieces.append(GraphPiece(piece_expr, x0, y0, i, j))
@@ -381,58 +374,6 @@ def decide_definable_iso(
 
 
 # ---------------------------------------------------------------------------
-# tiny-scale oracle search (exhaustive over unions of product orbits)
-
-
-def naive_find_iso(
-    comp: Compiler,
-    A: Structure,
-    B: Structure,
-    T,
-    *,
-    max_orbits: int = 12,
-) -> Certificate:
-    """Exhaustive reference search: tries every union of orbits of the pair
-    product as a graph.  Exponential; intended for cross-checking the main
-    search on small inputs."""
-    from .exprs import product_expr
-
-    T = frozenset(T)
-    stats = {"orbits_a": 0, "orbits_b": 0, "pieces": 0, "candidates": 0}
-    if not signatures_match(comp, A, B):
-        return Certificate(NOT_FOUND, None, tuple(sorted(T)), stats)
-    prod = product_expr(A.universe, B.universe)
-    orbits = orbit_decomposition(comp, prod, T)
-    if len(orbits) > max_orbits:
-        raise ResourceError(
-            f"{len(orbits)} product orbits exceed the oracle bound {max_orbits}",
-            count=len(orbits),
-        )
-    stats["pieces"] = len(orbits)
-    for mask in range(1 << len(orbits)):
-        picked = [o.piece() for i, o in enumerate(orbits) if mask >> i & 1]
-        fn = DefFunction(A.universe, B.universe, union_of(*picked))
-        stats["candidates"] += 1
-        try:
-            fn_validate(comp, fn)
-        except ValidationError:
-            continue
-        if not fn_check(comp, fn, injective=True, surjective=True):
-            continue
-        if check_isomorphism(comp, fn, A, B, verify_function=False):
-            return Certificate(FOUND, fn, tuple(sorted(T)), stats)
-    if comp.backend.dense:
-        return Certificate(NOT_FOUND, None, tuple(sorted(T)), stats)
-    return Certificate(
-        NOT_FOUND_INCOMPLETE,
-        None,
-        tuple(sorted(T)),
-        stats,
-        caveat="negative answers are not conclusive over this backend",
-    )
-
-
-# ---------------------------------------------------------------------------
 # parameter elimination for isomorphisms
 
 
@@ -527,7 +468,7 @@ def eliminate_parameters(
         else:
             orbit = b_orbits[idx]
             forward = fn_back
-            covered = _domain_expr(h_cur)
+            covered = fn_domain_expr(h_cur)
             step_back = h_cur
 
         x0 = _independent_representative(comp, orbit, S, T)
@@ -573,12 +514,6 @@ def eliminate_parameters(
     if not check_isomorphism(comp, h, A, B, verify_function=False):
         raise EliminationError("the rebuilt map is not an isomorphism")
     return h, report
-
-
-def _domain_expr(fn: DefFunction) -> Expr:
-    from .algebra import fn_domain_expr
-
-    return fn_domain_expr(fn)
 
 
 def _independent_representative(comp: Compiler, orbit, S: frozenset, T: frozenset):

@@ -5,11 +5,20 @@ theory admits quantifier elimination.  The base class owns the elimination
 pipeline (negation normal form, miniscoping, disjunctive normal form with
 consistency pruning, per-conjunct variable elimination) and the derived
 operations: satisfiability under a valuation, deterministic witness search,
-complete-type enumeration, and finite partial automorphisms.
+complete types, and finite partial automorphisms.
+
+Complete types are built in one place.  Quantifier elimination in a
+homogeneous structure makes the orbit of an atom tuple over a parameter set
+its complete quantifier-free type, which one realization determines, so
+`type_of` writes the type of given values and `types_with_reps` enumerates
+one realization per type and takes each formula from `type_of`.  Both
+handle the blocks of equal values and the blocks pinned to a parameter; a
+backend supplies only two hooks on the remaining free blocks:
+`_free_block_values` (one value tuple per arrangement, in a fixed order)
+and `_free_block_literals` (the literals that fix an arrangement).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import ValuationError, VocabularyError
 from .formulas import (
@@ -71,6 +80,18 @@ def set_partitions(items: tuple) -> list[list[list]]:
 
     rec(0, [])
     return out
+
+
+def _anchor_choices(k: int, svals: list):
+    """Assignments of k blocks to distinct anchors from svals or to None,
+    anchors offered in ascending order before the free choice."""
+    if k == 0:
+        yield ()
+        return
+    for head in list(svals) + [None]:
+        remaining = [s for s in svals if s != head] if head is not None else svals
+        for tail in _anchor_choices(k - 1, remaining):
+            yield (head,) + tail
 
 
 class Backend:
@@ -319,14 +340,54 @@ class Backend:
     # ------------------------------------------------------------------
     # types and orbits of atom tuples
 
-    def complete_types(self, variables: tuple[str, ...], params: frozenset[Atom]) -> list[Formula]:
-        return [t.formula for t in self.types_with_reps(variables, params)]
-
     def types_with_reps(self, variables: tuple[str, ...], params: frozenset[Atom]) -> list[TypeInfo]:
-        raise NotImplementedError
+        """Every complete type of `variables` over `params`, each with one
+        realization, in a fixed order: partitions of the variables into
+        blocks, then anchor choices, then the backend's free-block values."""
+        svals = sorted(params)
+        out = []
+        for blocks in set_partitions(tuple(variables)):
+            for anchors in _anchor_choices(len(blocks), svals):
+                for free in self._free_block_values(anchors.count(None), svals):
+                    fresh = iter(free)
+                    block_values = [a if a is not None else next(fresh) for a in anchors]
+                    row = {v: a for block, a in zip(blocks, block_values) for v in block}
+                    values = tuple(row[v] for v in variables)
+                    formula = self.type_of(variables, values, params)
+                    out.append(TypeInfo(formula, tuple(sorted(row.items()))))
+        return out
 
     def type_of(self, variables: tuple[str, ...], values: tuple[Atom, ...], params: frozenset[Atom]) -> Formula:
-        """The complete type over `params` realized by concrete `values`."""
+        """The complete type over `params` realized by concrete `values`:
+        each block's variables equal its first one (the head), an anchored
+        head equals its parameter, and the backend relates the free heads."""
+        lits = []
+        heads: dict[Atom, Var] = {}
+        free: list[tuple[Atom, Var]] = []
+        for v, a in zip(variables, values):
+            head = heads.get(a)
+            if head is not None:
+                lits.append(eq(head, Var(v)))
+                continue
+            heads[a] = head = Var(v)
+            if a in params:
+                lits.append(eq(head, Const(a)))
+            else:
+                free.append((a, head))
+        lits += self._free_block_literals(free, sorted(params))
+        return land(*lits)
+
+    def _free_block_values(self, k: int, svals: list[Atom]):
+        """Yield representative values for k free blocks, one tuple per
+        arrangement of the blocks relative to the sorted parameters `svals`
+        and to each other, in a fixed order.  The values are distinct and
+        avoid svals; this order decides the order of `types_with_reps`."""
+        raise NotImplementedError
+
+    def _free_block_literals(self, free: list[tuple[Atom, Var]], svals: list[Atom]) -> list[Formula]:
+        """The literals fixing the arrangement of the free blocks, given as
+        (value, head) pairs in first-occurrence order, relative to the
+        sorted parameters `svals` and to each other."""
         raise NotImplementedError
 
     def rn_count(self, n: int) -> int:

@@ -3,10 +3,10 @@ relation R, where R(a,b,c) holds when b lies on the arc from a to c taken
 counterclockwise (equivalently a<b<c up to rotation of the three).
 
 Elimination reuses the dense-linear machinery by expanding R into its three
-linear readings up front; complete types are built natively in the circular
-vocabulary so orbit formulas never mention <.  The circle is not dense in
-the sense the independence operations need (no self-embedding misses a
-point of every arc), so those raise DensenessError.
+linear readings up front; the complete-type hooks use only R and equality,
+so orbit formulas never mention <.  The circle is not dense in the sense
+the independence operations need (no self-embedding misses a point of
+every arc), so those raise DensenessError.
 """
 
 import itertools
@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 
 from ..errors import DensenessError
-from .base import TypeInfo, set_partitions
 from .formulas import (
     And,
     Bot,
@@ -26,17 +25,17 @@ from .formulas import (
     Not,
     Or,
     Rel,
+    Term,
     Top,
     Var,
     cyc,
-    eq,
     land,
     lnot,
     lor,
     lt,
     ne,
 )
-from .dlo import DloBackend, _anchor_choices, _gap_placements, _gap_value
+from .dlo import DloBackend, _spread
 
 
 def _cyc3(a, b, c) -> bool:
@@ -80,93 +79,40 @@ class CyclicBackend(DloBackend):
 
     # -- types -------------------------------------------------------------
 
-    def types_with_reps(self, variables, params):
-        svals = sorted(params)
-        out = []
-        for blocks in set_partitions(tuple(variables)):
-            for anchors in _anchor_choices(len(blocks), svals):
-                free = [b for b, a in zip(blocks, anchors) if a is None]
-                if not svals:
-                    out.extend(self._whole_circle_types(blocks, anchors, free))
-                    continue
-                for placement in _gap_placements(len(free), len(svals)):
-                    orderings = itertools.product(
-                        *(itertools.permutations(g) for g in placement)
-                    )
-                    for per_arc in orderings:
-                        out.append(
-                            self._arc_type(blocks, anchors, free, list(per_arc), svals)
-                        )
-        return out
+    def _free_block_values(self, k, svals):
+        if svals:
+            # arc g runs from svals[g] to the next anchor; the last one wraps
+            yield from _spread(k, [*svals, None])
+        elif k:
+            # without anchors the first free block is the base point 0
+            for rest in _spread(k - 1, [Fraction(0), None]):
+                yield (Fraction(0), *rest)
+        else:
+            yield ()
 
-    def _block_literals(self, blocks, anchors, values):
+    def _free_block_literals(self, free, svals):
+        if not svals:
+            # arrangements around the first free head, which no literal pins
+            if not free:
+                return []
+            if len(free) == 2:
+                return [ne(free[0][1], free[1][1])]
+            (base, z0), rest = free[0], free[1:]
+            return self._open_arc_literals(z0, _ccw_heads(base, rest), None)
+        m = len(svals)
+        by_arc: dict[int, list] = {}
+        for a, head in free:
+            by_arc.setdefault(_arc_index(svals, a), []).append((a, head))
         lits = []
-        for block, anchor in zip(blocks, anchors):
-            head = Var(block[0])
-            for other in block[1:]:
-                lits.append(eq(head, Var(other)))
-            if anchor is not None:
-                lits.append(eq(head, Const(anchor)))
-                values[id(block)] = anchor
+        for g, members in by_arc.items():
+            # a single anchor leaves one arc, the whole circle minus the anchor
+            hi = Const(svals[(g + 1) % m]) if m > 1 else None
+            lits += self._open_arc_literals(
+                Const(svals[g]), _ccw_heads(svals[g], members), hi
+            )
         return lits
 
-    def _whole_circle_types(self, blocks, anchors, free) -> list[TypeInfo]:
-        """Types over the empty parameter set: one per circular arrangement
-        of the blocks with the first block held fixed."""
-        out = []
-        if len(free) <= 1:
-            arrangements = [()]
-        else:
-            arrangements = itertools.permutations(range(1, len(free)))
-        for arr in arrangements:
-            values: dict[int, object] = {}
-            lits = self._block_literals(blocks, anchors, values)
-            z0 = Var(free[0][0]) if free else None
-            if free:
-                values[id(free[0])] = Fraction(0)
-            if len(free) == 2:
-                lits.append(ne(z0, Var(free[1][0])))
-                values[id(free[1])] = Fraction(1)
-            elif len(free) >= 3:
-                heads = [Var(free[i][0]) for i in arr]
-                for a, b in zip(heads, heads[1:]):
-                    lits.append(cyc(z0, a, b))
-                for pos, i in enumerate(arr):
-                    values[id(free[i])] = Fraction(pos + 1)
-            rep = tuple(
-                sorted((v, values[id(block)]) for block in blocks for v in block)
-            )
-            out.append(TypeInfo(land(*lits), rep))
-        return out
-
-    def _arc_type(self, blocks, anchors, free, per_arc, svals) -> TypeInfo:
-        values: dict[int, object] = {}
-        lits = self._block_literals(blocks, anchors, values)
-        m = len(svals)
-        for g, ordered in enumerate(per_arc):
-            heads = [Var(free[i][0]) for i in ordered]
-            if m == 1:
-                lits += self._open_arc_literals(Const(svals[0]), heads, None)
-                for pos, i in enumerate(ordered):
-                    values[id(free[i])] = svals[0] + pos + 1
-            elif g < m - 1:
-                lits += self._open_arc_literals(
-                    Const(svals[g]), heads, Const(svals[g + 1])
-                )
-                for pos, i in enumerate(ordered):
-                    values[id(free[i])] = _gap_value(
-                        svals[g], svals[g + 1], pos, len(ordered)
-                    )
-            else:  # the arc wrapping from the greatest anchor back to the least
-                lits += self._open_arc_literals(Const(svals[-1]), heads, Const(svals[0]))
-                for pos, i in enumerate(ordered):
-                    values[id(free[i])] = svals[-1] + pos + 1
-        rep = tuple(
-            sorted((v, values[id(block)]) for block in blocks for v in block)
-        )
-        return TypeInfo(land(*lits), rep)
-
-    def _open_arc_literals(self, lo: Const, heads, hi: Const | None) -> list[Formula]:
+    def _open_arc_literals(self, lo: Term, heads, hi: Term | None) -> list[Formula]:
         """Pin `heads` in order onto the arc from lo to hi (hi None means the
         arc is the whole circle minus lo)."""
         if not heads:
@@ -179,71 +125,6 @@ class CyclicBackend(DloBackend):
         if hi is not None:
             lits.append(cyc(lo, heads[-1], hi))
         return lits
-
-    def type_of(self, variables, values, params):
-        svals = sorted(params)
-        pset = set(svals)
-        blocks: list[list[str]] = []
-        block_val = []
-        seen: dict = {}
-        for v, a in zip(variables, values):
-            if a in seen:
-                blocks[seen[a]].append(v)
-            else:
-                seen[a] = len(blocks)
-                blocks.append([v])
-                block_val.append(a)
-        lits = []
-        free_idx = []
-        for i, (block, a) in enumerate(zip(blocks, block_val)):
-            head = Var(block[0])
-            for other in block[1:]:
-                lits.append(eq(head, Var(other)))
-            if a in pset:
-                lits.append(eq(head, Const(a)))
-            else:
-                free_idx.append(i)
-        m = len(svals)
-        if m == 0:
-            if len(free_idx) == 2:
-                lits.append(ne(Var(blocks[free_idx[0]][0]), Var(blocks[free_idx[1]][0])))
-            elif len(free_idx) >= 3:
-                i0 = free_idx[0]
-                v0 = block_val[i0]
-                rest = sorted(
-                    free_idx[1:],
-                    key=lambda i: (0, block_val[i]) if block_val[i] > v0 else (1, block_val[i]),
-                )
-                z0 = Var(blocks[i0][0])
-                heads = [Var(blocks[i][0]) for i in rest]
-                for a, b in zip(heads, heads[1:]):
-                    lits.append(cyc(z0, a, b))
-        elif m == 1:
-            s = svals[0]
-            idxs = sorted(
-                free_idx,
-                key=lambda i: (0, block_val[i]) if block_val[i] > s else (1, block_val[i]),
-            )
-            heads = [Var(blocks[i][0]) for i in idxs]
-            lits += self._open_arc_literals(Const(s), heads, None)
-        else:
-            by_arc: dict[int, list[int]] = {}
-            for i in free_idx:
-                by_arc.setdefault(_arc_index(svals, block_val[i]), []).append(i)
-            for g, idxs in by_arc.items():
-                if g < m - 1:
-                    idxs.sort(key=lambda i: block_val[i])
-                    lo, hi = Const(svals[g]), Const(svals[g + 1])
-                else:
-                    idxs.sort(
-                        key=lambda i: (0, block_val[i])
-                        if block_val[i] > svals[-1]
-                        else (1, block_val[i])
-                    )
-                    lo, hi = Const(svals[-1]), Const(svals[0])
-                heads = [Var(blocks[i][0]) for i in idxs]
-                lits += self._open_arc_literals(lo, heads, hi)
-        return land(*lits)
 
     def rn_count(self, n: int) -> int:
         # sum over block counts k of S(n,k) * (k-1)!  (circular arrangements)
@@ -288,6 +169,12 @@ class CyclicBackend(DloBackend):
         prev = below[-1] if below else doms[-1]
         nxt = above[0] if above else doms[0]
         return [cyc(Const(mapping[prev]), Var("x"), Const(mapping[nxt]))]
+
+
+def _ccw_heads(base, members) -> list:
+    """The heads of (value, head) members in counterclockwise order from
+    the value `base`, which no member takes."""
+    return [head for _, head in sorted(members, key=lambda m: (m[0] < base, m[0]))]
 
 
 def _arc_index(svals, a) -> int:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from ..errors import VocabularyError
-from .base import Backend, TypeInfo, Valuation, pinned_classes, set_partitions
+from .base import Backend, Valuation, pinned_classes
 from .formulas import (
     FALSE,
     TRUE,
@@ -28,7 +28,6 @@ from .formulas import (
     land,
     lor,
     lt,
-    ne,
 )
 
 _RAT_RE = re.compile(r"-?\d+(/\d+)?$")
@@ -253,90 +252,24 @@ class DloBackend(Backend):
 
     # -- types -----------------------------------------------------------
 
-    def types_with_reps(self, variables, params):
-        svals = sorted(params)
-        out = []
-        for blocks in set_partitions(tuple(variables)):
-            for anchors in _anchor_choices(len(blocks), svals):
-                free = [b for b, a in zip(blocks, anchors) if a is None]
-                for placement in _gap_placements(len(free), len(svals) + 1):
-                    orderings = [
-                        list(p)
-                        for p in itertools.product(
-                            *(itertools.permutations(g) for g in placement)
-                        )
-                    ]
-                    for per_gap in orderings:
-                        out.append(
-                            self._linear_type(blocks, anchors, free, per_gap, svals)
-                        )
-        return out
+    def _free_block_values(self, k, svals):
+        # gap g lies between svals[g - 1] and svals[g], the outer ones open
+        yield from _spread(k, [None, *svals, None])
 
-    def _linear_type(self, blocks, anchors, free, per_gap, svals) -> TypeInfo:
+    def _free_block_literals(self, free, svals):
+        # one chain of < per occupied gap, closed by the gap's parameters
+        by_gap: dict[int, list] = {}
+        for a, head in free:
+            by_gap.setdefault(_gap_index(svals, a), []).append((a, head))
         lits = []
-        values: dict[int, Fraction] = {}
-        for block, anchor in zip(blocks, anchors):
-            head = Var(block[0])
-            for other in block[1:]:
-                lits.append(eq(head, Var(other)))
-            if anchor is not None:
-                lits.append(eq(head, Const(anchor)))
-                values[id(block)] = anchor
-        for g, ordered in enumerate(per_gap):
-            lo = Const(svals[g - 1]) if g > 0 else None
-            hi = Const(svals[g]) if g < len(svals) else None
-            heads = [Var(free[i][0]) for i in ordered]
-            if heads and lo is not None:
-                lits.append(lt(lo, heads[0]))
-            for a, b in zip(heads, heads[1:]):
-                lits.append(lt(a, b))
-            if heads and hi is not None:
-                lits.append(lt(heads[-1], hi))
-            for pos, i in enumerate(ordered):
-                values[id(free[i])] = _gap_value(
-                    lo.value if lo else None,
-                    hi.value if hi else None,
-                    pos,
-                    len(ordered),
-                )
-        rep = tuple(
-            sorted((v, values[id(block)]) for block in blocks for v in block)
-        )
-        return TypeInfo(land(*lits), rep)
-
-    def type_of(self, variables, values, params):
-        svals = sorted(params)
-        blocks: list[list[str]] = []
-        block_val: list[Fraction] = []
-        seen: dict[Atom, int] = {}
-        for v, a in zip(variables, values):
-            if a in seen:
-                blocks[seen[a]].append(v)
-            else:
-                seen[a] = len(blocks)
-                blocks.append([v])
-                block_val.append(a)
-        lits = []
-        by_gap: dict[int, list[int]] = {}
-        for i, (block, a) in enumerate(zip(blocks, block_val)):
-            head = Var(block[0])
-            for other in block[1:]:
-                lits.append(eq(head, Var(other)))
-            if a in params:
-                lits.append(eq(head, Const(a)))
-            else:
-                g = _gap_index(svals, a)
-                by_gap.setdefault(g, []).append(i)
-        for g, idxs in by_gap.items():
-            idxs.sort(key=lambda i: block_val[i])
-            heads = [Var(blocks[i][0]) for i in idxs]
+        for g, members in by_gap.items():
+            heads = [head for _, head in sorted(members, key=lambda m: m[0])]
             if g > 0:
                 lits.append(lt(Const(svals[g - 1]), heads[0]))
-            for a, b in zip(heads, heads[1:]):
-                lits.append(lt(a, b))
+            lits += [lt(a, b) for a, b in zip(heads, heads[1:])]
             if g < len(svals):
                 lits.append(lt(heads[-1], Const(svals[g])))
-        return land(*lits)
+        return lits
 
     def rn_count(self, n: int) -> int:
         # ordered Bell numbers
@@ -441,23 +374,17 @@ def _gap_index(svals, a) -> int:
     return g
 
 
-def _anchor_choices(k: int, svals: list):
-    if k == 0:
-        yield ()
-        return
-    for head in list(svals) + [None]:
-        remaining = [s for s in svals if s != head] if head is not None else svals
-        for tail in _anchor_choices(k - 1, remaining):
-            yield (head,) + tail
-
-
-def _gap_placements(k: int, gaps: int):
-    """Distributions of k ordered block indices into `gaps` buckets."""
-    if k == 0:
-        yield [[] for _ in range(gaps)]
-        return
+def _spread(k: int, bounds: list):
+    """Values for k free blocks, one tuple per way to place them in order
+    into the open gaps between consecutive `bounds` (None is unbounded)."""
+    gaps = len(bounds) - 1
     for assign in itertools.product(range(gaps), repeat=k):
         buckets: list[list[int]] = [[] for _ in range(gaps)]
         for i, g in enumerate(assign):
             buckets[g].append(i)
-        yield buckets
+        for per_gap in itertools.product(*(itertools.permutations(b) for b in buckets)):
+            values = [None] * k
+            for g, ordered in enumerate(per_gap):
+                for pos, i in enumerate(ordered):
+                    values[i] = _gap_value(bounds[g], bounds[g + 1], pos, len(ordered))
+            yield tuple(values)

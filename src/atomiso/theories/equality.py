@@ -8,7 +8,7 @@ import itertools
 import re
 
 from ..errors import VocabularyError
-from .base import Backend, TypeInfo, Valuation, pinned_classes, set_partitions
+from .base import Backend, Valuation, pinned_classes
 from .formulas import (
     FALSE,
     TRUE,
@@ -47,17 +47,6 @@ class EqualityBackend(Backend):
     def check_atom(self, a: Atom) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or a < 0:
             raise VocabularyError(f"equality atoms are natural numbers, got {a!r}")
-
-    def fresh_atoms(self, used, n: int) -> list[int]:
-        """The n least ids not in `used`, starting from #1."""
-        out = []
-        i = 1
-        used = set(used)
-        while len(out) < n:
-            if i not in used:
-                out.append(i)
-            i += 1
-        return out
 
     # -- literals ------------------------------------------------------
 
@@ -154,64 +143,16 @@ class EqualityBackend(Backend):
 
     # -- types -----------------------------------------------------------
 
-    def types_with_reps(self, variables, params):
-        svals = sorted(params)
-        out = []
-        for blocks in set_partitions(tuple(variables)):
-            for anchors in _anchor_choices(len(blocks), svals):
-                lits = []
-                reps = []
-                fresh = iter(_fresh_ids(svals))
-                free_reps = []
-                for block, anchor in zip(blocks, anchors):
-                    head = Var(block[0])
-                    for other in block[1:]:
-                        lits.append(eq(head, Var(other)))
-                    if anchor is None:
-                        for s in svals:
-                            lits.append(ne(head, Const(s)))
-                        free_reps.append(head)
-                        reps.append((block, next(fresh)))
-                    else:
-                        lits.append(eq(head, Const(anchor)))
-                        reps.append((block, anchor))
-                for i in range(len(free_reps)):
-                    for j in range(i + 1, len(free_reps)):
-                        lits.append(ne(free_reps[i], free_reps[j]))
-                val = tuple(
-                    (v, value) for block, value in reps for v in block
-                )
-                out.append(TypeInfo(land(*lits), tuple(sorted(val))))
-        return out
+    def _free_block_values(self, k, svals):
+        # equality alone arranges nothing: one type, the least fresh ids
+        yield tuple(itertools.islice(_fresh_ids(svals), k))
 
-    def type_of(self, variables, values, params):
-        svals = sorted(params)
-        blocks: list[list[str]] = []
-        anchor_of: list[Atom | None] = []
-        seen: dict[Atom, int] = {}
-        for v, a in zip(variables, values):
-            if a in seen:
-                blocks[seen[a]].append(v)
-            else:
-                seen[a] = len(blocks)
-                blocks.append([v])
-                anchor_of.append(a if a in params else None)
-        lits = []
-        free_reps = []
-        for block, anchor in zip(blocks, anchor_of):
-            head = Var(block[0])
-            for other in block[1:]:
-                lits.append(eq(head, Var(other)))
-            if anchor is None:
-                for s in svals:
-                    lits.append(ne(head, Const(s)))
-                free_reps.append(head)
-            else:
-                lits.append(eq(head, Const(anchor)))
-        for i in range(len(free_reps)):
-            for j in range(i + 1, len(free_reps)):
-                lits.append(ne(free_reps[i], free_reps[j]))
-        return land(*lits)
+    def _free_block_literals(self, free, svals):
+        # each free head differs from every parameter and every other head
+        heads = [head for _, head in free]
+        lits = [ne(head, Const(s)) for head in heads for s in svals]
+        lits += [ne(a, b) for i, a in enumerate(heads) for b in heads[i + 1 :]]
+        return lits
 
     def rn_count(self, n: int) -> int:
         # Bell numbers by the triangle recurrence
@@ -228,7 +169,7 @@ class EqualityBackend(Backend):
     # -- independence ------------------------------------------------------
 
     def independent_atoms(self, params, n: int):
-        return tuple(self.fresh_atoms(params, n))
+        return tuple(itertools.islice(_fresh_ids(params), n))
 
     def independence_formula(self, var: str, avoid, keep) -> Formula:
         v = Var(var)
@@ -246,6 +187,7 @@ class EqualityBackend(Backend):
 
 
 def _fresh_ids(skip):
+    """The ids not in `skip`, ascending from #1."""
     skip = set(skip)
     i = 1
     while True:
@@ -253,14 +195,3 @@ def _fresh_ids(skip):
             yield i
         i += 1
 
-
-def _anchor_choices(k: int, svals: list):
-    """Assignments of k blocks to distinct anchors from svals or to None,
-    anchors offered in ascending order before the free choice."""
-    if k == 0:
-        yield ()
-        return
-    for head in list(svals) + [None]:
-        remaining = [s for s in svals if s != head] if head is not None else svals
-        for tail in _anchor_choices(k - 1, remaining):
-            yield (head,) + tail

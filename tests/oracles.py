@@ -4,16 +4,27 @@ engine.
 Most of it works over a finite atom pool chosen large enough to realize
 every type the checked formula or expression can distinguish, so finite
 enumeration is faithful to the infinite structure, and calls none of the
-engine's decision procedures.  The exception is `orbit_transport`, which
-tests a map on structures by another method than the library's: on orbit
-representatives, built from the library's orbit decomposition and
-membership queries.
+engine's decision procedures.  Two reference methods are the exception:
+they are built from the library's orbit decomposition and membership
+queries, but decide by another method than the library's.
+`orbit_transport` tests a map on structures on orbit representatives, and
+`naive_find_iso` searches for an isomorphism by trying every union of
+product orbits as a graph instead of matching orbit-graph pieces.
 """
 
 import itertools
 from fractions import Fraction
 
-from atomiso.algebra import fn_apply, is_member, orbit_decomposition
+from atomiso.algebra import (
+    DefFunction,
+    fn_apply,
+    fn_check,
+    fn_validate,
+    is_member,
+    orbit_decomposition,
+)
+from atomiso.engine import FOUND, NOT_FOUND, NOT_FOUND_INCOMPLETE, Certificate
+from atomiso.errors import ResourceError, ValidationError
 from atomiso.exprs import (
     AtomParam,
     AtomsSet,
@@ -24,8 +35,9 @@ from atomiso.exprs import (
     expr_params,
     free_expr_vars,
     product_expr,
+    union_of,
 )
-from atomiso.structures import FamilySymbol
+from atomiso.structures import FamilySymbol, check_isomorphism, signatures_match
 from atomiso.theories.formulas import (
     And,
     Bot,
@@ -230,19 +242,21 @@ def _cyclic_signature(tup):
     return (eqs, rels)
 
 
-def count_tuple_orbits(backend_name: str, n: int) -> int:
-    """Number of distinguishable n-tuples of atoms, counted by enumerating
-    all tuples over a pool of n atoms and collecting their full relational
-    signatures."""
+def count_tuple_orbits(backend_name: str, n: int, params=()) -> int:
+    """Number of orbits of n-tuples of atoms under the automorphisms fixing
+    `params`, counted by collecting the full relational signature of the
+    parameters followed by each tuple over a pool that realizes every type:
+    n atoms without parameters, n rounds of region filling with them."""
     if n == 0:
         return 1
-    pool = list(range(n))
+    prefix = tuple(sorted(params))
+    pool = exhaustive_pool(backend_name, prefix, n - 1) if prefix else range(n)
     sig = {
         "equality": _equality_signature,
         "dlo": _dlo_signature,
         "cyclic": _cyclic_signature,
     }[backend_name]
-    return len({sig(t) for t in itertools.product(pool, repeat=n)})
+    return len({sig(prefix + t) for t in itertools.product(pool, repeat=n)})
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +287,46 @@ def orbit_transport(comp, fn, A, B, *, reflect: bool = True) -> bool:
             if (in_a and not in_b) or (reflect and in_b and not in_a):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference isomorphism search (exhaustive over unions of product orbits)
+
+
+def naive_find_iso(comp, A, B, T, *, max_orbits: int = 12) -> Certificate:
+    """Exhaustive reference search: tries every union of orbits of the pair
+    product as a graph.  Exponential; intended for cross-checking the main
+    search on small inputs."""
+    T = frozenset(T)
+    stats = {"orbits_a": 0, "orbits_b": 0, "pieces": 0, "candidates": 0}
+    if not signatures_match(comp, A, B):
+        return Certificate(NOT_FOUND, None, tuple(sorted(T)), stats)
+    prod = product_expr(A.universe, B.universe)
+    orbits = orbit_decomposition(comp, prod, T)
+    if len(orbits) > max_orbits:
+        raise ResourceError(
+            f"{len(orbits)} product orbits exceed the oracle bound {max_orbits}",
+            count=len(orbits),
+        )
+    stats["pieces"] = len(orbits)
+    for mask in range(1 << len(orbits)):
+        picked = [o.piece() for i, o in enumerate(orbits) if mask >> i & 1]
+        fn = DefFunction(A.universe, B.universe, union_of(*picked))
+        stats["candidates"] += 1
+        try:
+            fn_validate(comp, fn)
+        except ValidationError:
+            continue
+        if not fn_check(comp, fn, injective=True, surjective=True):
+            continue
+        if check_isomorphism(comp, fn, A, B, verify_function=False):
+            return Certificate(FOUND, fn, tuple(sorted(T)), stats)
+    if comp.backend.dense:
+        return Certificate(NOT_FOUND, None, tuple(sorted(T)), stats)
+    return Certificate(
+        NOT_FOUND_INCOMPLETE,
+        None,
+        tuple(sorted(T)),
+        stats,
+        caveat="negative answers are not conclusive over this backend",
+    )

@@ -23,7 +23,6 @@ from atomiso import (
     fn_apply,
     get_backend,
     least_support,
-    naive_find_iso,
     orbit_decomposition,
     parse,
     set_equal,
@@ -50,6 +49,7 @@ from oracles import (
     enum_value,
     eval_formula,
     exhaustive_pool,
+    naive_find_iso,
     quantifier_depth,
 )
 

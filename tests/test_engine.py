@@ -15,7 +15,6 @@ from atomiso.engine import (
     eliminate_parameters,
     enumerate_pieces,
     find_definable_map,
-    naive_find_iso,
 )
 from atomiso.errors import DensenessError, ResourceError, ValidationError
 from atomiso.exprs import expr_params
@@ -29,6 +28,7 @@ from fixtures_helpers import (
     smoothing_parts,
 )
 from generators import gen_structure_pair
+from oracles import naive_find_iso
 
 
 def test_kneser_self_iso(eq_comp):

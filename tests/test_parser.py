@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from atomiso.errors import ParseError, VocabularyError
-from atomiso.exprs import AtomParam, ETuple, EVar, SetComp, Union, expr_params
+from atomiso.exprs import AtomParam, AtomsSet, ETuple, EVar, SetComp, Union, expr_params, kind
 from atomiso.parser import (
     MAX_NESTING,
     parse,
@@ -22,11 +22,11 @@ from generators import gen_set_expr
 
 
 def test_parse_atoms_and_empty():
-    assert parse("atoms").kind() if False else True
-    e = parse("empty")
-    assert e == Union(())
     a = parse("atoms")
+    assert a == AtomsSet()
+    assert kind(a) == "set"
     assert print_expr(a) == "atoms"
+    assert parse("empty") == Union(())
 
 
 def test_parse_atom_literals():

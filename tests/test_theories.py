@@ -1,6 +1,8 @@
 """Backend-level behavior: atom handling, quantifier elimination, complete
 types, witnesses, and partial automorphisms."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -108,6 +110,47 @@ def test_types_with_reps_counts_match_rn():
             variables = tuple(f"v{i}" for i in range(n))
             types = b.types_with_reps(variables, frozenset())
             assert len(types) == b.rn_count(n)
+
+
+def test_types_with_reps_counts_match_orbits_over_params():
+    for name in backend_names():
+        b = get_backend(name)
+        atoms = sample_atoms(random.Random(11), name, 2)
+        for k in range(3):
+            params = frozenset(atoms[:k])
+            for n in range(4):
+                variables = tuple(f"v{i}" for i in range(n))
+                types = b.types_with_reps(variables, params)
+                assert len(types) == count_tuple_orbits(name, n, params), (name, n, k)
+
+
+# sha256 of the enumeration below, pinned so that a change to the order or
+# the representatives of types_with_reps shows; orbit_decomposition promises
+# a deterministic order, and search witnesses follow it
+TYPE_ORDER_DIGESTS = {
+    "equality": "1e52349da24e066cdbd1baff8d24562ea7a1b39e8c1b97fe7e146233daff3611",
+    "dlo": "285015c8f73a1a4513cb772395074280484f1ccd895f08031f5ed39ea40f6c67",
+    "cyclic": "5b5cd1a2d2ca384e7f989c44f56d7d50683334a3a2b416437ad44fbd0c7143ff",
+}
+
+
+def test_types_with_reps_order_is_pinned():
+    pools = {
+        "equality": [0, 1, 4],
+        "dlo": [Fraction(-1), Fraction(1, 2), Fraction(3)],
+        "cyclic": [Fraction(-1), Fraction(1, 2), Fraction(3)],
+    }
+    for name, pool in pools.items():
+        b = get_backend(name)
+        out = []
+        for n in range(4):
+            variables = tuple(f"v{i}" for i in range(n))
+            for k in range(3):
+                for params in itertools.combinations(pool, k):
+                    types = b.types_with_reps(variables, frozenset(params))
+                    out.append([(t.formula.key, t.rep) for t in types])
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == TYPE_ORDER_DIGESTS[name], name
 
 
 def test_rn_counts_match_bruteforce():
