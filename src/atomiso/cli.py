@@ -191,6 +191,16 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_globals(ap: argparse.ArgumentParser, suppress: bool) -> None:
     # the same flags are accepted before and after the subcommand; the
     # subcommand copies default to SUPPRESS so they never mask a value
@@ -210,7 +220,7 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool) -> None:
     )
     ap.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative_int,
         default=d or engine.DEFAULT_BUDGET,
         help="cap on enumerated candidates before giving up "
         f"(default: {engine.DEFAULT_BUDGET})",

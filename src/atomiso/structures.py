@@ -77,23 +77,28 @@ class Structure:
 
 
 def structure_from_dict(doc: dict, *, max_arity: int = MAX_ARITY) -> Structure:
+    doc = _object(doc, "structure document")
     try:
-        backend = get_backend(doc["backend"])
-        name = doc.get("name", "structure")
-        universe = parse(doc["universe"], backend)
+        backend = get_backend(_text(doc, "backend", "structure document"))
+        name = _text(doc, "name", "structure document", "structure")
+        universe = parse(_text(doc, "universe", "structure document"), backend)
         relations = []
-        for r in doc.get("relations", ()):
+        for r in _objects(doc, "relations"):
             relations.append(
-                RelationSymbol(r["name"], int(r["arity"]), parse(r["interp"], backend))
+                RelationSymbol(
+                    _text(r, "name", "relation"),
+                    _arity(r, "relation"),
+                    parse(_text(r, "interp", "relation"), backend),
+                )
             )
         families = []
-        for f in doc.get("families", ()):
+        for f in _objects(doc, "families"):
             families.append(
                 FamilySymbol(
-                    f["name"],
-                    int(f["arity"]),
-                    parse(f["index"], backend),
-                    parse(f["interp"], backend),
+                    _text(f, "name", "family"),
+                    _arity(f, "family"),
+                    parse(_text(f, "index", "family"), backend),
+                    parse(_text(f, "interp", "family"), backend),
                 )
             )
     except KeyError as ex:
@@ -101,6 +106,45 @@ def structure_from_dict(doc: dict, *, max_arity: int = MAX_ARITY) -> Structure:
     st = Structure(name, backend.name, universe, tuple(relations), tuple(families))
     _check_shape(st, max_arity)
     return st
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{what} must be a JSON object, not {type(value).__name__}"
+        )
+    return value
+
+
+def _text(doc: dict, field: str, what: str, default: str | None = None) -> str:
+    """The string `doc[field]`; KeyError when it is missing without default."""
+    value = doc[field] if default is None else doc.get(field, default)
+    if not isinstance(value, str):
+        raise ValidationError(
+            f"field {field!r} of a {what} must be a string, not {type(value).__name__}"
+        )
+    return value
+
+
+def _objects(doc: dict, field: str) -> list[dict]:
+    """The optional list of symbol objects `doc[field]`."""
+    value = doc.get(field, [])
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(
+            f"field {field!r} of a structure document must be an array, "
+            f"not {type(value).__name__}"
+        )
+    return [_object(v, f"each entry of {field!r}") for v in value]
+
+
+def _arity(sym: dict, what: str) -> int:
+    value = sym["arity"]
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"field 'arity' of a {what} must be an integer, not {value!r}"
+        ) from None
 
 
 def structure_to_dict(st: Structure) -> dict:
@@ -125,9 +169,17 @@ def structure_to_dict(st: Structure) -> dict:
     return doc
 
 
-def load_structure(path: str, *, max_arity: int = MAX_ARITY) -> Structure:
+def _load_json(path: str):
     with open(path) as fh:
-        return structure_from_dict(json.load(fh), max_arity=max_arity)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as ex:
+            # ValueError covers malformed JSON and undecodable bytes
+            raise ValidationError(f"{path}: not a JSON document ({ex})") from None
+
+
+def load_structure(path: str, *, max_arity: int = MAX_ARITY) -> Structure:
+    return structure_from_dict(_load_json(path), max_arity=max_arity)
 
 
 def save_structure(st: Structure, path: str) -> None:
@@ -137,12 +189,14 @@ def save_structure(st: Structure, path: str) -> None:
 
 
 def function_from_dict(doc: dict) -> tuple[str, DefFunction]:
+    what = "function document"
+    doc = _object(doc, what)
     try:
-        backend = get_backend(doc["backend"])
+        backend = get_backend(_text(doc, "backend", what))
         fn = DefFunction(
-            parse(doc["dom"], backend),
-            parse(doc["cod"], backend),
-            parse(doc["graph"], backend),
+            parse(_text(doc, "dom", what), backend),
+            parse(_text(doc, "cod", what), backend),
+            parse(_text(doc, "graph", what), backend),
         )
     except KeyError as ex:
         raise ValidationError(f"function document lacks required field {ex}") from ex
@@ -159,8 +213,7 @@ def function_to_dict(backend_name: str, fn: DefFunction) -> dict:
 
 
 def load_function(path: str) -> tuple[str, DefFunction]:
-    with open(path) as fh:
-        return function_from_dict(json.load(fh))
+    return function_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------

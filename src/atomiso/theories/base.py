@@ -109,7 +109,7 @@ class Backend:
     dense: bool = True
 
     def __init__(self):
-        self._qe_cache: dict[tuple, Formula] = {}
+        self._qe_cache: dict[Formula, Formula] = {}
 
     # ------------------------------------------------------------------
     # atoms
@@ -208,14 +208,17 @@ class Backend:
     # quantifier elimination
 
     def qe(self, f: Formula) -> Formula:
-        """Equivalent quantifier-free formula; parameters never grow."""
-        key = f.key
-        hit = self._qe_cache.get(key)
+        """Equivalent quantifier-free formula; parameters never grow.
+
+        Results are memoised in `_qe_cache`, one entry per miss, keyed by
+        the formula node itself: its hash and key are cached on the node, so
+        a lookup costs one hash read, plus one key comparison on a hit."""
+        hit = self._qe_cache.get(f)
         if hit is not None:
             return hit
         self.validate(f, internal=True)
         out = self._eliminate(self._norm(nnf(self.pre_transform(f))))
-        self._qe_cache[key] = out
+        self._qe_cache[f] = out
         return out
 
     def _eliminate(self, f: Formula) -> Formula:
@@ -286,8 +289,10 @@ class Backend:
         raise TypeError(f"unexpected in DNF conversion: {f!r}")
 
     def _conjunct_ok(self, lits: frozenset[Formula]) -> bool:
+        # a literal and its complement meet exactly when some negated
+        # literal's body is in the set too
         for lit in lits:
-            if lnot(lit) in lits:
+            if isinstance(lit, Not) and lit.body in lits:
                 return False
         return self.conjunct_consistent(lits)
 

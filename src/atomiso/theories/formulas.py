@@ -3,130 +3,170 @@
 Terms are variables or concrete atoms (ints for the pure-set backend,
 Fractions for the ordered backends).  Formulas are immutable; conjunction
 and disjunction are n-ary and kept flattened, deduplicated, and sorted by a
-structural key, so equal formulas compare and hash equal.
+structural key.
+
+Every node (term or formula) is a slotted frozen dataclass that computes its
+structural `key` and its hash once, at construction, from the cached keys
+and hashes of its children; atoms are hashed once, in their `Const`.  Two
+nodes are equal when their keys are equal, so formulas built along
+different paths compare and hash equal, and `key` order is the sort order
+of `land`/`lor`.  A pickled node is rebuilt through its constructor, so a
+hash never travels between processes (string hashes differ per process).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 Atom = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Cached structural `key` and hash; equality by key."""
+
+    __slots__ = ("key", "_hash")
+
+    def _set_key(self, key: tuple, h: int) -> None:
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", h)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self._hash == other._hash and self.key == other.key
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+_node = dataclass(frozen=True, slots=True, eq=False)
+
+
+@_node
+class Var(_Node):
     name: str
 
-    @property
-    def key(self):
-        return ("v", self.name)
+    def __post_init__(self):
+        key = ("v", self.name)
+        self._set_key(key, hash(key))
 
 
-@dataclass(frozen=True)
-class Const:
+@_node
+class Const(_Node):
     value: Atom
 
-    @property
-    def key(self):
-        return ("c", self.value)
+    def __post_init__(self):
+        key = ("c", self.value)
+        self._set_key(key, hash(key))
 
 
 Term = Union[Var, Const]
 
 
-class Formula:
-    """Base class; subclasses are frozen dataclasses with a structural key."""
+class Formula(_Node):
+    """Base class; subclasses are slotted frozen dataclasses whose `key` and
+    hash are set at construction."""
 
     __slots__ = ()
 
-    @property
-    def key(self):  # pragma: no cover - overridden everywhere
-        raise NotImplementedError
 
-
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
-    @property
-    def key(self):
-        return ("1",)
+    def __post_init__(self):
+        self._set_key(("1",), hash(("1",)))
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
-    @property
-    def key(self):
-        return ("0",)
+    def __post_init__(self):
+        self._set_key(("0",), hash(("0",)))
 
 
 TRUE = Top()
 FALSE = Bot()
+_KEY = attrgetter("key")
 
 
-@dataclass(frozen=True)
+@_node
 class Rel(Formula):
     name: str
     args: tuple[Term, ...]
 
-    @property
-    def key(self):
-        return ("r", self.name) + tuple(a.key for a in self.args)
+    def __post_init__(self):
+        self._set_key(
+            ("r", self.name) + tuple(a.key for a in self.args),
+            hash(("r", self.name) + tuple(a._hash for a in self.args)),
+        )
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
-    @property
-    def key(self):
-        return ("n", self.body.key)
+    def __post_init__(self):
+        self._set_key(("n", self.body.key), hash(("n", self.body._hash)))
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     args: tuple[Formula, ...]
 
-    @property
-    def key(self):
-        return ("a",) + tuple(f.key for f in self.args)
+    def __post_init__(self):
+        self._set_key(
+            ("a",) + tuple(f.key for f in self.args),
+            hash(("a",) + tuple(f._hash for f in self.args)),
+        )
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     args: tuple[Formula, ...]
 
-    @property
-    def key(self):
-        return ("o",) + tuple(f.key for f in self.args)
+    def __post_init__(self):
+        self._set_key(
+            ("o",) + tuple(f.key for f in self.args),
+            hash(("o",) + tuple(f._hash for f in self.args)),
+        )
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     premise: Formula
     conclusion: Formula
 
-    @property
-    def key(self):
-        return ("i", self.premise.key, self.conclusion.key)
+    def __post_init__(self):
+        self._set_key(
+            ("i", self.premise.key, self.conclusion.key),
+            hash(("i", self.premise._hash, self.conclusion._hash)),
+        )
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     var: str
     body: Formula
 
-    @property
-    def key(self):
-        return ("e", self.var, self.body.key)
+    def __post_init__(self):
+        self._set_key(
+            ("e", self.var, self.body.key), hash(("e", self.var, self.body._hash))
+        )
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     var: str
     body: Formula
 
-    @property
-    def key(self):
-        return ("f", self.var, self.body.key)
+    def __post_init__(self):
+        self._set_key(
+            ("f", self.var, self.body.key), hash(("f", self.var, self.body._hash))
+        )
 
 
 def eq(a: Term, b: Term) -> Formula:
@@ -151,32 +191,32 @@ def cyc(a: Term, b: Term, c: Term) -> Formula:
 
 def land(*parts: Formula) -> Formula:
     """Flattened, deduplicated, sorted conjunction."""
-    seen: dict[tuple, Formula] = {}
+    seen: dict[Formula, None] = {}
     for p in _flatten(parts, And):
         if isinstance(p, Bot):
             return FALSE
-        if isinstance(p, Top):
-            continue
-        seen.setdefault(p.key, p)
+        if not isinstance(p, Top):
+            seen[p] = None
     if not seen:
         return TRUE
-    parts2 = [seen[k] for k in sorted(seen)]
-    return parts2[0] if len(parts2) == 1 else And(tuple(parts2))
+    if len(seen) == 1:
+        return next(iter(seen))
+    return And(tuple(sorted(seen, key=_KEY)))
 
 
 def lor(*parts: Formula) -> Formula:
     """Flattened, deduplicated, sorted disjunction."""
-    seen: dict[tuple, Formula] = {}
+    seen: dict[Formula, None] = {}
     for p in _flatten(parts, Or):
         if isinstance(p, Top):
             return TRUE
-        if isinstance(p, Bot):
-            continue
-        seen.setdefault(p.key, p)
+        if not isinstance(p, Bot):
+            seen[p] = None
     if not seen:
         return FALSE
-    parts2 = [seen[k] for k in sorted(seen)]
-    return parts2[0] if len(parts2) == 1 else Or(tuple(parts2))
+    if len(seen) == 1:
+        return next(iter(seen))
+    return Or(tuple(sorted(seen, key=_KEY)))
 
 
 def lnot(f: Formula) -> Formula:

@@ -154,3 +154,77 @@ def test_cyclic_eliminate_refused(tmp_path, capsys):
         str(tmp_path / "circle.b.json"),
     )
     assert code == 2
+
+
+# Each malformed structure document, written as raw file text.
+_BAD_STRUCTURES = {
+    "not-json": "{ this is not json",
+    "top-level-array": json.dumps([{"backend": "equality"}]),
+    "relations-not-array": json.dumps(
+        {"backend": "equality", "universe": "atoms", "relations": "oops"}
+    ),
+    "universe-not-string": json.dumps({"backend": "equality", "universe": 42}),
+    "arity-not-integer": json.dumps(
+        {
+            "backend": "equality",
+            "universe": "atoms",
+            "relations": [{"name": "E", "arity": "abc", "interp": "empty"}],
+        }
+    ),
+}
+
+
+def _emit_smoothing(tmp_path, capsys):
+    run(capsys, "fixture", "smoothing", "--emit", str(tmp_path))
+    return {
+        part: str(tmp_path / f"smoothing.{part}.json") for part in ("a", "b", "map")
+    }
+
+
+@pytest.mark.parametrize("command", ["iso", "eliminate"])
+@pytest.mark.parametrize("case", sorted(_BAD_STRUCTURES))
+def test_bad_structure_document_exit(tmp_path, capsys, command, case):
+    files = _emit_smoothing(tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    bad.write_text(_BAD_STRUCTURES[case])
+    argv = [command, str(bad), files["b"]]
+    if command == "eliminate":
+        argv[1:1] = ["--map", files["map"]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("atomiso: ") and "Traceback" not in err
+
+
+_BAD_MAPS = {
+    "not-json": "[1, 2",
+    "top-level-array": json.dumps(["equality", "atoms", "atoms", "empty"]),
+    "dom-not-string": json.dumps(
+        {"backend": "equality", "dom": 42, "cod": "atoms", "graph": "empty"}
+    ),
+    "backend-not-string": json.dumps(
+        {"backend": ["equality"], "dom": "atoms", "cod": "atoms", "graph": "empty"}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MAPS))
+def test_bad_map_document_exit(tmp_path, capsys, case):
+    files = _emit_smoothing(tmp_path, capsys)
+    bad = tmp_path / "bad.map.json"
+    bad.write_text(_BAD_MAPS[case])
+    code, out, err = run(capsys, "eliminate", "--map", str(bad), files["a"], files["b"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("atomiso: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--budget", "-1", "subsets", "atoms"], ["subsets", "atoms", "--budget", "-1"]],
+)
+def test_negative_budget_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err

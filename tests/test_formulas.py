@@ -1,0 +1,208 @@
+"""Formula-layer contract: cached keys and hashes, equality by key, pickling
+across processes, and the node-keyed QE cache against the uncached path."""
+
+import os
+import pickle
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import atomiso
+from atomiso.theories import get_backend
+from atomiso.theories.formulas import (
+    And,
+    Bot,
+    Const,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    Rel,
+    Top,
+    Var,
+    land,
+    lor,
+    nnf,
+    subst,
+)
+from generators import gen_formula, sample_atoms
+
+BACKENDS = ("equality", "dlo", "cyclic")
+NAMES = ["x", "y"]
+
+
+def reference_key(n) -> tuple:
+    """The structural key, recomputed from scratch by recursion."""
+    if isinstance(n, Var):
+        return ("v", n.name)
+    if isinstance(n, Const):
+        return ("c", n.value)
+    if isinstance(n, Top):
+        return ("1",)
+    if isinstance(n, Bot):
+        return ("0",)
+    if isinstance(n, Rel):
+        return ("r", n.name) + tuple(reference_key(a) for a in n.args)
+    if isinstance(n, Not):
+        return ("n", reference_key(n.body))
+    if isinstance(n, And):
+        return ("a",) + tuple(reference_key(g) for g in n.args)
+    if isinstance(n, Or):
+        return ("o",) + tuple(reference_key(g) for g in n.args)
+    if isinstance(n, Implies):
+        return ("i", reference_key(n.premise), reference_key(n.conclusion))
+    if isinstance(n, Exists):
+        return ("e", n.var, reference_key(n.body))
+    if isinstance(n, Forall):
+        return ("f", n.var, reference_key(n.body))
+    raise TypeError(n)
+
+
+def subnodes(n):
+    yield n
+    if isinstance(n, Rel):
+        yield from n.args
+    elif isinstance(n, (And, Or)):
+        for g in n.args:
+            yield from subnodes(g)
+    elif isinstance(n, Implies):
+        yield from subnodes(n.premise)
+        yield from subnodes(n.conclusion)
+    elif isinstance(n, (Not, Exists, Forall)):
+        yield from subnodes(n.body)
+
+
+def formulas(name: str, seed: int, count: int):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        atoms = sample_atoms(rng, name, 2)
+        out.append(gen_formula(rng, name, list(NAMES), atoms))
+    return out
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_cached_key_matches_recomputation(name):
+    for f in formulas(name, 11, 150):
+        for n in subnodes(f):
+            assert n.key == reference_key(n)
+            if isinstance(n, (And, Or)):
+                keys = [reference_key(g) for g in n.args]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def _same(a, b) -> None:
+    assert a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_different_paths_build_equal_nodes(name):
+    rng = random.Random(12)
+    fs = formulas(name, 12, 120)
+    for i in range(0, len(fs) - 2, 3):
+        parts = fs[i : i + 3]
+        shuffled = rng.sample(parts, len(parts))
+        _same(land(*parts), land(*shuffled))
+        _same(lor(*parts), lor(*shuffled))
+        _same(land(parts[0], land(parts[1], parts[2])), land(land(*shuffled), parts[0]))
+    for f in fs:
+        there = subst(f, {"x": Var("t")})
+        back = subst(there, {"t": Var("x")})
+        _same(back, f)
+        once = nnf(f)
+        _same(nnf(once), once)
+
+
+def test_nodes_with_overlapping_payloads_differ():
+    for p in ("x", 1, Fraction(1, 2)):
+        s = str(p)
+        nodes = [
+            Var(s),
+            Const(p),
+            Rel(s, ()),
+            Not(Rel(s, ())),
+            Rel(s, (Var(s),)),
+            Rel(s, (Const(p),)),
+            Not(Rel(s, (Var(s),))),
+            Not(Rel(s, (Const(p),))),
+        ]
+        for i, a in enumerate(nodes):
+            assert a != a.key
+            for b in nodes[i + 1 :]:
+                assert a != b and a.key != b.key
+        assert len(set(nodes)) == len(nodes)
+    # an int and an equal Fraction name the same atom, as before
+    _same(Const(1), Const(Fraction(1)))
+
+
+_BUILD = """
+from fractions import Fraction as F
+from atomiso.theories.formulas import Const, Exists, Forall, Rel, Var, land, lnot, lor
+
+x, y = Var("x"), Var("y")
+f = lor(
+    land(Rel("<", (x, Const(F(1, 3)))), lnot(Rel("=", (x, y)))),
+    Exists("z", land(Rel("<=", (Var("z"), y)), Rel("R", (x, Var("z"), Const(F(-2)))))),
+    Forall("w", lnot(Rel("=", (Var("w"), Const(7))))),
+)
+"""
+
+
+def test_pickled_node_is_rehashed_in_a_new_process():
+    env = dict(os.environ)
+    src = str(Path(atomiso.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = _BUILD + (
+        "import pickle, sys\n"
+        "sys.stdout.write(pickle.dumps(f).hex() + ' ' + str(hash('x')))\n"
+    )
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        data, their_str_hash = out.split()
+        if int(their_str_hash) != hash("x"):
+            break
+    assert int(their_str_hash) != hash("x"), "string hashes did not differ"
+    scope: dict = {}
+    exec(_BUILD, scope)
+    fresh = scope["f"]
+    loaded = pickle.loads(bytes.fromhex(data))
+    assert loaded is not fresh
+    _same(loaded, fresh)
+    assert loaded.key == fresh.key == reference_key(fresh)
+    table = {fresh: "entry"}
+    assert table[loaded] == "entry"
+    for a, b in zip(subnodes(loaded), subnodes(fresh)):
+        _same(a, b)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_qe_cache_agrees_with_uncached_elimination(name):
+    backend = get_backend(name)
+    fs = formulas(name, 13, 60)
+    again = formulas(name, 13, 60)
+    for f, g in zip(fs, again):
+        ref = backend._eliminate(backend._norm(nnf(backend.pre_transform(f))))
+        first = backend.qe(f)
+        assert first.key == ref.key
+        # an equal formula built separately hits the entry of f
+        assert g == f and g is not f
+        size = len(backend._qe_cache)
+        hit = backend.qe(g)
+        assert len(backend._qe_cache) == size
+        assert hit is first and hit.key == ref.key
