@@ -47,6 +47,7 @@ from .theories.formulas import (
     Implies,
     NameSource,
     land,
+    quantify,
 )
 
 DEFAULT_SUBSET_BUDGET = 1 << 16
@@ -204,9 +205,7 @@ def least_support(comp: Compiler, x: Expr) -> frozenset:
     for a in sorted(occs):
         cand = frozenset(support - {a})
         t = backend.type_of(binders, tuple(occs), cand)
-        sentence: Formula = Implies(t, comp.equal(body, x))
-        for b in reversed(binders):
-            sentence = Forall(b, sentence)
+        sentence = quantify(Forall, binders, Implies(t, comp.equal(body, x)))
         if comp.holds(sentence):
             support = set(cand)
     return frozenset(support)

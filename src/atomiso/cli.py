@@ -28,7 +28,12 @@ from .errors import AtomisoError, ParseError, ResourceError, ValidationError
 from .exprs import expr_params
 from .fixtures import FIXTURES, fixture_documents
 from .parser import parse, print_expr
-from .structures import function_to_dict, load_function, load_structure
+from .structures import (
+    function_to_dict,
+    load_function,
+    load_structure,
+    validate_structure,
+)
 from .theories import backend_names, get_backend
 
 EXIT_OK = 0
@@ -124,6 +129,8 @@ def cmd_rn(args) -> int:
 
 
 def _load_pair(args):
+    """Both structures of the command, checked against each other and each
+    against its universe, with a compiler for their backend."""
     A = load_structure(args.a)
     B = load_structure(args.b)
     if A.backend_name != B.backend_name:
@@ -131,12 +138,15 @@ def _load_pair(args):
             f"the structures use different backends: "
             f"{A.backend_name} vs {B.backend_name}"
         )
-    return A, B, get_backend(A.backend_name)
+    comp = Compiler(get_backend(A.backend_name))
+    validate_structure(comp, A)
+    validate_structure(comp, B)
+    return A, B, comp
 
 
 def cmd_iso(args) -> int:
-    A, B, backend = _load_pair(args)
-    comp = Compiler(backend)
+    A, B, comp = _load_pair(args)
+    backend = comp.backend
     extra = _parse_atom_list(args.params, backend)
     cert = decide_definable_iso(
         comp, A, B, extra_params=extra, mode=args.mode, budget=args.budget
@@ -151,8 +161,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_eliminate(args) -> int:
-    A, B, backend = _load_pair(args)
-    comp = Compiler(backend)
+    A, B, comp = _load_pair(args)
+    backend = comp.backend
     backend_name, fn = load_function(args.map)
     if backend_name != A.backend_name:
         raise ValidationError(

@@ -32,6 +32,7 @@ from .theories.formulas import (
     Var,
     land,
     lor,
+    quantify,
 )
 
 
@@ -86,15 +87,9 @@ class Compiler:
         hit = self._mem_cache.get(key)
         if hit is not None:
             return hit
-        self.names.reserve(expr_names(x) | expr_names(s))
-        parts = []
-        for c in clauses(s):
-            c2 = rename_clause(c, self.names)
-            body = land(c2.guard, self.equal(x, c2.element))
-            for b in reversed(c2.binders):
-                body = Exists(b, body)
-            parts.append(body)
-        out = self.backend.qe(lor(*parts))
+        # exists_elem reserves the names of s
+        self.names.reserve(expr_names(x))
+        out = self.backend.qe(self.exists_elem(s, lambda e: self.equal(x, e)))
         self._mem_cache[key] = out
         return out
 
@@ -103,15 +98,9 @@ class Compiler:
         hit = self._sub_cache.get(key)
         if hit is not None:
             return hit
-        self.names.reserve(expr_names(s1) | expr_names(s2))
-        parts = []
-        for c in clauses(s1):
-            c2 = rename_clause(c, self.names)
-            body = Implies(c2.guard, self.member(c2.element, s2))
-            for b in reversed(c2.binders):
-                body = Forall(b, body)
-            parts.append(body)
-        out = self.backend.qe(land(*parts))
+        # forall_elem reserves the names of s1
+        self.names.reserve(expr_names(s2))
+        out = self.backend.qe(self.forall_elem(s1, lambda e: self.member(e, s2)))
         self._sub_cache[key] = out
         return out
 
@@ -126,9 +115,7 @@ class Compiler:
         for c in clauses(s):
             c2 = rename_clause(c, self.names)
             body = Implies(c2.guard, body_fn(c2.element))
-            for b in reversed(c2.binders):
-                body = Forall(b, body)
-            parts.append(body)
+            parts.append(quantify(Forall, c2.binders, body))
         return land(*parts)
 
     def exists_elem(self, s: Expr, body_fn) -> Formula:
@@ -137,9 +124,7 @@ class Compiler:
         for c in clauses(s):
             c2 = rename_clause(c, self.names)
             body = land(c2.guard, body_fn(c2.element))
-            for b in reversed(c2.binders):
-                body = Exists(b, body)
-            parts.append(body)
+            parts.append(quantify(Exists, c2.binders, body))
         return lor(*parts)
 
     # ------------------------------------------------------------------

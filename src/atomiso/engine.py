@@ -51,7 +51,7 @@ from .structures import (
     transports_symbols,
     transports_tuple,
 )
-from .theories.formulas import TRUE, Forall, Implies, land
+from .theories.formulas import TRUE, Forall, Implies, land, quantify
 
 DEFAULT_BUDGET = 1 << 16
 
@@ -105,12 +105,6 @@ def _clause_of(piece_expr: Expr):
     return piece_expr.clauses[0]
 
 
-def _quantify(binders, body):
-    for b in reversed(binders):
-        body = Forall(b, body)
-    return body
-
-
 def _piece_determined(comp: Compiler, piece: GraphPiece, by: int) -> bool:
     """Whether, across the piece's orbit of pairs, component `by` equal to
     its value in (x0, y0) forces the other component to its value there:
@@ -124,7 +118,7 @@ def _piece_determined(comp: Compiler, piece: GraphPiece, by: int) -> bool:
             comp.equal(c.element.items[1 - by], rep[1 - by]),
         ),
     )
-    return comp.holds(_quantify(c.binders, body))
+    return comp.holds(quantify(Forall, c.binders, body))
 
 
 def enumerate_pieces(

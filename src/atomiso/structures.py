@@ -31,7 +31,7 @@ from .exprs import (
 )
 from .parser import parse, print_expr
 from .theories import get_backend
-from .theories.formulas import And, Exists, Implies, land, lnot
+from .theories.formulas import And, Exists, Implies, land, lnot, quantify
 
 MAX_ARITY = 4
 
@@ -139,12 +139,11 @@ def _objects(doc: dict, field: str) -> list[dict]:
 
 def _arity(sym: dict, what: str) -> int:
     value = sym["arity"]
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(
             f"field 'arity' of a {what} must be an integer, not {value!r}"
-        ) from None
+        )
+    return value
 
 
 def structure_to_dict(st: Structure) -> dict:
@@ -379,9 +378,7 @@ def transports_tuple(
     # decided as the absence of a breach, so the binders form one block of
     # existentials and elimination stays in disjunctive normal form; a
     # block of universals would negate the formula at every binder
-    breach = land(*guards, lnot(body))
-    for b in reversed(binders):
-        breach = Exists(b, breach)
+    breach = quantify(Exists, binders, land(*guards, lnot(body)))
     return not comp.holds(breach)
 
 

@@ -4,8 +4,18 @@ Each backend describes one countable homogeneous structure whose first-order
 theory admits quantifier elimination.  The base class owns the elimination
 pipeline (negation normal form, miniscoping, disjunctive normal form with
 consistency pruning, per-conjunct variable elimination) and the derived
-operations: satisfiability under a valuation, deterministic witness search,
-complete types, and finite partial automorphisms.
+operations: satisfiability under a valuation, deterministic witness search
+and complete types.
+
+One conjunct kernel serves all three backends.  Every backend normalizes
+its literals to =, != and < (the pure set is the order-free reduct of the
+dense order, and the circle is cut open into the linear order before
+elimination), so `conjunct_consistent`, `eliminate_from_conjunct` and
+`conjunct_witness` are written once, over union-find classes and the
+strict-order digraph between them.  A backend supplies only
+`normalize_literal` and `_witness_candidates`, the values a witness class
+may take beyond the parameters and the values already taken (the least
+fresh ids for the pure set, one simplest rational per gap for the orders).
 
 Complete types are built in one place.  Quantifier elimination in a
 homogeneous structure makes the orbit of an atom tuple over a parameter set
@@ -18,7 +28,9 @@ backend supplies only two hooks on the remaining free blocks:
 and `_free_block_literals` (the literals that fix an arrangement).
 """
 
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..errors import ValuationError, VocabularyError
 from .formulas import (
@@ -42,12 +54,13 @@ from .formulas import (
     land,
     lnot,
     lor,
-    ne,
     nnf,
     subst,
 )
 
 Valuation = dict[str, Atom]
+_NAME = attrgetter("name")
+_VALUE = attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -193,15 +206,138 @@ class Backend:
         return self._norm(nnf(f))
 
     # ------------------------------------------------------------------
-    # conjunct-level theory hooks
+    # the conjunct kernel: literal sets over =, != and <
 
     def conjunct_consistent(self, lits) -> bool:
-        raise NotImplementedError
+        """Whether a set of normal-form literals has a solution.
+
+        Equalities merge terms into classes.  Two constants, a != or a <
+        inside one class contradict; without < nothing else can, the atoms
+        being infinite.  With <, the literals are consistent exactly when
+        the order digraph over the classes has no cycle once the constant
+        classes on its edges are chained in value order.  A constant off
+        every < edge lies on no cycle, so chaining only these is exact."""
+        flat, _, ok = pinned_classes(lits)
+        if not ok:
+            return False
+        edges: dict[Term, set[Term]] = {}
+        for lit in lits:
+            if isinstance(lit, Not):
+                a, b = lit.body.args
+                if flat.get(a, a) == flat.get(b, b):
+                    return False
+            elif lit.name == "<":
+                a, b = lit.args
+                a, b = flat.get(a, a), flat.get(b, b)
+                if a == b:
+                    return False
+                edges.setdefault(a, set()).add(b)
+        if not edges:
+            return True
+        # class representatives prefer constants, so every pinned class on
+        # an edge is a Const node
+        touched = set(edges).union(*edges.values())
+        consts = sorted((u for u in touched if isinstance(u, Const)), key=_VALUE)
+        for c1, c2 in zip(consts, consts[1:]):
+            edges.setdefault(c1, set()).add(c2)
+        state: dict[Term, int] = {}
+
+        def dfs(u: Term) -> bool:
+            state[u] = 1
+            for w in edges.get(u, ()):
+                s = state.get(w, 0)
+                if s == 1:
+                    return False
+                if s == 0 and not dfs(w):
+                    return False
+            state[u] = 2
+            return True
+
+        return all(state.get(u, 0) or dfs(u) for u in edges)
 
     def eliminate_from_conjunct(self, var: str, lits: frozenset[Formula]) -> Formula:
-        raise NotImplementedError
+        """exists var: the conjunction of lits, as a quantifier-free formula.
+
+        An equality on var substitutes its other side everywhere (the least
+        such literal by key).  Otherwise every lower bound of var is put
+        below every upper bound, as the order is dense, and a != on var is
+        dropped, as every region holds infinitely many atoms."""
+        v = Var(var)
+        for lit in sorted(lits, key=lambda l: l.key):
+            if isinstance(lit, Rel) and lit.name == "=" and v in lit.args:
+                other = lit.args[1] if lit.args[0] == v else lit.args[0]
+                return land(
+                    *(self._subst_literal(l, var, other) for l in lits if l is not lit)
+                )
+        lowers: list[Term] = []
+        uppers: list[Term] = []
+        keep: list[Formula] = []
+        for lit in lits:
+            if var not in free_vars(lit):
+                keep.append(lit)
+                continue
+            if isinstance(lit, Not):
+                continue
+            if lit.name == "<":
+                a, b = lit.args
+                if b == v:
+                    lowers.append(a)
+                else:
+                    uppers.append(b)
+        for l in lowers:
+            for u in uppers:
+                keep.append(self.normalize_literal("<", (l, u), True))
+        return land(*keep)
+
+    def _subst_literal(self, lit: Formula, var: str, term: Term) -> Formula:
+        positive = isinstance(lit, Rel)
+        rel = lit if positive else lit.body
+        args = tuple(term if t == Var(var) else t for t in rel.args)
+        return self.normalize_literal(rel.name, args, positive)
 
     def conjunct_witness(self, lits, fvs: list[str], params: list[Atom]) -> Valuation | None:
+        """A valuation of `fvs` satisfying every literal, or None when the
+        literals are inconsistent.
+
+        The classes without a constant take values one by one, in the order
+        of their least variable, never backtracking: each takes the first
+        candidate consistent with the values fixed so far, trying the
+        parameters, then the values already taken, then the backend's
+        `_witness_candidates` around all of those, which by homogeneity
+        meet every region a consistent value can lie in."""
+        if not self.conjunct_consistent(lits):
+            return None
+        fixed = list(lits)
+        flat, members, _ = pinned_classes(fixed + [eq(Var(v), Var(v)) for v in fvs])
+        value: dict[Term, Atom] = {}
+        heads: list[Var] = []
+        for cls, mem in members.items():
+            consts = [m.value for m in mem if isinstance(m, Const)]
+            if consts:
+                value[cls] = consts[0]
+            else:
+                heads.append(min(mem, key=_NAME))
+        for head in sorted(heads, key=_NAME):
+            taken = set(value.values())
+            cands = itertools.chain(
+                params,
+                sorted(taken - set(params)),
+                self._witness_candidates(sorted(taken | set(params))),
+            )
+            for c in cands:
+                pin = eq(head, Const(c))
+                if self.conjunct_consistent(frozenset((*fixed, pin))):
+                    break
+            else:
+                return None
+            fixed.append(pin)
+            value[flat[head]] = c
+        return {v: value[flat[Var(v)]] for v in fvs}
+
+    def _witness_candidates(self, landmarks: list[Atom]):
+        """Values offered to a witness class after the parameters and the
+        values already taken: at least one in every region over the sorted
+        `landmarks`, none of them a landmark.  May be infinite."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -408,39 +544,6 @@ class Backend:
     def independence_formula(self, var: str, avoid: frozenset[Atom], keep: frozenset[Atom]) -> Formula:
         """Constraint placing `var` inside a self-embedding image that avoids
         `avoid` except for the pinned atoms `keep`."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # finite partial automorphisms
-
-    def is_partial_automorphism(self, mapping: dict[Atom, Atom]) -> bool:
-        vals = list(mapping.values())
-        for v in list(mapping.keys()) + vals:
-            self.check_atom(v)
-        if len(set(vals)) != len(vals):
-            return False
-        return self._preserves_relations(mapping)
-
-    def _preserves_relations(self, mapping: dict[Atom, Atom]) -> bool:
-        raise NotImplementedError
-
-    def extend_automorphism(self, mapping: dict[Atom, Atom], atoms) -> dict[Atom, Atom]:
-        """Extend a finite partial automorphism to cover more atoms; the
-        homogeneity of every shipped backend makes this always possible."""
-        out = dict(mapping)
-        for a in sorted(set(atoms) - set(out)):
-            # the self-equation keeps x in the formula even when there are
-            # no images to avoid yet
-            constraints = [eq(Var("x"), Var("x"))]
-            constraints += [ne(Var("x"), Const(img)) for img in sorted(out.values())]
-            constraints += self._extension_constraints(a, out)
-            w = self.find_witness(land(*constraints))
-            if w is None:  # pragma: no cover - homogeneity guarantees success
-                raise AssertionError("partial automorphism extension failed")
-            out[a] = w["x"]
-        return out
-
-    def _extension_constraints(self, a: Atom, mapping: dict[Atom, Atom]) -> list[Formula]:
         raise NotImplementedError
 
 

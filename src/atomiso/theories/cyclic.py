@@ -9,7 +9,6 @@ the independence operations need (no self-embedding misses a point of
 every arc), so those raise DensenessError.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .formulas import (
     Rel,
     Term,
     Top,
-    Var,
     cyc,
     land,
     lnot,
@@ -150,25 +148,6 @@ class CyclicBackend(DloBackend):
             "the circular order has no proper self-embedding avoiding a region, "
             "so independence constraints are unavailable"
         )
-
-    # -- partial automorphisms ------------------------------------------------
-
-    def _preserves_relations(self, mapping) -> bool:
-        atoms = sorted(mapping)
-        for a, b, c in itertools.combinations(atoms, 3):
-            if not _cyc3(mapping[a], mapping[b], mapping[c]):
-                return False
-        return True
-
-    def _extension_constraints(self, a, mapping):
-        if len(mapping) < 2:
-            return []
-        doms = sorted(mapping)
-        below = [d for d in doms if d < a]
-        above = [d for d in doms if d > a]
-        prev = below[-1] if below else doms[-1]
-        nxt = above[0] if above else doms[0]
-        return [cyc(Const(mapping[prev]), Var("x"), Const(mapping[nxt]))]
 
 
 def _ccw_heads(base, members) -> list:

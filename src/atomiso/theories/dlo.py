@@ -1,8 +1,12 @@
 """The dense-linear-order backend: rational atoms with < and <=.
 
 Literal normal form uses only <, =, and != (negations of < and <= are
-rewritten at normalization time), which keeps per-conjunct elimination to
-the classical lower/upper bound product.  Orbit counts of n-tuples are the
+rewritten at normalization time), the literals the shared conjunct kernel
+of base.py works on: consistency is acyclicity of the strict order between
+equality classes, and elimination is the classical lower/upper bound
+product.  The backend's own hooks are the literal normal form, the witness
+candidates (the simplest rational in every gap between the values in play)
+and the free blocks of complete types.  Orbit counts of n-tuples are the
 ordered Bell numbers.
 """
 
@@ -12,7 +16,7 @@ import re
 from fractions import Fraction
 
 from ..errors import VocabularyError
-from .base import Backend, Valuation, pinned_classes
+from .base import Backend
 from .formulas import (
     FALSE,
     TRUE,
@@ -24,7 +28,6 @@ from .formulas import (
     Term,
     Var,
     eq,
-    free_vars,
     land,
     lor,
     lt,
@@ -112,143 +115,15 @@ class DloBackend(Backend):
             return self.normalize_literal("<", (b, a), True)
         raise VocabularyError(f"relation {name!r} not available over the dense order")
 
-    # -- conjunct hooks --------------------------------------------------
-
-    def conjunct_consistent(self, lits) -> bool:
-        flat, _, ok = pinned_classes(lits)
-        if not ok:
-            return False
-
-        def root(t: Term) -> Term:
-            return flat.get(t, t)
-
-        edges: dict[Term, set[Term]] = {}
-        nodes: set[Term] = set()
-        for lit in lits:
-            if isinstance(lit, Not):
-                a, b = (root(t) for t in lit.body.args)
-                if a == b:
-                    return False
-                nodes.update((a, b))
-            elif lit.name == "<":
-                a, b = (root(t) for t in lit.args)
-                if a == b:
-                    return False
-                edges.setdefault(a, set()).add(b)
-                nodes.update((a, b))
-            else:
-                nodes.update(root(t) for t in lit.args)
-        # class representatives prefer constants, so every pinned class
-        # (and every bare constant in an order literal) is a Const node
-        pinned = {u: u.value for u in nodes if isinstance(u, Const)}
-        consts = sorted(pinned.items(), key=lambda kv: kv[1])
-        for (c1, v1), (c2, v2) in zip(consts, consts[1:]):
-            if v1 < v2:
-                edges.setdefault(c1, set()).add(c2)
-        # cycle check over the strict-order digraph
-        state: dict[Term, int] = {}
-
-        def dfs(u: Term) -> bool:
-            state[u] = 1
-            for w in edges.get(u, ()):
-                s = state.get(w, 0)
-                if s == 1:
-                    return False
-                if s == 0 and not dfs(w):
-                    return False
-            state[u] = 2
-            return True
-
-        for u in list(nodes) + list(edges):
-            if state.get(u, 0) == 0 and not dfs(u):
-                return False
-        return True
-
-    def eliminate_from_conjunct(self, var: str, lits: frozenset[Formula]) -> Formula:
-        v = Var(var)
-        for lit in sorted(lits, key=lambda l: l.key):
-            if isinstance(lit, Rel) and lit.name == "=" and v in lit.args:
-                other = lit.args[1] if lit.args[0] == v else lit.args[0]
-                rest = []
-                for l in lits:
-                    if l is lit:
-                        continue
-                    rest.append(self._subst_literal(l, var, other))
-                return land(*rest)
-        lowers: list[Term] = []
-        uppers: list[Term] = []
-        keep: list[Formula] = []
-        for lit in lits:
-            if var not in free_vars(lit):
-                keep.append(lit)
-                continue
-            if isinstance(lit, Not):
-                continue  # a disequality never blocks a dense witness
-            if lit.name == "<":
-                a, b = lit.args
-                if b == v:
-                    lowers.append(a)
-                else:
-                    uppers.append(b)
-        for l in lowers:
-            for u in uppers:
-                keep.append(self.normalize_literal("<", (l, u), True))
-        return land(*keep)
-
-    def _subst_literal(self, lit: Formula, var: str, term: Term) -> Formula:
-        positive = isinstance(lit, Rel)
-        rel = lit if positive else lit.body
-        args = tuple(term if t == Var(var) else t for t in rel.args)
-        if positive and rel.name == "=":
-            return self.normalize_literal("=", args, True)
-        if not positive:
-            return self.normalize_literal(rel.name, args, False)
-        return self.normalize_literal(rel.name, args, True)
-
-    # -- witnesses -------------------------------------------------------
-
-    def conjunct_witness(self, lits, fvs: list[str], params: list[Atom]) -> Valuation | None:
-        base = list(lits)
-        flat, members, ok = pinned_classes(list(lits) + [eq(Var(v), Var(v)) for v in fvs])
-        if not ok:
-            return None
-
-        def root(t: Term) -> Term:
-            return flat.get(t, t)
-
-        assigned: dict[Term, Fraction] = {}
-        anchor_var: dict[Term, str] = {}
-        for cls, mem in members.items():
-            consts = [m.value for m in mem if isinstance(m, Const)]
-            names = sorted(m.name for m in mem if isinstance(m, Var))
-            if names:
-                anchor_var[cls] = names[0]
-            if consts:
-                assigned[cls] = consts[0]
-        order = sorted(
-            (c for c in members if c not in assigned and c in anchor_var),
-            key=lambda c: anchor_var[c],
-        )
-        for cls in order:
-            pins = [
-                eq(Var(anchor_var[c]), Const(v))
-                for c, v in assigned.items()
-                if c in anchor_var
-            ]
-            landmarks = sorted(set(assigned.values()) | set(params))
-            cands = list(params)
-            cands += [v for v in sorted(set(assigned.values())) if v not in set(params)]
-            cands += _gap_candidates(landmarks)
-            value = None
-            for c in cands:
-                trial = base + pins + [eq(Var(anchor_var[cls]), Const(c))]
-                if self.conjunct_consistent(frozenset(trial)):
-                    value = c
-                    break
-            if value is None:
-                return None
-            assigned[cls] = value
-        return {v: assigned[root(Var(v))] for v in fvs}
+    def _witness_candidates(self, landmarks):
+        # the simplest rational in each gap, the open ends included
+        if not landmarks:
+            return [Fraction(0)]
+        out = [simplest_below(landmarks[0])]
+        for lo, hi in zip(landmarks, landmarks[1:]):
+            out.append(simplest_between(lo, hi))
+        out.append(simplest_above(landmarks[-1]))
+        return out
 
     # -- types -----------------------------------------------------------
 
@@ -327,34 +202,6 @@ class DloBackend(Backend):
                 continue
             gaps.append((lo, hi))
         return gaps
-
-    # -- partial automorphisms ---------------------------------------------
-
-    def _preserves_relations(self, mapping) -> bool:
-        items = sorted(mapping.items())
-        for (a1, b1), (a2, b2) in zip(items, items[1:]):
-            if not b1 < b2:
-                return False
-        return True
-
-    def _extension_constraints(self, a, mapping):
-        out = []
-        for d, img in sorted(mapping.items()):
-            if a < d:
-                out.append(lt(Var("x"), Const(img)))
-            elif a > d:
-                out.append(lt(Const(img), Var("x")))
-        return out
-
-
-def _gap_candidates(landmarks: list[Fraction]) -> list[Fraction]:
-    if not landmarks:
-        return [Fraction(0)]
-    out = [simplest_below(landmarks[0])]
-    for lo, hi in zip(landmarks, landmarks[1:]):
-        out.append(simplest_between(lo, hi))
-    out.append(simplest_above(landmarks[-1]))
-    return out
 
 
 def _gap_value(lo, hi, pos: int, count: int) -> Fraction:

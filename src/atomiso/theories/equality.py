@@ -2,13 +2,19 @@
 
 Atoms are written #0, #1, #2, ...  Orbits of n-tuples correspond to the
 partitions of an n-element set, so the orbit count is the Bell number.
+
+Literals are = and != only, so the shared conjunct kernel of base.py
+decides consistency by equality classes alone and eliminates by
+substitution or by dropping disequalities.  The backend's own hooks are
+the literal normal form, the witness candidates (the least ids not yet in
+play) and the free blocks of complete types.
 """
 
 import itertools
 import re
 
 from ..errors import VocabularyError
-from .base import Backend, Valuation, pinned_classes
+from .base import Backend
 from .formulas import (
     FALSE,
     TRUE,
@@ -20,7 +26,6 @@ from .formulas import (
     Term,
     Var,
     eq,
-    free_vars,
     land,
     lor,
     ne,
@@ -63,83 +68,8 @@ class EqualityBackend(Backend):
         lit = Rel("=", (a, b))
         return lit if positive else Not(lit)
 
-    # -- conjunct hooks --------------------------------------------------
-
-    def conjunct_consistent(self, lits) -> bool:
-        flat, members, ok = pinned_classes(lits)
-        if not ok:
-            return False
-        for lit in lits:
-            if isinstance(lit, Not):
-                a, b = lit.body.args
-                if flat.get(a, a) == flat.get(b, b):
-                    return False
-        return True
-
-    def eliminate_from_conjunct(self, var: str, lits: frozenset[Formula]) -> Formula:
-        v = Var(var)
-        for lit in sorted(lits, key=lambda l: l.key):
-            if isinstance(lit, Rel) and v in lit.args:
-                other = lit.args[1] if lit.args[0] == v else lit.args[0]
-                rest = []
-                for l in lits:
-                    if l is lit:
-                        continue
-                    rest.append(self._subst_literal(l, var, other))
-                return land(*rest)
-        keep = [l for l in lits if var not in free_vars(l)]
-        return land(*keep)
-
-    def _subst_literal(self, lit: Formula, var: str, term: Term) -> Formula:
-        positive = isinstance(lit, Rel)
-        rel = lit if positive else lit.body
-        args = tuple(term if t == Var(var) else t for t in rel.args)
-        return self.normalize_literal(rel.name, args, positive)
-
-    # -- witnesses -------------------------------------------------------
-
-    def conjunct_witness(self, lits, fvs: list[str], params: list[Atom]) -> Valuation | None:
-        terms = {Var(v) for v in fvs}
-        for lit in lits:
-            rel = lit if isinstance(lit, Rel) else lit.body
-            terms.update(rel.args)
-        eqs = [l for l in lits if isinstance(l, Rel)]
-        flat, members, ok = pinned_classes(list(eqs) + [eq(t, t) for t in terms])
-        if not ok:
-            return None
-
-        def root(t: Term) -> Term:
-            return flat.get(t, t)
-
-        neighbours: dict[Term, set[Term]] = {}
-        for lit in lits:
-            if isinstance(lit, Not):
-                a, b = (root(t) for t in lit.body.args)
-                if a == b:
-                    return None
-                neighbours.setdefault(a, set()).add(b)
-                neighbours.setdefault(b, set()).add(a)
-
-        assigned: dict[Term, Atom] = {}
-        for cls, mem in members.items():
-            consts = [m.value for m in mem if isinstance(m, Const)]
-            if consts:
-                assigned[cls] = consts[0]
-        order = sorted(
-            (c for c in members if c not in assigned),
-            key=lambda c: min(m.name for m in members[c] if isinstance(m, Var)),
-        )
-        for cls in order:
-            taken = {
-                assigned[nb] for nb in neighbours.get(cls, ()) if nb in assigned
-            }
-            value = None
-            for cand in itertools.chain(params, _fresh_ids(params)):
-                if cand not in taken:
-                    value = cand
-                    break
-            assigned[cls] = value
-        return {v: assigned[root(Var(v))] for v in fvs}
+    def _witness_candidates(self, landmarks):
+        return _fresh_ids(landmarks)
 
     # -- types -----------------------------------------------------------
 
@@ -176,14 +106,6 @@ class EqualityBackend(Backend):
         outside = land(*(ne(v, Const(s)) for s in sorted(avoid)))
         pins = [eq(v, Const(t)) for t in sorted(keep)]
         return lor(outside, *pins)
-
-    # -- partial automorphisms ---------------------------------------------
-
-    def _preserves_relations(self, mapping) -> bool:
-        return True  # injectivity is checked by the caller
-
-    def _extension_constraints(self, a, mapping):
-        return []  # distinctness from existing images is the only constraint
 
 
 def _fresh_ids(skip):

@@ -332,6 +332,14 @@ def subst(f: Formula, mapping: dict[str, Term]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def quantify(kind, binders: Iterable[str], body: Formula) -> Formula:
+    """Bind `binders` around body with the quantifier class `kind`
+    (Exists or Forall), the first binder outermost."""
+    for b in reversed(tuple(binders)):
+        body = kind(b, body)
+    return body
+
+
 def fresh_name(stem: str, used: set[str] | frozenset[str]) -> str:
     if stem not in used:
         return stem
@@ -388,15 +396,3 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
         body = nnf(f.body, negate)
         return Exists(f.var, body) if negate else Forall(f.var, body)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Top, Bot, Rel)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(g) for g in f.args)
-    if isinstance(f, Implies):
-        return is_quantifier_free(f.premise) and is_quantifier_free(f.conclusion)
-    return False

@@ -38,6 +38,7 @@ from atomiso.exprs import (
     union_of,
 )
 from atomiso.structures import FamilySymbol, check_isomorphism, signatures_match
+from atomiso.theories import get_backend
 from atomiso.theories.formulas import (
     And,
     Bot,
@@ -257,6 +258,40 @@ def count_tuple_orbits(backend_name: str, n: int, params=()) -> int:
         "cyclic": _cyclic_signature,
     }[backend_name]
     return len({sig(prefix + t) for t in itertools.product(pool, repeat=n)})
+
+
+# ---------------------------------------------------------------------------
+# finite partial automorphisms, by evaluating every relation
+
+
+def is_partial_automorphism(backend_name: str, mapping: dict) -> bool:
+    """Whether a finite map between atoms is injective and preserves and
+    reflects every relation of the backend's vocabulary on its domain."""
+    dom = sorted(mapping)
+    if len(set(mapping.values())) != len(dom):
+        return False
+    for name, arity in get_backend(backend_name).relations.items():
+        for args in itertools.product(dom, repeat=arity):
+            image = [mapping[a] for a in args]
+            if eval_rel(backend_name, name, args) != eval_rel(backend_name, name, image):
+                return False
+    return True
+
+
+def extend_automorphism(backend_name: str, mapping: dict, atoms) -> dict:
+    """Extend a finite partial automorphism to cover `atoms`, new atoms in
+    ascending order.  Each takes the first value, among one representative
+    of every region over the images so far, that keeps the map a partial
+    automorphism; homogeneity makes some region work."""
+    out = dict(mapping)
+    for a in sorted(set(atoms) - set(out)):
+        for img in exhaustive_pool(backend_name, set(out.values()), 0):
+            if is_partial_automorphism(backend_name, {**out, a: img}):
+                out[a] = img
+                break
+        else:
+            raise AssertionError(f"no region over {sorted(out.values())} takes {a!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from atomiso.errors import (
 from atomiso.exprs import EMPTY, act, expr_params, union_of
 from atomiso.parser import parse, print_expr
 from generators import gen_set_expr
+from oracles import extend_automorphism
 
 
 def _p(text, comp):
@@ -223,13 +224,12 @@ def test_partial_function_checks(eq_comp):
 
 def test_orbit_dimension_constant_on_random_exprs(eq_comp):
     rng = random.Random(31)
-    b = eq_comp.backend
     for _ in range(20):
         e = gen_set_expr(rng, "equality", [1, 2], max_binders=2, depth=1)
         s = expr_params(e)
         for orb in orbit_decomposition(eq_comp, e, s):
             rep = orb.rep_element()
             dim = len(least_support(eq_comp, rep))
-            mapping = b.extend_automorphism({a: a for a in s}, set(range(6)))
+            mapping = extend_automorphism("equality", {a: a for a in s}, set(range(6)))
             moved = act(mapping, rep)
             assert len(least_support(eq_comp, moved)) == dim

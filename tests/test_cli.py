@@ -1,6 +1,7 @@
 """Command line behavior: outputs, JSON mode, exit codes, file handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -164,13 +165,21 @@ _BAD_STRUCTURES = {
         {"backend": "equality", "universe": "atoms", "relations": "oops"}
     ),
     "universe-not-string": json.dumps({"backend": "equality", "universe": 42}),
-    "arity-not-integer": json.dumps(
-        {
-            "backend": "equality",
-            "universe": "atoms",
-            "relations": [{"name": "E", "arity": "abc", "interp": "empty"}],
-        }
-    ),
+    **{
+        f"arity-{label}": json.dumps(
+            {
+                "backend": "equality",
+                "universe": "atoms",
+                "relations": [{"name": "E", "arity": arity, "interp": "empty"}],
+            }
+        )
+        for label, arity in [
+            ("not-integer", "abc"),
+            ("fraction", 2.5),
+            ("digit-string", "1"),
+            ("boolean", True),
+        ]
+    },
 }
 
 
@@ -194,6 +203,35 @@ def test_bad_structure_document_exit(tmp_path, capsys, command, case):
     assert code == 2
     assert out == ""
     assert err.startswith("atomiso: ") and "Traceback" not in err
+
+
+# arity 2, but the interpretation holds triples
+_UNCONTAINED = json.dumps(
+    {
+        "backend": "equality",
+        "universe": "atoms",
+        "relations": [
+            {"name": "E", "arity": 2, "interp": "{(a, b, c) | a, b, c in atoms}"}
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize("command", ["iso", "eliminate"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_uncontained_interpretation_exit(tmp_path, capsys, command, side):
+    files = _emit_smoothing(tmp_path, capsys)
+    bad = tmp_path / "uncontained.json"
+    bad.write_text(_UNCONTAINED)
+    pair = [files["a"], files["b"]]
+    pair[side] = str(bad)
+    argv = [command, *pair]
+    if command == "eliminate":
+        argv[1:1] = ["--map", files["map"]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not contained" in err
 
 
 _BAD_MAPS = {
@@ -228,3 +266,17 @@ def test_negative_budget_rejected(capsys, argv):
         main(argv)
     assert ex.value.code == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+# stdout and exit code of the iso/eliminate commands on the equality
+# fixtures, byte for byte, in text and --json form
+_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def test_equality_fixture_outputs_are_pinned(tmp_path, capsys):
+    for name in ("kneser", "neighborhoods", "nondefiso", "smoothing"):
+        run(capsys, "fixture", name, "--emit", str(tmp_path))
+    for case in _GOLDEN:
+        argv = [a.replace("{dir}", str(tmp_path)) for a in case["argv"]]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

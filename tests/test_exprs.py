@@ -28,9 +28,9 @@ from atomiso.exprs import (
     value_shape,
 )
 from atomiso.parser import parse, print_expr
-from atomiso.theories import get_backend
 from atomiso.theories.formulas import TRUE, ne, Var
 from generators import gen_set_expr, sample_atoms
+from oracles import extend_automorphism
 
 
 def test_tuple_needs_two_items():
@@ -138,12 +138,11 @@ def test_act_rejects_collisions():
 
 def test_act_is_action():
     rng = random.Random(13)
-    b = get_backend("equality")
     for _ in range(30):
         e = gen_set_expr(rng, "equality", [1, 2, 3], max_binders=2, depth=1)
         params = expr_params(e)
-        m1 = b.extend_automorphism({}, params | {4})
-        m2 = b.extend_automorphism({}, set(m1.values()))
+        m1 = extend_automorphism("equality", {}, params | {4})
+        m2 = extend_automorphism("equality", {}, set(m1.values()))
         lhs = act(m2, act(m1, e))
         comp = {k: m2[v] for k, v in m1.items()}
         rhs = act(comp, e)

@@ -11,24 +11,33 @@ import pytest
 from atomiso.errors import DensenessError, ValuationError, VocabularyError
 from atomiso.theories import backend_names, get_backend
 from atomiso.theories.formulas import (
+    TRUE,
+    And,
     Const,
     Exists,
     Forall,
+    Not,
+    Or,
+    Rel,
     Var,
     cyc,
     eq,
+    formula_atoms,
     free_vars,
     land,
     lnot,
     lor,
     lt,
     ne,
+    quantify,
 )
 from generators import gen_formula, sample_atoms
 from oracles import (
     count_tuple_orbits,
     eval_formula,
     exhaustive_pool,
+    extend_automorphism,
+    is_partial_automorphism,
     quantifier_depth,
 )
 
@@ -101,6 +110,81 @@ def test_find_witness_deterministic():
     dlo = get_backend("dlo")
     f = land(lt(Const(Fraction(0)), Var("x")), lt(Var("x"), Const(Fraction(1))))
     assert dlo.find_witness(f) == dlo.find_witness(f)
+
+
+# sha256 of qe(f).key and find_witness(f) over a seeded corpus, pinned so
+# that a change to the conjunct kernel that moves a witness or an
+# eliminated formula shows
+WITNESS_DIGESTS = {
+    "equality": "b2df4024658797df4044b4552b16abf95ab71481357b4efe4e15f2536e215a25",
+    "dlo": "72e20407d083cb86e8533689c047a7d0cea9606a4c5a86c5a668f40fe1657d4f",
+    "cyclic": "c5803569abccbe6e1ffed82ca14a7c2afd8a779b6cb8a90eaf619c67e48ae4f7",
+}
+
+
+def test_qe_and_witnesses_are_pinned():
+    for name in backend_names():
+        rng = random.Random(606)
+        b = get_backend(name)
+        out = []
+        for _ in range(200):
+            atoms = sample_atoms(rng, name, 3)
+            f = gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=2)
+            w = b.find_witness(f)
+            out.append((b.qe(f).key, None if w is None else sorted(w.items())))
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == WITNESS_DIGESTS[name], name
+
+
+def _raw_conjuncts(f, cap=64):
+    """The disjunctive normal form of a normalized quantifier-free formula
+    as literal sets, none pruned; None past `cap` sets."""
+    if isinstance(f, (Rel, Not)):
+        return [frozenset((f,))]
+    if isinstance(f, Or):
+        out = []
+        for g in f.args:
+            part = _raw_conjuncts(g, cap)
+            if part is None:
+                return None
+            out += part
+        return out if len(out) <= cap else None
+    if isinstance(f, And):
+        acc = [frozenset()]
+        for g in f.args:
+            part = _raw_conjuncts(g, cap)
+            if part is None or len(acc) * len(part) > cap:
+                return None
+            acc = [c | p for c in acc for p in part]
+        return acc
+    return [frozenset()] if f == TRUE else []
+
+
+def test_conjunct_kernel_matches_oracle():
+    # every literal set of the unpruned DNF of eliminated random formulas:
+    # consistency is satisfiability, and a witness exists exactly then;
+    # elimination cuts the circle open, so cyclic literal sets are read in
+    # the linear order
+    for name in backend_names():
+        rng = random.Random(19)
+        b = get_backend(name)
+        lin = "dlo" if name == "cyclic" else name
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 60:
+            atoms = sample_atoms(rng, name, 3)
+            f = gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=2)
+            for c in _raw_conjuncts(b.qe(f)) or ():
+                fvs = sorted(free_vars(land(*c)))
+                sat = eval_formula(lin, quantify(Exists, fvs, land(*c)), {})
+                assert b.conjunct_consistent(c) == sat, (name, c)
+                seen[sat] += 1
+                params = sorted(formula_atoms(land(*c)) | set(atoms[:1]))
+                w = b.conjunct_witness(c, fvs + ["z"], params)
+                if not sat:
+                    assert w is None, (name, c)
+                    continue
+                assert set(w) == set(fvs) | {"z"}, (name, c)
+                assert all(eval_formula(lin, lit, w) for lit in c), (name, c, w)
 
 
 def test_types_with_reps_counts_match_rn():
@@ -202,36 +286,32 @@ def test_type_of_empty_tuple():
 
 
 def test_partial_automorphism_checks():
-    eqb = get_backend("equality")
-    assert eqb.is_partial_automorphism({1: 5, 2: 2})
-    assert not eqb.is_partial_automorphism({1: 5, 2: 5})
-    dlo = get_backend("dlo")
+    assert is_partial_automorphism("equality", {1: 5, 2: 2})
+    assert not is_partial_automorphism("equality", {1: 5, 2: 5})
     good = {Fraction(0): Fraction(10), Fraction(1): Fraction(12)}
     bad = {Fraction(0): Fraction(12), Fraction(1): Fraction(10)}
-    assert dlo.is_partial_automorphism(good)
-    assert not dlo.is_partial_automorphism(bad)
-    cy = get_backend("cyclic")
+    assert is_partial_automorphism("dlo", good)
+    assert not is_partial_automorphism("dlo", bad)
     rot = {Fraction(0): Fraction(1), Fraction(1): Fraction(2), Fraction(2): Fraction(0)}
     flip = {Fraction(0): Fraction(0), Fraction(1): Fraction(2), Fraction(2): Fraction(1)}
-    assert cy.is_partial_automorphism(rot)
-    assert not cy.is_partial_automorphism(flip)
+    assert is_partial_automorphism("cyclic", rot)
+    assert not is_partial_automorphism("cyclic", flip)
 
 
 def test_extend_automorphism_covers_new_atoms():
     rng = random.Random(11)
     for name in backend_names():
-        b = get_backend(name)
         for _ in range(25):
             base = sample_atoms(rng, name, 3)
             imgs = sample_atoms(rng, name, 3)
             mapping = dict(zip(sorted(base), sorted(imgs)))
-            if not b.is_partial_automorphism(mapping):
+            if not is_partial_automorphism(name, mapping):
                 continue
             extra = sample_atoms(rng, name, 2)
-            out = b.extend_automorphism(mapping, extra)
+            out = extend_automorphism(name, mapping, extra)
             assert set(out) >= set(mapping) | set(extra)
             assert all(out[k] == v for k, v in mapping.items())
-            assert b.is_partial_automorphism(out)
+            assert is_partial_automorphism(name, out)
 
 
 def test_independent_atoms_dense_only():
