@@ -170,17 +170,22 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     return kept
 
 
-def orbit_expression(comp: Compiler, x: Expr, S) -> Union:
-    """An expression for the orbit of the value of x under automorphisms
-    fixing S pointwise."""
-    _require_closed(x)
-    S = frozenset(S)
+def _abstracted(x: Expr):
+    """The atoms of x in first-occurrence order, one fresh binder per atom,
+    and x with each atom replaced by its binder."""
     occs = param_occurrences(x)
     names = NameSource()
     names.reserve(expr_names(x))
     binders = tuple(names.fresh() for _ in occs)
-    body = abstract_params(x, dict(zip(occs, binders)))
-    t = comp.backend.type_of(binders, tuple(occs), S)
+    return occs, binders, abstract_params(x, dict(zip(occs, binders)))
+
+
+def orbit_expression(comp: Compiler, x: Expr, S) -> Union:
+    """An expression for the orbit of the value of x under automorphisms
+    fixing S pointwise."""
+    _require_closed(x)
+    occs, binders, body = _abstracted(x)
+    t = comp.backend.type_of(binders, tuple(occs), frozenset(S))
     return Union((SetComp(body, binders, t),))
 
 
@@ -193,18 +198,11 @@ def least_support(comp: Compiler, x: Expr) -> frozenset:
     of x.  Greedy removal is exact because supports are closed upward and a
     least one exists."""
     _require_closed(x)
-    backend = comp.backend
-    occs = param_occurrences(x)
-    if not occs:
-        return frozenset()
-    names = NameSource()
-    names.reserve(expr_names(x))
-    binders = tuple(names.fresh() for _ in occs)
-    body = abstract_params(x, dict(zip(occs, binders)))
+    occs, binders, body = _abstracted(x)
     support = set(occs)
     for a in sorted(occs):
         cand = frozenset(support - {a})
-        t = backend.type_of(binders, tuple(occs), cand)
+        t = comp.backend.type_of(binders, tuple(occs), cand)
         sentence = quantify(Forall, binders, Implies(t, comp.equal(body, x)))
         if comp.holds(sentence):
             support = set(cand)
@@ -269,49 +267,37 @@ def fn_check(
     injective: bool = False,
     surjective: bool = False,
 ) -> bool:
-    """Decide the requested function properties of the graph."""
+    """Decide the requested function properties of the graph.  Injective is
+    functional with the pair components swapped, and surjective is total
+    with the codomain in place of the domain."""
     g = fn.graph
-    if functional:
-        s = comp.forall_elem(
+
+    def determined(by: int) -> Formula:
+        # pairs agreeing in component `by` agree in the other one
+        return comp.forall_elem(
             g,
             lambda p: comp.forall_elem(
                 g,
                 lambda q: Implies(
-                    comp.equal(p.items[0], q.items[0]),
-                    comp.equal(p.items[1], q.items[1]),
+                    comp.equal(p.items[by], q.items[by]),
+                    comp.equal(p.items[1 - by], q.items[1 - by]),
                 ),
             ),
         )
-        if not comp.holds(s):
-            return False
-    if total:
-        s = comp.forall_elem(
-            fn.dom,
-            lambda x: comp.exists_elem(g, lambda p: comp.equal(x, p.items[0])),
+
+    def covered(s: Expr, by: int) -> Formula:
+        # every element of s is component `by` of some pair
+        return comp.forall_elem(
+            s, lambda x: comp.exists_elem(g, lambda p: comp.equal(x, p.items[by]))
         )
-        if not comp.holds(s):
-            return False
-    if injective:
-        s = comp.forall_elem(
-            g,
-            lambda p: comp.forall_elem(
-                g,
-                lambda q: Implies(
-                    comp.equal(p.items[1], q.items[1]),
-                    comp.equal(p.items[0], q.items[0]),
-                ),
-            ),
-        )
-        if not comp.holds(s):
-            return False
-    if surjective:
-        s = comp.forall_elem(
-            fn.cod,
-            lambda y: comp.exists_elem(g, lambda p: comp.equal(y, p.items[1])),
-        )
-        if not comp.holds(s):
-            return False
-    return True
+
+    checks = (
+        (functional, lambda: determined(0)),
+        (total, lambda: covered(fn.dom, 0)),
+        (injective, lambda: determined(1)),
+        (surjective, lambda: covered(fn.cod, 1)),
+    )
+    return all(comp.holds(sentence()) for wanted, sentence in checks if wanted)
 
 
 def fn_bijective(comp: Compiler, fn: DefFunction) -> bool:
@@ -328,19 +314,28 @@ def fn_apply(comp: Compiler, fn: DefFunction, x: Expr) -> Expr:
         witness = backend.find_witness(constraint)
         if witness is None:
             continue
-        missing = [b for b in c.binders if b not in witness]
-        if missing:
-            # binders absent from the constraint are unconstrained; any
-            # fresh choice yields the same value because the graph is
-            # functional
-            used = frozenset(witness.values()) | expr_params(fn.graph) | expr_params(x)
-            fill = backend.independent_atoms(used, len(missing))
-            witness = dict(witness)
-            witness.update(zip(missing, fill))
+        # any fresh choice for a binder the constraint leaves free yields
+        # the same value because the graph is functional
+        witness = complete_witness(
+            backend, witness, c.binders, expr_params(fn.graph) | expr_params(x)
+        )
         return subst_expr_vars(
             c.element.items[1], {b: AtomParam(witness[b]) for b in c.binders}
         )
     raise DomainError("value lies outside the function's domain")
+
+
+def complete_witness(backend, witness: dict, binders, avoid: frozenset) -> dict:
+    """The witness extended to every binder: binders it leaves out are
+    unconstrained and take independent atoms avoiding `avoid` and the
+    witness's own values."""
+    missing = [b for b in binders if b not in witness]
+    if not missing:
+        return witness
+    fill = backend.independent_atoms(
+        frozenset(witness.values()) | avoid, len(missing)
+    )
+    return {**witness, **dict(zip(missing, fill))}
 
 
 def fn_inverse(fn: DefFunction) -> DefFunction:

@@ -9,11 +9,9 @@ bound names are drawn from one monotone supply per compiler, so a cached
 formula can never capture a variable of a later query.
 """
 
-from .errors import BindingError
 from .exprs import (
-    AtomParam,
-    EVar,
     Expr,
+    as_term,
     clauses,
     expr_names,
     kind,
@@ -22,26 +20,16 @@ from .exprs import (
 from .theories.base import Backend
 from .theories.formulas import (
     FALSE,
-    Const,
     Exists,
     Forall,
     Formula,
     Implies,
     NameSource,
     Rel,
-    Var,
     land,
     lor,
     quantify,
 )
-
-
-def _term(e: Expr):
-    if isinstance(e, EVar):
-        return Var(e.name)
-    if isinstance(e, AtomParam):
-        return Const(e.value)
-    raise BindingError(f"expected an atom-denoting expression, got {e!r}")
 
 
 class Compiler:
@@ -68,7 +56,7 @@ class Compiler:
         if k1 != k2:
             out = FALSE
         elif k1 == "atom":
-            out = Rel("=", (_term(e1), _term(e2)))
+            out = Rel("=", (as_term(e1), as_term(e2)))
         elif k1 == "tuple":
             if len(e1.items) != len(e2.items):
                 out = FALSE

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     DefFunction,
+    complete_witness,
     fn_apply,
     fn_check,
     fn_domain_expr,
@@ -42,11 +43,13 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .exprs import ETuple, Expr, SetComp, expr_params, union_of
+from .exprs import ETuple, Expr, SetComp, expr_params, instantiate, union_of
+from .parser import format_atom_value
 from .structures import (
     Structure,
     check_isomorphism,
     counterpart,
+    function_to_dict,
     signatures_match,
     transports_symbols,
     transports_tuple,
@@ -81,13 +84,9 @@ class Certificate:
     caveat: str | None = None
 
     def to_dict(self, backend_name: str) -> dict:
-        from .structures import function_to_dict
-
         out = {
             "verdict": self.verdict,
-            "params": [
-                f"#{a}" if isinstance(a, int) else str(a) for a in self.params
-            ],
+            "params": [format_atom_value(a) for a in self.params],
             "stats": self.stats,
         }
         if self.witness is not None:
@@ -241,15 +240,7 @@ def find_definable_map(
     """
     if mode not in ("iso", "hom", "emb"):
         raise ValidationError(f"unknown search mode {mode!r}")
-    T = frozenset(T)
-    needed = A.params() | B.params()
-    if not needed <= T:
-        names = ", ".join(
-            comp.backend.format_atom(a) for a in sorted(needed - T)
-        )
-        raise ValidationError(
-            f"parameter set must contain the structures' atoms; missing: {names}"
-        )
+    T = _require_structure_atoms(comp, A, B, T)
     stats = {"orbits_a": 0, "orbits_b": 0, "pieces": 0, "candidates": 0}
 
     def negative() -> Certificate:
@@ -410,13 +401,7 @@ def eliminate_parameters(
             f"the {backend.name} backend has no region-avoiding self-embedding, "
             "so parameter elimination is unavailable"
         )
-    T = frozenset(T)
-    needed = A.params() | B.params()
-    if not needed <= T:
-        names = ", ".join(backend.format_atom(a) for a in sorted(needed - T))
-        raise ValidationError(
-            f"parameter set must contain the structures' atoms; missing: {names}"
-        )
+    T = _require_structure_atoms(comp, A, B, T)
     fn_validate(comp, fn)
     if not check_isomorphism(comp, fn, A, B):
         raise ValidationError("the given function is not an isomorphism")
@@ -502,10 +487,7 @@ def eliminate_parameters(
         )
 
     h = DefFunction(A.universe, B.universe, union_of(*graph_pieces))
-    fn_validate(comp, h)
-    if not fn_check(comp, h, injective=True, surjective=True):
-        raise EliminationError("the rebuilt map is not a bijection")
-    if not check_isomorphism(comp, h, A, B, verify_function=False):
+    if not check_isomorphism(comp, h, A, B):
         raise EliminationError("the rebuilt map is not an isomorphism")
     return h, report
 
@@ -520,12 +502,18 @@ def _independent_representative(comp: Compiler, orbit, S: frozenset, T: frozense
         raise EliminationError(
             "no orbit representative independent of the parameters exists"
         )
-    missing = [b for b in c.binders if b not in witness]
-    if missing:
-        used = frozenset(witness.values()) | S
-        fill = comp.backend.independent_atoms(used, len(missing))
-        witness = dict(witness)
-        witness.update(zip(missing, fill))
-    from .exprs import instantiate
-
+    witness = complete_witness(comp.backend, witness, c.binders, S)
     return instantiate(c.element, {b: witness[b] for b in c.binders})
+
+
+def _require_structure_atoms(comp: Compiler, A: Structure, B: Structure, T) -> frozenset:
+    """T as a frozenset; raises ValidationError unless it contains every
+    atom of both structures."""
+    T = frozenset(T)
+    missing = (A.params() | B.params()) - T
+    if missing:
+        names = ", ".join(comp.backend.format_atom(a) for a in sorted(missing))
+        raise ValidationError(
+            f"parameter set must contain the structures' atoms; missing: {names}"
+        )
+    return T

@@ -6,6 +6,12 @@ finite enumerations, and `empty` all normalize into that shape on demand via
 `clauses`.  Union nodes canonicalize (sort + dedupe) their clauses at
 construction so that syntactic equality of canonical ASTs is stable under
 printing and re-parsing.
+
+Renaming atoms is one walk, `_map_atoms`, behind both the automorphism
+action `act` and the abstraction `abstract_params`; it rewrites guards with
+`formulas.map_relations`.  Guards are read with `formulas.subformulas`
+(atom occurrences, binders an abstraction would capture).  `as_term` is the
+one conversion of an atom-denoting expression into a formula term.
 """
 
 from dataclasses import dataclass
@@ -15,13 +21,19 @@ from .theories.formulas import (
     TRUE,
     Atom,
     Const,
+    Exists,
+    Forall,
     Formula,
     NameSource,
+    Rel,
+    Term,
     Var,
     all_names,
     formula_atoms,
     free_vars,
     land,
+    map_relations,
+    subformulas,
     subst,
 )
 
@@ -190,49 +202,29 @@ def param_occurrences(e: Expr) -> list[Atom]:
     """Atoms in first-occurrence order of a deterministic pre-order walk."""
     seen: list[Atom] = []
 
+    def add(a: Atom):
+        if a not in seen:
+            seen.append(a)
+
     def walk(x: Expr):
         if isinstance(x, AtomParam):
-            if x.value not in seen:
-                seen.append(x.value)
+            add(x.value)
         elif isinstance(x, ETuple):
             for i in x.items:
                 walk(i)
         elif isinstance(x, SetComp):
             walk(x.element)
-            for a in _formula_atom_occurrences(x.guard):
-                if a not in seen:
-                    seen.append(a)
+            for g in subformulas(x.guard):
+                if isinstance(g, Rel):
+                    for t in g.args:
+                        if isinstance(t, Const):
+                            add(t.value)
         elif isinstance(x, Union):
             for c in x.clauses:
                 walk(c)
 
     walk(e)
     return seen
-
-
-def _formula_atom_occurrences(f: Formula) -> list[Atom]:
-    from .theories.formulas import And, Exists, Forall, Implies, Not, Or, Rel
-
-    out: list[Atom] = []
-
-    def walk(g):
-        if isinstance(g, Rel):
-            for t in g.args:
-                if isinstance(t, Const) and t.value not in out:
-                    out.append(t.value)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for h in g.args:
-                walk(h)
-        elif isinstance(g, Implies):
-            walk(g.premise)
-            walk(g.conclusion)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body)
-
-    walk(f)
-    return out
 
 
 def free_expr_vars(e: Expr) -> frozenset[str]:
@@ -283,16 +275,7 @@ def subst_expr_vars(e: Expr, mapping: dict[str, Expr]) -> Expr:
         return ETuple(tuple(subst_expr_vars(i, mapping) for i in e.items))
     if isinstance(e, SetComp):
         inner = {k: v for k, v in mapping.items() if k not in e.binders}
-        terms = {}
-        for k, v in inner.items():
-            if isinstance(v, EVar):
-                terms[k] = Var(v.name)
-            elif isinstance(v, AtomParam):
-                terms[k] = Const(v.value)
-            else:
-                raise ValidationError(
-                    f"variable {k} is used as an atom but mapped to a non-atom"
-                )
+        terms = {k: as_term(v) for k, v in inner.items()}
         return SetComp(
             subst_expr_vars(e.element, inner),
             e.binders,
@@ -308,6 +291,15 @@ def instantiate(e: Expr, valuation: dict[str, Atom]) -> Expr:
     return subst_expr_vars(e, {k: AtomParam(v) for k, v in valuation.items()})
 
 
+def as_term(e: Expr) -> Term:
+    """The formula term of an atom-denoting expression."""
+    if isinstance(e, EVar):
+        return Var(e.name)
+    if isinstance(e, AtomParam):
+        return Const(e.value)
+    raise BindingError(f"expected an atom-denoting expression, got {e!r}")
+
+
 def act(mapping: dict[Atom, Atom], e: Expr) -> Expr:
     """Rename every atom of e through a finite partial automorphism.
 
@@ -315,115 +307,56 @@ def act(mapping: dict[Atom, Atom], e: Expr) -> Expr:
     contract is that the mapping extended with those fixed points must still
     be injective (the backend validates the full automorphism conditions).
     """
-    here = expr_params(e)
-    full = dict(mapping)
-    for a in here:
-        if a not in full:
-            full[a] = a
-    targets = list(full.values())
-    if len(set(targets)) != len(targets):
+    full = {a: a for a in expr_params(e)}
+    full.update(mapping)
+    if len(set(full.values())) != len(full):
         raise DomainError(
             "atom map cannot fix the missing parameters injectively; extend it first"
         )
-
-    def ren(x: Expr) -> Expr:
-        if isinstance(x, AtomParam):
-            return AtomParam(full[x.value])
-        if isinstance(x, (EVar, AtomsSet)):
-            return x
-        if isinstance(x, ETuple):
-            return ETuple(tuple(ren(i) for i in x.items))
-        if isinstance(x, SetComp):
-            return SetComp(ren(x.element), x.binders, _rename_formula_atoms(x.guard, full))
-        if isinstance(x, Union):
-            return Union(tuple(ren(c) for c in x.clauses))
-        raise TypeError(f"not an expression: {x!r}")
-
-    return ren(e)
+    return _map_atoms(e, {a: AtomParam(b) for a, b in full.items()})
 
 
 def abstract_params(e: Expr, mapping: dict[Atom, str]) -> Expr:
     """Replace concrete atoms by expression variables (the reverse of
     instantiation); every occurrence of a mapped atom is rewritten, guards
     included.  Unmapped atoms stay."""
+    return _map_atoms(e, {a: EVar(n) for a, n in mapping.items()})
+
+
+def _map_atoms(e: Expr, image: dict[Atom, Expr]) -> Expr:
+    """e with every atom a in `image` replaced by the atom-denoting image[a],
+    guards included; other atoms stay.  A guard quantifier binding the name
+    of an image variable would capture it, so it is refused."""
+    terms = {a: as_term(x) for a, x in image.items()}
+    names = {x.name for x in image.values() if isinstance(x, EVar)}
+
+    def rel(r: Rel) -> Rel:
+        return Rel(
+            r.name,
+            tuple(terms.get(t.value, t) if isinstance(t, Const) else t for t in r.args),
+        )
 
     def ren(x: Expr) -> Expr:
         if isinstance(x, AtomParam):
-            if x.value in mapping:
-                return EVar(mapping[x.value])
-            return x
+            return image.get(x.value, x)
         if isinstance(x, (EVar, AtomsSet)):
             return x
         if isinstance(x, ETuple):
             return ETuple(tuple(ren(i) for i in x.items))
         if isinstance(x, SetComp):
-            return SetComp(ren(x.element), x.binders, _abstract_formula(x.guard, mapping))
+            element = ren(x.element)
+            if names:
+                for g in subformulas(x.guard):
+                    if isinstance(g, (Exists, Forall)) and g.var in names:
+                        raise ValidationError(
+                            f"abstraction variable {g.var!r} is already bound in a guard"
+                        )
+            return SetComp(element, x.binders, map_relations(x.guard, rel))
         if isinstance(x, Union):
             return Union(tuple(ren(c) for c in x.clauses))
         raise TypeError(f"not an expression: {x!r}")
 
     return ren(e)
-
-
-def _abstract_formula(f: Formula, mapping: dict[Atom, str]) -> Formula:
-    from .theories.formulas import And, Exists, Forall, Implies, Not, Or, Rel
-
-    def ren(g):
-        if isinstance(g, Rel):
-            return Rel(
-                g.name,
-                tuple(
-                    Var(mapping[t.value])
-                    if isinstance(t, Const) and t.value in mapping
-                    else t
-                    for t in g.args
-                ),
-            )
-        if isinstance(g, Not):
-            return Not(ren(g.body))
-        if isinstance(g, And):
-            return And(tuple(ren(h) for h in g.args))
-        if isinstance(g, Or):
-            return Or(tuple(ren(h) for h in g.args))
-        if isinstance(g, Implies):
-            return Implies(ren(g.premise), ren(g.conclusion))
-        if isinstance(g, (Exists, Forall)):
-            if g.var in mapping.values():
-                raise ValidationError(
-                    f"abstraction variable {g.var!r} is already bound in a guard"
-                )
-            return type(g)(g.var, ren(g.body))
-        return g
-
-    return ren(f)
-
-
-def _rename_formula_atoms(f: Formula, full: dict[Atom, Atom]) -> Formula:
-    from .theories.formulas import And, Exists, Forall, Implies, Not, Or, Rel
-
-    def ren(g):
-        if isinstance(g, Rel):
-            return Rel(
-                g.name,
-                tuple(
-                    Const(full[t.value]) if isinstance(t, Const) else t for t in g.args
-                ),
-            )
-        if isinstance(g, Not):
-            return Not(ren(g.body))
-        if isinstance(g, And):
-            return And(tuple(ren(h) for h in g.args))
-        if isinstance(g, Or):
-            return Or(tuple(ren(h) for h in g.args))
-        if isinstance(g, Implies):
-            return Implies(ren(g.premise), ren(g.conclusion))
-        if isinstance(g, Exists):
-            return Exists(g.var, ren(g.body))
-        if isinstance(g, Forall):
-            return Forall(g.var, ren(g.body))
-        return g
-
-    return ren(f)
 
 
 def rename_clause(c: SetComp, fresh: NameSource) -> SetComp:

@@ -286,33 +286,20 @@ def signatures_match(comp: Compiler, A: Structure, B: Structure) -> bool:
     return True
 
 
-def check_isomorphism(
-    comp: Compiler,
-    fn: DefFunction,
-    A: Structure,
-    B: Structure,
-    *,
-    verify_function: bool = True,
-) -> bool:
+def check_isomorphism(comp: Compiler, fn: DefFunction, A: Structure, B: Structure) -> bool:
     """Whether fn is an isomorphism from A onto B: a bijection between the
-    universes that preserves and reflects every symbol.
-
-    With verify_function=False the caller vouches that fn is already
-    validated (fn_validate) and is a bijection from A's universe onto B's
-    (fn_check with injective and surjective); the symbol check is exact only
-    for such maps."""
+    universes that preserves and reflects every symbol."""
     if A.backend_name != comp.backend.name or B.backend_name != comp.backend.name:
         raise ValidationError("structures and compiler use different backends")
     if not signatures_match(comp, A, B):
         return False
-    if verify_function:
-        fn_validate(comp, fn)
-        if not set_equal(comp, fn.dom, A.universe):
-            return False
-        if not set_equal(comp, fn.cod, B.universe):
-            return False
-        if not fn_check(comp, fn, injective=True, surjective=True):
-            return False
+    fn_validate(comp, fn)
+    if not set_equal(comp, fn.dom, A.universe):
+        return False
+    if not set_equal(comp, fn.cod, B.universe):
+        return False
+    if not fn_check(comp, fn, injective=True, surjective=True):
+        return False
     return transports_symbols(comp, fn, A, B, reflect=True)
 
 

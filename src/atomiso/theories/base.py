@@ -41,7 +41,6 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Implies,
     Not,
     Or,
     Rel,
@@ -55,6 +54,7 @@ from .formulas import (
     lnot,
     lor,
     nnf,
+    subformulas,
     subst,
 )
 
@@ -140,37 +140,23 @@ class Backend:
     # vocabulary validation
 
     def validate(self, f: Formula, internal: bool = False) -> None:
-        if isinstance(f, (Top, Bot)):
-            return
-        if isinstance(f, Rel):
-            arity = self.relations.get(f.name)
+        for g in subformulas(f):
+            if not isinstance(g, Rel):
+                continue
+            arity = self.relations.get(g.name)
             if arity is None and internal:
-                arity = self.work_relations.get(f.name)
+                arity = self.work_relations.get(g.name)
             if arity is None:
                 raise VocabularyError(
-                    f"relation {f.name!r} is not part of the {self.name} vocabulary"
+                    f"relation {g.name!r} is not part of the {self.name} vocabulary"
                 )
-            if len(f.args) != arity:
+            if len(g.args) != arity:
                 raise VocabularyError(
-                    f"relation {f.name!r} expects {arity} arguments, got {len(f.args)}"
+                    f"relation {g.name!r} expects {arity} arguments, got {len(g.args)}"
                 )
-            for t in f.args:
+            for t in g.args:
                 if isinstance(t, Const):
                     self.check_atom(t.value)
-            return
-        if isinstance(f, Not):
-            return self.validate(f.body, internal)
-        if isinstance(f, (And, Or)):
-            for g in f.args:
-                self.validate(g, internal)
-            return
-        if isinstance(f, Implies):
-            self.validate(f.premise, internal)
-            self.validate(f.conclusion, internal)
-            return
-        if isinstance(f, (Exists, Forall)):
-            return self.validate(f.body, internal)
-        raise TypeError(f"not a formula: {f!r}")
 
     # ------------------------------------------------------------------
     # literal normalization (theory hooks)

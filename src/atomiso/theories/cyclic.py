@@ -14,30 +14,18 @@ from fractions import Fraction
 
 from ..errors import DensenessError
 from .formulas import (
-    And,
-    Bot,
     Const,
-    Exists,
-    Forall,
     Formula,
-    Implies,
-    Not,
-    Or,
     Rel,
     Term,
-    Top,
     cyc,
     land,
-    lnot,
     lor,
     lt,
+    map_relations,
     ne,
 )
 from .dlo import DloBackend, _spread
-
-
-def _cyc3(a, b, c) -> bool:
-    return a < b < c or b < c < a or c < a < b
 
 
 class CyclicBackend(DloBackend):
@@ -50,30 +38,8 @@ class CyclicBackend(DloBackend):
     # -- R expansion ------------------------------------------------------
 
     def pre_transform(self, f: Formula) -> Formula:
-        if isinstance(f, (Top, Bot)):
-            return f
-        if isinstance(f, Rel):
-            if f.name != "R":
-                return f
-            a, b, c = f.args
-            return lor(
-                land(lt(a, b), lt(b, c)),
-                land(lt(b, c), lt(c, a)),
-                land(lt(c, a), lt(a, b)),
-            )
-        if isinstance(f, Not):
-            return lnot(self.pre_transform(f.body))
-        if isinstance(f, And):
-            return land(*(self.pre_transform(g) for g in f.args))
-        if isinstance(f, Or):
-            return lor(*(self.pre_transform(g) for g in f.args))
-        if isinstance(f, Implies):
-            return Implies(self.pre_transform(f.premise), self.pre_transform(f.conclusion))
-        if isinstance(f, Exists):
-            return Exists(f.var, self.pre_transform(f.body))
-        if isinstance(f, Forall):
-            return Forall(f.var, self.pre_transform(f.body))
-        raise TypeError(f"not a formula: {f!r}")
+        # only nnf reads the result, and it canonicalizes the connectives
+        return map_relations(f, _linear_readings)
 
     # -- types -------------------------------------------------------------
 
@@ -148,6 +114,18 @@ class CyclicBackend(DloBackend):
             "the circular order has no proper self-embedding avoiding a region, "
             "so independence constraints are unavailable"
         )
+
+
+def _linear_readings(r: Rel) -> Formula:
+    """R(a, b, c) as its three linear readings; other relations unchanged."""
+    if r.name != "R":
+        return r
+    a, b, c = r.args
+    return lor(
+        land(lt(a, b), lt(b, c)),
+        land(lt(b, c), lt(c, a)),
+        land(lt(c, a), lt(a, b)),
+    )
 
 
 def _ccw_heads(base, members) -> list:

@@ -12,6 +12,13 @@ nodes are equal when their keys are equal, so formulas built along
 different paths compare and hash equal, and `key` order is the sort order
 of `land`/`lor`.  A pickled node is rebuilt through its constructor, so a
 hash never travels between processes (string hashes differ per process).
+
+Two traversals serve every job that only reads or rewrites relation atoms:
+`subformulas` lists the nodes (vocabulary checks, the atoms a formula
+mentions, the capture check of atom abstraction) and `map_relations`
+rebuilds a formula with each relation atom replaced (atom renaming, the
+circle's expansion of R).  Walks that handle binders or polarity (`free_vars`,
+`all_names`, `subst`, `nnf`) keep their own recursion.
 """
 
 from dataclasses import dataclass, fields
@@ -181,10 +188,6 @@ def lt(a: Term, b: Term) -> Formula:
     return Rel("<", (a, b))
 
 
-def le(a: Term, b: Term) -> Formula:
-    return Rel("<=", (a, b))
-
-
 def cyc(a: Term, b: Term, c: Term) -> Formula:
     return Rel("R", (a, b, c))
 
@@ -278,21 +281,49 @@ def all_names(f: Formula) -> frozenset[str]:
 
 def formula_atoms(f: Formula) -> frozenset[Atom]:
     """Concrete atoms mentioned in f."""
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
+    return frozenset(
+        t.value
+        for g in subformulas(f)
+        if isinstance(g, Rel)
+        for t in g.args
+        if isinstance(t, Const)
+    )
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node of f in pre-order, f first; raises TypeError on reaching
+    a node that is not a formula."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Rel, Top, Bot)):
+            pass  # leaves first: most nodes are relation atoms
+        elif isinstance(g, (And, Or)):
+            stack.extend(reversed(g.args))
+        elif isinstance(g, (Not, Exists, Forall)):
+            stack.append(g.body)
+        elif isinstance(g, Implies):
+            stack += (g.conclusion, g.premise)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        yield g
+
+
+def map_relations(f: Formula, fn) -> Formula:
+    """f with every relation atom r replaced by fn(r).  Every other node is
+    rebuilt by its own constructor, so argument order is kept."""
     if isinstance(f, Rel):
-        return frozenset(t.value for t in f.args if isinstance(t, Const))
+        return fn(f)
+    if isinstance(f, (Top, Bot)):
+        return f
     if isinstance(f, Not):
-        return formula_atoms(f.body)
+        return Not(map_relations(f.body, fn))
     if isinstance(f, (And, Or)):
-        out: frozenset[Atom] = frozenset()
-        for g in f.args:
-            out |= formula_atoms(g)
-        return out
+        return type(f)(tuple(map_relations(g, fn) for g in f.args))
     if isinstance(f, Implies):
-        return formula_atoms(f.premise) | formula_atoms(f.conclusion)
+        return Implies(map_relations(f.premise, fn), map_relations(f.conclusion, fn))
     if isinstance(f, (Exists, Forall)):
-        return formula_atoms(f.body)
+        return type(f)(f.var, map_relations(f.body, fn))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -37,7 +37,7 @@ from atomiso.exprs import (
     product_expr,
     union_of,
 )
-from atomiso.structures import FamilySymbol, check_isomorphism, signatures_match
+from atomiso.structures import FamilySymbol, signatures_match, transports_symbols
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import (
     And,
@@ -89,7 +89,10 @@ def eval_formula(backend_name: str, f, valuation: dict) -> bool:
     below the quantifier.  Over these homogeneous backends the truth of
     the body depends only on the region its variable lands in, so the
     finite sweep is exact.  A static pool is not: elements added last
-    would have no witnesses around them for inner quantifiers.
+    would have no witnesses around them for inner quantifiers.  Over the
+    circle the sweep takes the dense order's regions, which refine every
+    arc, so R stays exact and the linear order that elimination leaves in
+    its output reads as over the rationals.
     """
     if isinstance(f, Top):
         return True
@@ -110,7 +113,8 @@ def eval_formula(backend_name: str, f, valuation: dict) -> bool:
         )
     if isinstance(f, (Exists, Forall)):
         scope = set(valuation.values()) | set(formula_atoms(f))
-        cands = exhaustive_pool(backend_name, scope, 0)
+        sweep = "dlo" if backend_name == "cyclic" else backend_name
+        cands = exhaustive_pool(sweep, scope, 0)
         hits = (
             eval_formula(backend_name, f.body, {**valuation, f.var: a})
             for a in cands
@@ -354,7 +358,7 @@ def naive_find_iso(comp, A, B, T, *, max_orbits: int = 12) -> Certificate:
             continue
         if not fn_check(comp, fn, injective=True, surjective=True):
             continue
-        if check_isomorphism(comp, fn, A, B, verify_function=False):
+        if transports_symbols(comp, fn, A, B, reflect=True):
             return Certificate(FOUND, fn, tuple(sorted(T)), stats)
     if comp.backend.dense:
         return Certificate(NOT_FOUND, None, tuple(sorted(T)), stats)

@@ -1,11 +1,18 @@
 """Expression AST invariants: canonical unions, parameter collection,
 substitution, atom-map action, and products."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from atomiso.errors import BindingError, DomainError, ValidationError
+from atomiso.errors import (
+    BindingError,
+    DomainError,
+    ValidationError,
+    VocabularyError,
+)
 from atomiso.exprs import (
     ATOMS,
     EMPTY,
@@ -28,8 +35,9 @@ from atomiso.exprs import (
     value_shape,
 )
 from atomiso.parser import parse, print_expr
-from atomiso.theories.formulas import TRUE, ne, Var
-from generators import gen_set_expr, sample_atoms
+from atomiso.theories import backend_names, get_backend
+from atomiso.theories.formulas import TRUE, Var, formula_atoms, ne, nnf
+from generators import gen_automorphism, gen_formula, gen_set_expr, sample_atoms
 from oracles import extend_automorphism
 
 
@@ -106,19 +114,31 @@ def test_subst_shadowing():
     assert c.element.items[1] == AtomParam(7)
 
 
-def test_instantiate_then_abstract_roundtrip():
+@pytest.mark.parametrize("name", backend_names())
+def test_instantiate_then_abstract_roundtrip(name):
+    atom = int if name == "equality" else Fraction
     rng = random.Random(3)
     for _ in range(40):
-        e = gen_set_expr(rng, "equality", [1, 2], max_binders=2, depth=1)
+        e = gen_set_expr(rng, name, [atom(1), atom(2)], max_binders=2, depth=1)
         cs = clauses(e)
         if not cs or not cs[0].binders:
             continue
         c = cs[0]
-        vals = {b: 10 + i for i, b in enumerate(c.binders)}
+        vals = {b: atom(10 + i) for i, b in enumerate(c.binders)}
         inst = instantiate(c.element, vals)
         assert free_expr_vars(inst) == free_expr_vars(c.element) - set(vals)
         back = abstract_params(inst, {v: k for k, v in vals.items()})
         assert back == c.element
+
+
+def test_abstract_params_refuses_a_capturing_guard_binder():
+    e = parse("{ a | a in atoms, exists p. p != #1 and a != #2 }")
+    with pytest.raises(ValidationError, match="'p' is already bound in a guard"):
+        abstract_params(e, {1: "p"})
+    # a name the guard does not bind is fine, and reaches the guard
+    out = abstract_params(e, {1: "q"})
+    assert expr_params(out) == frozenset({2})
+    assert free_expr_vars(out) == frozenset({"q"})
 
 
 def test_act_applies_and_extends():
@@ -170,3 +190,43 @@ def test_union_of_flattens():
     u = union_of(parse("{#1}"), parse("{#2} + {#1}"), EMPTY)
     assert len(u.clauses) == 2
     assert print_expr(u) in ("{#1} + {#2}", "{#2} + {#1}")
+
+
+# sha256 of the formula and atom walks over a seeded corpus per backend:
+# vocabulary verdicts and messages under every backend, formula atoms, the
+# normalized R expansion, parameter occurrences, and the atom-map action and
+# abstraction; pinned so that a walk that moves a verdict, an atom or an
+# argument shows
+WALK_DIGESTS = {
+    "equality": "947389b74fe22990e97647f923d357d1a74795f6031205f643f0482122e96b51",
+    "dlo": "f7e3ea837f06e72603b73b9fc9aec3ac70367800049607308e40aa848abbf255",
+    "cyclic": "c6eb3ebe02bc4361a8eb211c34405ca8688c6f1a28ffbde866a3d078c43e2a6b",
+}
+
+
+def _verdict(backend, f, internal):
+    try:
+        backend.validate(f, internal)
+    except VocabularyError as ex:
+        return str(ex)
+    return None
+
+
+def test_formula_and_atom_walks_are_pinned():
+    judges = [get_backend(n) for n in backend_names()]
+    for name in backend_names():
+        rng = random.Random(707)
+        b = get_backend(name)
+        out = []
+        for _ in range(150):
+            atoms = sample_atoms(rng, name, 3)
+            f = gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=2)
+            verdicts = [_verdict(j, f, i) for j in judges for i in (False, True)]
+            out.append((verdicts, sorted(formula_atoms(f)), nnf(b.pre_transform(f)).key))
+            e = gen_set_expr(rng, name, atoms[:2], max_binders=2, depth=2)
+            occs = param_occurrences(e)
+            moved = act(gen_automorphism(rng, name, occs), e)
+            names = {a: f"p{i}" for i, a in enumerate(occs)}
+            out.append((occs, moved.key, abstract_params(e, names).key))
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == WALK_DIGESTS[name], (name, digest)

@@ -162,20 +162,17 @@ def _raw_conjuncts(f, cap=64):
 
 def test_conjunct_kernel_matches_oracle():
     # every literal set of the unpruned DNF of eliminated random formulas:
-    # consistency is satisfiability, and a witness exists exactly then;
-    # elimination cuts the circle open, so cyclic literal sets are read in
-    # the linear order
+    # consistency is satisfiability, and a witness exists exactly then
     for name in backend_names():
         rng = random.Random(19)
         b = get_backend(name)
-        lin = "dlo" if name == "cyclic" else name
         seen = {True: 0, False: 0}
         while min(seen.values()) < 60:
             atoms = sample_atoms(rng, name, 3)
             f = gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=2)
             for c in _raw_conjuncts(b.qe(f)) or ():
                 fvs = sorted(free_vars(land(*c)))
-                sat = eval_formula(lin, quantify(Exists, fvs, land(*c)), {})
+                sat = eval_formula(name, quantify(Exists, fvs, land(*c)), {})
                 assert b.conjunct_consistent(c) == sat, (name, c)
                 seen[sat] += 1
                 params = sorted(formula_atoms(land(*c)) | set(atoms[:1]))
@@ -184,7 +181,7 @@ def test_conjunct_kernel_matches_oracle():
                     assert w is None, (name, c)
                     continue
                 assert set(w) == set(fvs) | {"z"}, (name, c)
-                assert all(eval_formula(lin, lit, w) for lit in c), (name, c, w)
+                assert all(eval_formula(name, lit, w) for lit in c), (name, c, w)
 
 
 def test_types_with_reps_counts_match_rn():
