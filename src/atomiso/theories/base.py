@@ -12,7 +12,12 @@ its literals to =, != and < (the pure set is the order-free reduct of the
 dense order, and the circle is cut open into the linear order before
 elimination), so `conjunct_consistent`, `eliminate_from_conjunct` and
 `conjunct_witness` are written once, over union-find classes and the
-strict-order digraph between them.  A backend supplies only
+strict-order digraph between them.  That state is a `ConjunctState`, and
+it is extended literal by literal: `conjuncts` builds one state per kept
+conjunct of a conjunction and decides each union with a branch of the
+next argument by extending it by the branch's new literals, before the
+union is built; `conjunct_witness` extends one state by its pins, and
+`conjunct_consistent` extends the empty state.  A backend supplies only
 `normalize_literal` and `_witness_candidates`, the values a witness class
 may take beyond the parameters and the values already taken (the least
 fresh ids for the pure set, one simplest rational per gap for the orders).
@@ -195,51 +200,9 @@ class Backend:
     # the conjunct kernel: literal sets over =, != and <
 
     def conjunct_consistent(self, lits) -> bool:
-        """Whether a set of normal-form literals has a solution.
-
-        Equalities merge terms into classes.  Two constants, a != or a <
-        inside one class contradict; without < nothing else can, the atoms
-        being infinite.  With <, the literals are consistent exactly when
-        the order digraph over the classes has no cycle once the constant
-        classes on its edges are chained in value order.  A constant off
-        every < edge lies on no cycle, so chaining only these is exact."""
-        flat, _, ok = pinned_classes(lits)
-        if not ok:
-            return False
-        edges: dict[Term, set[Term]] = {}
-        for lit in lits:
-            if isinstance(lit, Not):
-                a, b = lit.body.args
-                if flat.get(a, a) == flat.get(b, b):
-                    return False
-            elif lit.name == "<":
-                a, b = lit.args
-                a, b = flat.get(a, a), flat.get(b, b)
-                if a == b:
-                    return False
-                edges.setdefault(a, set()).add(b)
-        if not edges:
-            return True
-        # class representatives prefer constants, so every pinned class on
-        # an edge is a Const node
-        touched = set(edges).union(*edges.values())
-        consts = sorted((u for u in touched if isinstance(u, Const)), key=_VALUE)
-        for c1, c2 in zip(consts, consts[1:]):
-            edges.setdefault(c1, set()).add(c2)
-        state: dict[Term, int] = {}
-
-        def dfs(u: Term) -> bool:
-            state[u] = 1
-            for w in edges.get(u, ()):
-                s = state.get(w, 0)
-                if s == 1:
-                    return False
-                if s == 0 and not dfs(w):
-                    return False
-            state[u] = 2
-            return True
-
-        return all(state.get(u, 0) or dfs(u) for u in edges)
+        """Whether a set of normal-form literals has a solution: whether
+        they extend the empty `ConjunctState`."""
+        return ConjunctState.EMPTY.admits(lits)
 
     def eliminate_from_conjunct(self, var: str, lits: frozenset[Formula]) -> Formula:
         """exists var: the conjunction of lits, as a quantifier-free formula.
@@ -291,16 +254,19 @@ class Backend:
         parameters, then the values already taken, then the backend's
         `_witness_candidates` around all of those, which by homogeneity
         meet every region a consistent value can lie in."""
-        if not self.conjunct_consistent(lits):
+        state = ConjunctState.EMPTY.extended(lits)
+        if state is None:
             return None
-        fixed = list(lits)
-        flat, members, _ = pinned_classes(fixed + [eq(Var(v), Var(v)) for v in fvs])
+        # the classes of the equality literals' terms and of `fvs`
+        root = state.root
+        members: dict[Term, list[Term]] = {}
+        for t in {*root, *root.values(), *map(Var, fvs)}:
+            members.setdefault(root.get(t, t), []).append(t)
         value: dict[Term, Atom] = {}
         heads: list[Var] = []
         for cls, mem in members.items():
-            consts = [m.value for m in mem if isinstance(m, Const)]
-            if consts:
-                value[cls] = consts[0]
+            if isinstance(cls, Const):
+                value[cls] = cls.value
             else:
                 heads.append(min(mem, key=_NAME))
         for head in sorted(heads, key=_NAME):
@@ -311,14 +277,14 @@ class Backend:
                 self._witness_candidates(sorted(taken | set(params))),
             )
             for c in cands:
-                pin = eq(head, Const(c))
-                if self.conjunct_consistent(frozenset((*fixed, pin))):
+                pinned = state.extended((eq(head, Const(c)),))
+                if pinned is not None:
                     break
             else:
                 return None
-            fixed.append(pin)
-            value[flat[head]] = c
-        return {v: value[flat[Var(v)]] for v in fvs}
+            state = pinned
+            value[root.get(head, head)] = c
+        return {v: value[root.get(Var(v), Var(v))] for v in fvs}
 
     def _witness_candidates(self, landmarks: list[Atom]):
         """Values offered to a witness class after the parameters and the
@@ -360,21 +326,31 @@ class Backend:
 
     def _exists(self, var: str, f: Formula) -> Formula:
         """Eliminate one existential from a quantifier-free formula."""
-        if var not in free_vars(f):
-            return f
-        if isinstance(f, Or):
-            return lor(*(self._exists(var, d) for d in f.args))
         if isinstance(f, And):
-            outside = [g for g in f.args if var not in free_vars(g)]
+            # the conjuncts without var stay outside, split in one pass
+            inside, outside = [], []
+            for g in f.args:
+                (inside if var in free_vars(g) else outside).append(g)
+            if not inside:
+                return f
             if outside:
-                inside = [g for g in f.args if var in free_vars(g)]
                 return land(*outside, self._exists(var, land(*inside)))
+        elif var not in free_vars(f):
+            return f
+        elif isinstance(f, Or):
+            return lor(*(self._exists(var, d) for d in f.args))
         return lor(
             *(self.eliminate_from_conjunct(var, c) for c in self.conjuncts(f))
         )
 
     def conjuncts(self, f: Formula) -> list[frozenset[Formula]]:
-        """Disjunctive normal form as literal sets, theory-pruned."""
+        """Disjunctive normal form as literal sets, theory-pruned.
+
+        A conjunction extends its kept literal sets one argument at a time.
+        The `ConjunctState` of each kept set c is built once, and each
+        branch b of the next argument is decided by extending that state by
+        the literals of b not in c, before the union c | b is built: only
+        consistent unions are built and deduplicated, in first-seen order."""
         if isinstance(f, Top):
             return [frozenset()]
         if isinstance(f, Bot):
@@ -397,26 +373,19 @@ class Backend:
                 nxt = []
                 seen = set()
                 for c in acc:
+                    state = ConjunctState.of(c)
                     for b in branches:
-                        u = c | b
-                        if u in seen:
+                        if not state.admits(b, c):
                             continue
-                        seen.add(u)
-                        if self._conjunct_ok(u):
+                        u = c | b
+                        if u not in seen:
+                            seen.add(u)
                             nxt.append(u)
                 acc = nxt
                 if not acc:
                     return []
             return acc
         raise TypeError(f"unexpected in DNF conversion: {f!r}")
-
-    def _conjunct_ok(self, lits: frozenset[Formula]) -> bool:
-        # a literal and its complement meet exactly when some negated
-        # literal's body is in the set too
-        for lit in lits:
-            if isinstance(lit, Not) and lit.body in lits:
-                return False
-        return self.conjunct_consistent(lits)
 
     # ------------------------------------------------------------------
     # satisfiability and witnesses
@@ -431,7 +400,8 @@ class Backend:
         for v in valuation.values():
             self.check_atom(v)
         q = self.qe(f)
-        g = subst(q, {k: Const(v) for k, v in valuation.items() if k in free_vars(q)})
+        fvs = free_vars(q)
+        g = subst(q, {k: Const(v) for k, v in valuation.items() if k in fvs})
         g = self._norm(g)
         if isinstance(g, Top):
             return True
@@ -533,39 +503,167 @@ class Backend:
         raise NotImplementedError
 
 
-def pinned_classes(lits) -> tuple[dict[Term, Term], dict[Term, set], bool]:
-    """Union-find over the terms of equality literals.
+class ConjunctState:
+    """The theory state of one consistent set of normal-form literals.
 
-    Returns (find-map as parent pointers flattened, class->members, ok) where
-    ok is False when two distinct constants were merged.
-    """
-    parent: dict[Term, Term] = {}
+    `root` maps every term of an equality literal that does not represent
+    its class to the representative, a constant whenever the class holds
+    one.  `ne` and `lt`
+    hold the argument pairs of the != and < literals.  `succ` is the
+    strict-order digraph over the classes, in which the constant classes on
+    its edges (`chain`, ascending) are also chained in value order.  Two
+    constants, a != or a < inside one class contradict; without < nothing
+    else can, the atoms being infinite.  With <, the literals are consistent
+    exactly when that digraph has no cycle; a constant off every < edge lies
+    on no cycle, so chaining only these is exact."""
 
-    def find(t: Term) -> Term:
-        parent.setdefault(t, t)
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
+    __slots__ = ("root", "ne", "lt", "succ", "chain")
 
-    def union(a: Term, b: Term) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep constants as class representatives when present
-            if isinstance(rb, Const):
-                ra, rb = rb, ra
-            parent[rb] = ra
+    EMPTY: "ConjunctState"
 
-    ok = True
-    for lit in lits:
-        if isinstance(lit, Rel) and lit.name == "=":
-            union(lit.args[0], lit.args[1])
-    members: dict[Term, set] = {}
-    for t in list(parent):
-        members.setdefault(find(t), set()).add(t)
-    for root, mem in members.items():
-        consts = {m.value for m in mem if isinstance(m, Const)}
-        if len(consts) > 1:
-            ok = False
-    flat = {t: find(t) for t in parent}
-    return flat, members, ok
+    def __init__(self, root, ne, lt, succ, chain):
+        self.root: dict[Term, Term] = root
+        self.ne: tuple[tuple[Term, Term], ...] = ne
+        self.lt: tuple[tuple[Term, Term], ...] = lt
+        self.succ: dict[Term, set[Term]] = succ
+        self.chain: tuple[Const, ...] = chain
+
+    @staticmethod
+    def of(lits) -> "ConjunctState":
+        """The state of a literal set already known to be consistent,
+        built without checking it."""
+        return ConjunctState.EMPTY._with(*ConjunctState.EMPTY._split(lits, ()))
+
+    def admits(self, lits, known=frozenset()) -> bool:
+        """Whether this state stays consistent once extended by the
+        literals of `lits` that are not in `known`."""
+        return self._grow(lits, known) is not None
+
+    def extended(self, lits) -> "ConjunctState | None":
+        """This state extended by `lits`, or None when they contradict it."""
+        grown = self._grow(lits, ())
+        return None if grown is None else self._with(*grown)
+
+    def _split(self, lits, known):
+        """The literals of `lits` not in `known`, as the merges of classes
+        they make (a map from each merged representative to the new one)
+        and their != and < pairs; None when they merge two constants."""
+        root = self.root
+        up: dict[Term, Term] = {}
+        ne: list[tuple[Term, Term]] = []
+        lt: list[tuple[Term, Term]] = []
+        for lit in lits:
+            if lit in known:
+                continue
+            if isinstance(lit, Not):
+                ne.append(lit.body.args)
+            elif lit.name == "<":
+                lt.append(lit.args)
+            else:
+                a, b = lit.args
+                a, b = _find(root, up, a), _find(root, up, b)
+                if a == b:
+                    continue
+                if isinstance(a, Const):
+                    if isinstance(b, Const):
+                        return None
+                    up[b] = a
+                else:
+                    up[a] = b
+        for t in up:
+            up[t] = _find({}, up, t)
+        return up, ne, lt
+
+    def _merged(self, up) -> dict[Term, Term]:
+        """The class representatives after the merges `up`."""
+        if not up:
+            return self.root
+        root = {t: up.get(r, r) for t, r in self.root.items()}
+        root.update(up)
+        return root
+
+    def _grow(self, lits, known):
+        """The split of the literals of `lits` not in `known` (see
+        `_split`), or None when they contradict this state."""
+        split = self._split(lits, known)
+        if split is None:
+            return None
+        up, ne, lt = split
+        root = self._merged(up)
+        # a merge may put an old != or < pair inside one class, and moves
+        # the old < pairs it touches onto the merged class
+        for a, b in itertools.chain(ne, self.ne if up else ()):
+            if root.get(a, a) == root.get(b, b):
+                return None
+        edges: list[tuple[Term, Term]] = []
+        for a, b in lt:
+            a, b = root.get(a, a), root.get(b, b)
+            if a == b:
+                return None
+            edges.append((a, b))
+        if up:
+            old = self.root
+            for a, b in self.lt:
+                ra, rb = root.get(a, a), root.get(b, b)
+                if ra == rb:
+                    return None
+                if ra != old.get(a, a) or rb != old.get(b, b):
+                    edges.append((ra, rb))
+        if edges and self._closes_cycle(edges, root if up else None):
+            return None
+        return split
+
+    def _closes_cycle(self, edges, root) -> bool:
+        """Whether the new `edges` close a cycle with the old digraph, read
+        through the merged representatives `root` (None without merges).
+        The old digraph is acyclic and a merged class has its old edges
+        among `edges`, so a new cycle runs through some new edge (u, v):
+        u is reachable from v."""
+        chain = self.chain
+        fresh = {u for e in edges for u in e if isinstance(u, Const) and u not in chain}
+        if fresh:
+            # a newly touched constant class joins the chain
+            full = sorted((*chain, *fresh), key=_VALUE)
+            edges += [(p, q) for p, q in zip(full, full[1:]) if p in fresh or q in fresh]
+        new: dict[Term, list[Term]] = {}
+        for a, b in edges:
+            new.setdefault(a, []).append(b)
+        succ = self.succ
+        for u, v in edges:
+            stack = [v]
+            seen = {v}
+            while stack:
+                n = stack.pop()
+                for w in itertools.chain(succ.get(n, ()), new.get(n, ())):
+                    if root is not None:
+                        w = root.get(w, w)
+                    if w == u:
+                        return True
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return False
+
+    def _with(self, up, ne, lt) -> "ConjunctState":
+        """This state with a split added that does not contradict it."""
+        root = self._merged(up)
+        lt = self.lt + tuple(lt)
+        succ: dict[Term, set[Term]] = {}
+        for a, b in lt:
+            succ.setdefault(root.get(a, a), set()).add(root.get(b, b))
+        touched = set(succ).union(*succ.values())
+        chain = tuple(sorted((u for u in touched if isinstance(u, Const)), key=_VALUE))
+        for c1, c2 in zip(chain, chain[1:]):
+            succ.setdefault(c1, set()).add(c2)
+        return ConjunctState(root, self.ne + tuple(ne), lt, succ, chain)
+
+
+ConjunctState.EMPTY = ConjunctState({}, (), (), {}, ())
+
+
+def _find(root: dict[Term, Term], up: dict[Term, Term], t: Term) -> Term:
+    """The representative of t's class after the merges `up`."""
+    t = root.get(t, t)
+    while t in up:
+        t = up[t]
+    return t

@@ -10,6 +10,9 @@ queries, but decide by another method than the library's.
 `orbit_transport` tests a map on structures on orbit representatives, and
 `naive_find_iso` searches for an isomorphism by trying every union of
 product orbits as a graph instead of matching orbit-graph pieces.
+`scratch_consistent` and `reference_conjuncts` are the conjunct kernel and
+the pruned disjunctive normal form rebuilt from nothing for every literal
+set, the reference for the library's incremental `ConjunctState`.
 """
 
 import itertools
@@ -121,6 +124,104 @@ def eval_formula(backend_name: str, f, valuation: dict) -> bool:
         )
         return any(hits) if isinstance(f, Exists) else all(hits)
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# the conjunct kernel, rebuilt from nothing for every literal set
+
+
+def scratch_consistent(lits) -> bool:
+    """Whether a set of normal-form literals (=, != and <) has a solution,
+    decided from nothing: equality classes (constants as representatives,
+    two constants in one class contradict), then acyclicity of the strict
+    order between them with the constant classes on its edges chained in
+    value order."""
+    parent = {}
+
+    def find(t):
+        while parent.get(t, t) != t:
+            t = parent[t]
+        return t
+
+    for lit in lits:
+        if isinstance(lit, Rel) and lit.name == "=":
+            ra, rb = find(lit.args[0]), find(lit.args[1])
+            if ra != rb:
+                if isinstance(rb, Const):
+                    if isinstance(ra, Const):
+                        return False
+                    ra, rb = rb, ra
+                parent[rb] = ra
+    edges = {}
+    for lit in lits:
+        if isinstance(lit, Not):
+            if find(lit.body.args[0]) == find(lit.body.args[1]):
+                return False
+        elif lit.name == "<":
+            a, b = find(lit.args[0]), find(lit.args[1])
+            if a == b:
+                return False
+            edges.setdefault(a, set()).add(b)
+    touched = set(edges).union(*edges.values())
+    consts = sorted((u for u in touched if isinstance(u, Const)), key=lambda c: c.value)
+    for c1, c2 in zip(consts, consts[1:]):
+        edges.setdefault(c1, set()).add(c2)
+    state = {}
+
+    def dfs(u) -> bool:
+        state[u] = 1
+        for w in edges.get(u, ()):
+            if state.get(w) == 1 or (w not in state and not dfs(w)):
+                return False
+        state[u] = 2
+        return True
+
+    return all(u in state or dfs(u) for u in edges)
+
+
+def reference_conjuncts(f, pairs=None) -> list:
+    """The theory-pruned disjunctive normal form of a normalized
+    quantifier-free formula, as `Backend.conjuncts` lists it: a conjunction
+    builds every union c | b of a kept literal set c and a branch b of the
+    next argument, keeps the first of equal unions, and drops a union that
+    holds a literal beside its complement or fails `scratch_consistent`.
+    Every (c, b) tried is appended to `pairs` when given."""
+    if isinstance(f, Top):
+        return [frozenset()]
+    if isinstance(f, Bot):
+        return []
+    if isinstance(f, (Rel, Not)):
+        return [frozenset((f,))]
+    if isinstance(f, Or):
+        out, seen = [], set()
+        for d in f.args:
+            for c in reference_conjuncts(d, pairs):
+                if c not in seen:
+                    seen.add(c)
+                    out.append(c)
+        return out
+    if isinstance(f, And):
+        acc = [frozenset()]
+        for g in f.args:
+            branches = reference_conjuncts(g, pairs)
+            nxt, seen = [], set()
+            for c in acc:
+                for b in branches:
+                    if pairs is not None:
+                        pairs.append((c, b))
+                    u = c | b
+                    if u in seen:
+                        continue
+                    seen.add(u)
+                    if any(isinstance(l, Not) and l.body in u for l in u):
+                        continue
+                    if scratch_consistent(u):
+                        nxt.append(u)
+            acc = nxt
+            if not acc:
+                return []
+        return acc
+    raise TypeError(f"unexpected in DNF conversion: {f!r}")
 
 
 def quantifier_depth(f) -> int:

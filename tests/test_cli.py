@@ -269,14 +269,24 @@ def test_negative_budget_rejected(capsys, argv):
 
 
 # stdout and exit code of the iso/eliminate commands on the equality
-# fixtures, byte for byte, in text and --json form
-_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+# fixtures, byte for byte, in text and --json form, and of --json iso on the
+# circle fixture, bare and anchored at 0
+_GOLDEN_FILE = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+_GOLDEN = _GOLDEN_FILE["equality"]
 
 
 def test_equality_fixture_outputs_are_pinned(tmp_path, capsys):
     for name in ("kneser", "neighborhoods", "nondefiso", "smoothing"):
         run(capsys, "fixture", name, "--emit", str(tmp_path))
     for case in _GOLDEN:
+        argv = [a.replace("{dir}", str(tmp_path)) for a in case["argv"]]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_circle_fixture_outputs_are_pinned(tmp_path, capsys):
+    run(capsys, "fixture", "circle", "--emit", str(tmp_path))
+    for case in _GOLDEN_FILE["circle"]:
         argv = [a.replace("{dir}", str(tmp_path)) for a in case["argv"]]
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -10,6 +10,7 @@ import pytest
 
 from atomiso.errors import DensenessError, ValuationError, VocabularyError
 from atomiso.theories import backend_names, get_backend
+from atomiso.theories.base import ConjunctState
 from atomiso.theories.formulas import (
     TRUE,
     And,
@@ -31,7 +32,7 @@ from atomiso.theories.formulas import (
     ne,
     quantify,
 )
-from generators import gen_formula, sample_atoms
+from generators import gen_formula, gen_qf_formula, sample_atoms
 from oracles import (
     count_tuple_orbits,
     eval_formula,
@@ -39,6 +40,8 @@ from oracles import (
     extend_automorphism,
     is_partial_automorphism,
     quantifier_depth,
+    reference_conjuncts,
+    scratch_consistent,
 )
 
 
@@ -182,6 +185,30 @@ def test_conjunct_kernel_matches_oracle():
                     continue
                 assert set(w) == set(fvs) | {"z"}, (name, c)
                 assert all(eval_formula(name, lit, w) for lit in c), (name, c, w)
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_incremental_conjuncts_match_the_scratch_kernel(name):
+    # the DNF of normalized random formulas equals the union-then-check
+    # reference, order included, and every extension of a kept literal set
+    # by a branch gets the verdict of the from-scratch kernel on the union
+    rng = random.Random(23)
+    b = get_backend(name)
+    names = ["u", "v", "w", "x"]
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        atoms = sample_atoms(rng, name, 3)
+        f = land(
+            b.qe(gen_qf_formula(rng, name, names, atoms, depth=3)),
+            b.qe(gen_formula(rng, name, names[:3], atoms, depth=3, qdepth=1)),
+        )
+        pairs = []
+        assert b.conjuncts(f) == reference_conjuncts(f, pairs), (name, f)
+        for c, br in pairs:
+            ok = scratch_consistent(c | br)
+            assert ConjunctState.of(c).admits(br, c) == ok, (name, c, br)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_types_with_reps_counts_match_rn():
