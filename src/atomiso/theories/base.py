@@ -5,7 +5,11 @@ theory admits quantifier elimination.  The base class owns the elimination
 pipeline (negation normal form, miniscoping, disjunctive normal form with
 consistency pruning, per-conjunct variable elimination) and the derived
 operations: satisfiability under a valuation, deterministic witness search
-and complete types.
+and complete types.  A closed chain of like quantifiers, as in every
+sentence behind a verdict, is not eliminated binder by binder: it is
+decided by one pruned DNF search over the variable-disjoint components of
+its body, since an existential closure holds exactly when some literal set
+of the DNF is consistent.
 
 One conjunct kernel serves all three backends.  Every backend normalizes
 its literals to =, != and < (the pure set is the order-free reduct of the
@@ -39,6 +43,8 @@ from operator import attrgetter
 
 from ..errors import ValuationError, VocabularyError
 from .formulas import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Bot,
@@ -298,6 +304,11 @@ class Backend:
     def qe(self, f: Formula) -> Formula:
         """Equivalent quantifier-free formula; parameters never grow.
 
+        Quantifiers with free variables are eliminated one binder at a
+        time; a closed chain of like quantifiers is decided to TRUE or
+        FALSE by one pruned DNF search over the variable-disjoint
+        components of its body (`_decide_block`).
+
         Results are memoised in `_qe_cache`, one entry per miss, keyed by
         the formula node itself: its hash and key are cached on the node, so
         a lookup costs one hash read, plus one key comparison on a hit."""
@@ -310,12 +321,18 @@ class Backend:
         return out
 
     def _eliminate(self, f: Formula) -> Formula:
+        """Eliminate the quantifiers of a normalized formula, innermost
+        first: a closed quantifier block by `_decide_block`, any other
+        binder by `_exists`, a universal as the negated existential of its
+        negated body."""
         if isinstance(f, (Top, Bot, Rel, Not)):
             return f
         if isinstance(f, And):
             return land(*(self._eliminate(g) for g in f.args))
         if isinstance(f, Or):
             return lor(*(self._eliminate(g) for g in f.args))
+        if isinstance(f, (Exists, Forall)) and not free_vars(f):
+            return self._decide_block(f)
         if isinstance(f, Exists):
             return self._exists(f.var, self._eliminate(f.body))
         if isinstance(f, Forall):
@@ -323,6 +340,27 @@ class Backend:
             neg = self._norm(nnf(lnot(inner)))
             return self._norm(nnf(lnot(self._exists(f.var, neg))))
         raise TypeError(f"not a formula: {f!r}")
+
+    def _decide_block(self, f: Formula) -> Formula:
+        """TRUE or FALSE for a closed chain of like quantifiers.
+
+        The body below the chain is eliminated, and negated under Forall,
+        as the universal closure holds exactly when the existential closure
+        of the negation fails.  An existential closure holds exactly when
+        some literal set of its pruned DNF is consistent, and `conjuncts`
+        keeps only consistent sets, every unsatisfiable single literal
+        being folded by `normalize_literal`.  The top-level conjunction is
+        split into variable-disjoint components first, each satisfiable on
+        its own, so that no product of their DNFs is built."""
+        kind = type(f)
+        body = f.body
+        while type(body) is kind:
+            body = body.body
+        inner = self._eliminate(body)
+        if kind is Forall:
+            inner = self._norm(nnf(lnot(inner)))
+        sat = all(self.conjuncts(part) for part in _components(inner))
+        return TRUE if sat == (kind is Exists) else FALSE
 
     def _exists(self, var: str, f: Formula) -> Formula:
         """Eliminate one existential from a quantifier-free formula."""
@@ -659,6 +697,24 @@ class ConjunctState:
 
 
 ConjunctState.EMPTY = ConjunctState({}, (), (), {}, ())
+
+
+def _components(f: Formula) -> list[Formula]:
+    """The arguments of a top-level conjunction grouped into conjunctions
+    that share no variable, each keeping the arguments' order."""
+    if not isinstance(f, And):
+        return [f]
+    groups: list[tuple[frozenset[str], list[int]]] = []
+    for i, g in enumerate(f.args):
+        names, members, rest = free_vars(g), [i], []
+        for group in groups:
+            if group[0] & names:
+                names |= group[0]
+                members += group[1]
+            else:
+                rest.append(group)
+        groups = rest + [(names, members)]
+    return [land(*(f.args[i] for i in sorted(members))) for _, members in groups]
 
 
 def _find(root: dict[Term, Term], up: dict[Term, Term], t: Term) -> Term:

@@ -13,6 +13,8 @@ product orbits as a graph instead of matching orbit-graph pieces.
 `scratch_consistent` and `reference_conjuncts` are the conjunct kernel and
 the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
+`reference_qe` eliminates every quantifier binder by binder, the reference
+for the library's one-search decision of closed quantifier blocks.
 """
 
 import itertools
@@ -55,6 +57,10 @@ from atomiso.theories.formulas import (
     Top,
     Var,
     formula_atoms,
+    land,
+    lnot,
+    lor,
+    nnf,
 )
 
 
@@ -222,6 +228,27 @@ def reference_conjuncts(f, pairs=None) -> list:
                 return []
         return acc
     raise TypeError(f"unexpected in DNF conversion: {f!r}")
+
+
+def reference_qe(backend, f):
+    """`backend.qe(f)` with every quantifier eliminated binder by binder,
+    closed blocks included: an existential by `backend._exists` on the
+    eliminated body, a universal as the negated existential of the negated
+    body.  Not cached."""
+
+    def elim(g):
+        if isinstance(g, (Top, Bot, Rel, Not)):
+            return g
+        if isinstance(g, And):
+            return land(*map(elim, g.args))
+        if isinstance(g, Or):
+            return lor(*map(elim, g.args))
+        if isinstance(g, Exists):
+            return backend._exists(g.var, elim(g.body))
+        neg = backend._norm(nnf(lnot(elim(g.body))))
+        return backend._norm(nnf(lnot(backend._exists(g.var, neg))))
+
+    return elim(backend._norm(nnf(backend.pre_transform(f))))
 
 
 def quantifier_depth(f) -> int:

@@ -28,7 +28,7 @@ from fixtures_helpers import (
     smoothing_parts,
 )
 from generators import gen_structure_pair
-from oracles import naive_find_iso
+from oracles import naive_find_iso, orbit_transport
 
 
 def test_kneser_self_iso(eq_comp):
@@ -206,6 +206,83 @@ def test_matching_agrees_with_naive_search(eq_comp):
         if fast.verdict == FOUND:
             assert check_isomorphism(eq_comp, fast.witness, A, B)
         agree += 1
+
+
+def test_fresh_parameter_changes_no_verdict(eq_comp):
+    # the parameter-elimination theorem: an isomorphism definable with a
+    # fresh atom p exists exactly when a parameter-free one does, and the
+    # smoothing rebuilds a p-definable witness without p
+    rng = random.Random(20)
+    p = frozenset({0})
+    found = 0
+    for _ in range(30):
+        A, B = gen_structure_pair(rng)
+        bare = find_definable_map(eq_comp, A, B, frozenset())
+        with_p = find_definable_map(eq_comp, A, B, p)
+        assert (bare.verdict == FOUND) == (with_p.verdict == FOUND), (
+            A.universe,
+            B.universe,
+            bare.verdict,
+            with_p.verdict,
+        )
+        if with_p.verdict == FOUND:
+            found += 1
+            h, _ = eliminate_parameters(eq_comp, with_p.witness, A, B)
+            assert expr_params(h.graph) == frozenset()
+            assert orbit_transport(eq_comp, h, A, B)
+    assert found >= 5, found
+
+
+def _dlo_graph(name, interp):
+    return structure_from_dict(
+        {
+            "backend": "dlo",
+            "name": name,
+            "universe": "atoms",
+            "relations": [{"name": "E", "arity": 2, "interp": interp}],
+            "families": [],
+        }
+    )
+
+
+@pytest.mark.parametrize("params", [(), (Fraction(0),)])
+def test_dlo_order_and_its_reverse_are_not_definably_isomorphic(dlo_comp, params):
+    A = _dlo_graph("less", "{(a, b) | a, b in atoms, a < b}")
+    B = _dlo_graph("greater", "{(a, b) | a, b in atoms, b < a}")
+    cert = decide_definable_iso(dlo_comp, A, B, extra_params=params)
+    assert cert.verdict == NOT_FOUND
+    assert cert.caveat is None
+
+
+def test_eliminate_parameters_dlo_identity(dlo_comp):
+    # the identity on atoms plus pairs, written piecewise around 5
+    st = structure_from_dict(
+        {
+            "backend": "dlo",
+            "name": "mixed",
+            "universe": "{(a, b) | a, b in atoms} + {a | a in atoms}",
+            "relations": [],
+            "families": [],
+        }
+    )
+    graph = parse(
+        "{(a, a) | a in atoms, a < 5} + {(5, 5)} + {(a, a) | a in atoms, 5 < a} + "
+        "{((a, b), (a, b)) | a, b in atoms, a < 5} + "
+        "{((a, b), (a, b)) | a, b in atoms, 5 <= a}",
+        dlo_comp.backend,
+    )
+    fn = DefFunction(st.universe, st.universe, graph)
+    assert expr_params(graph) == {Fraction(5)}
+    h, report = eliminate_parameters(dlo_comp, fn, st, st)
+    assert expr_params(h.graph) == frozenset()
+    assert orbit_transport(dlo_comp, h, st, st)
+    # one round per orbit: the atoms and the pairs a < b, a = b, a > b
+    assert len(report.steps) == 4
+    ident = parse(
+        "{(a, a) | a in atoms} + {((a, b), (a, b)) | a, b in atoms}",
+        dlo_comp.backend,
+    )
+    assert set_equal(dlo_comp, h.graph, ident)
 
 
 def test_eliminate_parameters_smoothing(eq_comp):

@@ -12,6 +12,7 @@ from atomiso.errors import DensenessError, ValuationError, VocabularyError
 from atomiso.theories import backend_names, get_backend
 from atomiso.theories.base import ConjunctState
 from atomiso.theories.formulas import (
+    FALSE,
     TRUE,
     And,
     Const,
@@ -41,6 +42,7 @@ from oracles import (
     is_partial_automorphism,
     quantifier_depth,
     reference_conjuncts,
+    reference_qe,
     scratch_consistent,
 )
 
@@ -209,6 +211,56 @@ def test_incremental_conjuncts_match_the_scratch_kernel(name):
             assert ConjunctState.of(c).admits(br, c) == ok, (name, c, br)
             verdicts[ok] += 1
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def _closed_sentence(rng, name, atoms):
+    """A closed quantifier block over random output: the closure of a
+    `gen_formula` formula, a forall-exists or exists-forall alternation over
+    a quantifier-free matrix, or a closure of two or three variable-disjoint
+    parts."""
+    roll = rng.random()
+    kind = rng.choice((Exists, Forall))
+    if roll < 0.3:
+        f = gen_formula(rng, name, ["u", "v"], atoms, depth=3, qdepth=2)
+        return quantify(kind, sorted(free_vars(f)), f)
+    if roll < 0.6:
+        m = gen_qf_formula(rng, name, ["x", "y", "z"], atoms, depth=3)
+        names = sorted(free_vars(m))
+        k = rng.randrange(len(names) + 1)
+        other = Forall if kind is Exists else Exists
+        return quantify(kind, names[:k], quantify(other, names[k:], m))
+    # only a conjunction under Exists and a disjunction under Forall reach
+    # the component split, where one contradictory (resp. tautological)
+    # part decides the whole block
+    op = land if (kind is Exists) == (rng.random() < 0.8) else lor
+    parts = []
+    for names in rng.sample((["x", "y"], ["z"], ["w"]), rng.choice((2, 3))):
+        p = gen_qf_formula(rng, name, names, atoms, depth=2)
+        parts.append(op(p, lnot(p)) if rng.random() < 0.3 else p)
+    m = op(*parts)
+    return quantify(kind, sorted(free_vars(m)), m)
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_closed_blocks_match_binder_by_binder_elimination(name):
+    # qe decides a closed chain of like quantifiers by one DNF search over
+    # variable-disjoint components; the sentence's truth and every eliminated
+    # formula, open ones included, must match the binder-by-binder reference
+    rng = random.Random(31)
+    b = get_backend(name)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        atoms = sample_atoms(rng, name, 2)
+        s = _closed_sentence(rng, name, atoms)
+        assert not free_vars(s)
+        got = b.qe(s)
+        assert got == reference_qe(b, s), (name, s)
+        truth = eval_formula(name, s, {})
+        assert got == (TRUE if truth else FALSE), (name, s, got)
+        verdicts[truth] += 1
+        f = gen_formula(rng, name, ["u", "v"], atoms, depth=3, qdepth=2)
+        assert b.qe(f) == reference_qe(b, f), (name, f)
+    assert min(verdicts.values()) >= 40, verdicts
 
 
 def test_types_with_reps_counts_match_rn():
