@@ -10,6 +10,7 @@ orbit (which visibly happens for symmetric elements such as unordered pairs)
 are merged by a membership test on representatives.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .compile import Compiler
@@ -36,17 +37,20 @@ from .exprs import (
     instantiate,
     param_occurrences,
     product_expr,
+    rename_clause,
     subst_expr_vars,
     union_of,
     value_shape,
 )
 from .theories.formulas import (
     Atom,
+    Exists,
     Forall,
     Formula,
     Implies,
     NameSource,
     land,
+    lnot,
     quantify,
 )
 
@@ -144,22 +148,22 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
         names = ", ".join(comp.backend.format_atom(a) for a in sorted(missing))
         raise SupportError(f"parameter set must contain the atoms of X; missing: {names}")
     backend = comp.backend
-    descs: list[OrbitDescriptor] = []
+    descs = []  # (descriptor, shape and injectivity of its clause's element)
     for c in clauses(X):
+        shape, injective = value_shape(c.element), _element_injective(c)
         for ti in backend.types_with_reps(c.binders, S):
             # guard truth is constant across a complete type, so testing the
             # representative is exact
             if backend.sat(c.guard, ti.rep_valuation()):
-                descs.append(OrbitDescriptor(c, ti.formula, S, ti.rep))
+                descs.append((OrbitDescriptor(c, ti.formula, S, ti.rep), shape, injective))
     kept: list[OrbitDescriptor] = []
     shapes: list = []
-    for d in descs:
-        shape = value_shape(d.clause.element)
+    for d, shape, injective in descs:
         duplicate = False
         for k, ks in zip(kept, shapes):
             if ks != shape:
                 continue
-            if k.clause == d.clause and _element_injective(d.clause):
+            if injective and k.clause == d.clause:
                 continue
             if is_member(comp, d.rep_element(), k.piece()):
                 duplicate = True
@@ -196,17 +200,32 @@ def orbit_expression(comp: Compiler, x: Expr, S) -> Union:
 def least_support(comp: Compiler, x: Expr) -> frozenset:
     """The least finite atom set whose pointwise stabilizer fixes the value
     of x.  Greedy removal is exact because supports are closed upward and a
-    least one exists."""
+    least one exists.
+
+    An atom that is x itself or a component of x as a tuple lies in every
+    support, since for any finite S and atom a outside it some automorphism
+    fixing S moves a (on all three backends); such atoms are kept without a
+    sentence.  Atoms inside a set clause are tested, as a set can hide
+    them."""
     _require_closed(x)
     occs, binders, body = _abstracted(x)
     support = set(occs)
-    for a in sorted(occs):
+    for a in sorted(support - _component_atoms(x)):
         cand = frozenset(support - {a})
         t = comp.backend.type_of(binders, tuple(occs), cand)
         sentence = quantify(Forall, binders, Implies(t, comp.equal(body, x)))
         if comp.holds(sentence):
             support = set(cand)
     return frozenset(support)
+
+
+def _component_atoms(x: Expr) -> frozenset:
+    """The atoms reached from x through tuples alone."""
+    if isinstance(x, AtomParam):
+        return frozenset((x.value,))
+    if isinstance(x, ETuple):
+        return frozenset().union(*map(_component_atoms, x.items))
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +277,25 @@ def fn_validate(comp: Compiler, fn: DefFunction) -> None:
         raise ValidationError("graph is not contained in dom x cod")
 
 
+def breach_block(comp: Compiler, parts, breach) -> Formula:
+    """The closed sentence that some instances of the clauses `parts`
+    satisfy breach(elements), given the list of their instantiated
+    elements.  The clauses are renamed apart, so the one block of
+    existentials ranges over every combination of their instances (a clause
+    given twice stands for two independent instances) and is decided by one
+    DNF search.  A universal property of such combinations is decided as
+    the absence of its breach: a block of universals would negate the
+    formula at every binder."""
+    for c in parts:
+        comp.names.reserve(expr_names(c))
+    renamed = [rename_clause(c, comp.names) for c in parts]
+    return quantify(
+        Exists,
+        [b for c in renamed for b in c.binders],
+        land(*(c.guard for c in renamed), breach([c.element for c in renamed])),
+    )
+
+
 def fn_check(
     comp: Compiler,
     fn: DefFunction,
@@ -269,26 +307,34 @@ def fn_check(
 ) -> bool:
     """Decide the requested function properties of the graph.  Injective is
     functional with the pair components swapped, and surjective is total
-    with the codomain in place of the domain."""
-    g = fn.graph
+    with the codomain in place of the domain.
 
-    def determined(by: int) -> Formula:
-        # pairs agreeing in component `by` agree in the other one
-        return comp.forall_elem(
-            g,
-            lambda p: comp.forall_elem(
-                g,
-                lambda q: Implies(
-                    comp.equal(p.items[by], q.items[by]),
-                    comp.equal(p.items[1 - by], q.items[1 - by]),
-                ),
-            ),
+    Functional holds when no two pairs agree in the first component and
+    differ in the second: one breach block per unordered pair of graph
+    clauses, a clause paired with itself included.  Unordered pairs suffice
+    because the breach is symmetric in its two pairs.  Total holds when
+    every element of the domain is the first component of some pair."""
+    graph = clauses(fn.graph)
+
+    def determined(by: int) -> bool:
+        def differ(pq):
+            p, q = pq
+            return land(
+                comp.equal(p.items[by], q.items[by]),
+                lnot(comp.equal(p.items[1 - by], q.items[1 - by])),
+            )
+
+        return not any(
+            comp.holds(breach_block(comp, pair, differ))
+            for pair in itertools.combinations_with_replacement(graph, 2)
         )
 
-    def covered(s: Expr, by: int) -> Formula:
+    def covered(s: Expr, by: int) -> bool:
         # every element of s is component `by` of some pair
-        return comp.forall_elem(
-            s, lambda x: comp.exists_elem(g, lambda p: comp.equal(x, p.items[by]))
+        return comp.holds(
+            comp.forall_elem(
+                s, lambda x: comp.exists_elem(fn.graph, lambda p: comp.equal(x, p.items[by]))
+            )
         )
 
     checks = (
@@ -297,7 +343,7 @@ def fn_check(
         (injective, lambda: determined(1)),
         (surjective, lambda: covered(fn.cod, 1)),
     )
-    return all(comp.holds(sentence()) for wanted, sentence in checks if wanted)
+    return all(check() for wanted, check in checks if wanted)
 
 
 def fn_bijective(comp: Compiler, fn: DefFunction) -> bool:

@@ -402,9 +402,6 @@ def eliminate_parameters(
             "so parameter elimination is unavailable"
         )
     T = _require_structure_atoms(comp, A, B, T)
-    # check_isomorphism validates fn too, but only once the signatures
-    # match; a malformed map is reported as such whatever the structures
-    fn_validate(comp, fn)
     if not check_isomorphism(comp, fn, A, B):
         raise ValidationError("the given function is not an isomorphism")
 

@@ -9,29 +9,29 @@ small JSON document holding expressions in concrete syntax.
 with one first-order sentence per symbol and per tuple of graph clauses:
 for all instances of the clauses, the arguments lie in the symbol of A
 exactly when their images lie in the symbol of B.  `transports_tuple` is
-that one kernel; the homomorphism and embedding checks and the search's
-pruning in engine.py use it too.
+that one kernel, deciding the sentence as the absence of a breach
+(`algebra.breach_block`, which also serves `fn_check`); the homomorphism and
+embedding checks and the search's pruning in engine.py use it too.
 """
 
 import itertools
 import json
 from dataclasses import dataclass
 
-from .algebra import DefFunction, fn_check, fn_validate, is_subset, set_equal
+from .algebra import (
+    DefFunction,
+    breach_block,
+    fn_check,
+    fn_validate,
+    is_subset,
+    set_equal,
+)
 from .compile import Compiler
 from .errors import ValidationError
-from .exprs import (
-    ETuple,
-    Expr,
-    clauses,
-    expr_names,
-    expr_params,
-    product_expr,
-    rename_clause,
-)
+from .exprs import ETuple, Expr, clauses, expr_params, product_expr
 from .parser import parse, print_expr
 from .theories import get_backend
-from .theories.formulas import And, Exists, Implies, land, lnot, quantify
+from .theories.formulas import And, Implies, lnot
 
 MAX_ARITY = 4
 
@@ -288,12 +288,14 @@ def signatures_match(comp: Compiler, A: Structure, B: Structure) -> bool:
 
 def check_isomorphism(comp: Compiler, fn: DefFunction, A: Structure, B: Structure) -> bool:
     """Whether fn is an isomorphism from A onto B: a bijection between the
-    universes that preserves and reflects every symbol."""
+    universes that preserves and reflects every symbol.  The map is
+    validated first (ValidationError), so a malformed map is reported as
+    such whatever the structures."""
     if A.backend_name != comp.backend.name or B.backend_name != comp.backend.name:
         raise ValidationError("structures and compiler use different backends")
+    fn_validate(comp, fn)
     if not signatures_match(comp, A, B):
         return False
-    fn_validate(comp, fn)
     if not set_equal(comp, fn.dom, A.universe):
         return False
     if not set_equal(comp, fn.cod, B.universe):
@@ -334,39 +336,28 @@ def transports_tuple(
     """Decide forall binders: guards -> (xs in R_A <-> ys in R_B).
 
     Each part is a clause whose element is a pair (x, y) of an argument and
-    its image; a fixed pair is a clause without binders.  The parts are
-    renamed apart, so the sentence ranges over every combination of their
-    instances.  For a family the condition holds at every index of its
-    index set.  Without reflect only -> is required."""
-    xs: list[Expr] = []
-    ys: list[Expr] = []
-    binders: list[str] = []
-    guards = []
-    for c in parts:
-        comp.names.reserve(expr_names(c))
-    for c in parts:
-        c = rename_clause(c, comp.names)
-        binders.extend(c.binders)
-        guards.append(c.guard)
-        xs.append(c.element.items[0])
-        ys.append(c.element.items[1])
+    its image; a fixed pair is a clause without binders.  The sentence is
+    decided as the absence of a breach (`algebra.breach_block`): instances
+    of the parts, renamed apart, whose arguments and images disagree on the
+    symbol.  For a family the condition holds at every index of its index
+    set.  Without reflect only -> is required."""
 
-    def condition(head=None):
-        ma = comp.member(_mk_tuple(head, xs), sym.interp)
-        mb = comp.member(_mk_tuple(head, ys), interp_b)
-        if reflect:
-            return And((Implies(ma, mb), Implies(mb, ma)))
-        return Implies(ma, mb)
+    def breach(pairs):
+        xs = [p.items[0] for p in pairs]
+        ys = [p.items[1] for p in pairs]
 
-    if isinstance(sym, FamilySymbol):
-        body = comp.forall_elem(sym.index_set, condition)
-    else:
-        body = condition()
-    # decided as the absence of a breach, so the binders form one block of
-    # existentials and elimination stays in disjunctive normal form; a
-    # block of universals would negate the formula at every binder
-    breach = quantify(Exists, binders, land(*guards, lnot(body)))
-    return not comp.holds(breach)
+        def condition(head=None):
+            ma = comp.member(_mk_tuple(head, xs), sym.interp)
+            mb = comp.member(_mk_tuple(head, ys), interp_b)
+            if reflect:
+                return And((Implies(ma, mb), Implies(mb, ma)))
+            return Implies(ma, mb)
+
+        if isinstance(sym, FamilySymbol):
+            return lnot(comp.forall_elem(sym.index_set, condition))
+        return lnot(condition())
+
+    return not comp.holds(breach_block(comp, parts, breach))
 
 
 def _mk_tuple(head, items: list[Expr]) -> Expr:

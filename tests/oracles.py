@@ -15,6 +15,8 @@ the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
 `reference_qe` eliminates every quantifier binder by binder, the reference
 for the library's one-search decision of closed quantifier blocks.
+`reference_least_support` and `reference_fn_check` send every sentence the
+library skips or replaces by breach blocks.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from fractions import Fraction
 
 from atomiso.algebra import (
     DefFunction,
+    _abstracted,
     fn_apply,
     fn_check,
     fn_validate,
@@ -61,6 +64,7 @@ from atomiso.theories.formulas import (
     lnot,
     lor,
     nnf,
+    quantify,
 )
 
 
@@ -249,6 +253,40 @@ def reference_qe(backend, f):
         return backend._norm(nnf(lnot(backend._exists(g.var, neg))))
 
     return elim(backend._norm(nnf(backend.pre_transform(f))))
+
+
+def reference_least_support(comp, x) -> frozenset:
+    """`least_support` with a removal sentence for every atom of x, tuple
+    components included."""
+    occs, binders, body = _abstracted(x)
+    support = set(occs)
+    for a in sorted(occs):
+        t = comp.backend.type_of(binders, tuple(occs), frozenset(support - {a}))
+        if comp.holds(quantify(Forall, binders, Implies(t, comp.equal(body, x)))):
+            support.discard(a)
+    return frozenset(support)
+
+
+def reference_fn_check(comp, fn, *, functional=True, total=True, injective=False, surjective=False):
+    """`fn_check` with functional and injective as nested universal
+    sentences: all pairs p, q of the graph agreeing in one component agree
+    in the other."""
+    g = fn.graph
+
+    def determined(by):
+        return comp.forall_elem(g, lambda p: comp.forall_elem(g, lambda q: Implies(
+            comp.equal(p.items[by], q.items[by]), comp.equal(p.items[1 - by], q.items[1 - by]))))
+
+    def covered(s, by):
+        return comp.forall_elem(s, lambda x: comp.exists_elem(g, lambda p: comp.equal(x, p.items[by])))
+
+    checks = (
+        (functional, lambda: determined(0)),
+        (total, lambda: covered(fn.dom, 0)),
+        (injective, lambda: determined(1)),
+        (surjective, lambda: covered(fn.cod, 1)),
+    )
+    return all(comp.holds(sentence()) for wanted, sentence in checks if wanted)
 
 
 def quantifier_depth(f) -> int:

@@ -31,10 +31,24 @@ from atomiso.errors import (
     SupportError,
     ValidationError,
 )
-from atomiso.exprs import EMPTY, act, expr_params, union_of
+from atomiso.compile import Compiler
+from atomiso.exprs import (
+    ATOMS,
+    EMPTY,
+    AtomParam,
+    ETuple,
+    EVar,
+    SetComp,
+    act,
+    expr_params,
+    product_expr,
+    union_of,
+)
 from atomiso.parser import parse, print_expr
-from generators import gen_set_expr
-from oracles import extend_automorphism
+from atomiso.theories import get_backend
+from atomiso.theories.formulas import TRUE, Const, Rel, Var, lnot
+from generators import gen_element, gen_qf_formula, gen_set_expr, sample_atoms
+from oracles import extend_automorphism, reference_fn_check, reference_least_support
 
 
 def _p(text, comp):
@@ -233,3 +247,87 @@ def test_orbit_dimension_constant_on_random_exprs(eq_comp):
             mapping = extend_automorphism("equality", {a: a for a in s}, set(range(6)))
             moved = act(mapping, rep)
             assert len(least_support(eq_comp, moved)) == dim
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the unskipped references in oracles.py
+
+
+def _hidden(p):
+    """{p} + {a | a in atoms, a != p}: the atom set, with p spurious and
+    inside a set clause's element."""
+    return union_of(
+        SetComp(AtomParam(p), (), TRUE),
+        SetComp(EVar("a"), ("a",), lnot(Rel("=", (Var("a"), Const(p))))),
+    )
+
+
+def _support_value(rng, backend_name, atoms):
+    roll = rng.random()
+    if roll < 0.3:  # atoms as tuple components, repeats allowed
+        return ETuple(tuple(AtomParam(rng.choice(atoms)) for _ in range(rng.choice((2, 3)))))
+    if roll < 0.5:
+        return _hidden(rng.choice(atoms))
+    if roll < 0.65:
+        return gen_element(rng, backend_name, [], atoms, 2, [2])
+    # atoms inside set clauses, beside a tuple component
+    s = gen_set_expr(rng, backend_name, atoms, max_binders=2, depth=1)
+    return ETuple((AtomParam(rng.choice(atoms)), rng.choice((s, _hidden(rng.choice(atoms))))))
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_least_support_matches_the_greedy_reference(backend_name):
+    rng = random.Random(1010)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    for _ in range(60):
+        x = _support_value(rng, backend_name, sample_atoms(rng, backend_name, 3))
+        assert least_support(comp, x) == reference_least_support(ref, x), x
+
+
+def test_least_support_sends_no_sentence_for_tuple_atoms(monkeypatch, cyc_comp):
+    sent = []
+    monkeypatch.setattr(cyc_comp, "holds", sent.append)
+    one, two, three = (AtomParam(Fraction(k)) for k in (1, 2, 3))
+    x = ETuple((one, ETuple((three, two)), one))
+    assert least_support(cyc_comp, x) == frozenset({Fraction(1), Fraction(2), Fraction(3)})
+    assert sent == []
+
+
+def _graph_clause(rng, backend_name, atoms):
+    binders = ("a", "b")[: rng.choice((1, 2))]
+    terms = [EVar(b) for b in binders] + [AtomParam(rng.choice(atoms))]
+    pair = ETuple((rng.choice(terms), rng.choice(terms)))
+    guard = TRUE
+    if rng.random() < 0.7:
+        guard = gen_qf_formula(rng, backend_name, list(binders), atoms, depth=1)
+    return SetComp(pair, binders, guard)
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_fn_check_matches_the_nested_sentences(backend_name):
+    rng = random.Random(2020)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    atoms = sample_atoms(rng, backend_name, 2)
+    u = ATOMS
+    orbits = [o.piece() for o in orbit_decomposition(comp, product_expr(u, u), atoms[:1])]
+    p = AtomParam(atoms[0])
+    graphs = [
+        _p("{(a, b) | a, b in atoms}", comp),  # one clause, not functional
+        union_of(_p("{(a, a) | a in atoms}", comp), SetComp(ETuple((EVar("a"), p)), ("a",), TRUE)),
+        SetComp(ETuple((EVar("a"), p)), ("a",), TRUE),  # functional, not injective
+        SetComp(ETuple((p, EVar("a"))), ("a",), TRUE),  # injective, not functional
+    ]
+    for _ in range(12):
+        graphs.append(union_of(*rng.sample(orbits, rng.choice((1, 2, 3)))))
+        k = rng.choice((1, 2, 3))
+        graphs.append(union_of(*(_graph_clause(rng, backend_name, atoms) for _ in range(k))))
+    seen = set()
+    for g in graphs:
+        fn = DefFunction(u, u, g)
+        for flags in ({"total": False}, {"functional": False, "total": False, "injective": True}):
+            got = fn_check(comp, fn, **flags)
+            assert got == reference_fn_check(ref, fn, **flags), (print_expr(g), flags)
+            seen.add((len(flags), got))
+    assert seen == {(1, True), (1, False), (3, True), (3, False)}

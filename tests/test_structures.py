@@ -131,6 +131,17 @@ def test_signatures_match(eq_comp):
     assert not signatures_match(eq_comp, A, C)
 
 
+def test_check_isomorphism_validates_the_map_before_the_signatures(eq_comp):
+    A, _ = kneser_pair()
+    doc = structure_to_dict(A)
+    doc["relations"][0]["arity"] = 1
+    doc["relations"][0]["interp"] = "empty"
+    C = structure_from_dict(doc)
+    escaping = DefFunction(A.universe, C.universe, parse("{(a, a) | a in atoms}"))
+    with pytest.raises(ValidationError, match="not contained in dom x cod"):
+        check_isomorphism(eq_comp, escaping, A, C)
+
+
 def test_check_isomorphism_identity(eq_comp):
     A, B = kneser_pair()
     u = A.universe
