@@ -315,6 +315,7 @@ def test_fn_check_matches_the_nested_sentences(backend_name):
     p = AtomParam(atoms[0])
     graphs = [
         _p("{(a, b) | a, b in atoms}", comp),  # one clause, not functional
+        # two functional clauses whose union is not
         union_of(_p("{(a, a) | a in atoms}", comp), SetComp(ETuple((EVar("a"), p)), ("a",), TRUE)),
         SetComp(ETuple((EVar("a"), p)), ("a",), TRUE),  # functional, not injective
         SetComp(ETuple((p, EVar("a"))), ("a",), TRUE),  # injective, not functional
