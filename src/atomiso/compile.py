@@ -3,10 +3,14 @@
 Equality of two expression values, membership of a value in a set, and set
 inclusion all compile to formulas over the atom vocabulary whose free
 variables are exactly the free expression variables involved.  Results are
-quantifier-free (each construction runs the backend's eliminator before
-caching) and cached per expression pair, keyed by structural keys.  All
-bound names are drawn from one monotone supply per compiler, so a cached
-formula can never capture a variable of a later query.
+quantifier-free and cached per expression pair, keyed by structural keys.
+That is the only memo for them: a membership, an inclusion or an equality
+of sets runs the backend's uncached `eliminate`, not its memoising `qe`, so
+no compiled formula is held twice.  An equality of atoms is one normalized
+literal and an equality of tuples the conjunction of its components'
+equalities, with nothing to eliminate.  All bound names are drawn from one
+monotone supply per compiler, so a cached formula can never capture a
+variable of a later query.
 """
 
 from .exprs import (
@@ -25,7 +29,6 @@ from .theories.formulas import (
     Formula,
     Implies,
     NameSource,
-    Rel,
     land,
     lor,
     quantify,
@@ -56,15 +59,14 @@ class Compiler:
         if k1 != k2:
             out = FALSE
         elif k1 == "atom":
-            out = Rel("=", (as_term(e1), as_term(e2)))
+            out = self.backend.normalize_literal("=", (as_term(e1), as_term(e2)), True)
         elif k1 == "tuple":
             if len(e1.items) != len(e2.items):
                 out = FALSE
             else:
                 out = land(*(self.equal(a, b) for a, b in zip(e1.items, e2.items)))
         else:
-            out = land(self.subset(e1, e2), self.subset(e2, e1))
-        out = self.backend.qe(out)
+            out = self.backend.eliminate(land(self.subset(e1, e2), self.subset(e2, e1)))
         self._eq_cache[key] = out
         return out
 
@@ -77,7 +79,7 @@ class Compiler:
             return hit
         # exists_elem reserves the names of s
         self.names.reserve(expr_names(x))
-        out = self.backend.qe(self.exists_elem(s, lambda e: self.equal(x, e)))
+        out = self.backend.eliminate(self.exists_elem(s, lambda e: self.equal(x, e)))
         self._mem_cache[key] = out
         return out
 
@@ -88,7 +90,7 @@ class Compiler:
             return hit
         # forall_elem reserves the names of s1
         self.names.reserve(expr_names(s2))
-        out = self.backend.qe(self.forall_elem(s1, lambda e: self.member(e, s2)))
+        out = self.backend.eliminate(self.forall_elem(s1, lambda e: self.member(e, s2)))
         self._sub_cache[key] = out
         return out
 

@@ -11,6 +11,13 @@ decided by one pruned DNF search over the variable-disjoint components of
 its body, since an existential closure holds exactly when some literal set
 of the DNF is consistent.
 
+The DNF is kept absorbed: a disjunction, and each step of the fold that
+multiplies out a conjunction, keeps only the minimal literal sets, since
+c or (c and d) is c.  This is exact for the fold too, as every extension of
+an absorbed set contains an extension of the set that absorbed it, so the
+folded DNF is the minimal part of the unabsorbed one, and the products
+that elimination builds stay small.
+
 One conjunct kernel serves all three backends.  Every backend normalizes
 its literals to =, != and < (the pure set is the order-free reduct of the
 dense order, and the circle is cut open into the linear order before
@@ -302,23 +309,27 @@ class Backend:
     # quantifier elimination
 
     def qe(self, f: Formula) -> Formula:
+        """`eliminate(f)`, memoised in `_qe_cache`, one entry per miss,
+        keyed by the formula node itself: its hash and key are cached on the
+        node, so a lookup costs one hash read, plus one key comparison on a
+        hit.  A caller that keeps its own cache of the result, as `Compiler`
+        does, calls `eliminate` instead, so that no formula is held twice."""
+        hit = self._qe_cache.get(f)
+        if hit is not None:
+            return hit
+        out = self.eliminate(f)
+        self._qe_cache[f] = out
+        return out
+
+    def eliminate(self, f: Formula) -> Formula:
         """Equivalent quantifier-free formula; parameters never grow.
 
         Quantifiers with free variables are eliminated one binder at a
         time; a closed chain of like quantifiers is decided to TRUE or
         FALSE by one pruned DNF search over the variable-disjoint
-        components of its body (`_decide_block`).
-
-        Results are memoised in `_qe_cache`, one entry per miss, keyed by
-        the formula node itself: its hash and key are cached on the node, so
-        a lookup costs one hash read, plus one key comparison on a hit."""
-        hit = self._qe_cache.get(f)
-        if hit is not None:
-            return hit
+        components of its body (`_decide_block`).  Not cached."""
         self.validate(f, internal=True)
-        out = self._eliminate(self._norm(nnf(self.pre_transform(f))))
-        self._qe_cache[f] = out
-        return out
+        return self._eliminate(self._norm(nnf(self.pre_transform(f))))
 
     def _eliminate(self, f: Formula) -> Formula:
         """Eliminate the quantifiers of a normalized formula, innermost
@@ -388,7 +399,11 @@ class Backend:
         The `ConjunctState` of each kept set c is built once, and each
         branch b of the next argument is decided by extending that state by
         the literals of b not in c, before the union c | b is built: only
-        consistent unions are built and deduplicated, in first-seen order."""
+        consistent unions are built and deduplicated, in first-seen order.
+
+        A disjunction and each step of a conjunction then drop every set
+        that strictly contains another kept one (`_minimal`), so the result
+        is an antichain under inclusion, in first-seen order."""
         if isinstance(f, Top):
             return [frozenset()]
         if isinstance(f, Bot):
@@ -403,7 +418,7 @@ class Backend:
                     if c not in seen:
                         seen.add(c)
                         out.append(c)
-            return out
+            return _minimal(out)
         if isinstance(f, And):
             acc: list[frozenset[Formula]] = [frozenset()]
             for g in f.args:
@@ -419,7 +434,7 @@ class Backend:
                         if u not in seen:
                             seen.add(u)
                             nxt.append(u)
-                acc = nxt
+                acc = _minimal(nxt)
                 if not acc:
                     return []
             return acc
@@ -715,6 +730,20 @@ def _components(f: Formula) -> list[Formula]:
                 rest.append(group)
         groups = rest + [(names, members)]
     return [land(*(f.args[i] for i in sorted(members))) for _, members in groups]
+
+
+def _minimal(sets: list[frozenset]) -> list[frozenset]:
+    """The sets of `sets`, all distinct, that strictly contain no other
+    one, in their given order: a disjunct c or (c and d) is absorbed by c."""
+    kept: list[frozenset] = []
+    for c in sorted(sets, key=len):
+        # only a smaller set, kept before c, can lie strictly inside it
+        if not any(map(c.__gt__, kept)):
+            kept.append(c)
+    if len(kept) == len(sets):
+        return sets
+    keep = set(kept)
+    return [c for c in sets if c in keep]
 
 
 def _find(root: dict[Term, Term], up: dict[Term, Term], t: Term) -> Term:

@@ -189,13 +189,15 @@ def scratch_consistent(lits) -> bool:
     return all(u in state or dfs(u) for u in edges)
 
 
-def reference_conjuncts(f, pairs=None) -> list:
+def reference_conjuncts(f, pairs=None, absorb=True) -> list:
     """The theory-pruned disjunctive normal form of a normalized
     quantifier-free formula, as `Backend.conjuncts` lists it: a conjunction
     builds every union c | b of a kept literal set c and a branch b of the
     next argument, keeps the first of equal unions, and drops a union that
     holds a literal beside its complement or fails `scratch_consistent`.
-    Every (c, b) tried is appended to `pairs` when given."""
+    With `absorb`, a disjunction and each step of a conjunction then drop
+    every set that strictly contains another one.  Every (c, b) tried is
+    appended to `pairs` when given."""
     if isinstance(f, Top):
         return [frozenset()]
     if isinstance(f, Bot):
@@ -205,15 +207,17 @@ def reference_conjuncts(f, pairs=None) -> list:
     if isinstance(f, Or):
         out, seen = [], set()
         for d in f.args:
-            for c in reference_conjuncts(d, pairs):
+            for c in reference_conjuncts(d, pairs, absorb):
                 if c not in seen:
                     seen.add(c)
                     out.append(c)
+        if absorb:
+            out = [c for c in out if not any(d < c for d in out)]
         return out
     if isinstance(f, And):
         acc = [frozenset()]
         for g in f.args:
-            branches = reference_conjuncts(g, pairs)
+            branches = reference_conjuncts(g, pairs, absorb)
             nxt, seen = [], set()
             for c in acc:
                 for b in branches:
@@ -227,6 +231,8 @@ def reference_conjuncts(f, pairs=None) -> list:
                         continue
                     if scratch_consistent(u):
                         nxt.append(u)
+            if absorb:
+                nxt = [c for c in nxt if not any(d < c for d in nxt)]
             acc = nxt
             if not acc:
                 return []

@@ -285,6 +285,22 @@ def test_least_support_matches_the_greedy_reference(backend_name):
         assert least_support(comp, x) == reference_least_support(ref, x), x
 
 
+# a cyclic set whose eliminations used to build DNF products about 13 times
+# larger than their minimal literal sets; it ran for minutes
+NESTED_CYCLIC = (
+    "{((0, -9), (-9, 0, -9))} + {{(g92, g92) | g92 in atoms, not R(g14, -9, g92) "
+    "and not R(g62, g14, -9) and R(g14, -9, 0)} | g14, g62 in atoms, g14 = g14 and g62 = g62}"
+)
+
+
+def test_least_support_of_a_nested_cyclic_set(cyc_comp):
+    x = _p(NESTED_CYCLIC, cyc_comp)
+    support = least_support(cyc_comp, x)
+    assert support == frozenset({Fraction(0), Fraction(-9)})
+    # the reference sends the invariance sentence for every atom
+    assert reference_least_support(Compiler(get_backend("cyclic")), x) == support
+
+
 def test_least_support_sends_no_sentence_for_tuple_atoms(monkeypatch, cyc_comp):
     sent = []
     monkeypatch.setattr(cyc_comp, "holds", sent.append)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from atomiso.errors import DensenessError, ValuationError, VocabularyError
-from atomiso.theories import backend_names, get_backend
+from atomiso.theories import backend_names, base, get_backend
 from atomiso.theories.base import ConjunctState
 from atomiso.theories.formulas import (
     FALSE,
@@ -198,7 +198,9 @@ def test_incremental_conjuncts_match_the_scratch_kernel(name):
     b = get_backend(name)
     names = ["u", "v", "w", "x"]
     verdicts = {True: 0, False: 0}
-    for _ in range(200):
+    # absorption leaves fewer kept sets to extend, so more formulas are
+    # drawn to reach 100 verdicts of each kind
+    for _ in range(300):
         atoms = sample_atoms(rng, name, 3)
         f = land(
             b.qe(gen_qf_formula(rng, name, names, atoms, depth=3)),
@@ -211,6 +213,67 @@ def test_incremental_conjuncts_match_the_scratch_kernel(name):
             assert ConjunctState.of(c).admits(br, c) == ok, (name, c, br)
             verdicts[ok] += 1
     assert min(verdicts.values()) >= 100, verdicts
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_absorbed_dnf_agrees_with_the_unabsorbed_one(name):
+    # conjuncts keeps no literal set inside another, keeps exactly the
+    # minimal sets of the union-then-check DNF without absorption, and the
+    # two agree as disjunctions on a pool sweep
+    rng = random.Random(29)
+    b = get_backend(name)
+    names = ["x", "y", "z"]
+    fired = 0
+    for _ in range(60):
+        atoms = sample_atoms(rng, name, 2)
+        p, q, r = (b.qe(gen_qf_formula(rng, name, names, atoms, depth=3)) for _ in range(3))
+        # q or (q and r) gives absorption something to drop
+        f = land(p, lor(q, land(q, r)) if rng.random() < 0.5 else q)
+        got = b.conjuncts(f)
+        assert not any(d < c for c in got for d in got), (name, f)
+        full = reference_conjuncts(f, absorb=False)
+        assert set(got) == {c for c in full if not any(d < c for d in full)}, (name, f)
+        fired += len(got) < len(full)
+        lits = frozenset().union(*full)
+        pool = exhaustive_pool(name, set(atoms), 1)
+        for values in itertools.product(pool, repeat=len(names)):
+            val = dict(zip(names, values))
+            true = {l for l in lits if eval_formula(name, l, val)}
+            assert any(c <= true for c in got) == any(c <= true for c in full), (name, f, val)
+    assert fired >= 10, fired
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_qe_agrees_with_evaluation_where_absorption_fires(name, monkeypatch):
+    # open formulas whose elimination drops an absorbed literal set
+    fired = []
+
+    def counting(sets):
+        out = minimal(sets)
+        fired.append(len(out) < len(sets))
+        return out
+
+    minimal = base._minimal
+    monkeypatch.setattr(base, "_minimal", counting)
+    rng = random.Random(31)
+    b = get_backend(name)
+    checked = 0
+    for _ in range(200):
+        atoms = sample_atoms(rng, name, 2)
+        p, q, r = (gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=1) for _ in range(3))
+        f = Exists("w", land(p, lor(q, land(q, r))))
+        fired.clear()
+        q = b.eliminate(f)
+        if not any(fired):
+            continue
+        pool = exhaustive_pool(name, set(atoms), 1)
+        for vu, vv in itertools.product(pool, repeat=2):
+            val = {"u": vu, "v": vv}
+            assert eval_formula(name, f, val) == eval_formula(name, q, val), (name, f, q, val)
+        checked += 1
+        if checked == 10:
+            break
+    assert checked >= 1, checked
 
 
 def _closed_sentence(rng, name, atoms):
