@@ -1,4 +1,5 @@
-"""Shortcuts for building the shipped example structures in tests."""
+"""Shortcuts for building the shipped example structures in tests, and
+expressions that more than one test module uses."""
 
 from atomiso.fixtures import fixture_documents
 from atomiso.structures import function_from_dict, structure_from_dict
@@ -29,3 +30,11 @@ def smoothing_parts():
     st = structure_from_dict(docs["a"])
     _, fn = function_from_dict(docs["map"])
     return st, fn
+
+
+# a cyclic set whose eliminations used to build DNF products about 13 times
+# larger than their minimal literal sets; its least support took minutes
+NESTED_CYCLIC = (
+    "{((0, -9), (-9, 0, -9))} + {{(g92, g92) | g92 in atoms, not R(g14, -9, g92) "
+    "and not R(g62, g14, -9) and R(g14, -9, 0)} | g14, g62 in atoms, g14 = g14 and g62 = g62}"
+)

@@ -47,6 +47,7 @@ from atomiso.exprs import (
 from atomiso.parser import parse, print_expr
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import TRUE, Const, Rel, Var, lnot
+from fixtures_helpers import NESTED_CYCLIC
 from generators import gen_element, gen_qf_formula, gen_set_expr, sample_atoms
 from oracles import extend_automorphism, reference_fn_check, reference_least_support
 
@@ -283,14 +284,6 @@ def test_least_support_matches_the_greedy_reference(backend_name):
     for _ in range(60):
         x = _support_value(rng, backend_name, sample_atoms(rng, backend_name, 3))
         assert least_support(comp, x) == reference_least_support(ref, x), x
-
-
-# a cyclic set whose eliminations used to build DNF products about 13 times
-# larger than their minimal literal sets; it ran for minutes
-NESTED_CYCLIC = (
-    "{((0, -9), (-9, 0, -9))} + {{(g92, g92) | g92 in atoms, not R(g14, -9, g92) "
-    "and not R(g62, g14, -9) and R(g14, -9, 0)} | g14, g62 in atoms, g14 = g14 and g62 = g62}"
-)
 
 
 def test_least_support_of_a_nested_cyclic_set(cyc_comp):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from atomiso.cli import main
+from fixtures_helpers import NESTED_CYCLIC
 
 
 def run(capsys, *argv):
@@ -56,12 +57,7 @@ def test_support_output(capsys):
 
 
 def test_support_of_a_nested_cyclic_set(capsys):
-    # the set of test_algebra's NESTED_CYCLIC; it used to run for minutes
-    e = (
-        "{((0, -9), (-9, 0, -9))} + {{(g92, g92) | g92 in atoms, not R(g14, -9, g92) "
-        "and not R(g62, g14, -9) and R(g14, -9, 0)} | g14, g62 in atoms, g14 = g14 and g62 = g62}"
-    )
-    code, out, _ = run(capsys, "--backend", "cyclic", "support", e)
+    code, out, _ = run(capsys, "--backend", "cyclic", "support", NESTED_CYCLIC)
     assert code == 0
     assert out.strip() == "-9 0"
 

@@ -263,13 +263,13 @@ def test_qe_agrees_with_evaluation_where_absorption_fires(name, monkeypatch):
         p, q, r = (gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=1) for _ in range(3))
         f = Exists("w", land(p, lor(q, land(q, r))))
         fired.clear()
-        q = b.eliminate(f)
+        out = b.eliminate(f)
         if not any(fired):
             continue
         pool = exhaustive_pool(name, set(atoms), 1)
         for vu, vv in itertools.product(pool, repeat=2):
             val = {"u": vu, "v": vv}
-            assert eval_formula(name, f, val) == eval_formula(name, q, val), (name, f, q, val)
+            assert eval_formula(name, f, val) == eval_formula(name, out, val), (name, f, out, val)
         checked += 1
         if checked == 10:
             break
