@@ -7,7 +7,9 @@ of atoms pointwise.  A set expression decomposes into orbit pieces by pairing
 each comprehension clause with every complete S-type of its binder tuple;
 each satisfiable pairing carves out one orbit, and pieces carving the same
 orbit (which visibly happens for symmetric elements such as unordered pairs)
-are merged by a membership test on representatives.
+are merged by `in_orbit`, the one test of whether a closed value lies in an
+orbit: the type of the atoms a value shows through tuples first, then one
+closed block over the clause's own binders.
 """
 
 import itertools
@@ -140,7 +142,13 @@ def _element_injective(c: SetComp) -> bool:
 
 def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     """The orbits of X under automorphisms fixing S pointwise, in a
-    deterministic order.  S must contain every atom of X."""
+    deterministic order.  S must contain every atom of X.
+
+    Each clause paired with each complete S-type of its binders that its
+    guard admits is a candidate orbit; a candidate is kept unless its
+    representative lies in an orbit kept before it (`in_orbit`).  Candidates
+    from one clause whose element is injective are never compared, as
+    distinct types of its binders give distinct elements."""
     _require_closed(X)
     S = frozenset(S)
     missing = expr_params(X) - S
@@ -148,30 +156,55 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
         names = ", ".join(comp.backend.format_atom(a) for a in sorted(missing))
         raise SupportError(f"parameter set must contain the atoms of X; missing: {names}")
     backend = comp.backend
-    descs = []  # (descriptor, shape and injectivity of its clause's element)
+    descs = []  # (descriptor, injectivity of its clause's element)
     for c in clauses(X):
-        shape, injective = value_shape(c.element), _element_injective(c)
+        injective = _element_injective(c)
         for ti in backend.types_with_reps(c.binders, S):
             # guard truth is constant across a complete type, so testing the
             # representative is exact
             if backend.sat(c.guard, ti.rep_valuation()):
-                descs.append((OrbitDescriptor(c, ti.formula, S, ti.rep), shape, injective))
+                descs.append((OrbitDescriptor(c, ti.formula, S, ti.rep), injective))
     kept: list[OrbitDescriptor] = []
-    shapes: list = []
-    for d, shape, injective in descs:
-        duplicate = False
-        for k, ks in zip(kept, shapes):
-            if ks != shape:
-                continue
-            if injective and k.clause == d.clause:
-                continue
-            if is_member(comp, d.rep_element(), k.piece()):
-                duplicate = True
-                break
-        if not duplicate:
+    for d, injective in descs:
+        x = d.rep_element()
+        if not any(
+            not (injective and k.clause == d.clause) and in_orbit(comp, x, k)
+            for k in kept
+        ):
             kept.append(d)
-            shapes.append(shape)
     return kept
+
+
+def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor) -> bool:
+    """Whether the closed value x lies in the orbit, that is in
+    `orbit.piece()`.
+
+    First a necessary test that sends no sentence.  If x lies in the orbit,
+    some automorphism fixing S maps the representative to x, and it does so
+    component by component: the two values have the same shape, and the
+    atoms they show through tuples, position by position, have the same
+    type over S.  Whether x's atoms realize the representative's type is
+    decided by `sat` on that type, which does not depend on how the type
+    formula is written.
+
+    Then the exact test: one closed block `exists binders: guard and type
+    and x = element` over the clause's own binders.  The clause is not
+    renamed: x is closed, so nothing can be captured, and `Compiler.equal`
+    reserves every name of both sides.  Its cache key is then the same for
+    every orbit of the clause, so one compiled equality serves them all."""
+    _require_closed(x)
+    rep = orbit.rep_element()
+    if value_shape(x) != value_shape(rep):
+        return False
+    backend = comp.backend
+    rep_atoms = _tuple_atoms(rep)
+    names = tuple(f"v{i}" for i in range(len(rep_atoms)))
+    rep_type = backend.type_of(names, rep_atoms, orbit.params)
+    if not backend.sat(rep_type, dict(zip(names, _tuple_atoms(x)))):
+        return False
+    c = orbit.clause
+    body = land(c.guard, orbit.type_formula, comp.equal(x, c.element))
+    return comp.holds(quantify(Exists, c.binders, body))
 
 
 def _abstracted(x: Expr):
@@ -210,7 +243,7 @@ def least_support(comp: Compiler, x: Expr) -> frozenset:
     _require_closed(x)
     occs, binders, body = _abstracted(x)
     support = set(occs)
-    for a in sorted(support - _component_atoms(x)):
+    for a in sorted(support.difference(_tuple_atoms(x))):
         cand = frozenset(support - {a})
         t = comp.backend.type_of(binders, tuple(occs), cand)
         sentence = quantify(Forall, binders, Implies(t, comp.equal(body, x)))
@@ -219,13 +252,14 @@ def least_support(comp: Compiler, x: Expr) -> frozenset:
     return frozenset(support)
 
 
-def _component_atoms(x: Expr) -> frozenset:
-    """The atoms reached from x through tuples alone."""
+def _tuple_atoms(x: Expr) -> tuple:
+    """The atoms reached from x through tuples alone, in walk order, with
+    repeats; the atoms of set components are not reached."""
     if isinstance(x, AtomParam):
-        return frozenset((x.value,))
+        return (x.value,)
     if isinstance(x, ETuple):
-        return frozenset().union(*map(_component_atoms, x.items))
-    return frozenset()
+        return tuple(a for i in x.items for a in _tuple_atoms(i))
+    return ()
 
 
 # ---------------------------------------------------------------------------

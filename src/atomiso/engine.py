@@ -31,6 +31,7 @@ from .algebra import (
     fn_image_expr,
     fn_inverse,
     fn_validate,
+    in_orbit,
     is_member,
     least_support,
     orbit_decomposition,
@@ -44,7 +45,6 @@ from .errors import (
     ValidationError,
 )
 from .exprs import ETuple, Expr, SetComp, expr_params, instantiate, union_of
-from .parser import format_atom_value
 from .structures import (
     Structure,
     check_isomorphism,
@@ -54,7 +54,7 @@ from .structures import (
     transports_symbols,
     transports_tuple,
 )
-from .theories.formulas import TRUE, Forall, Implies, land, quantify
+from .theories.formulas import TRUE, Forall, Implies, format_atom_value, land, quantify
 
 DEFAULT_BUDGET = 1 << 16
 
@@ -166,7 +166,7 @@ def enumerate_pieces(
 
 def _orbit_index_of(comp: Compiler, x: Expr, orbits) -> int:
     for j, o in enumerate(orbits):
-        if is_member(comp, x, o.piece()):
+        if in_orbit(comp, x, o):
             return j
     raise EliminationError("element not covered by the orbit decomposition")
 

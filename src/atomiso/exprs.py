@@ -159,7 +159,9 @@ def clauses(e: Expr) -> tuple[SetComp, ...]:
         return (e,)
     if isinstance(e, AtomsSet):
         return (SetComp(EVar("a"), ("a",), TRUE),)
-    raise ValidationError(f"not a set expression: {e!r}")
+    from .parser import print_expr  # the parser imports this module
+
+    raise ValidationError(f"not a set expression: {print_expr(e)}")
 
 
 def union_of(*parts: Expr) -> Union:

@@ -42,6 +42,7 @@ from .theories.formulas import (
     Term,
     Top,
     Var,
+    format_atom_value,
     land,
     lnot,
     lor,
@@ -509,12 +510,6 @@ _LVL_IMPLIES = 0
 _LVL_OR = 1
 _LVL_AND = 2
 _LVL_UNARY = 3
-
-
-def format_atom_value(v) -> str:
-    if isinstance(v, int):
-        return f"#{v}"
-    return str(v)
 
 
 def print_term(t: Term) -> str:

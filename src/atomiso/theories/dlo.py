@@ -28,6 +28,7 @@ from .formulas import (
     Term,
     Var,
     eq,
+    format_atom_value,
     land,
     lor,
     lt,
@@ -80,7 +81,9 @@ class DloBackend(Backend):
 
     def check_atom(self, a: Atom) -> None:
         if not isinstance(a, Fraction):
-            raise VocabularyError(f"ordered atoms are Fractions, got {a!r}")
+            raise VocabularyError(
+                f"rational atoms look like 2, -1, or 5/3, got {format_atom_value(a)!r}"
+            )
 
     # -- literals ------------------------------------------------------
 

@@ -26,6 +26,7 @@ from .formulas import (
     Term,
     Var,
     eq,
+    format_atom_value,
     land,
     lor,
     ne,
@@ -51,7 +52,9 @@ class EqualityBackend(Backend):
 
     def check_atom(self, a: Atom) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-            raise VocabularyError(f"equality atoms are natural numbers, got {a!r}")
+            raise VocabularyError(
+                f"equality atoms look like #7, got {format_atom_value(a)!r}"
+            )
 
     # -- literals ------------------------------------------------------
 

@@ -29,6 +29,14 @@ from typing import Iterable, Iterator, Union
 Atom = Union[int, Fraction]
 
 
+def format_atom_value(v) -> str:
+    """The literal an atom is written as: #7 for an equality atom, 2, -1 or
+    5/3 for an ordered one."""
+    if isinstance(v, int):
+        return f"#{v}"
+    return str(v)
+
+
 class _Node:
     """Cached structural `key` and hash; equality by key."""
 

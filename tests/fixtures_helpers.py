@@ -38,3 +38,10 @@ NESTED_CYCLIC = (
     "{((0, -9), (-9, 0, -9))} + {{(g92, g92) | g92 in atoms, not R(g14, -9, g92) "
     "and not R(g62, g14, -9) and R(g14, -9, 0)} | g14, g62 in atoms, g14 = g14 and g62 = g62}"
 )
+
+# a cyclic set whose orbit decomposition compiled the representative's
+# equality afresh for every kept orbit of its clause; it has 12 orbits
+NESTED_CYCLIC_ORBITS = (
+    "{({g53 | g53 in atoms, not R(32, g53, g22) or R(-5, g22, g39) or R(g39, g53, 32)}, g39) "
+    "| g39, g22 in atoms, g39 != g22}"
+)

@@ -16,7 +16,9 @@ set, the reference for the library's incremental `ConjunctState`.
 `reference_qe` eliminates every quantifier binder by binder, the reference
 for the library's one-search decision of closed quantifier blocks.
 `reference_least_support` and `reference_fn_check` send every sentence the
-library skips or replaces by breach blocks.
+library skips or replaces by breach blocks.  `reference_orbit_decomposition`
+merges orbit candidates by a membership query on each kept piece, with its
+clause renamed, instead of the library's `in_orbit`.
 """
 
 import itertools
@@ -24,7 +26,9 @@ from fractions import Fraction
 
 from atomiso.algebra import (
     DefFunction,
+    OrbitDescriptor,
     _abstracted,
+    _element_injective,
     fn_apply,
     fn_check,
     fn_validate,
@@ -40,10 +44,12 @@ from atomiso.exprs import (
     EVar,
     SetComp,
     Union,
+    clauses,
     expr_params,
     free_expr_vars,
     product_expr,
     union_of,
+    value_shape,
 )
 from atomiso.structures import FamilySymbol, signatures_match, transports_symbols
 from atomiso.theories import get_backend
@@ -271,6 +277,30 @@ def reference_least_support(comp, x) -> frozenset:
         if comp.holds(quantify(Forall, binders, Implies(t, comp.equal(body, x)))):
             support.discard(a)
     return frozenset(support)
+
+
+def reference_orbit_decomposition(comp, X, S) -> list:
+    """`orbit_decomposition` with each candidate kept unless
+    `is_member(rep, k.piece())` holds for an orbit k kept before it (of the
+    same element shape, and not both from one injective clause)."""
+    S = frozenset(S)
+    descs = []
+    for c in clauses(X):
+        shape, injective = value_shape(c.element), _element_injective(c)
+        for ti in comp.backend.types_with_reps(c.binders, S):
+            if comp.backend.sat(c.guard, ti.rep_valuation()):
+                descs.append((OrbitDescriptor(c, ti.formula, S, ti.rep), shape, injective))
+    kept, shapes = [], []
+    for d, shape, injective in descs:
+        if not any(
+            ks == shape
+            and not (injective and k.clause == d.clause)
+            and is_member(comp, d.rep_element(), k.piece())
+            for k, ks in zip(kept, shapes)
+        ):
+            kept.append(d)
+            shapes.append(shape)
+    return kept
 
 
 def reference_fn_check(comp, fn, *, functional=True, total=True, injective=False, surjective=False):

@@ -1,6 +1,7 @@
 """Set algebra: comparison queries, orbit decomposition, supports, subset
 enumeration, and definable functions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from atomiso.algebra import (
     fn_image_expr,
     fn_inverse,
     fn_validate,
+    in_orbit,
     is_member,
     is_subset,
     least_support,
@@ -47,9 +49,14 @@ from atomiso.exprs import (
 from atomiso.parser import parse, print_expr
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import TRUE, Const, Rel, Var, lnot
-from fixtures_helpers import NESTED_CYCLIC
+from fixtures_helpers import NESTED_CYCLIC, NESTED_CYCLIC_ORBITS
 from generators import gen_element, gen_qf_formula, gen_set_expr, sample_atoms
-from oracles import extend_automorphism, reference_fn_check, reference_least_support
+from oracles import (
+    extend_automorphism,
+    reference_fn_check,
+    reference_least_support,
+    reference_orbit_decomposition,
+)
 
 
 def _p(text, comp):
@@ -341,3 +348,81 @@ def test_fn_check_matches_the_nested_sentences(backend_name):
             assert got == reference_fn_check(ref, fn, **flags), (print_expr(g), flags)
             seen.add((len(flags), got))
     assert seen == {(1, True), (1, False), (3, True), (3, False)}
+
+
+def _orbit_cases(backend_name):
+    """40 seeded sets per backend and two with sets inside their elements,
+    where the type of the atoms shown through tuples decides nothing, each
+    with its own atoms as S and with one more atom, whose finer orbits each
+    lie inside one orbit over S."""
+    rng = random.Random(1212)
+    backend = get_backend(backend_name)
+    extra = sample_atoms(rng, backend_name, 1)[0]
+    out = [
+        (parse(text, backend), frozenset(), frozenset({extra}))
+        for text in ("{{a, b} | a, b in atoms}", "{({a, b}, c) | a, b, c in atoms}")
+    ]
+    for _ in range(40):
+        atoms = sample_atoms(rng, backend_name, 3)
+        x = gen_set_expr(rng, backend_name, atoms[:2], max_binders=2, depth=2)
+        s = expr_params(x)
+        out.append((x, s, s | {atoms[2]}))
+    return out
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_orbit_decomposition_matches_the_membership_reference(backend_name):
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    merged = 0
+    for x, s, _ in _orbit_cases(backend_name):
+        got = orbit_decomposition(comp, x, s)
+        assert got == reference_orbit_decomposition(ref, x, s), print_expr(x)
+        candidates = sum(
+            comp.backend.sat(c.guard, t.rep_valuation())
+            for c in x.clauses
+            for t in comp.backend.types_with_reps(c.binders, s)
+        )
+        merged += candidates > len(got)
+    assert merged > 0
+
+
+# sha256 of the descriptors (clause, type, representative) of the
+# NESTED_CYCLIC_ORBITS decomposition as the membership reference gives them,
+# pinned so that tier-1 need not run the slow reference on it
+NESTED_CYCLIC_ORBITS_DIGEST = "e8e762ef79cbbe9a2c2dd3c4f2e885765497efb1a88de85542adcc29f4ca77ce"
+
+
+def test_orbits_of_a_nested_cyclic_set(cyc_comp):
+    x = _p(NESTED_CYCLIC_ORBITS, cyc_comp)
+    orbits = orbit_decomposition(cyc_comp, x, expr_params(x))
+    assert len(orbits) == 12
+    out = [(d.clause.key, d.type_formula.key, d.rep) for d in orbits]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == NESTED_CYCLIC_ORBITS_DIGEST
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_in_orbit_agrees_with_piece_membership(monkeypatch, backend_name):
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    sent = []
+    holds = comp.holds
+    monkeypatch.setattr(comp, "holds", lambda f: sent.append(f) or holds(f))
+    answers = []
+    rejected = 0
+    for x, s, finer in _orbit_cases(backend_name):
+        orbits = orbit_decomposition(comp, x, s)
+        reps = [o.rep_element() for o in orbits + orbit_decomposition(comp, x, finer)]
+        for rep in reps:
+            inside = []
+            for o in orbits:
+                sent.clear()
+                got = in_orbit(comp, rep, o)
+                assert got == is_member(ref, rep, o.piece()), (print_expr(x), print_expr(rep))
+                rejected += not sent
+                inside.append(got)
+            # the orbits partition the set
+            assert inside.count(True) == 1, (print_expr(x), print_expr(rep))
+            answers += inside
+    assert set(answers) == {True, False}
+    assert rejected > 0

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from atomiso.cli import main
-from fixtures_helpers import NESTED_CYCLIC
+from fixtures_helpers import NESTED_CYCLIC, NESTED_CYCLIC_ORBITS
 
 
 def run(capsys, *argv):
@@ -60,6 +60,28 @@ def test_support_of_a_nested_cyclic_set(capsys):
     code, out, _ = run(capsys, "--backend", "cyclic", "support", NESTED_CYCLIC)
     assert code == 0
     assert out.strip() == "-9 0"
+
+
+def test_orbits_of_a_nested_cyclic_set(capsys):
+    code, out, _ = run(capsys, "--backend", "cyclic", "--json", "orbits", NESTED_CYCLIC_ORBITS)
+    assert code == 0
+    assert json.loads(out)["count"] == 12
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbits", "(1, 2)"], "equality atoms look like #7, got '1'"),
+        (["--backend", "dlo", "orbits", "(#1, 2)"], "rational atoms look like 2, -1, or 5/3, got '#1'"),
+        (["orbits", "#1"], "not a set expression: #1"),
+        (["subsets", "#1"], "not a set expression: #1"),
+        (["subsets", "(#1, #2)"], "not a set expression: (#1, #2)"),
+    ],
+)
+def test_bad_operand_messages_name_the_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"atomiso: {message}"
 
 
 def test_subsets_and_budget(capsys):

@@ -198,9 +198,9 @@ def test_union_of_flattens():
 # abstraction; pinned so that a walk that moves a verdict, an atom or an
 # argument shows
 WALK_DIGESTS = {
-    "equality": "947389b74fe22990e97647f923d357d1a74795f6031205f643f0482122e96b51",
-    "dlo": "f7e3ea837f06e72603b73b9fc9aec3ac70367800049607308e40aa848abbf255",
-    "cyclic": "c6eb3ebe02bc4361a8eb211c34405ca8688c6f1a28ffbde866a3d078c43e2a6b",
+    "equality": "2fd7a3ada2bb2c98b8d7766bad6bb422e136606e2cb8a6d85d026de61be9dbbd",
+    "dlo": "6d5c7523a1db7ce1056aac400a99396969916235ab4dc294b186c90f76898a6a",
+    "cyclic": "912607c0b217c8404e17b5288108f7859991bca2c7a7e463dd56e8ae738ad1d1",
 }
 
 
