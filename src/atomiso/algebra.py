@@ -51,6 +51,7 @@ from .theories.formulas import (
     Formula,
     Implies,
     NameSource,
+    format_atom_value,
     land,
     lnot,
     quantify,
@@ -153,7 +154,7 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     S = frozenset(S)
     missing = expr_params(X) - S
     if missing:
-        names = ", ".join(comp.backend.format_atom(a) for a in sorted(missing))
+        names = ", ".join(format_atom_value(a) for a in sorted(missing))
         raise SupportError(f"parameter set must contain the atoms of X; missing: {names}")
     backend = comp.backend
     descs = []  # (descriptor, injectivity of its clause's element)

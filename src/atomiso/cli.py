@@ -24,10 +24,10 @@ from .engine import (
     decide_definable_iso,
     eliminate_parameters,
 )
-from .errors import AtomisoError, ParseError, ResourceError, ValidationError
+from .errors import AtomisoError, ResourceError, ValidationError
 from .exprs import expr_params
 from .fixtures import FIXTURES, fixture_documents
-from .parser import parse, print_expr
+from .parser import parse, parse_atoms, print_expr
 from .structures import (
     function_to_dict,
     load_function,
@@ -35,6 +35,7 @@ from .structures import (
     validate_structure,
 )
 from .theories import backend_names, get_backend
+from .theories.formulas import format_atom_value
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,14 +46,6 @@ EXIT_RESOURCE = 5
 _VERDICT_EXIT = {FOUND: EXIT_OK, NOT_FOUND: EXIT_NO, NOT_FOUND_INCOMPLETE: EXIT_INCONCLUSIVE}
 
 
-def _parse_atom_list(text: str | None, backend) -> frozenset:
-    """Comma or whitespace separated atom literals; empty means no atoms."""
-    if not text or not text.strip():
-        return frozenset()
-    toks = text.replace(",", " ").split()
-    return frozenset(backend.parse_atom(t) for t in toks)
-
-
 def _emit(args, payload: dict, plain: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -60,8 +53,8 @@ def _emit(args, payload: dict, plain: str) -> None:
         print(plain)
 
 
-def _format_params(backend, params) -> list[str]:
-    return [backend.format_atom(a) for a in sorted(params)]
+def _format_params(params) -> list[str]:
+    return [format_atom_value(a) for a in sorted(params)]
 
 
 def cmd_check_eq(args) -> int:
@@ -78,7 +71,7 @@ def cmd_orbits(args) -> int:
     backend = get_backend(args.backend)
     comp = Compiler(backend)
     x = parse(args.expr, backend)
-    fix = _parse_atom_list(args.fix, backend) | expr_params(x)
+    fix = parse_atoms(args.fix, backend) | expr_params(x)
     orbits = orbit_decomposition(comp, x, fix)
     pieces = [print_expr(o.piece()) for o in orbits]
     plain = "\n".join(pieces) if pieces else "(empty set)"
@@ -86,7 +79,7 @@ def cmd_orbits(args) -> int:
         args,
         {
             "count": len(orbits),
-            "fixed": _format_params(backend, fix),
+            "fixed": _format_params(fix),
             "orbits": pieces,
         },
         plain,
@@ -99,7 +92,7 @@ def cmd_support(args) -> int:
     comp = Compiler(backend)
     x = parse(args.expr, backend)
     supp = least_support(comp, x)
-    names = _format_params(backend, supp)
+    names = _format_params(supp)
     _emit(args, {"support": names}, " ".join(names))
     return EXIT_OK
 
@@ -108,12 +101,12 @@ def cmd_subsets(args) -> int:
     backend = get_backend(args.backend)
     comp = Compiler(backend)
     x = parse(args.expr, backend)
-    fix = _parse_atom_list(args.params, backend) | expr_params(x)
+    fix = parse_atoms(args.params, backend) | expr_params(x)
     subs = definable_subsets(comp, x, fix, budget=args.budget)
     pieces = [print_expr(s) for s in subs]
     _emit(
         args,
-        {"count": len(subs), "fixed": _format_params(backend, fix), "subsets": pieces},
+        {"count": len(subs), "fixed": _format_params(fix), "subsets": pieces},
         "\n".join(pieces),
     )
     return EXIT_OK
@@ -147,7 +140,7 @@ def _load_pair(args):
 def cmd_iso(args) -> int:
     A, B, comp = _load_pair(args)
     backend = comp.backend
-    extra = _parse_atom_list(args.params, backend)
+    extra = parse_atoms(args.params, backend)
     cert = decide_definable_iso(
         comp, A, B, extra_params=extra, mode=args.mode, budget=args.budget
     )
@@ -169,14 +162,14 @@ def cmd_eliminate(args) -> int:
             f"the map uses backend {backend_name}, the structures use "
             f"{A.backend_name}"
         )
-    extra = _parse_atom_list(args.params, backend)
+    extra = parse_atoms(args.params, backend)
     h, report = eliminate_parameters(comp, fn, A, B, T=extra)
     doc = function_to_dict(backend.name, h)
     plain = "\n".join(
         [
             "graph: " + doc["graph"],
             "parameters: "
-            + (" ".join(_format_params(backend, expr_params(h.graph))) or "(none)"),
+            + (" ".join(_format_params(expr_params(h.graph))) or "(none)"),
             f"rounds: {len(report.steps)}",
         ]
     )
@@ -318,16 +311,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as ex:
-        print(f"atomiso: {ex}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceError as ex:
         print(f"atomiso: {ex}", file=sys.stderr)
         return EXIT_RESOURCE
-    except AtomisoError as ex:
-        print(f"atomiso: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as ex:
+    except (AtomisoError, OSError) as ex:
         print(f"atomiso: {ex}", file=sys.stderr)
         return EXIT_USAGE
 

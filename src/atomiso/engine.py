@@ -15,8 +15,10 @@ of pieces, with the first piece fixed at its representative pair and the
 rest quantified over their whole orbits; fixing one pair is sound because
 orbits are transitive under the parameter-fixing automorphisms and every set
 in play is invariant.  Each assembled candidate is then verified in full:
-its graph is checked to be a map of the requested kind, and the same
-sentences are decided for every tuple of its clauses, none fixed.
+its graph is checked to be a map of the requested kind
+(`structures.check_isomorphism` with the mode), and the same sentences are
+decided for every tuple of its clauses, none fixed.  What each mode
+requires, injective and surjective, is read from `structures.MODES`.
 """
 
 import itertools
@@ -26,11 +28,9 @@ from .algebra import (
     DefFunction,
     complete_witness,
     fn_apply,
-    fn_check,
     fn_domain_expr,
     fn_image_expr,
     fn_inverse,
-    fn_validate,
     in_orbit,
     is_member,
     least_support,
@@ -46,12 +46,12 @@ from .errors import (
 )
 from .exprs import ETuple, Expr, SetComp, expr_params, instantiate, union_of
 from .structures import (
+    MODES,
     Structure,
     check_isomorphism,
     counterpart,
     function_to_dict,
     signatures_match,
-    transports_symbols,
     transports_tuple,
 )
 from .theories.formulas import TRUE, Forall, Implies, format_atom_value, land, quantify
@@ -126,7 +126,7 @@ def enumerate_pieces(
     B: Structure,
     T: frozenset,
     *,
-    require_injective: bool = True,
+    injective: bool = True,
     budget: int = DEFAULT_BUDGET,
 ):
     """All functional (optionally also injective) orbit graph pieces between
@@ -157,7 +157,7 @@ def enumerate_pieces(
             piece = GraphPiece(piece_expr, x0, y0, i, -1)
             if not _piece_determined(comp, piece, by=0):
                 continue
-            if require_injective and not _piece_determined(comp, piece, by=1):
+            if injective and not _piece_determined(comp, piece, by=1):
                 continue
             j = _orbit_index_of(comp, y0, b_orbits)
             pieces.append(GraphPiece(piece_expr, x0, y0, i, j))
@@ -180,11 +180,11 @@ class _MorphismChecker:
     assigned pieces, with the first piece fixed at its representative pair
     and the rest (plus any family index) quantified."""
 
-    def __init__(self, comp: Compiler, A: Structure, B: Structure, two_way: bool):
+    def __init__(self, comp: Compiler, A: Structure, B: Structure, reflect: bool):
         self.comp = comp
         self.A = A
         self.B = B
-        self.two_way = two_way
+        self.reflect = reflect
         self.cache: dict[tuple, bool] = {}
 
     def compatible_with(self, assigned: list[GraphPiece], new: GraphPiece) -> bool:
@@ -212,7 +212,7 @@ class _MorphismChecker:
             sym,
             counterpart(self.B, sym).interp,
             parts,
-            reflect=self.two_way,
+            reflect=self.reflect,
         )
         self.cache[key] = ok
         return ok
@@ -238,8 +238,9 @@ def find_definable_map(
     Negative answers are exact only for 'iso' over a backend with dense
     supports; otherwise they are reported as NOT_FOUND_INCOMPLETE.
     """
-    if mode not in ("iso", "hom", "emb"):
+    if mode not in MODES:
         raise ValidationError(f"unknown search mode {mode!r}")
+    injective, surjective = MODES[mode]
     T = _require_structure_atoms(comp, A, B, T)
     stats = {"orbits_a": 0, "orbits_b": 0, "pieces": 0, "candidates": 0}
 
@@ -258,15 +259,16 @@ def find_definable_map(
         return Certificate(NOT_FOUND, None, tuple(sorted(T)), stats)
 
     pieces, a_orbits, b_orbits = enumerate_pieces(
-        comp, A, B, T, require_injective=mode != "hom", budget=budget
+        comp, A, B, T, injective=injective, budget=budget
     )
     stats["orbits_a"] = len(a_orbits)
     stats["orbits_b"] = len(b_orbits)
     stats["pieces"] = len(pieces)
 
-    if mode == "iso" and len(a_orbits) != len(b_orbits):
+    # every piece maps one orbit onto one orbit
+    if injective and len(a_orbits) > len(b_orbits):
         return negative()
-    if mode == "emb" and len(a_orbits) > len(b_orbits):
+    if surjective and len(a_orbits) < len(b_orbits):
         return negative()
 
     by_a: dict[int, list[GraphPiece]] = {}
@@ -280,8 +282,7 @@ def find_definable_map(
         range(len(a_orbits)),
         key=lambda i: (-len(str(a_orbits[i].type_formula.key)), i),
     )
-    checker = _MorphismChecker(comp, A, B, two_way=mode != "hom")
-    use_b_once = mode != "hom"
+    checker = _MorphismChecker(comp, A, B, reflect=injective)
 
     assigned: list[GraphPiece] = []
     used_b: set[int] = set()
@@ -292,7 +293,7 @@ def find_definable_map(
             return
         i = order[k]
         for p in by_a[i]:
-            if use_b_once and p.b_index in used_b:
+            if injective and p.b_index in used_b:
                 continue
             if not checker.compatible_with(assigned, p):
                 continue
@@ -313,34 +314,20 @@ def find_definable_map(
         witness = DefFunction(
             A.universe, B.universe, union_of(*(p.expr for p in solution))
         )
-        if _verify_witness(comp, witness, A, B, mode):
+        if check_isomorphism(comp, witness, A, B, mode=mode):
             return Certificate(FOUND, witness, tuple(sorted(T)), stats)
         # pruning should never let a bad candidate through; if it does,
         # keep searching but remember the answer may not be conclusive
         mismatch = True
-    out = negative()
-    if mismatch and out.verdict == NOT_FOUND:
+    if mismatch:
         return Certificate(
             NOT_FOUND_INCOMPLETE,
             None,
-            out.params,
+            tuple(sorted(T)),
             stats,
             caveat="a candidate failed final verification; result inconclusive",
         )
-    return out
-
-
-def _verify_witness(
-    comp: Compiler, fn: DefFunction, A: Structure, B: Structure, mode: str
-) -> bool:
-    """Full re-check of a candidate assembled from pieces: a map of the
-    mode's kind whose transport sentences all hold."""
-    if mode == "iso":
-        return check_isomorphism(comp, fn, A, B)
-    fn_validate(comp, fn)
-    if not fn_check(comp, fn, injective=mode == "emb"):
-        return False
-    return transports_symbols(comp, fn, A, B, reflect=mode == "emb")
+    return negative()
 
 
 def decide_definable_iso(
@@ -511,7 +498,7 @@ def _require_structure_atoms(comp: Compiler, A: Structure, B: Structure, T) -> f
     T = frozenset(T)
     missing = (A.params() | B.params()) - T
     if missing:
-        names = ", ".join(comp.backend.format_atom(a) for a in sorted(missing))
+        names = ", ".join(format_atom_value(a) for a in sorted(missing))
         raise ValidationError(
             f"parameter set must contain the structures' atoms; missing: {names}"
         )

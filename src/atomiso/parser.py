@@ -7,8 +7,10 @@ a bare comprehension becomes a one-clause union, an enumeration becomes a
 union of binder-free clauses, and `empty` is the empty union.  `atoms` stays
 a bare `AtomsSet` unless it meets `+`.
 
-Comments start with `#` unless a digit follows (then it is an atom literal)
-and run to the end of the line.
+Atom literals are read by one scanner, `_scan_atom`, which also serves
+`parse_atoms` for the command line's atom lists.  Comments start with `#`
+unless an ASCII digit follows (then it is an atom literal) and run to the
+end of the line.
 """
 
 from fractions import Fraction
@@ -85,6 +87,49 @@ class _Token:
         return f"_Token({self.kind}, {self.value!r}, {self.line}, {self.col})"
 
 
+def _digits_end(text: str, i: int) -> int:
+    while i < len(text) and "0" <= text[i] <= "9":
+        i += 1
+    return i
+
+
+def _scan_atom(text: str, i: int, line: int, col: int):
+    """The atom literal starting at text[i] as (value, end), or None when
+    none starts there.  `#n` is an equality atom; `n`, `-n`, `n/d` and
+    `-n/d` are rationals.  Digits are ASCII only."""
+    start = i + 1 if text[i] in "#-" else i
+    end = _digits_end(text, start)
+    if end == start:
+        return None
+    if text[i] == "#":
+        return int(text[start:end]), end
+    denominator_end = _digits_end(text, end + 1) if text.startswith("/", end) else end
+    if denominator_end > end + 1:
+        end = denominator_end
+    frag = text[i:end]
+    try:
+        return Fraction(frag), end
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in atom literal {frag!r}", line, col) from None
+
+
+def parse_atoms(text: str | None, backend: Backend) -> frozenset:
+    """The atoms of a comma- or whitespace-separated list of literals, each
+    checked by the backend; an empty list means no atoms.  A word that is
+    not a literal goes to the backend's check as written, which rejects it."""
+    spaced = (text or "").replace(",", " ")
+    atoms = set()
+    end = 0
+    for word in spaced.split():
+        start = spaced.index(word, end)
+        end = start + len(word)
+        lit = _scan_atom(spaced, start, 1, start + 1)
+        value = lit[0] if lit is not None and lit[1] == end else word
+        backend.check_atom(value)
+        atoms.add(value)
+    return frozenset(atoms)
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
     i = 0
@@ -106,35 +151,18 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch == "#":
-            if i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(_Token("atom", int(text[i + 1 : j]), line, col))
+        if ch == "#" or ch == "-" or "0" <= ch <= "9":
+            lit = _scan_atom(text, i, line, col)
+            if lit is not None:
+                value, j = lit
+                toks.append(_Token("atom", value, line, col))
                 col += j - i
                 i = j
                 continue
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            frag = text[i:j]
-            try:
-                value = Fraction(frag)
-            except ZeroDivisionError:
-                err(f"zero denominator in atom literal {frag!r}")
-            toks.append(_Token("atom", value, line, col))
-            col += j - i
-            i = j
-            continue
+            if ch == "#":
+                while i < n and text[i] != "\n":
+                    i += 1
+                continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):

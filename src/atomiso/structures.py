@@ -5,13 +5,16 @@ indexed families of unary-or-wider relations; family members are stored as
 flat tuples whose first component is the index.  Structures serialize to a
 small JSON document holding expressions in concrete syntax.
 
-`check_isomorphism` decides whether a definable bijection is an isomorphism
-with one first-order sentence per symbol and per tuple of graph clauses:
-for all instances of the clauses, the arguments lie in the symbol of A
-exactly when their images lie in the symbol of B.  `transports_tuple` is
-that one kernel, deciding the sentence as the absence of a breach
-(`algebra.breach_block`, which also serves `fn_check`); the homomorphism and
-embedding checks and the search's pruning in engine.py use it too.
+`MODES` says what a map of each search mode must be: an isomorphism is
+injective and surjective, an embedding injective, a homomorphism neither;
+a map that must be injective must also reflect every symbol.
+`check_isomorphism` checks a map of any mode with one first-order sentence
+per symbol and per tuple of graph clauses: for all instances of the
+clauses, when the arguments lie in the symbol of A their images lie in the
+symbol of B (and, reflecting, conversely).  `transports_tuple` is that one
+kernel, deciding the sentence as the absence of a breach
+(`algebra.breach_block`, which also serves `fn_check`); the search's
+pruning in engine.py uses it too.
 """
 
 import itertools
@@ -34,6 +37,9 @@ from .theories import get_backend
 from .theories.formulas import And, Implies, lnot
 
 MAX_ARITY = 4
+
+#: search mode -> (injective, surjective) of the maps it looks for
+MODES = {"iso": (True, True), "emb": (True, False), "hom": (False, False)}
 
 
 @dataclass(frozen=True)
@@ -286,11 +292,16 @@ def signatures_match(comp: Compiler, A: Structure, B: Structure) -> bool:
     return True
 
 
-def check_isomorphism(comp: Compiler, fn: DefFunction, A: Structure, B: Structure) -> bool:
-    """Whether fn is an isomorphism from A onto B: a bijection between the
-    universes that preserves and reflects every symbol.  The map is
-    validated first (ValidationError), so a malformed map is reported as
+def check_isomorphism(
+    comp: Compiler, fn: DefFunction, A: Structure, B: Structure, *, mode: str = "iso"
+) -> bool:
+    """Whether fn is a map of the mode's kind from A to B: by default an
+    isomorphism, a bijection between the universes that preserves and
+    reflects every symbol; an embedding ('emb') need only be injective, and
+    a homomorphism ('hom') need be neither injective nor reflect.  The map
+    is validated first (ValidationError), so a malformed map is reported as
     such whatever the structures."""
+    injective, surjective = MODES[mode]
     if A.backend_name != comp.backend.name or B.backend_name != comp.backend.name:
         raise ValidationError("structures and compiler use different backends")
     fn_validate(comp, fn)
@@ -300,9 +311,9 @@ def check_isomorphism(comp: Compiler, fn: DefFunction, A: Structure, B: Structur
         return False
     if not set_equal(comp, fn.cod, B.universe):
         return False
-    if not fn_check(comp, fn, injective=True, surjective=True):
+    if not fn_check(comp, fn, injective=injective, surjective=surjective):
         return False
-    return transports_symbols(comp, fn, A, B, reflect=True)
+    return transports_symbols(comp, fn, A, B, reflect=injective)
 
 
 def transports_symbols(

@@ -145,13 +145,9 @@ class Backend:
     # ------------------------------------------------------------------
     # atoms
 
-    def parse_atom(self, text: str) -> Atom:
-        raise NotImplementedError
-
-    def format_atom(self, a: Atom) -> str:
-        raise NotImplementedError
-
-    def check_atom(self, a: Atom) -> None:
+    def check_atom(self, a: Atom | str) -> None:
+        """Raise VocabularyError unless a is an atom of this backend; text
+        that is no atom literal arrives as a string and is rejected."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

@@ -12,7 +12,6 @@ ordered Bell numbers.
 
 import itertools
 import math
-import re
 from fractions import Fraction
 
 from ..errors import VocabularyError
@@ -33,9 +32,6 @@ from .formulas import (
     lor,
     lt,
 )
-
-_RAT_RE = re.compile(r"-?\d+(/\d+)?$")
-
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The minimal-denominator rational strictly between lo and hi,
@@ -69,15 +65,6 @@ class DloBackend(Backend):
     relations = {"=": 2, "<": 2, "<=": 2}
 
     # -- atoms ---------------------------------------------------------
-
-    def parse_atom(self, text: str) -> Atom:
-        text = text.strip()
-        if not _RAT_RE.match(text):
-            raise VocabularyError(f"rational atoms look like 2, -1, or 5/3, got {text!r}")
-        return Fraction(text)
-
-    def format_atom(self, a: Atom) -> str:
-        return str(a)
 
     def check_atom(self, a: Atom) -> None:
         if not isinstance(a, Fraction):

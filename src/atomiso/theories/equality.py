@@ -11,7 +11,6 @@ play) and the free blocks of complete types.
 """
 
 import itertools
-import re
 
 from ..errors import VocabularyError
 from .base import Backend
@@ -32,23 +31,11 @@ from .formulas import (
     ne,
 )
 
-_ATOM_RE = re.compile(r"#(\d+)$")
-
-
 class EqualityBackend(Backend):
     name = "equality"
     relations = {"=": 2}
 
     # -- atoms ---------------------------------------------------------
-
-    def parse_atom(self, text: str) -> Atom:
-        m = _ATOM_RE.match(text.strip())
-        if not m:
-            raise VocabularyError(f"equality atoms look like #7, got {text!r}")
-        return int(m.group(1))
-
-    def format_atom(self, a: Atom) -> str:
-        return f"#{a}"
 
     def check_atom(self, a: Atom) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or a < 0:

@@ -84,6 +84,46 @@ def test_bad_operand_messages_name_the_input(capsys, argv, message):
     assert err.strip() == f"atomiso: {message}"
 
 
+_DLO_LINE = json.dumps({"backend": "dlo", "universe": "atoms"})
+_DLO_IDENTITY = json.dumps(
+    {"backend": "dlo", "dom": "atoms", "cod": "atoms", "graph": "{(a, a) | a in atoms}"}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--backend", "dlo", "orbits", "atoms", "--fix", "1/0"],
+        ["--backend", "cyclic", "subsets", "atoms", "--params", "1/00"],
+        ["iso", "{dir}/circle.a.json", "{dir}/circle.b.json", "--params", "1/0"],
+        ["eliminate", "--map", "{dir}/map.json", "{dir}/line.json", "{dir}/line.json", "--params", "1/0"],
+        ["orbits", "{#\u00b2}"],
+        ["--backend", "dlo", "orbits", "{\u00b2}"],
+        ["iso", "{dir}/squared.json", "{dir}/squared.json"],
+    ],
+    ids=[
+        "dlo-fix-zero-denominator",
+        "cyclic-params-zero-denominator",
+        "iso-params-zero-denominator",
+        "eliminate-params-zero-denominator",
+        "equality-superscript-digit",
+        "dlo-superscript-digit",
+        "structure-superscript-digit",
+    ],
+)
+def test_bad_atom_literals_exit_2(tmp_path, capsys, argv):
+    run(capsys, "fixture", "circle", "--emit", str(tmp_path))
+    (tmp_path / "line.json").write_text(_DLO_LINE)
+    (tmp_path / "map.json").write_text(_DLO_IDENTITY)
+    (tmp_path / "squared.json").write_text(
+        json.dumps({"backend": "dlo", "universe": "{\u00b2}"})
+    )
+    code, out, err = run(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("atomiso: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_subsets_and_budget(capsys):
     code, out, _ = run(capsys, "subsets", "atoms", "--params", "#1,#2")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from atomiso import engine
 from atomiso.algebra import DefFunction, fn_bijective, set_equal
 from atomiso.engine import (
     FOUND,
@@ -252,6 +253,21 @@ def test_dlo_order_and_its_reverse_are_not_definably_isomorphic(dlo_comp, params
     cert = decide_definable_iso(dlo_comp, A, B, extra_params=params)
     assert cert.verdict == NOT_FOUND
     assert cert.caveat is None
+
+
+@pytest.mark.parametrize("mode", ["iso", "emb", "hom"])
+def test_a_candidate_failing_the_final_check_makes_the_answer_inconclusive(
+    dlo_comp, monkeypatch, mode
+):
+    # with pruning switched off the identity, the only piece, is assembled;
+    # it transports < to >, so the final check rejects it
+    A = _dlo_graph("less", "{(a, b) | a, b in atoms, a < b}")
+    B = _dlo_graph("greater", "{(a, b) | a, b in atoms, b < a}")
+    monkeypatch.setattr(engine._MorphismChecker, "compatible_with", lambda *_: True)
+    cert = find_definable_map(dlo_comp, A, B, frozenset(), mode=mode)
+    assert cert.verdict == NOT_FOUND_INCOMPLETE
+    assert cert.caveat == "a candidate failed final verification; result inconclusive"
+    assert cert.stats["candidates"] == 1
 
 
 def test_eliminate_parameters_dlo_identity(dlo_comp):

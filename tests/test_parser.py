@@ -11,6 +11,7 @@ from atomiso.exprs import AtomParam, AtomsSet, ETuple, EVar, SetComp, Union, exp
 from atomiso.parser import (
     MAX_NESTING,
     parse,
+    parse_atoms,
     parse_formula,
     print_expr,
     print_formula,
@@ -36,6 +37,35 @@ def test_parse_atom_literals():
     assert parse("-2", dlo) == AtomParam(Fraction(-2))
     with pytest.raises(ParseError):
         parse("1/0", dlo)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+@pytest.mark.parametrize("template", ["{#%s}", "{%s}", "{-%s}", "{1/%s}"])
+def test_atom_literals_take_ascii_digits_only(digit, template):
+    for backend in (get_backend("equality"), get_backend("dlo")):
+        with pytest.raises(ParseError):
+            parse(template % digit, backend)
+        with pytest.raises(VocabularyError):
+            parse_atoms((template % digit)[1:-1], backend)
+
+
+def test_parse_atoms_reads_the_expression_literals():
+    eqb = get_backend("equality")
+    dlo = get_backend("dlo")
+    assert parse_atoms(None, eqb) == frozenset()
+    assert parse_atoms(" , ", eqb) == frozenset()
+    assert parse_atoms("#1,#2  #3", eqb) == {1, 2, 3}
+    assert parse_atoms("-1, 5/3 2/4", dlo) == {Fraction(-1), Fraction(5, 3), Fraction(1, 2)}
+    # a list literal and an expression literal are one syntax
+    for text, backend in (("#12", eqb), ("-3/4", dlo)):
+        (atom,) = parse_atoms(text, backend)
+        assert parse(text, backend) == AtomParam(atom)
+    with pytest.raises(ParseError) as ei:
+        parse_atoms("1, 1/0", dlo)
+    assert ei.value.column == 4
+    for bad, backend in (("1", eqb), ("#1", dlo), ("1/", dlo), ("#1x", eqb), ("abc", dlo)):
+        with pytest.raises(VocabularyError, match=repr(bad)):
+            parse_atoms(bad, backend)
 
 
 def test_parse_tuple_and_enumset():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from atomiso.errors import DensenessError, ValuationError, VocabularyError
+from atomiso.parser import parse_atoms
 from atomiso.theories import backend_names, base, get_backend
 from atomiso.theories.base import ConjunctState
 from atomiso.theories.formulas import (
@@ -24,6 +25,7 @@ from atomiso.theories.formulas import (
     Var,
     cyc,
     eq,
+    format_atom_value,
     formula_atoms,
     free_vars,
     land,
@@ -53,13 +55,16 @@ def test_backend_names():
 
 def test_atom_parsing_roundtrip():
     eqb = get_backend("equality")
-    assert eqb.parse_atom("#7") == 7
-    assert eqb.format_atom(7) == "#7"
+    assert parse_atoms("#7", eqb) == {7}
+    assert format_atom_value(7) == "#7"
     dlo = get_backend("dlo")
-    assert dlo.parse_atom("-3/2") == Fraction(-3, 2)
-    assert dlo.format_atom(Fraction(5, 3)) == "5/3"
+    assert parse_atoms("-3/2", dlo) == {Fraction(-3, 2)}
+    assert format_atom_value(Fraction(5, 3)) == "5/3"
     cyc_b = get_backend("cyclic")
-    assert cyc_b.parse_atom("1/4") == Fraction(1, 4)
+    assert parse_atoms("1/4", cyc_b) == {Fraction(1, 4)}
+    for backend, atoms in ((eqb, {0, 7, 12}), (dlo, {Fraction(-3, 2), Fraction(0), Fraction(5)})):
+        written = " ".join(format_atom_value(a) for a in sorted(atoms))
+        assert parse_atoms(written, backend) == atoms
 
 
 def test_check_atom_rejects_foreign_values():
