@@ -18,7 +18,8 @@ in play is invariant.  Each assembled candidate is then verified in full:
 its graph is checked to be a map of the requested kind
 (`structures.check_isomorphism` with the mode), and the same sentences are
 decided for every tuple of its clauses, none fixed.  What each mode
-requires, injective and surjective, is read from `structures.MODES`.
+requires, injective and surjective, is read from `structures.MODES`
+(`mode_kind`).
 """
 
 import itertools
@@ -46,11 +47,11 @@ from .errors import (
 )
 from .exprs import ETuple, Expr, SetComp, expr_params, instantiate, union_of
 from .structures import (
-    MODES,
     Structure,
     check_isomorphism,
     counterpart,
     function_to_dict,
+    mode_kind,
     signatures_match,
     transports_tuple,
 )
@@ -238,9 +239,7 @@ def find_definable_map(
     Negative answers are exact only for 'iso' over a backend with dense
     supports; otherwise they are reported as NOT_FOUND_INCOMPLETE.
     """
-    if mode not in MODES:
-        raise ValidationError(f"unknown search mode {mode!r}")
-    injective, surjective = MODES[mode]
+    injective, surjective = mode_kind(mode)
     T = _require_structure_atoms(comp, A, B, T)
     stats = {"orbits_a": 0, "orbits_b": 0, "pieces": 0, "candidates": 0}
 

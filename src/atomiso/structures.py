@@ -42,6 +42,13 @@ MAX_ARITY = 4
 MODES = {"iso": (True, True), "emb": (True, False), "hom": (False, False)}
 
 
+def mode_kind(mode: str) -> tuple[bool, bool]:
+    """`MODES[mode]`; ValidationError for an unknown mode."""
+    if mode not in MODES:
+        raise ValidationError(f"unknown search mode {mode!r}")
+    return MODES[mode]
+
+
 @dataclass(frozen=True)
 class RelationSymbol:
     name: str
@@ -301,7 +308,7 @@ def check_isomorphism(
     a homomorphism ('hom') need be neither injective nor reflect.  The map
     is validated first (ValidationError), so a malformed map is reported as
     such whatever the structures."""
-    injective, surjective = MODES[mode]
+    injective, surjective = mode_kind(mode)
     if A.backend_name != comp.backend.name or B.backend_name != comp.backend.name:
         raise ValidationError("structures and compiler use different backends")
     fn_validate(comp, fn)

@@ -33,6 +33,7 @@ from .formulas import (
     lt,
 )
 
+
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The minimal-denominator rational strictly between lo and hi,
     ties broken toward the least such numerator (Stern-Brocot descent)."""

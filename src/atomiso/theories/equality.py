@@ -31,6 +31,7 @@ from .formulas import (
     ne,
 )
 
+
 class EqualityBackend(Backend):
     name = "equality"
     relations = {"=": 2}

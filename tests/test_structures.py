@@ -142,6 +142,32 @@ def test_check_isomorphism_validates_the_map_before_the_signatures(eq_comp):
         check_isomorphism(eq_comp, escaping, A, C)
 
 
+def test_check_isomorphism_checks_the_map_of_each_mode(eq_comp):
+    def graph(interp):
+        return structure_from_dict(
+            {
+                "backend": "equality",
+                "universe": "atoms",
+                "relations": [{"name": "E", "arity": 2, "interp": interp}],
+            }
+        )
+
+    A = graph("empty")
+    B = graph("{(a, b) | a, b in atoms, a != b}")
+    # the identity preserves the empty relation but does not reflect B's;
+    # the constant map is not even injective
+    ident = DefFunction(A.universe, B.universe, parse("{(a, a) | a in atoms}"))
+    const = DefFunction(A.universe, B.universe, parse("{(a, #1) | a in atoms}"))
+    for fn in (ident, const):
+        assert check_isomorphism(eq_comp, fn, A, B, mode="hom")
+        assert not check_isomorphism(eq_comp, fn, A, B, mode="emb")
+        assert not check_isomorphism(eq_comp, fn, A, B)
+    assert check_isomorphism(eq_comp, ident, A, A, mode="emb")
+    assert not check_isomorphism(eq_comp, const, A, A, mode="emb")
+    with pytest.raises(ValidationError, match="unknown search mode 'epi'"):
+        check_isomorphism(eq_comp, ident, A, B, mode="epi")
+
+
 def test_check_isomorphism_identity(eq_comp):
     A, B = kneser_pair()
     u = A.universe
