@@ -146,7 +146,10 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     deterministic order.  S must contain every atom of X.
 
     Each clause paired with each complete S-type of its binders that its
-    guard admits is a candidate orbit; a candidate is kept unless its
+    guard admits is a candidate orbit.  The guard is decided at the type's
+    representative by evaluation (`sat`), which is exact as guard truth is
+    constant across a complete type, and the type's formula is written only
+    once the guard admits it.  A candidate is kept unless its
     representative lies in an orbit kept before it (`in_orbit`).  Candidates
     from one clause whose element is injective are never compared, as
     distinct types of its binders give distinct elements."""
@@ -160,11 +163,11 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     descs = []  # (descriptor, injectivity of its clause's element)
     for c in clauses(X):
         injective = _element_injective(c)
-        for ti in backend.types_with_reps(c.binders, S):
-            # guard truth is constant across a complete type, so testing the
-            # representative is exact
-            if backend.sat(c.guard, ti.rep_valuation()):
-                descs.append((OrbitDescriptor(c, ti.formula, S, ti.rep), injective))
+        for values in backend.type_reps(c.binders, S):
+            rep = dict(zip(c.binders, values))
+            if backend.sat(c.guard, rep):
+                t = backend.type_of(c.binders, values, S)
+                descs.append((OrbitDescriptor(c, t, S, tuple(sorted(rep.items()))), injective))
     kept: list[OrbitDescriptor] = []
     for d, injective in descs:
         x = d.rep_element()

@@ -9,8 +9,8 @@ a bare `AtomsSet` unless it meets `+`.
 
 Atom literals are read by one scanner, `_scan_atom`, which also serves
 `parse_atoms` for the command line's atom lists.  Comments start with `#`
-unless an ASCII digit follows (then it is an atom literal) and run to the
-end of the line.
+unless a digit follows and run to the end of the line: `#` and ASCII digits
+are an atom literal, `#` and any other digit is an error naming it.
 """
 
 from fractions import Fraction
@@ -160,6 +160,12 @@ def _tokenize(text: str) -> list[_Token]:
                 i = j
                 continue
             if ch == "#":
+                j = i + 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                if j > i + 1:
+                    # a digit that is not ASCII: a mistyped literal, not a comment
+                    err(f"atom literals take ASCII digits only, got {text[i:j]!r}")
                 while i < n and text[i] != "\n":
                     i += 1
                 continue

@@ -4,12 +4,14 @@ Each backend describes one countable homogeneous structure whose first-order
 theory admits quantifier elimination.  The base class owns the elimination
 pipeline (negation normal form, miniscoping, disjunctive normal form with
 consistency pruning, per-conjunct variable elimination) and the derived
-operations: satisfiability under a valuation, deterministic witness search
-and complete types.  A closed chain of like quantifiers, as in every
-sentence behind a verdict, is not eliminated binder by binder: it is
-decided by one pruned DNF search over the variable-disjoint components of
-its body, since an existential closure holds exactly when some literal set
-of the DNF is consistent.
+operations: truth under a valuation, deterministic witness search and
+complete types.  Truth under a valuation is decided by evaluating the
+eliminated formula at it, each literal folded by the backend's own
+`normalize_literal`, with no formula rebuilt.  A closed chain of like
+quantifiers, as in every sentence behind a verdict, is not eliminated
+binder by binder: it is decided by one pruned DNF search over the
+variable-disjoint components of its body, since an existential closure
+holds exactly when some literal set of the DNF is consistent.
 
 The DNF is kept absorbed: a disjunction, and each step of the fold that
 multiplies out a conjunction, keeps only the minimal literal sets, since
@@ -36,10 +38,12 @@ fresh ids for the pure set, one simplest rational per gap for the orders).
 Complete types are built in one place.  Quantifier elimination in a
 homogeneous structure makes the orbit of an atom tuple over a parameter set
 its complete quantifier-free type, which one realization determines, so
-`type_of` writes the type of given values and `types_with_reps` enumerates
-one realization per type and takes each formula from `type_of`.  Both
-handle the blocks of equal values and the blocks pinned to a parameter; a
-backend supplies only two hooks on the remaining free blocks:
+`type_reps` enumerates one realization per type and `type_of` writes the
+type of given values; `types_with_reps` pairs the two.  A caller that
+filters the types, as `orbit_decomposition` does by a guard, decides the
+guard at the realization by `sat` and writes a type only once the guard
+admits it.  Both handle the blocks of equal values and the blocks pinned to
+a parameter; a backend supplies only two hooks on the remaining free blocks:
 `_free_block_values` (one value tuple per arrangement, in a fixed order)
 and `_free_block_literals` (the literals that fix an arrangement).
 """
@@ -73,7 +77,6 @@ from .formulas import (
     lor,
     nnf,
     subformulas,
-    subst,
 )
 
 Valuation = dict[str, Atom]
@@ -440,7 +443,9 @@ class Backend:
     # satisfiability and witnesses
 
     def sat(self, f: Formula, valuation: Valuation) -> bool:
-        """Truth of f under a valuation covering its free variables."""
+        """Truth of f under a valuation covering its free variables: the
+        quantifier-free `qe(f)` evaluated at the valuation (`_holds_at`),
+        with no formula rebuilt."""
         missing = free_vars(f) - set(valuation)
         if missing:
             raise ValuationError(
@@ -448,15 +453,29 @@ class Backend:
             )
         for v in valuation.values():
             self.check_atom(v)
-        q = self.qe(f)
-        fvs = free_vars(q)
-        g = subst(q, {k: Const(v) for k, v in valuation.items() if k in fvs})
-        g = self._norm(g)
-        if isinstance(g, Top):
+        consts = {k: Const(v) for k, v in valuation.items()}
+        return self._holds_at(self.qe(f), consts)
+
+    def _holds_at(self, f: Formula, consts: dict[str, Const]) -> bool:
+        """Truth of a normalized quantifier-free formula once each variable
+        takes its constant in `consts`.  And and Or short-circuit; a literal
+        is folded by `normalize_literal` on its ground arguments, so each
+        backend's ground semantics stay in one place."""
+        if isinstance(f, And):
+            return all(self._holds_at(g, consts) for g in f.args)
+        if isinstance(f, Or):
+            return any(self._holds_at(g, consts) for g in f.args)
+        if isinstance(f, Top):
             return True
-        if isinstance(g, Bot):
+        if isinstance(f, Bot):
             return False
-        raise AssertionError(f"ground formula did not fold: {g!r}")
+        positive = isinstance(f, Rel)
+        rel = f if positive else f.body
+        args = tuple(consts[t.name] if isinstance(t, Var) else t for t in rel.args)
+        g = self.normalize_literal(rel.name, args, positive)
+        if isinstance(g, (Top, Bot)):
+            return isinstance(g, Top)
+        raise AssertionError(f"ground literal did not fold: {g!r}")
 
     def holds(self, sentence: Formula) -> bool:
         return self.sat(sentence, {})
@@ -486,22 +505,27 @@ class Backend:
     # ------------------------------------------------------------------
     # types and orbits of atom tuples
 
-    def types_with_reps(self, variables: tuple[str, ...], params: frozenset[Atom]) -> list[TypeInfo]:
-        """Every complete type of `variables` over `params`, each with one
-        realization, in a fixed order: partitions of the variables into
-        blocks, then anchor choices, then the backend's free-block values."""
+    def type_reps(self, variables: tuple[str, ...], params: frozenset[Atom]):
+        """One realization of every complete type of `variables` over
+        `params`, as a value tuple in the order of `variables`, in a fixed
+        order: partitions of the variables into blocks, then anchor choices,
+        then the backend's free-block values."""
         svals = sorted(params)
-        out = []
         for blocks in set_partitions(tuple(variables)):
             for anchors in _anchor_choices(len(blocks), svals):
                 for free in self._free_block_values(anchors.count(None), svals):
                     fresh = iter(free)
                     block_values = [a if a is not None else next(fresh) for a in anchors]
                     row = {v: a for block, a in zip(blocks, block_values) for v in block}
-                    values = tuple(row[v] for v in variables)
-                    formula = self.type_of(variables, values, params)
-                    out.append(TypeInfo(formula, tuple(sorted(row.items()))))
-        return out
+                    yield tuple(row[v] for v in variables)
+
+    def types_with_reps(self, variables: tuple[str, ...], params: frozenset[Atom]) -> list[TypeInfo]:
+        """Every complete type of `variables` over `params`, each written by
+        `type_of` at its realization from `type_reps`, in that order."""
+        return [
+            TypeInfo(self.type_of(variables, values, params), tuple(sorted(zip(variables, values))))
+            for values in self.type_reps(variables, params)
+        ]
 
     def type_of(self, variables: tuple[str, ...], values: tuple[Atom, ...], params: frozenset[Atom]) -> Formula:
         """The complete type over `params` realized by concrete `values`:
@@ -527,7 +551,7 @@ class Backend:
         """Yield representative values for k free blocks, one tuple per
         arrangement of the blocks relative to the sorted parameters `svals`
         and to each other, in a fixed order.  The values are distinct and
-        avoid svals; this order decides the order of `types_with_reps`."""
+        avoid svals; this order decides the order of `type_reps`."""
         raise NotImplementedError
 
     def _free_block_literals(self, free: list[tuple[Atom, Var]], svals: list[Atom]) -> list[Formula]:

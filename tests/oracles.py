@@ -15,6 +15,8 @@ the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
 `reference_qe` eliminates every quantifier binder by binder, the reference
 for the library's one-search decision of closed quantifier blocks.
+`reference_sat` substitutes a valuation into the eliminated formula and
+normalizes the result, the reference for the library's evaluation of it.
 `reference_least_support` and `reference_fn_check` send every sentence the
 library skips or replaces by breach blocks.  `reference_orbit_decomposition`
 merges orbit candidates by a membership query on each kept piece, with its
@@ -71,6 +73,7 @@ from atomiso.theories.formulas import (
     lor,
     nnf,
     quantify,
+    subst,
 )
 
 
@@ -265,6 +268,16 @@ def reference_qe(backend, f):
         return backend._norm(nnf(lnot(backend._exists(g.var, neg))))
 
     return elim(backend._norm(nnf(backend.pre_transform(f))))
+
+
+def reference_sat(backend, f, valuation) -> bool:
+    """`backend.sat(f, valuation)` by rebuilding: the `qe` output with each
+    variable replaced by its constant and every literal normalized again,
+    which folds the ground formula to TRUE or FALSE."""
+    q = backend.qe(f)
+    g = backend._norm(subst(q, {k: Const(v) for k, v in valuation.items()}))
+    assert isinstance(g, (Top, Bot)), g
+    return isinstance(g, Top)
 
 
 def reference_least_support(comp, x) -> frozenset:

@@ -401,6 +401,54 @@ def test_orbits_of_a_nested_cyclic_set(cyc_comp):
     assert hashlib.sha256(repr(out).encode()).hexdigest() == NESTED_CYCLIC_ORBITS_DIGEST
 
 
+@pytest.mark.parametrize(
+    "backend_name, text, candidates, admitted",
+    [
+        ("cyclic", NESTED_CYCLIC, 21, 21),
+        ("cyclic", "{(a, b) | a, b in atoms, R(a, b, 0) or a = b}", 6, 3),
+        ("dlo", "{(a, b, c) | a, b, c in atoms, a < b and not c < 1}", 75, 18),
+    ],
+    ids=["nested-cyclic", "cyclic-arc", "dlo-order"],
+)
+def test_orbit_decomposition_writes_only_admitted_types(
+    monkeypatch, backend_name, text, candidates, admitted
+):
+    # a candidate's type formula is written only once its guard admits the
+    # representative; the type_of calls of in_orbit's merge test are not
+    # the decomposition's own and are not counted
+    comp = Compiler(get_backend(backend_name))
+    backend = comp.backend
+    x = _p(text, comp)
+    s = expr_params(x)
+    verdicts = [
+        backend.sat(c.guard, dict(zip(c.binders, values)))
+        for c in x.clauses
+        for values in backend.type_reps(c.binders, s)
+    ]
+    assert (len(verdicts), sum(verdicts)) == (candidates, admitted)
+    written, merging = [], []
+    type_of, merge_test = backend.type_of, in_orbit
+
+    def counted_type_of(*args):
+        if not merging:
+            written.append(args)
+        return type_of(*args)
+
+    def uncounted_in_orbit(*args):
+        merging.append(args)
+        try:
+            return merge_test(*args)
+        finally:
+            merging.pop()
+
+    monkeypatch.setattr(backend, "type_of", counted_type_of)
+    monkeypatch.setattr("atomiso.algebra.in_orbit", uncounted_in_orbit)
+    got = orbit_decomposition(comp, x, s)
+    assert len(written) == admitted
+    monkeypatch.undo()
+    assert got == reference_orbit_decomposition(Compiler(get_backend(backend_name)), x, s)
+
+
 @pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
 def test_in_orbit_agrees_with_piece_membership(monkeypatch, backend_name):
     comp = Compiler(get_backend(backend_name))

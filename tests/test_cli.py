@@ -124,6 +124,13 @@ def test_bad_atom_literals_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_a_bad_hash_literal_is_named(capsys, digit):
+    code, out, err = run(capsys, "orbits", "{#%s}" % digit)
+    assert code == 2 and out == ""
+    assert err == f"atomiso: atom literals take ASCII digits only, got '#{digit}' (line 1, column 2)\n"
+
+
 def test_subsets_and_budget(capsys):
     code, out, _ = run(capsys, "subsets", "atoms", "--params", "#1,#2")
     assert code == 0

@@ -188,6 +188,47 @@ def test_piece_enumeration_counts(eq_comp):
     assert len(pieces) == 6
 
 
+def _pairs_graph(name, interp, universe="{(a, b) | a, b in atoms, a != b}"):
+    return structure_from_dict(
+        {
+            "backend": "equality",
+            "name": name,
+            "universe": universe,
+            "relations": [{"name": "S", "arity": 2, "interp": interp}],
+            "families": [],
+        }
+    )
+
+
+def test_the_last_candidate_image_can_be_the_only_compatible_one(eq_comp):
+    # the swap carries "same first component" to "same second component";
+    # of the two images of (a, b) that a and b support, the identity comes
+    # first and only the swap, the last one, is compatible
+    A = _pairs_graph("first", "{((a, b), (a, c)) | a, b, c in atoms, a != b and a != c}")
+    B = _pairs_graph("second", "{((b, a), (c, a)) | a, b, c in atoms, a != b and a != c}")
+    pieces, _, _ = enumerate_pieces(eq_comp, A, B, frozenset())
+    assert [(p.x0, p.y0) for p in pieces] == [
+        (parse("(#1, #2)"), parse("(#1, #2)")),
+        (parse("(#1, #2)"), parse("(#2, #1)")),
+    ]
+    cert = decide_definable_iso(eq_comp, A, B)
+    assert cert.verdict == FOUND
+    swap = parse("{((a, b), (b, a)) | a, b in atoms, a != b}")
+    assert set_equal(eq_comp, cert.witness.graph, swap)
+
+
+def test_the_last_orbit_over_the_anchor_can_be_the_only_image(eq_comp):
+    # the one-element orbit {atoms} comes last in the universe, so over its
+    # empty anchor it is the last candidate image, and its only one: the
+    # pairs' orbit before it is not supported by the empty set
+    universe = "{(a, b) | a, b in atoms, a != b} + {{c | c in atoms}}"
+    st = _pairs_graph("pairs", "empty", universe)
+    pieces, _, b_orbits = enumerate_pieces(eq_comp, st, st, frozenset())
+    assert [o.rep_element() for o in b_orbits][-1] == parse("{c | c in atoms}")
+    assert [(p.a_index, p.b_index) for p in pieces] == [(0, 0), (0, 0), (1, 1)]
+    assert decide_definable_iso(eq_comp, st, st).verdict == FOUND
+
+
 def test_matching_agrees_with_naive_search(eq_comp):
     rng = random.Random(17)
     agree = 0

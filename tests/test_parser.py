@@ -49,6 +49,16 @@ def test_atom_literals_take_ascii_digits_only(digit, template):
             parse_atoms((template % digit)[1:-1], backend)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_a_hash_before_a_non_ascii_digit_is_a_bad_literal(digit):
+    # not the start of a comment that would swallow the rest of the line
+    with pytest.raises(ParseError, match=repr("#" + digit)) as ei:
+        parse("{#%s}" % digit)
+    assert (ei.value.line, ei.value.column) == (1, 2)
+    # a comment may still hold any digit after its first character
+    assert parse("{#1}  # note #%s" % digit) == parse("{#1}")
+
+
 def test_parse_atoms_reads_the_expression_literals():
     eqb = get_backend("equality")
     dlo = get_backend("dlo")

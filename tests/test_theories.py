@@ -34,6 +34,7 @@ from atomiso.theories.formulas import (
     lt,
     ne,
     quantify,
+    subformulas,
 )
 from generators import gen_formula, gen_qf_formula, sample_atoms
 from oracles import (
@@ -45,6 +46,7 @@ from oracles import (
     quantifier_depth,
     reference_conjuncts,
     reference_qe,
+    reference_sat,
     scratch_consistent,
 )
 
@@ -192,6 +194,40 @@ def test_conjunct_kernel_matches_oracle():
                     continue
                 assert set(w) == set(fvs) | {"z"}, (name, c)
                 assert all(eval_formula(name, lit, w) for lit in c), (name, c, w)
+
+
+# a literal each backend folds in its own way, as (positive, relation): a
+# negated = over the pure set, a negated < (a disjunction once normalized)
+# over dlo, and R (cut open into < before elimination) over the circle
+_FOLDED_LITERAL = {"equality": (False, "="), "dlo": (False, "<"), "cyclic": (True, "R")}
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_sat_by_evaluation_matches_substitution(name):
+    # sat evaluates the eliminated formula at the valuation; the reference
+    # substitutes the valuation into it and normalizes the ground result
+    rng = random.Random(37)
+    b = get_backend(name)
+    names = ["x", "y"]
+    verdicts = {True: 0, False: 0}
+    literals = set()
+    for i in range(40):
+        atoms = sample_atoms(rng, name, 2)
+        if i % 4 == 3:
+            f = gen_formula(rng, name, names, atoms, depth=3, qdepth=2)
+        else:
+            f = gen_qf_formula(rng, name, names, atoms, depth=3)
+        for g in subformulas(f):
+            lit = g.body if isinstance(g, Not) else g
+            if isinstance(lit, Rel):
+                literals.add((g is lit, lit.name))
+        for values in itertools.product(exhaustive_pool(name, set(atoms), 1), repeat=2):
+            val = dict(zip(names, values))
+            got = b.sat(f, val)
+            assert got == reference_sat(b, f, val), (name, f, val)
+            verdicts[got] += 1
+    assert _FOLDED_LITERAL[name] in literals
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
