@@ -218,9 +218,10 @@ def test_the_last_candidate_image_can_be_the_only_compatible_one(eq_comp):
 
 
 def test_the_last_orbit_over_the_anchor_can_be_the_only_image(eq_comp):
-    # the one-element orbit {atoms} comes last in the universe, so over its
-    # empty anchor it is the last candidate image, and its only one: the
-    # pairs' orbit before it is not supported by the empty set
+    # the one-element orbit of the set of all atoms comes last in the
+    # universe, so over its empty anchor it is the last candidate image, and
+    # its only one: the pairs' orbit before it is not supported by the
+    # empty set
     universe = "{(a, b) | a, b in atoms, a != b} + {{c | c in atoms}}"
     st = _pairs_graph("pairs", "empty", universe)
     pieces, _, b_orbits = enumerate_pieces(eq_comp, st, st, frozenset())
