@@ -318,20 +318,41 @@ def fn_validate(comp: Compiler, fn: DefFunction) -> None:
 def breach_block(comp: Compiler, parts, breach) -> Formula:
     """The closed sentence that some instances of the clauses `parts`
     satisfy breach(elements), given the list of their instantiated
-    elements.  The clauses are renamed apart, so the one block of
-    existentials ranges over every combination of their instances (a clause
-    given twice stands for two independent instances) and is decided by one
-    DNF search.  A universal property of such combinations is decided as
-    the absence of its breach: a block of universals would negate the
-    formula at every binder."""
+    elements.  The one block of existentials ranges over every combination
+    of their instances and is decided by one DNF search.  A universal
+    property of such combinations is decided as the absence of its breach:
+    a block of universals would negate the formula at every binder.
+
+    The first clause keeps its own binder names and the later ones are
+    renamed apart, so that a clause given twice still stands for two
+    independent instances.  Keeping the first names is sound, as every part
+    is closed and its names are reserved before any fresh name is drawn;
+    it also lets the sentences about one clause repeat, and so hit the
+    compile and `qe` memos."""
     for c in parts:
         comp.names.reserve(expr_names(c))
-    renamed = [rename_clause(c, comp.names) for c in parts]
+    renamed = [parts[0], *(rename_clause(c, comp.names) for c in parts[1:])]
     return quantify(
         Exists,
         [b for c in renamed for b in c.binders],
         land(*(c.guard for c in renamed), breach([c.element for c in renamed])),
     )
+
+
+def determined(comp: Compiler, parts, by: int) -> bool:
+    """Whether no instances p, q of the two pair clauses `parts` agree in
+    component `by` and differ in the other: by=0 says their union is
+    functional, by=1 that it is injective.  The breach is symmetric in p
+    and q, so the order of the two parts does not matter."""
+
+    def differ(pq):
+        p, q = pq
+        return land(
+            comp.equal(p.items[by], q.items[by]),
+            lnot(comp.equal(p.items[1 - by], q.items[1 - by])),
+        )
+
+    return not comp.holds(breach_block(comp, parts, differ))
 
 
 def fn_check(
@@ -348,24 +369,11 @@ def fn_check(
     with the codomain in place of the domain.
 
     Functional holds when no two pairs agree in the first component and
-    differ in the second: one breach block per unordered pair of graph
-    clauses, a clause paired with itself included.  Unordered pairs suffice
-    because the breach is symmetric in its two pairs.  Total holds when
-    every element of the domain is the first component of some pair."""
-    graph = clauses(fn.graph)
-
-    def determined(by: int) -> bool:
-        def differ(pq):
-            p, q = pq
-            return land(
-                comp.equal(p.items[by], q.items[by]),
-                lnot(comp.equal(p.items[1 - by], q.items[1 - by])),
-            )
-
-        return not any(
-            comp.holds(breach_block(comp, pair, differ))
-            for pair in itertools.combinations_with_replacement(graph, 2)
-        )
+    differ in the second: one breach block (`determined`) per unordered
+    pair of graph clauses, a clause paired with itself included.  Total
+    holds when every element of the domain is the first component of some
+    pair."""
+    pairs = list(itertools.combinations_with_replacement(clauses(fn.graph), 2))
 
     def covered(s: Expr, by: int) -> bool:
         # every element of s is component `by` of some pair
@@ -376,9 +384,9 @@ def fn_check(
         )
 
     checks = (
-        (functional, lambda: determined(0)),
+        (functional, lambda: all(determined(comp, pq, 0) for pq in pairs)),
         (total, lambda: covered(fn.dom, 0)),
-        (injective, lambda: determined(1)),
+        (injective, lambda: all(determined(comp, pq, 1) for pq in pairs)),
         (surjective, lambda: covered(fn.cod, 1)),
     )
     return all(check() for wanted, check in checks if wanted)

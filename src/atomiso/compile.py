@@ -4,13 +4,14 @@ Equality of two expression values, membership of a value in a set, and set
 inclusion all compile to formulas over the atom vocabulary whose free
 variables are exactly the free expression variables involved.  Results are
 quantifier-free and cached per expression pair, keyed by structural keys.
-That is the only memo for them: a membership, an inclusion or an equality
-of sets runs the backend's uncached `eliminate`, not its memoising `qe`, so
-no compiled formula is held twice.  An equality of atoms is one normalized
-literal and an equality of tuples the conjunction of its components'
-equalities, with nothing to eliminate.  All bound names are drawn from one
-monotone supply per compiler, so a cached formula can never capture a
-variable of a later query.
+That is the only memo for them: a membership or an inclusion runs the
+backend's uncached `eliminate`, not its memoising `qe`, so no compiled
+formula is held twice.  An equality of atoms is one normalized literal, an
+equality of tuples the conjunction of its components' equalities, and an
+equality of sets the conjunction of its two inclusions, which are already
+quantifier-free and normalized: nothing is left to eliminate.  All bound
+names are drawn from one monotone supply per compiler, so a cached formula
+can never capture a variable of a later query.
 """
 
 from .exprs import (
@@ -66,7 +67,7 @@ class Compiler:
             else:
                 out = land(*(self.equal(a, b) for a, b in zip(e1.items, e2.items)))
         else:
-            out = self.backend.eliminate(land(self.subset(e1, e2), self.subset(e2, e1)))
+            out = land(self.subset(e1, e2), self.subset(e2, e1))
         self._eq_cache[key] = out
         return out
 

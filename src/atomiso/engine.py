@@ -10,9 +10,13 @@ finitely many candidate images yields every piece; a backtracking perfect
 matching over pieces, pruned by per-symbol compatibility checks, then
 decides existence.
 
-A compatibility check is the transport sentence of structures.py on a tuple
-of pieces, with the first piece fixed at its representative pair and the
-rest quantified over their whole orbits; fixing one pair is sound because
+Piece and compatibility checks are breach blocks (`algebra.breach_block`)
+with one piece fixed at its representative pair (x0, y0).  A candidate
+piece is kept when it is functional, and injective if the mode needs it,
+at that pair: the `algebra.determined` kernel of `fn_check`, on the piece's
+clause and the fixed pair.  A compatibility check is the transport sentence
+of structures.py on a tuple of pieces, the first fixed at its pair and the
+rest quantified over their whole orbits.  Fixing one pair is sound because
 orbits are transitive under the parameter-fixing automorphisms and every set
 in play is invariant.  Each assembled candidate is then verified in full:
 its graph is checked to be a map of the requested kind
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     DefFunction,
     complete_witness,
+    determined,
     fn_apply,
     fn_domain_expr,
     fn_image_expr,
@@ -55,7 +60,7 @@ from .structures import (
     signatures_match,
     transports_tuple,
 )
-from .theories.formulas import TRUE, Forall, Implies, format_atom_value, land, quantify
+from .theories.formulas import TRUE, format_atom_value, land
 
 DEFAULT_BUDGET = 1 << 16
 
@@ -67,11 +72,13 @@ NOT_FOUND_INCOMPLETE = "NOT_FOUND_INCOMPLETE"
 @dataclass(frozen=True)
 class GraphPiece:
     """One candidate orbit of pairs: the T-orbit of (x0, y0), a bijection
-    from the a_index-th domain orbit onto the b_index-th target orbit."""
+    from the a_index-th domain orbit onto the b_index-th target orbit.
+    `fixed` is the pair (x0, y0) as a clause without binders."""
 
     expr: Expr
     x0: Expr
     y0: Expr
+    fixed: SetComp
     a_index: int
     b_index: int
 
@@ -103,22 +110,6 @@ class Certificate:
 
 def _clause_of(piece_expr: Expr):
     return piece_expr.clauses[0]
-
-
-def _piece_determined(comp: Compiler, piece: GraphPiece, by: int) -> bool:
-    """Whether, across the piece's orbit of pairs, component `by` equal to
-    its value in (x0, y0) forces the other component to its value there:
-    by=0 says the piece is functional, by=1 that it is injective."""
-    c = _clause_of(piece.expr)
-    rep = (piece.x0, piece.y0)
-    body = Implies(
-        c.guard,
-        Implies(
-            comp.equal(c.element.items[by], rep[by]),
-            comp.equal(c.element.items[1 - by], rep[1 - by]),
-        ),
-    )
-    return comp.holds(quantify(Forall, c.binders, body))
 
 
 def enumerate_pieces(
@@ -153,15 +144,18 @@ def enumerate_pieces(
                     f"piece enumeration exceeded the budget of {budget}",
                     count=examined,
                 )
-            pair = ETuple((x0, y0))
-            piece_expr = orbit_expression(comp, pair, T)
-            piece = GraphPiece(piece_expr, x0, y0, i, -1)
-            if not _piece_determined(comp, piece, by=0):
+            fixed = SetComp(ETuple((x0, y0)), (), TRUE)
+            piece_expr = orbit_expression(comp, fixed.element, T)
+            # across the orbit of pairs, the component `by` at its value in
+            # (x0, y0) forces the other one: functional, then injective; the
+            # clause comes first, so it keeps its names (`breach_block`)
+            parts = (_clause_of(piece_expr), fixed)
+            if not determined(comp, parts, 0):
                 continue
-            if injective and not _piece_determined(comp, piece, by=1):
+            if injective and not determined(comp, parts, 1):
                 continue
             j = _orbit_index_of(comp, y0, b_orbits)
-            pieces.append(GraphPiece(piece_expr, x0, y0, i, j))
+            pieces.append(GraphPiece(piece_expr, x0, y0, fixed, i, j))
     return pieces, a_orbits, b_orbits
 
 
@@ -205,9 +199,7 @@ class _MorphismChecker:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        first = combo[0]
-        fixed = SetComp(ETuple((first.x0, first.y0)), (), TRUE)
-        parts = [fixed, *(_clause_of(p.expr) for p in combo[1:])]
+        parts = [combo[0].fixed, *(_clause_of(p.expr) for p in combo[1:])]
         ok = transports_tuple(
             self.comp,
             sym,

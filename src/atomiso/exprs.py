@@ -29,7 +29,6 @@ from .theories.formulas import (
     Term,
     Var,
     all_names,
-    formula_atoms,
     free_vars,
     land,
     map_relations,
@@ -185,32 +184,17 @@ def value_shape(e: Expr):
 
 def expr_params(e: Expr) -> frozenset[Atom]:
     """Every atom occurring in the expression (including guard constants)."""
-    if isinstance(e, (EVar, AtomsSet)):
-        return frozenset()
-    if isinstance(e, AtomParam):
-        return frozenset((e.value,))
-    if isinstance(e, ETuple):
-        return frozenset().union(*(expr_params(i) for i in e.items))
-    if isinstance(e, SetComp):
-        return expr_params(e.element) | formula_atoms(e.guard)
-    if isinstance(e, Union):
-        if not e.clauses:
-            return frozenset()
-        return frozenset().union(*(expr_params(c) for c in e.clauses))
-    raise TypeError(f"not an expression: {e!r}")
+    return frozenset(param_occurrences(e))
 
 
 def param_occurrences(e: Expr) -> list[Atom]:
-    """Atoms in first-occurrence order of a deterministic pre-order walk."""
-    seen: list[Atom] = []
-
-    def add(a: Atom):
-        if a not in seen:
-            seen.append(a)
+    """Atoms in first-occurrence order of a deterministic pre-order walk,
+    guard constants included."""
+    seen: dict[Atom, None] = {}
 
     def walk(x: Expr):
         if isinstance(x, AtomParam):
-            add(x.value)
+            seen.setdefault(x.value)
         elif isinstance(x, ETuple):
             for i in x.items:
                 walk(i)
@@ -220,13 +204,15 @@ def param_occurrences(e: Expr) -> list[Atom]:
                 if isinstance(g, Rel):
                     for t in g.args:
                         if isinstance(t, Const):
-                            add(t.value)
+                            seen.setdefault(t.value)
         elif isinstance(x, Union):
             for c in x.clauses:
                 walk(c)
+        elif not isinstance(x, (EVar, AtomsSet)):
+            raise TypeError(f"not an expression: {x!r}")
 
     walk(e)
-    return seen
+    return list(seen)
 
 
 def free_expr_vars(e: Expr) -> frozenset[str]:
@@ -372,16 +358,13 @@ def rename_clause(c: SetComp, fresh: NameSource) -> SetComp:
     return SetComp(element, new, guard)
 
 
-def product_expr(*sets: Expr, fresh: NameSource | None = None) -> Union:
+def product_expr(*sets: Expr) -> Union:
     """The set of tuples pairing one element from each factor."""
     import itertools
 
     if len(sets) < 2:
         raise ValidationError("a product needs at least two factors")
-    if fresh is None:
-        fresh = NameSource()
-    for s in sets:
-        fresh.reserve(expr_names(s))
+    fresh = NameSource(n for s in sets for n in expr_names(s))
     out = []
     for combo in itertools.product(*(clauses(s) for s in sets)):
         renamed = [rename_clause(c, fresh) for c in combo]

@@ -482,18 +482,24 @@ def _merge_free(into: dict, new: dict) -> None:
         into.setdefault(name, pos)
 
 
-def parse(text: str, backend: Backend | None = None) -> Expr:
-    """Parse a closed expression; with a backend, also validate guards and
-    atom literals against its vocabulary."""
-    p = _Parser(_tokenize(text))
-    ast, free = p.parse_expr()
+def _closed(p: _Parser, ast, free: dict, what: str):
+    """ast, once p is at the end of its input and nothing is left free; the
+    first unbound variable is reported at its first position."""
     t = p.peek()
     if t.kind != "eof":
-        raise ParseError("trailing input after expression", t.line, t.col)
+        raise ParseError(f"trailing input after {what}", t.line, t.col)
     if free:
         name = min(free, key=lambda k: free[k])
         line, col = free[name]
         raise ParseError(f"unbound variable {name!r}", line, col)
+    return ast
+
+
+def parse(text: str, backend: Backend | None = None) -> Expr:
+    """Parse a closed expression; with a backend, also validate guards and
+    atom literals against its vocabulary."""
+    p = _Parser(_tokenize(text))
+    ast = _closed(p, *p.parse_expr(), "expression")
     if backend is not None:
         validate_expr(ast, backend)
     return ast
@@ -502,14 +508,7 @@ def parse(text: str, backend: Backend | None = None) -> Expr:
 def parse_formula(text: str, backend: Backend | None = None) -> Formula:
     """Parse a closed formula (no free variables)."""
     p = _Parser(_tokenize(text))
-    ast, free = p.parse_formula()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError("trailing input after formula", t.line, t.col)
-    if free:
-        name = min(free, key=lambda k: free[k])
-        line, col = free[name]
-        raise ParseError(f"unbound variable {name!r}", line, col)
+    ast = _closed(p, *p.parse_formula(), "formula")
     if backend is not None:
         backend.validate(ast)
     return ast

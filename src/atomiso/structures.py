@@ -13,8 +13,8 @@ per symbol and per tuple of graph clauses: for all instances of the
 clauses, when the arguments lie in the symbol of A their images lie in the
 symbol of B (and, reflecting, conversely).  `transports_tuple` is that one
 kernel, deciding the sentence as the absence of a breach
-(`algebra.breach_block`, which also serves `fn_check`); the search's
-pruning in engine.py uses it too.
+(`algebra.breach_block`, which also serves `fn_check` and the search's
+piece checks); the search's pruning in engine.py uses it too.
 """
 
 import itertools
@@ -89,7 +89,7 @@ class Structure:
 # JSON
 
 
-def structure_from_dict(doc: dict, *, max_arity: int = MAX_ARITY) -> Structure:
+def structure_from_dict(doc: dict) -> Structure:
     doc = _object(doc, "structure document")
     try:
         backend = get_backend(_text(doc, "backend", "structure document"))
@@ -117,7 +117,7 @@ def structure_from_dict(doc: dict, *, max_arity: int = MAX_ARITY) -> Structure:
     except KeyError as ex:
         raise ValidationError(f"structure document lacks required field {ex}") from ex
     st = Structure(name, backend.name, universe, tuple(relations), tuple(families))
-    _check_shape(st, max_arity)
+    _check_shape(st)
     return st
 
 
@@ -190,8 +190,8 @@ def _load_json(path: str):
             raise ValidationError(f"{path}: not a JSON document ({ex})") from None
 
 
-def load_structure(path: str, *, max_arity: int = MAX_ARITY) -> Structure:
-    return structure_from_dict(_load_json(path), max_arity=max_arity)
+def load_structure(path: str) -> Structure:
+    return structure_from_dict(_load_json(path))
 
 
 def save_structure(st: Structure, path: str) -> None:
@@ -232,16 +232,16 @@ def load_function(path: str) -> tuple[str, DefFunction]:
 # validation
 
 
-def _check_shape(st: Structure, max_arity: int) -> None:
+def _check_shape(st: Structure) -> None:
     seen = set()
     for sym in (*st.relations, *st.families):
         if sym.name in seen:
             raise ValidationError(f"symbol {sym.name!r} declared twice")
         seen.add(sym.name)
-        if not 1 <= sym.arity <= max_arity:
+        if not 1 <= sym.arity <= MAX_ARITY:
             raise ValidationError(
                 f"symbol {sym.name!r} has arity {sym.arity}; allowed range is "
-                f"1..{max_arity}"
+                f"1..{MAX_ARITY}"
             )
 
 

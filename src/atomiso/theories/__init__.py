@@ -1,7 +1,7 @@
 """Atom structure backends and their shared first-order toolkit."""
 
 from ..errors import VocabularyError
-from .base import Backend, TypeInfo, Valuation
+from .base import Backend, Valuation
 from .cyclic import CyclicBackend
 from .dlo import DloBackend
 from .equality import EqualityBackend
@@ -31,7 +31,6 @@ __all__ = [
     "CyclicBackend",
     "DloBackend",
     "EqualityBackend",
-    "TypeInfo",
     "Valuation",
     "backend_names",
     "get_backend",

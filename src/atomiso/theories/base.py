@@ -23,15 +23,15 @@ that elimination builds stay small.
 One conjunct kernel serves all three backends.  Every backend normalizes
 its literals to =, != and < (the pure set is the order-free reduct of the
 dense order, and the circle is cut open into the linear order before
-elimination), so `conjunct_consistent`, `eliminate_from_conjunct` and
+elimination), so consistency, `eliminate_from_conjunct` and
 `conjunct_witness` are written once, over union-find classes and the
 strict-order digraph between them.  That state is a `ConjunctState`, and
 it is extended literal by literal: `conjuncts` builds one state per kept
 conjunct of a conjunction and decides each union with a branch of the
 next argument by extending it by the branch's new literals, before the
-union is built; `conjunct_witness` extends one state by its pins, and
-`conjunct_consistent` extends the empty state.  A backend supplies only
-`normalize_literal` and `_witness_candidates`, the values a witness class
+union is built, and `conjunct_witness` extends one state by its pins.  A
+backend supplies only `normalize_literal`, whose = case is the shared
+`normalize_equality`, and `_witness_candidates`, the values a witness class
 may take beyond the parameters and the values already taken (the least
 fresh ids for the pure set, one simplest rational per gap for the orders).
 
@@ -39,17 +39,16 @@ Complete types are built in one place.  Quantifier elimination in a
 homogeneous structure makes the orbit of an atom tuple over a parameter set
 its complete quantifier-free type, which one realization determines, so
 `type_reps` enumerates one realization per type and `type_of` writes the
-type of given values; `types_with_reps` pairs the two.  A caller that
-filters the types, as `orbit_decomposition` does by a guard, decides the
-guard at the realization by `sat` and writes a type only once the guard
-admits it.  Both handle the blocks of equal values and the blocks pinned to
-a parameter; a backend supplies only two hooks on the remaining free blocks:
-`_free_block_values` (one value tuple per arrangement, in a fixed order)
-and `_free_block_literals` (the literals that fix an arrangement).
+type of given values.  A caller that filters the types, as
+`orbit_decomposition` does by a guard, decides the guard at the realization
+by `sat` and writes a type only once the guard admits it.  Both handle the
+blocks of equal values and the blocks pinned to a parameter; a backend
+supplies only two hooks on the remaining free blocks: `_free_block_values`
+(one value tuple per arrangement, in a fixed order) and
+`_free_block_literals` (the literals that fix an arrangement).
 """
 
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter
 
 from ..errors import ValuationError, VocabularyError
@@ -84,15 +83,19 @@ _NAME = attrgetter("name")
 _VALUE = attrgetter("value")
 
 
-@dataclass(frozen=True)
-class TypeInfo:
-    """One complete type over a parameter set, with a concrete realization."""
-
-    formula: Formula
-    rep: tuple[tuple[str, Atom], ...]
-
-    def rep_valuation(self) -> Valuation:
-        return dict(self.rep)
+def normalize_equality(args: tuple[Term, ...], positive: bool) -> Formula:
+    """The normal form of the literal `a = b` (positive) or `a != b`, shared
+    by every backend: a ground one folds to TRUE or FALSE, and otherwise the
+    arguments are put in key order."""
+    a, b = args
+    if a == b:
+        return TRUE if positive else FALSE
+    if isinstance(a, Const) and isinstance(b, Const):
+        return TRUE if (a.value == b.value) == positive else FALSE
+    if b.key < a.key:
+        a, b = b, a
+    lit = Rel("=", (a, b))
+    return lit if positive else Not(lit)
 
 
 def set_partitions(items: tuple) -> list[list[list]]:
@@ -210,11 +213,6 @@ class Backend:
 
     # ------------------------------------------------------------------
     # the conjunct kernel: literal sets over =, != and <
-
-    def conjunct_consistent(self, lits) -> bool:
-        """Whether a set of normal-form literals has a solution: whether
-        they extend the empty `ConjunctState`."""
-        return ConjunctState.EMPTY.admits(lits)
 
     def eliminate_from_conjunct(self, var: str, lits: frozenset[Formula]) -> Formula:
         """exists var: the conjunction of lits, as a quantifier-free formula.
@@ -518,14 +516,6 @@ class Backend:
                     block_values = [a if a is not None else next(fresh) for a in anchors]
                     row = {v: a for block, a in zip(blocks, block_values) for v in block}
                     yield tuple(row[v] for v in variables)
-
-    def types_with_reps(self, variables: tuple[str, ...], params: frozenset[Atom]) -> list[TypeInfo]:
-        """Every complete type of `variables` over `params`, each written by
-        `type_of` at its realization from `type_reps`, in that order."""
-        return [
-            TypeInfo(self.type_of(variables, values, params), tuple(sorted(zip(variables, values))))
-            for values in self.type_reps(variables, params)
-        ]
 
     def type_of(self, variables: tuple[str, ...], values: tuple[Atom, ...], params: frozenset[Atom]) -> Formula:
         """The complete type over `params` realized by concrete `values`:

@@ -15,14 +15,13 @@ import math
 from fractions import Fraction
 
 from ..errors import VocabularyError
-from .base import Backend
+from .base import Backend, normalize_equality
 from .formulas import (
     FALSE,
     TRUE,
     Atom,
     Const,
     Formula,
-    Not,
     Rel,
     Term,
     Var,
@@ -78,14 +77,7 @@ class DloBackend(Backend):
     def normalize_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
         a, b = args
         if name == "=":
-            if a == b:
-                return TRUE if positive else FALSE
-            if isinstance(a, Const) and isinstance(b, Const):
-                return TRUE if (a.value == b.value) == positive else FALSE
-            if b.key < a.key:
-                a, b = b, a
-            lit = Rel("=", (a, b))
-            return lit if positive else Not(lit)
+            return normalize_equality(args, positive)
         if name == "<":
             if positive:
                 if a == b:

@@ -13,15 +13,11 @@ play) and the free blocks of complete types.
 import itertools
 
 from ..errors import VocabularyError
-from .base import Backend
+from .base import Backend, normalize_equality
 from .formulas import (
-    FALSE,
-    TRUE,
     Atom,
     Const,
     Formula,
-    Not,
-    Rel,
     Term,
     Var,
     eq,
@@ -49,15 +45,7 @@ class EqualityBackend(Backend):
     def normalize_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
         if name != "=":
             raise VocabularyError(f"relation {name!r} not available over the pure set")
-        a, b = args
-        if a == b:
-            return TRUE if positive else FALSE
-        if isinstance(a, Const) and isinstance(b, Const):
-            return TRUE if (a.value == b.value) == positive else FALSE
-        if b.key < a.key:
-            a, b = b, a
-        lit = Rel("=", (a, b))
-        return lit if positive else Not(lit)
+        return normalize_equality(args, positive)
 
     def _witness_candidates(self, landmarks):
         return _fresh_ids(landmarks)

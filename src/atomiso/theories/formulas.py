@@ -398,9 +398,9 @@ class NameSource:
     def reserve(self, names: Iterable[str]) -> None:
         self._used.update(names)
 
-    def fresh(self, stem: str = "q") -> str:
+    def fresh(self) -> str:
         while True:
-            cand = f"{stem}{self._next}"
+            cand = f"q{self._next}"
             self._next += 1
             if cand not in self._used:
                 self._used.add(cand)

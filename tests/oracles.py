@@ -18,12 +18,16 @@ for the library's one-search decision of closed quantifier blocks.
 `reference_sat` substitutes a valuation into the eliminated formula and
 normalizes the result, the reference for the library's evaluation of it.
 `reference_least_support` and `reference_fn_check` send every sentence the
-library skips or replaces by breach blocks.  `reference_orbit_decomposition`
+library skips or replaces by breach blocks, and `reference_piece_determined`
+decides the search's piece check as one universal sentence instead of the
+library's breach block.  `types_with_reps` pairs every complete type that
+`type_of` writes with its realization from `type_reps`.  `reference_orbit_decomposition`
 merges orbit candidates by a membership query on each kept piece, with its
 clause renamed, instead of the library's `in_orbit`.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from atomiso.algebra import (
@@ -280,6 +284,26 @@ def reference_sat(backend, f, valuation) -> bool:
     return isinstance(g, Top)
 
 
+@dataclass(frozen=True)
+class TypeInfo:
+    """One complete type over a parameter set, with a concrete realization."""
+
+    formula: object
+    rep: tuple
+
+    def rep_valuation(self) -> dict:
+        return dict(self.rep)
+
+
+def types_with_reps(backend, variables, params) -> list:
+    """Every complete type of `variables` over `params`, each written by
+    `type_of` at its realization from `type_reps`, in that order."""
+    return [
+        TypeInfo(backend.type_of(variables, values, params), tuple(sorted(zip(variables, values))))
+        for values in backend.type_reps(variables, params)
+    ]
+
+
 def reference_least_support(comp, x) -> frozenset:
     """`least_support` with a removal sentence for every atom of x, tuple
     components included."""
@@ -300,7 +324,7 @@ def reference_orbit_decomposition(comp, X, S) -> list:
     descs = []
     for c in clauses(X):
         shape, injective = value_shape(c.element), _element_injective(c)
-        for ti in comp.backend.types_with_reps(c.binders, S):
+        for ti in types_with_reps(comp.backend, c.binders, S):
             if comp.backend.sat(c.guard, ti.rep_valuation()):
                 descs.append((OrbitDescriptor(c, ti.formula, S, ti.rep), shape, injective))
     kept, shapes = [], []
@@ -336,6 +360,20 @@ def reference_fn_check(comp, fn, *, functional=True, total=True, injective=False
         (surjective, lambda: covered(fn.cod, 1)),
     )
     return all(comp.holds(sentence()) for wanted, sentence in checks if wanted)
+
+
+def reference_piece_determined(comp, clause, x0, y0, by) -> bool:
+    """Whether, across the instances of the pair clause, component `by`
+    equal to its value in (x0, y0) forces the other component to its value
+    there, as the universal sentence
+    forall binders: guard -> (el[by] = rep[by] -> el[1-by] = rep[1-by])."""
+    rep = (x0, y0)
+    el = clause.element.items
+    body = Implies(
+        clause.guard,
+        Implies(comp.equal(el[by], rep[by]), comp.equal(el[1 - by], rep[1 - by])),
+    )
+    return comp.holds(quantify(Forall, clause.binders, body))
 
 
 def quantifier_depth(f) -> int:

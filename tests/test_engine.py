@@ -8,6 +8,7 @@ import pytest
 
 from atomiso import engine
 from atomiso.algebra import DefFunction, fn_bijective, set_equal
+from atomiso.compile import Compiler
 from atomiso.engine import (
     FOUND,
     NOT_FOUND,
@@ -21,6 +22,7 @@ from atomiso.errors import DensenessError, ResourceError, ValidationError
 from atomiso.exprs import expr_params
 from atomiso.parser import parse
 from atomiso.structures import check_isomorphism, structure_from_dict
+from atomiso.theories import get_backend
 from fixtures_helpers import (
     circle_pair,
     kneser_pair,
@@ -29,7 +31,7 @@ from fixtures_helpers import (
     smoothing_parts,
 )
 from generators import gen_structure_pair
-from oracles import naive_find_iso, orbit_transport
+from oracles import naive_find_iso, orbit_transport, reference_piece_determined
 
 
 def test_kneser_self_iso(eq_comp):
@@ -186,6 +188,34 @@ def test_piece_enumeration_counts(eq_comp):
     # identity piece available for every orbit, plus the two cross pieces
     # between the diagonal and the atoms
     assert len(pieces) == 6
+
+
+def test_piece_checks_match_the_universal_sentence(monkeypatch):
+    # every piece check the search makes, recorded at the engine's name for
+    # the breach kernel, against the universal sentence it replaced
+    checks = []
+    kernel = engine.determined
+
+    def recording(comp, parts, by):
+        verdict = kernel(comp, parts, by)
+        checks.append((comp.backend.name, parts, by, verdict))
+        return verdict
+
+    monkeypatch.setattr(engine, "determined", recording)
+    runs = [(pair(), ()) for pair in (kneser_pair, neighborhoods_pair, nondefiso_pair)]
+    st, _ = smoothing_parts()
+    # from unordered pairs to atoms, {a, b} -> a is a candidate piece that
+    # is not functional; no other run offers one
+    runs += [((st, st), ()), (circle_pair(), (Fraction(0),)), (nondefiso_pair()[::-1], ())]
+    for (A, B), extra in runs:
+        decide_definable_iso(Compiler(get_backend(A.backend_name)), A, B, extra)
+    refs = {}
+    for name, (clause, fixed), by, verdict in checks:
+        assert not fixed.binders
+        ref = refs.setdefault(name, Compiler(get_backend(name)))
+        x0, y0 = fixed.element.items
+        assert verdict == reference_piece_determined(ref, clause, x0, y0, by), (name, by)
+    assert {(by, v) for _, _, by, v in checks} == {(0, True), (0, False), (1, True), (1, False)}
 
 
 def _pairs_graph(name, interp, universe="{(a, b) | a, b in atoms, a != b}"):

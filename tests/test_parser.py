@@ -103,9 +103,19 @@ def test_nested_set_value():
     assert isinstance(c.element, Union)
 
 
-def test_unbound_variable_reported():
+# one closed text per entry point, with a variable left free and trailing
+# input after it
+CLOSED_TAILS = {
+    "parse": (parse, "{(a, b) | a in atoms}", "atoms atoms", "expression"),
+    "parse_formula": (parse_formula, "exists a. a = b", "a = a a", "formula"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CLOSED_TAILS))
+def test_unbound_variable_reported(entry):
+    parse_text, unbound, _, _ = CLOSED_TAILS[entry]
     with pytest.raises(ParseError) as ei:
-        parse("{(a, b) | a in atoms}")
+        parse_text(unbound)
     assert "b" in str(ei.value)
 
 
@@ -115,10 +125,12 @@ def test_duplicate_binder_position():
     assert ei.value.line == 1
 
 
-def test_trailing_input():
+@pytest.mark.parametrize("entry", sorted(CLOSED_TAILS))
+def test_trailing_input(entry):
+    parse_text, _, trailing, what = CLOSED_TAILS[entry]
     with pytest.raises(ParseError) as ei:
-        parse("atoms atoms")
-    assert "trailing" in str(ei.value)
+        parse_text(trailing)
+    assert f"trailing input after {what}" in str(ei.value)
 
 
 def test_keyword_cannot_be_binder():
