@@ -12,7 +12,7 @@ orbit: the type of the atoms a value shows through tuples first, then one
 closed block over the clause's own binders.
 """
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 from .compile import Compiler
@@ -45,6 +45,7 @@ from .exprs import (
     value_shape,
 )
 from .theories.formulas import (
+    TRUE,
     Atom,
     Exists,
     Forall,
@@ -369,11 +370,26 @@ def fn_check(
     with the codomain in place of the domain.
 
     Functional holds when no two pairs agree in the first component and
-    differ in the second: one breach block (`determined`) per unordered
-    pair of graph clauses, a clause paired with itself included.  Total
-    holds when every element of the domain is the first component of some
-    pair."""
-    pairs = list(itertools.combinations_with_replacement(clauses(fn.graph), 2))
+    differ in the second, decided orbit by orbit: with S the atoms of dom,
+    cod and graph, each S-orbit of the graph's pairs gives its
+    representative pair as a clause without binders, and `determined`
+    checks it against every graph clause.  The graph is S-invariant, so an
+    automorphism fixing S moves any breach to one whose first pair is a
+    representative; the one decomposition serves functional and injective.
+    Total holds when every element of the domain is the first component of
+    some pair."""
+    graph = clauses(fn.graph)
+    S = expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
+
+    @functools.cache
+    def fixed_pairs() -> list[SetComp]:
+        return [
+            SetComp(o.rep_element(), (), TRUE)
+            for o in orbit_decomposition(comp, fn.graph, S)
+        ]
+
+    def determined_everywhere(by: int) -> bool:
+        return all(determined(comp, (c, p), by) for p in fixed_pairs() for c in graph)
 
     def covered(s: Expr, by: int) -> bool:
         # every element of s is component `by` of some pair
@@ -384,9 +400,9 @@ def fn_check(
         )
 
     checks = (
-        (functional, lambda: all(determined(comp, pq, 0) for pq in pairs)),
+        (functional, lambda: determined_everywhere(0)),
         (total, lambda: covered(fn.dom, 0)),
-        (injective, lambda: all(determined(comp, pq, 1) for pq in pairs)),
+        (injective, lambda: determined_everywhere(1)),
         (surjective, lambda: covered(fn.cod, 1)),
     )
     return all(check() for wanted, check in checks if wanted)

@@ -18,12 +18,12 @@ clause and the fixed pair.  A compatibility check is the transport sentence
 of structures.py on a tuple of pieces, the first fixed at its pair and the
 rest quantified over their whole orbits.  Fixing one pair is sound because
 orbits are transitive under the parameter-fixing automorphisms and every set
-in play is invariant.  Each assembled candidate is then verified in full:
-its graph is checked to be a map of the requested kind
-(`structures.check_isomorphism` with the mode), and the same sentences are
-decided for every tuple of its clauses, none fixed.  What each mode
-requires, injective and surjective, is read from `structures.MODES`
-(`mode_kind`).
+in play is invariant.  Each assembled candidate is then verified in full
+by `structures.check_isomorphism` with the mode, orbit by orbit and with
+no orbit pruned: the same `determined` kernel at the representative of
+every orbit of its graph, and transport at one representative of every
+orbit of each symbol's interpretation.  What each mode requires,
+injective and surjective, is read from `structures.MODES` (`mode_kind`).
 """
 
 import itertools

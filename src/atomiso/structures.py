@@ -8,30 +8,37 @@ small JSON document holding expressions in concrete syntax.
 `MODES` says what a map of each search mode must be: an isomorphism is
 injective and surjective, an embedding injective, a homomorphism neither;
 a map that must be injective must also reflect every symbol.
-`check_isomorphism` checks a map of any mode with one first-order sentence
-per symbol and per tuple of graph clauses: for all instances of the
-clauses, when the arguments lie in the symbol of A their images lie in the
-symbol of B (and, reflecting, conversely).  `transports_tuple` is that one
-kernel, deciding the sentence as the absence of a breach
-(`algebra.breach_block`, which also serves `fn_check` and the search's
-piece checks); the search's pruning in engine.py uses it too.
+`check_isomorphism` checks a map of any mode orbit by orbit.  With S the
+atoms of both structures and of the graph, the map commutes with every
+automorphism fixing S, so a property those automorphisms preserve holds
+everywhere once it holds at one representative of each S-orbit:
+`algebra.fn_check` decides functional and injective at the graph's orbit
+representatives, and `transports_symbols` maps one representative of each
+orbit of every symbol by `fn_apply` and tests the image's membership in
+the counterpart.  `transports_tuple`, the transport sentence on one tuple
+of graph clauses decided as the absence of a breach
+(`algebra.breach_block`), is the compatibility kernel of the search's
+pruning in engine.py.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 
 from .algebra import (
     DefFunction,
     breach_block,
+    fn_apply,
     fn_check,
+    fn_inverse,
     fn_validate,
+    is_member,
     is_subset,
+    orbit_decomposition,
     set_equal,
 )
 from .compile import Compiler
-from .errors import ValidationError
-from .exprs import ETuple, Expr, clauses, expr_params, product_expr
+from .errors import DomainError, ValidationError
+from .exprs import ETuple, Expr, expr_params, product_expr
 from .parser import parse, print_expr
 from .theories import get_backend
 from .theories.formulas import And, Implies, lnot
@@ -327,20 +334,54 @@ def transports_symbols(
     comp: Compiler, fn: DefFunction, A: Structure, B: Structure, *, reflect: bool
 ) -> bool:
     """Whether fn carries every symbol of A into its namesake in B (and,
-    with reflect, back), decided by one transport sentence per symbol and
-    per tuple of graph clauses.
+    with reflect, every symbol of B back through the inverse graph),
+    decided at one representative per S-orbit of each interpretation, S
+    being the atoms of A, B and the graph (`_carries`).
 
-    Exact for a graph that is functional and total on A's universe: every
-    tuple of domain elements, paired with its image, is then an instance of
-    some tuple of clauses, and each sentence quantifies over all instances
-    of its tuple.  The signatures must match."""
-    graph = clauses(fn.graph)
+    A tuple with an argument outside the domain (reflecting, outside the
+    image) is not constrained.  Precondition: fn is functional, and
+    injective when reflecting, as `check_isomorphism` decides before it
+    transports; the signatures must match."""
+    S = A.params() | B.params() | expr_params(fn.graph)
+    back = fn_inverse(fn) if reflect else None
     for sym in (*A.relations, *A.families):
-        interp_b = counterpart(B, sym).interp
-        for parts in itertools.product(graph, repeat=sym.arity):
-            if not transports_tuple(comp, sym, interp_b, parts, reflect=reflect):
-                return False
+        sym_b = counterpart(B, sym)
+        if not _carries(comp, fn, sym, sym_b.interp, S):
+            return False
+        if reflect and not _carries(comp, back, sym_b, sym.interp, S):
+            return False
     return True
+
+
+def _carries(comp: Compiler, fn: DefFunction, sym, target: Expr, S) -> bool:
+    """Whether fn maps every tuple of sym's interpretation whose arguments
+    it is defined on into target, keeping a family's index.
+
+    Decided at one representative per orbit of the interpretation under
+    the automorphisms fixing S, which must hold every atom of the graph
+    and of both sets: fn then commutes with those automorphisms, and both
+    sets are invariant under them, so the tuple and its image keep their
+    membership along the orbit."""
+    head = 1 if isinstance(sym, FamilySymbol) else 0
+    for orbit in orbit_decomposition(comp, sym.interp, S):
+        try:
+            parts = _components(orbit.rep_element(), head + sym.arity)
+            image = [fn_apply(comp, fn, x) for x in parts[head:]]
+        except DomainError:
+            continue
+        if not is_member(comp, _mk_tuple(parts[0] if head else None, image), target):
+            return False
+    return True
+
+
+def _components(x: Expr, n: int) -> list[Expr]:
+    """x as a list of n components; DomainError when it is no n-tuple, as
+    it then is no tuple of domain elements."""
+    if n == 1:
+        return [x]
+    if isinstance(x, ETuple) and len(x.items) == n:
+        return list(x.items)
+    raise DomainError(f"value is no {n}-tuple")
 
 
 def counterpart(B: Structure, sym):

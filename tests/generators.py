@@ -8,7 +8,7 @@ finite-pool oracle in oracles.py faithful.
 import random
 from fractions import Fraction
 
-from atomiso.exprs import ATOMS, AtomParam, ETuple, EVar, SetComp, Union, union_of
+from atomiso.exprs import AtomParam, ETuple, EVar, SetComp, Union, union_of
 from atomiso.theories.formulas import (
     TRUE,
     Const,

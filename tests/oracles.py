@@ -10,6 +10,9 @@ queries, but decide by another method than the library's.
 `orbit_transport` tests a map on structures on orbit representatives, and
 `naive_find_iso` searches for an isomorphism by trying every union of
 product orbits as a graph instead of matching orbit-graph pieces.
+`clause_tuple_transport` decides symbol transport by one sentence per
+tuple of graph clauses, the unoptimised reference for the library's
+transport at orbit representatives.
 `scratch_consistent` and `reference_conjuncts` are the conjunct kernel and
 the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
@@ -57,7 +60,13 @@ from atomiso.exprs import (
     union_of,
     value_shape,
 )
-from atomiso.structures import FamilySymbol, signatures_match, transports_symbols
+from atomiso.structures import (
+    FamilySymbol,
+    counterpart,
+    signatures_match,
+    transports_symbols,
+    transports_tuple,
+)
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import (
     And,
@@ -577,6 +586,22 @@ def orbit_transport(comp, fn, A, B, *, reflect: bool = True) -> bool:
             in_a = is_member(comp, rep, sym.interp)
             in_b = is_member(comp, image, b_syms[sym.name].interp)
             if (in_a and not in_b) or (reflect and in_b and not in_a):
+                return False
+    return True
+
+
+def clause_tuple_transport(comp, fn, A, B, *, reflect: bool) -> bool:
+    """Whether fn carries every symbol of A into its namesake in B (and,
+    with reflect, back), decided by one transport sentence
+    (`transports_tuple`) per symbol and per tuple of graph clauses, each
+    over all instances of its tuple.  Exact for a functional graph (and an
+    injective one when reflecting): tuples outside the domain are not
+    constrained.  The signatures must match."""
+    graph = clauses(fn.graph)
+    for sym in (*A.relations, *A.families):
+        interp_b = counterpart(B, sym).interp
+        for parts in itertools.product(graph, repeat=sym.arity):
+            if not transports_tuple(comp, sym, interp_b, parts, reflect=reflect):
                 return False
     return True
 

@@ -371,9 +371,35 @@ def test_fn_check_matches_the_nested_sentences(backend_name):
         graphs.append(union_of(*rng.sample(orbits, rng.choice((1, 2, 3)))))
         k = rng.choice((1, 2, 3))
         graphs.append(union_of(*(_graph_clause(rng, backend_name, atoms) for _ in range(k))))
+    a, b, q = EVar("a"), EVar("b"), AtomParam(atoms[1])
+
+    def pairs(x, y, binders=(), guard=TRUE):
+        return SetComp(ETuple((x, y)), binders, guard)
+
+    def avoids(name, *values):
+        return land(*(lnot(Rel("=", (Var(name), Const(v)))) for v in values))
+
+    # a parameter of the graph that dom and cod lack, as in the smoothing
+    # map, so that the graph's orbits are taken over more atoms than theirs;
+    # then the same map made not functional at the pairs (a, p) alone
+    mixed = _p("{(a, b) | a, b in atoms} + {a | a in atoms}", comp)
+    smoothing = [pairs(a, ETuple((a, p)), ("a",)), pairs(ETuple((a, p)), a, ("a",))]
+    ab = ETuple((a, b))
+    # the identity away from p and q, with p sent to both: functional in
+    # every orbit of pairs but those at p; then its inverse
+    rest = pairs(a, a, ("a",), avoids("a", *atoms))
+    split = [(mixed, union_of(*smoothing, pairs(ab, ab, ("a", "b"), avoids("b", atoms[0]))), True, True),
+             (mixed, union_of(*smoothing, pairs(ab, ab, ("a", "b"))), False, False),
+             (u, union_of(rest, pairs(p, p), pairs(p, q)), False, True),
+             (u, union_of(rest, pairs(p, p), pairs(q, p)), True, False)]
+    for dom, g, functional, injective in split:
+        fn = DefFunction(dom, dom, g)
+        assert fn_check(comp, fn, total=False) == functional
+        assert fn_check(comp, fn, functional=False, total=False, injective=True) == injective
+    maps = [(u, g) for g in graphs] + [(dom, g) for dom, g, _, _ in split]
     seen = set()
-    for g in graphs:
-        fn = DefFunction(u, u, g)
+    for dom, g in maps:
+        fn = DefFunction(dom, dom, g)
         for flags in ({"total": False}, {"functional": False, "total": False, "injective": True}):
             got = fn_check(comp, fn, **flags)
             assert got == reference_fn_check(ref, fn, **flags), (print_expr(g), flags)

@@ -1,6 +1,7 @@
 """The package's public surface: the exported names and the README's
-library example."""
+library example; and the imports of every module, which must all be used."""
 
+import ast
 import os
 import re
 import subprocess
@@ -34,3 +35,27 @@ def test_the_readme_example_runs():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == want
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names the module's top-level imports bind that no name in the
+    module reads."""
+    tree = ast.parse(path.read_text())
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a package __init__ imports names to export them
+    paths = [p for p in (ROOT / "src" / "atomiso").rglob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "tests").glob("*.py")
+    unused = {
+        str(p.relative_to(ROOT)): names for p in sorted(paths) if (names := _unused_imports(p))
+    }
+    assert unused == {}

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from atomiso.errors import ParseError, VocabularyError
-from atomiso.exprs import AtomParam, AtomsSet, ETuple, EVar, SetComp, Union, expr_params, kind
+from atomiso.exprs import AtomParam, AtomsSet, ETuple, Union, expr_params, kind
 from atomiso.parser import (
     MAX_NESTING,
     parse,
@@ -18,7 +18,7 @@ from atomiso.parser import (
     validate_expr,
 )
 from atomiso.theories import get_backend
-from atomiso.theories.formulas import TRUE, Exists, Implies, Not, Or, Rel
+from atomiso.theories.formulas import TRUE, Exists, Implies, Not, Or
 from generators import gen_set_expr
 
 

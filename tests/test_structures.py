@@ -4,9 +4,11 @@ checks, and isomorphism verification including indexed families."""
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from atomiso import algebra, structures
 from atomiso.algebra import (
     DefFunction,
     fn_check,
@@ -14,11 +16,15 @@ from atomiso.algebra import (
     orbit_decomposition,
     set_equal,
 )
-from atomiso.engine import FOUND, decide_definable_iso
+from atomiso.compile import Compiler
+from atomiso.engine import FOUND, decide_definable_iso, enumerate_pieces
 from atomiso.errors import ValidationError
-from atomiso.exprs import product_expr, union_of
+from atomiso.exprs import ATOMS, ETuple, EVar, SetComp, clauses, expr_params, product_expr, union_of
 from atomiso.parser import parse
 from atomiso.structures import (
+    FamilySymbol,
+    RelationSymbol,
+    Structure,
     check_isomorphism,
     function_from_dict,
     function_to_dict,
@@ -30,9 +36,10 @@ from atomiso.structures import (
     transports_symbols,
     validate_structure,
 )
-from fixtures_helpers import kneser_pair, neighborhoods_pair, smoothing_parts
-from generators import gen_structure_pair
-from oracles import orbit_transport
+from atomiso.theories import get_backend
+from fixtures_helpers import circle_pair, kneser_pair, neighborhoods_pair, smoothing_parts
+from generators import gen_qf_formula, gen_structure_pair, sample_atoms
+from oracles import clause_tuple_transport, orbit_transport
 
 
 def test_roundtrip(tmp_path, eq_comp):
@@ -275,12 +282,18 @@ def _with_relations(st, relations):
     return structure_from_dict(doc)
 
 
-def _transport_agrees(comp, fn, A, B) -> Counter:
+def _transport_agrees(comp, fn, A, B, ref=None) -> Counter:
+    """The library's transport against both references, in both directions
+    where fn is injective and forward only elsewhere, as reflecting
+    requires an injective map.  The references run on `ref` when given."""
+    ref = ref or comp
+    reflects = (False, True) if fn_check(comp, fn, total=False, injective=True) else (False,)
     verdicts = Counter()
-    for reflect in (False, True):
+    for reflect in reflects:
         got = transports_symbols(comp, fn, A, B, reflect=reflect)
-        assert got == orbit_transport(comp, fn, A, B, reflect=reflect)
-        verdicts[got] += 1
+        assert got == orbit_transport(ref, fn, A, B, reflect=reflect), reflect
+        assert got == clause_tuple_transport(ref, fn, A, B, reflect=reflect), reflect
+        verdicts[reflect, got] += 1
     return verdicts
 
 
@@ -309,9 +322,9 @@ def test_transport_matches_orbit_oracle_on_fixture_maps(eq_comp, name):
     verdicts = Counter()
     for fn in maps:
         verdicts += _transport_agrees(eq_comp, fn, A, B)
-    assert verdicts[True]
+    assert verdicts[True, True]
     if name == "smoothing":
-        assert verdicts[False]
+        assert verdicts[False, False] and verdicts[True, False]
 
 
 # swapping the atoms #1 and #2 inside every unordered pair: an automorphism
@@ -333,4 +346,125 @@ def test_bijection_breaking_a_family_member(eq_comp):
     assert orbit_transport(eq_comp, fn, kA, kB)
     # the family keeps its index in place while the members move
     assert not check_isomorphism(eq_comp, fn, nA, nB)
-    assert _transport_agrees(eq_comp, fn, nA, nB) == Counter({False: 2})
+    assert _transport_agrees(eq_comp, fn, nA, nB) == Counter({(False, False): 1, (True, False): 1})
+
+
+def _seeded_structure(rng, backend_name, atoms, name):
+    """A structure on the atoms with a random binary relation, a random
+    unary one and a random family indexed by the atoms, each cut out by a
+    quantifier-free guard over the given atoms."""
+    a, b = EVar("a"), EVar("b")
+
+    def guard(names):
+        return gen_qf_formula(rng, backend_name, names, atoms, depth=1)
+
+    return Structure(
+        name,
+        backend_name,
+        ATOMS,
+        (
+            RelationSymbol("E", 2, SetComp(ETuple((a, b)), ("a", "b"), guard(["a", "b"]))),
+            RelationSymbol("P", 1, SetComp(a, ("a",), guard(["a"]))),
+        ),
+        (FamilySymbol("N", 1, ATOMS, SetComp(ETuple((a, b)), ("a", "b"), guard(["a", "b"]))),),
+    )
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_transport_matches_both_references_on_seeded_maps(backend_name):
+    """Seeded total maps on the atoms, one functional search piece per
+    orbit of the domain, between seeded structures: the orbit-representative
+    transport against the per-clause-tuple sentences and the ambient-orbit
+    oracle."""
+    rng = random.Random(1616)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    verdicts = Counter()
+    for k in range(4):
+        atoms = sample_atoms(rng, backend_name, 2)
+        A = _seeded_structure(rng, backend_name, atoms, "left")
+        B = A if k % 2 else _seeded_structure(rng, backend_name, atoms, "right")
+        T = A.params() | B.params()
+        pieces, a_orbits, _ = enumerate_pieces(comp, A, B, T, injective=False)
+        by_a = [[p for p in pieces if p.a_index == i] for i in range(len(a_orbits))]
+        for _ in range(3):
+            graph = union_of(*(rng.choice(ps).expr for ps in by_a))
+            verdicts += _transport_agrees(comp, DefFunction(ATOMS, ATOMS, graph), A, B, ref)
+    assert {v for _, v in verdicts} == {True, False}, verdicts
+    assert any(reflect for reflect, _ in verdicts), verdicts
+
+
+def test_transport_at_a_structure_breaking_in_one_orbit(cyc_comp):
+    """The identity on oriented triples carries the left rotation into the
+    right one nowhere: its one edge orbit breaks, in both directions."""
+    A, B = circle_pair()
+    identity = parse("{((a, b, c), (a, b, c)) | a, b, c in atoms, R(a, b, c)}", cyc_comp.backend)
+    fn = DefFunction(A.universe, B.universe, identity)
+    assert _transport_agrees(cyc_comp, fn, A, A) == Counter({(False, True): 1, (True, True): 1})
+    assert _transport_agrees(cyc_comp, fn, A, B) == Counter({(False, False): 1, (True, False): 1})
+
+
+def test_transport_of_an_embedding_missing_an_orbit_of_the_target(eq_comp):
+    """The inclusion of the atoms other than #1 into the atoms: the target's
+    loop at #1 lies outside the image, so reflecting leaves it
+    unconstrained, while a loop of the target elsewhere is not."""
+    def st(universe, loops):
+        return structure_from_dict(
+            {
+                "backend": "equality",
+                "name": "loops",
+                "universe": universe,
+                "relations": [{"name": "E", "arity": 2, "interp": loops}],
+            }
+        )
+
+    rest = "{a | a in atoms, a != #1}"
+    A = st(rest, "{(a, a) | a in atoms, a != #1}")
+    B = st("atoms", "{(a, a) | a in atoms}")
+    fn = DefFunction(A.universe, B.universe, parse("{(a, a) | a in atoms, a != #1}", eq_comp.backend))
+    assert check_isomorphism(eq_comp, fn, A, B, mode="emb")
+    assert not check_isomorphism(eq_comp, fn, A, B, mode="iso")
+    assert _transport_agrees(eq_comp, fn, A, B) == Counter({(False, True): 1, (True, True): 1})
+    # without A's loop at #2, B's loop at #2, inside the image, has no
+    # loop of A above it
+    A2 = st(rest, "{(a, a) | a in atoms, a != #1 and a != #2}")
+    assert _transport_agrees(eq_comp, fn, A2, B) == Counter({(False, True): 1, (True, False): 1})
+
+
+def test_transport_leaves_a_value_of_no_tuple_shape_unconstrained(eq_comp):
+    """An unvalidated binary symbol holding atoms besides loops: an atom
+    is no pair of domain elements, so, as for the sentences over graph
+    clauses, only the loops are transported."""
+    loose = parse("{a | a in atoms} + {(a, a) | a in atoms}", eq_comp.backend)
+    st = Structure("loose", "equality", ATOMS, (RelationSymbol("E", 2, loose),))
+    fn = DefFunction(ATOMS, ATOMS, parse("{(a, a) | a in atoms}", eq_comp.backend))
+    assert check_isomorphism(eq_comp, fn, st, st)
+    assert _transport_agrees(eq_comp, fn, st, st) == Counter({(False, True): 1, (True, True): 1})
+
+
+def test_final_check_of_the_anchored_circle_witness_works_orbit_by_orbit(cyc_comp, monkeypatch):
+    """The witness is re-checked at orbit representatives only: no
+    transport sentence over clause tuples, and one breach block per graph
+    orbit and clause for each of functional and injective."""
+    A, B = circle_pair()
+    cert = decide_definable_iso(cyc_comp, A, B, (Fraction(0),))
+    assert cert.verdict == FOUND
+    fn = cert.witness
+    calls = Counter()
+    kernel, sentence = algebra.determined, structures.transports_tuple
+
+    def determined(comp, parts, by):
+        calls[by] += 1
+        return kernel(comp, parts, by)
+
+    def transports_tuple(*args, **kwargs):
+        calls["transports_tuple"] += 1
+        return sentence(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "determined", determined)
+    monkeypatch.setattr(structures, "transports_tuple", transports_tuple)
+    assert check_isomorphism(cyc_comp, fn, A, B)
+    S = expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
+    blocks = len(orbit_decomposition(cyc_comp, fn.graph, S)) * len(clauses(fn.graph))
+    assert blocks > 0
+    assert calls == Counter({0: blocks, 1: blocks})
