@@ -12,7 +12,6 @@ orbit: the type of the atoms a value shows through tuples first, then one
 closed block over the clause's own binders.
 """
 
-import functools
 from dataclasses import dataclass
 
 from .compile import Compiler
@@ -153,9 +152,16 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     once the guard admits it.  A candidate is kept unless its
     representative lies in an orbit kept before it (`in_orbit`).  Candidates
     from one clause whose element is injective are never compared, as
-    distinct types of its binders give distinct elements."""
-    _require_closed(X)
+    distinct types of its binders give distinct elements.  Memoised per
+    compiler by (X, S); every call returns a fresh list."""
     S = frozenset(S)
+    if (X.key, S) not in comp._orbit_cache:
+        comp._orbit_cache[X.key, S] = tuple(_decompose(comp, X, S))
+    return list(comp._orbit_cache[X.key, S])
+
+
+def _decompose(comp: Compiler, X: Expr, S: frozenset) -> list[OrbitDescriptor]:
+    _require_closed(X)
     missing = expr_params(X) - S
     if missing:
         names = ", ".join(format_atom_value(a) for a in sorted(missing))
@@ -381,15 +387,12 @@ def fn_check(
     graph = clauses(fn.graph)
     S = expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
 
-    @functools.cache
-    def fixed_pairs() -> list[SetComp]:
-        return [
-            SetComp(o.rep_element(), (), TRUE)
-            for o in orbit_decomposition(comp, fn.graph, S)
-        ]
-
     def determined_everywhere(by: int) -> bool:
-        return all(determined(comp, (c, p), by) for p in fixed_pairs() for c in graph)
+        return all(
+            determined(comp, (c, SetComp(o.rep_element(), (), TRUE)), by)
+            for o in orbit_decomposition(comp, fn.graph, S)
+            for c in graph
+        )
 
     def covered(s: Expr, by: int) -> bool:
         # every element of s is component `by` of some pair

@@ -194,14 +194,19 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer of at least `low`, else "must be what"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_globals(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -223,14 +228,14 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool) -> None:
     )
     ap.add_argument(
         "--budget",
-        type=_nonnegative_int,
+        type=_int_at_least(0, "nonnegative"),
         default=d or engine.DEFAULT_BUDGET,
         help="cap on enumerated candidates before giving up "
         f"(default: {engine.DEFAULT_BUDGET})",
     )
     ap.add_argument(
         "--threads",
-        type=int,
+        type=_int_at_least(1, "positive"),
         default=d or 1,
         help="accepted for interface compatibility; execution is sequential",
     )

@@ -37,7 +37,7 @@ from .theories.formulas import (
 
 
 class Compiler:
-    """Holds a backend, a fresh-name supply, and the formula caches."""
+    """Holds a backend, a fresh-name supply, and the formula and orbit caches."""
 
     def __init__(self, backend: Backend):
         self.backend = backend
@@ -45,6 +45,7 @@ class Compiler:
         self._eq_cache: dict[tuple, Formula] = {}
         self._mem_cache: dict[tuple, Formula] = {}
         self._sub_cache: dict[tuple, Formula] = {}
+        self._orbit_cache: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
 

@@ -10,15 +10,15 @@ finitely many candidate images yields every piece; a backtracking perfect
 matching over pieces, pruned by per-symbol compatibility checks, then
 decides existence.
 
-Piece and compatibility checks are breach blocks (`algebra.breach_block`)
-with one piece fixed at its representative pair (x0, y0).  A candidate
-piece is kept when it is functional, and injective if the mode needs it,
-at that pair: the `algebra.determined` kernel of `fn_check`, on the piece's
-clause and the fixed pair.  A compatibility check is the transport sentence
-of structures.py on a tuple of pieces, the first fixed at its pair and the
-rest quantified over their whole orbits.  Fixing one pair is sound because
-orbits are transitive under the parameter-fixing automorphisms and every set
-in play is invariant.  Each assembled candidate is then verified in full
+A candidate piece is kept when it is functional, and injective if the
+mode needs it, at its representative pair (x0, y0): the `algebra.determined`
+kernel of `fn_check`, on the piece's clause and the fixed pair.  The pieces
+assigned so far form a partial map, pruned at one representative per
+T-orbit of each symbol's interpretation (reflecting, also of B's) that they
+cover: `structures.carried`, the transport step of the final check.  One
+pair or representative decides its orbit because orbits are transitive
+under the parameter-fixing automorphisms and every set in play is
+invariant.  Each assembled candidate is then verified in full
 by `structures.check_isomorphism` with the mode, orbit by orbit and with
 no orbit pruned: the same `determined` kernel at the representative of
 every orbit of its graph, and transport at one representative of every
@@ -26,7 +26,6 @@ orbit of each symbol's interpretation.  What each mode requires,
 injective and surjective, is read from `structures.MODES` (`mode_kind`).
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -46,6 +45,7 @@ from .algebra import (
 from .compile import Compiler
 from .errors import (
     DensenessError,
+    DomainError,
     EliminationError,
     ResourceError,
     ValidationError,
@@ -53,12 +53,13 @@ from .errors import (
 from .exprs import ETuple, Expr, SetComp, expr_params, instantiate, union_of
 from .structures import (
     Structure,
+    carried,
     check_isomorphism,
     counterpart,
     function_to_dict,
     mode_kind,
     signatures_match,
-    transports_tuple,
+    tuple_arguments,
 )
 from .theories.formulas import TRUE, format_atom_value, land
 
@@ -72,13 +73,11 @@ NOT_FOUND_INCOMPLETE = "NOT_FOUND_INCOMPLETE"
 @dataclass(frozen=True)
 class GraphPiece:
     """One candidate orbit of pairs: the T-orbit of (x0, y0), a bijection
-    from the a_index-th domain orbit onto the b_index-th target orbit.
-    `fixed` is the pair (x0, y0) as a clause without binders."""
+    from the a_index-th domain orbit onto the b_index-th target orbit."""
 
     expr: Expr
     x0: Expr
     y0: Expr
-    fixed: SetComp
     a_index: int
     b_index: int
 
@@ -106,10 +105,6 @@ class Certificate:
 
 # ---------------------------------------------------------------------------
 # piece enumeration
-
-
-def _clause_of(piece_expr: Expr):
-    return piece_expr.clauses[0]
 
 
 def enumerate_pieces(
@@ -149,13 +144,13 @@ def enumerate_pieces(
             # across the orbit of pairs, the component `by` at its value in
             # (x0, y0) forces the other one: functional, then injective; the
             # clause comes first, so it keeps its names (`breach_block`)
-            parts = (_clause_of(piece_expr), fixed)
+            parts = (piece_expr.clauses[0], fixed)
             if not determined(comp, parts, 0):
                 continue
             if injective and not determined(comp, parts, 1):
                 continue
             j = _orbit_index_of(comp, y0, b_orbits)
-            pieces.append(GraphPiece(piece_expr, x0, y0, fixed, i, j))
+            pieces.append(GraphPiece(piece_expr, x0, y0, i, j))
     return pieces, a_orbits, b_orbits
 
 
@@ -167,48 +162,65 @@ def _orbit_index_of(comp: Compiler, x: Expr, orbits) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-symbol compatibility of piece tuples
+# per-symbol compatibility of partial maps
 
 
 class _MorphismChecker:
-    """Checks the preservation condition symbol by symbol on tuples of
-    assigned pieces, with the first piece fixed at its representative pair
-    and the rest (plus any family index) quantified."""
+    """Checks that the partial map the assigned pieces form carries each
+    symbol, at one representative per T-orbit of its interpretation (with
+    reflect, also of its counterpart in B, through the inverse pieces), by
+    the step `carried` of the final check.  A piece maps one T-orbit of a
+    universe onto one of the other, and every set in play is T-invariant,
+    so the representative decides its orbit.  An orbit is checked once
+    pieces cover the orbits of all its arguments; one with an argument
+    outside the universe, or of no tuple shape, is not constrained."""
 
-    def __init__(self, comp: Compiler, A: Structure, B: Structure, reflect: bool):
+    def __init__(
+        self, comp: Compiler, A: Structure, B: Structure, T, a_orbits, b_orbits, reflect: bool
+    ):
         self.comp = comp
-        self.A = A
-        self.B = B
-        self.reflect = reflect
+        self.universes = (A.universe, B.universe)
+        # (reflected, universe orbit) -> the checks with an argument there,
+        # each (symbol, target, representative, its arguments' orbits)
+        self.checks: dict[tuple, list] = {}
+        symbols = [(sym, counterpart(B, sym)) for sym in (*A.relations, *A.families)]
+        sides = [(sym, to, a_orbits, False) for sym, to in symbols]
+        sides += [(to, sym, b_orbits, True) for sym, to in symbols if reflect]
+        for sym, to, orbits, back in sides:
+            for orbit in orbit_decomposition(comp, sym.interp, T):
+                x = orbit.rep_element()
+                try:
+                    args = tuple_arguments(sym, x)[1]
+                    where = [_orbit_index_of(comp, a, orbits) for a in args]
+                except (DomainError, EliminationError):  # off the universe
+                    continue
+                check = (sym, to.interp, x, where)
+                for i in set(where):
+                    self.checks.setdefault((back, i), []).append(check)
         self.cache: dict[tuple, bool] = {}
 
     def compatible_with(self, assigned: list[GraphPiece], new: GraphPiece) -> bool:
-        """All symbol conditions on tuples over assigned+new that involve
-        the new piece."""
+        """Every check at the new piece's orbits whose arguments the pieces
+        assigned+new cover, cached per check and pieces."""
         pool = assigned + [new]
-        for sym in (*self.A.relations, *self.A.families):
-            for combo in itertools.product(pool, repeat=sym.arity):
-                if not any(p is new for p in combo):
+        for back, index, by in (
+            (False, new.a_index, {p.a_index: p for p in pool}),
+            (True, new.b_index, {p.b_index: p for p in pool}),
+        ):
+            for check in self.checks.get((back, index), ()):
+                sym, target, x, where = check
+                if not all(i in by for i in where):
                     continue
-                if not self._tuple_ok(sym, combo):
+                pieces = [by[i] for i in where]
+                key = (id(check), *map(id, pieces))
+                ok = self.cache.get(key)
+                if ok is None:
+                    maps = [DefFunction(*self.universes, p.expr) for p in pieces]
+                    maps = [fn_inverse(f) for f in maps] if back else maps
+                    ok = self.cache[key] = carried(self.comp, sym, x, maps, target)
+                if not ok:
                     return False
         return True
-
-    def _tuple_ok(self, sym, combo) -> bool:
-        key = (sym.name, tuple(id(p) for p in combo))
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        parts = [combo[0].fixed, *(_clause_of(p.expr) for p in combo[1:])]
-        ok = transports_tuple(
-            self.comp,
-            sym,
-            counterpart(self.B, sym).interp,
-            parts,
-            reflect=self.reflect,
-        )
-        self.cache[key] = ok
-        return ok
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +285,7 @@ def find_definable_map(
         range(len(a_orbits)),
         key=lambda i: (-len(str(a_orbits[i].type_formula.key)), i),
     )
-    checker = _MorphismChecker(comp, A, B, reflect=injective)
+    checker = _MorphismChecker(comp, A, B, T, a_orbits, b_orbits, reflect=injective)
 
     assigned: list[GraphPiece] = []
     used_b: set[int] = set()

@@ -15,10 +15,8 @@ everywhere once it holds at one representative of each S-orbit:
 `algebra.fn_check` decides functional and injective at the graph's orbit
 representatives, and `transports_symbols` maps one representative of each
 orbit of every symbol by `fn_apply` and tests the image's membership in
-the counterpart.  `transports_tuple`, the transport sentence on one tuple
-of graph clauses decided as the absence of a breach
-(`algebra.breach_block`), is the compatibility kernel of the search's
-pruning in engine.py.
+the counterpart.  That step, `carried`, is the one transport kernel: the
+search's pruning in engine.py runs it on the pieces of a partial map.
 """
 
 import json
@@ -26,7 +24,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     DefFunction,
-    breach_block,
     fn_apply,
     fn_check,
     fn_inverse,
@@ -41,7 +38,6 @@ from .errors import DomainError, ValidationError
 from .exprs import ETuple, Expr, expr_params, product_expr
 from .parser import parse, print_expr
 from .theories import get_backend
-from .theories.formulas import And, Implies, lnot
 
 MAX_ARITY = 4
 
@@ -362,61 +358,42 @@ def _carries(comp: Compiler, fn: DefFunction, sym, target: Expr, S) -> bool:
     and of both sets: fn then commutes with those automorphisms, and both
     sets are invariant under them, so the tuple and its image keep their
     membership along the orbit."""
-    head = 1 if isinstance(sym, FamilySymbol) else 0
-    for orbit in orbit_decomposition(comp, sym.interp, S):
-        try:
-            parts = _components(orbit.rep_element(), head + sym.arity)
-            image = [fn_apply(comp, fn, x) for x in parts[head:]]
-        except DomainError:
-            continue
-        if not is_member(comp, _mk_tuple(parts[0] if head else None, image), target):
-            return False
-    return True
+    return all(
+        carried(comp, sym, orbit.rep_element(), [fn] * sym.arity, target)
+        for orbit in orbit_decomposition(comp, sym.interp, S)
+    )
 
 
-def _components(x: Expr, n: int) -> list[Expr]:
-    """x as a list of n components; DomainError when it is no n-tuple, as
-    it then is no tuple of domain elements."""
-    if n == 1:
-        return [x]
-    if isinstance(x, ETuple) and len(x.items) == n:
-        return list(x.items)
-    raise DomainError(f"value is no {n}-tuple")
+def carried(comp: Compiler, sym, x: Expr, maps, target: Expr) -> bool:
+    """Whether the tuple x of sym's interpretation, its i-th argument
+    mapped by `fn_apply` through maps[i] and a family's index kept, lies
+    in target.  True when x is no tuple of sym's shape or an argument lies
+    off its map's domain: such a tuple is not constrained.  The one step
+    of transport, for a whole map (`transports_symbols`) and for the
+    pieces of the search's partial maps (engine.py)."""
+    try:
+        head, args = tuple_arguments(sym, x)
+        image = [fn_apply(comp, f, a) for f, a in zip(maps, args)]
+    except DomainError:
+        return True
+    return is_member(comp, _mk_tuple(head, image), target)
+
+
+def tuple_arguments(sym, x: Expr) -> tuple:
+    """The family index of x (None for a relation) and the list of its
+    arguments; DomainError when x is no tuple of sym's shape, as it then
+    is no tuple of domain elements."""
+    family = isinstance(sym, FamilySymbol)
+    n = family + sym.arity
+    if n > 1 and not (isinstance(x, ETuple) and len(x.items) == n):
+        raise DomainError(f"value is no {n}-tuple")
+    items = list(x.items) if n > 1 else [x]
+    return (items[0] if family else None), items[family:]
 
 
 def counterpart(B: Structure, sym):
     """The symbol of B named like sym."""
     return next(s for s in (*B.relations, *B.families) if s.name == sym.name)
-
-
-def transports_tuple(
-    comp: Compiler, sym, interp_b: Expr, parts, *, reflect: bool
-) -> bool:
-    """Decide forall binders: guards -> (xs in R_A <-> ys in R_B).
-
-    Each part is a clause whose element is a pair (x, y) of an argument and
-    its image; a fixed pair is a clause without binders.  The sentence is
-    decided as the absence of a breach (`algebra.breach_block`): instances
-    of the parts, renamed apart, whose arguments and images disagree on the
-    symbol.  For a family the condition holds at every index of its index
-    set.  Without reflect only -> is required."""
-
-    def breach(pairs):
-        xs = [p.items[0] for p in pairs]
-        ys = [p.items[1] for p in pairs]
-
-        def condition(head=None):
-            ma = comp.member(_mk_tuple(head, xs), sym.interp)
-            mb = comp.member(_mk_tuple(head, ys), interp_b)
-            if reflect:
-                return And((Implies(ma, mb), Implies(mb, ma)))
-            return Implies(ma, mb)
-
-        if isinstance(sym, FamilySymbol):
-            return lnot(comp.forall_elem(sym.index_set, condition))
-        return lnot(condition())
-
-    return not comp.holds(breach_block(comp, parts, breach))
 
 
 def _mk_tuple(head, items: list[Expr]) -> Expr:

@@ -301,3 +301,51 @@ def gen_structure_pair(rng: random.Random):
         }
     )
     return mk("left", ua, ea), mk("right", ub, eb)
+
+
+# ---------------------------------------------------------------------------
+# ladders: structures that grow with one size parameter
+
+
+def _ladder(backend_name: str, name: str, universe: str, edge: str):
+    from atomiso.structures import structure_from_dict
+
+    return structure_from_dict(
+        {
+            "backend": backend_name,
+            "name": name,
+            "universe": universe,
+            "relations": [{"name": "E", "arity": 2, "interp": edge}],
+        }
+    )
+
+
+def dlo_chains(k: int):
+    """The increasing k-chains of dlo atoms (k >= 2), with E = "x lies
+    entirely below y"."""
+    xs = [f"x{i}" for i in range(k)]
+    ys = [f"y{i}" for i in range(k)]
+
+    def below(vs):
+        return " and ".join(f"{a} < {b}" for a, b in zip(vs, vs[1:]))
+
+    x, y = ", ".join(xs), ", ".join(ys)
+    return _ladder(
+        "dlo",
+        f"chains{k}",
+        f"{{({x}) | {x} in atoms, {below(xs)}}}",
+        f"{{(({x}), ({y})) | {x}, {y} in atoms, {below(xs + ys)}}}",
+    )
+
+
+def equality_tuples(k: int):
+    """The k-tuples of equality atoms (k >= 2), with E sending each tuple
+    to its rotation by one place."""
+    xs = [f"x{i}" for i in range(k)]
+    x, rotated = ", ".join(xs), ", ".join(xs[1:] + xs[:1])
+    return _ladder(
+        "equality",
+        f"tuples{k}",
+        f"{{({x}) | {x} in atoms}}",
+        f"{{(({x}), ({rotated})) | {x} in atoms}}",
+    )

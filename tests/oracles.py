@@ -10,9 +10,12 @@ queries, but decide by another method than the library's.
 `orbit_transport` tests a map on structures on orbit representatives, and
 `naive_find_iso` searches for an isomorphism by trying every union of
 product orbits as a graph instead of matching orbit-graph pieces.
+`transports_tuple` is the transport sentence on one tuple of pair
+clauses, decided as the absence of a breach.  On it,
 `clause_tuple_transport` decides symbol transport by one sentence per
 tuple of graph clauses, the unoptimised reference for the library's
-transport at orbit representatives.
+transport at orbit representatives, and `piece_tuple_compatible` the
+search's pruning by one sentence per tuple of pieces.
 `scratch_consistent` and `reference_conjuncts` are the conjunct kernel and
 the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
@@ -38,6 +41,7 @@ from atomiso.algebra import (
     OrbitDescriptor,
     _abstracted,
     _element_injective,
+    breach_block,
     fn_apply,
     fn_check,
     fn_validate,
@@ -51,6 +55,7 @@ from atomiso.exprs import (
     AtomsSet,
     ETuple,
     EVar,
+    Expr,
     SetComp,
     Union,
     clauses,
@@ -62,10 +67,10 @@ from atomiso.exprs import (
 )
 from atomiso.structures import (
     FamilySymbol,
+    _mk_tuple,
     counterpart,
     signatures_match,
     transports_symbols,
-    transports_tuple,
 )
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import (
@@ -77,6 +82,7 @@ from atomiso.theories.formulas import (
     Implies,
     Not,
     Or,
+    TRUE,
     Rel,
     Top,
     Var,
@@ -586,6 +592,54 @@ def orbit_transport(comp, fn, A, B, *, reflect: bool = True) -> bool:
             in_a = is_member(comp, rep, sym.interp)
             in_b = is_member(comp, image, b_syms[sym.name].interp)
             if (in_a and not in_b) or (reflect and in_b and not in_a):
+                return False
+    return True
+
+
+def transports_tuple(
+    comp, sym, interp_b: Expr, parts, *, reflect: bool
+) -> bool:
+    """Decide forall binders: guards -> (xs in R_A <-> ys in R_B).
+
+    Each part is a clause whose element is a pair (x, y) of an argument and
+    its image; a fixed pair is a clause without binders.  The sentence is
+    decided as the absence of a breach (`algebra.breach_block`): instances
+    of the parts, renamed apart, whose arguments and images disagree on the
+    symbol.  For a family the condition holds at every index of its index
+    set.  Without reflect only -> is required."""
+
+    def breach(pairs):
+        xs = [p.items[0] for p in pairs]
+        ys = [p.items[1] for p in pairs]
+
+        def condition(head=None):
+            ma = comp.member(_mk_tuple(head, xs), sym.interp)
+            mb = comp.member(_mk_tuple(head, ys), interp_b)
+            if reflect:
+                return And((Implies(ma, mb), Implies(mb, ma)))
+            return Implies(ma, mb)
+
+        if isinstance(sym, FamilySymbol):
+            return lnot(comp.forall_elem(sym.index_set, condition))
+        return lnot(condition())
+
+    return not comp.holds(breach_block(comp, parts, breach))
+
+
+def piece_tuple_compatible(comp, A, B, assigned, new, *, reflect: bool) -> bool:
+    """The search's compatibility of the pieces assigned+new, decided by
+    one transport sentence per symbol and per tuple of those pieces that
+    holds the new one, with the tuple's first piece fixed at its
+    representative pair (x0, y0) and the others over their whole orbits."""
+    pool = assigned + [new]
+    for sym in (*A.relations, *A.families):
+        for combo in itertools.product(pool, repeat=sym.arity):
+            if not any(p is new for p in combo):
+                continue
+            first = SetComp(ETuple((combo[0].x0, combo[0].y0)), (), TRUE)
+            parts = [first, *(p.expr.clauses[0] for p in combo[1:])]
+            interp_b = counterpart(B, sym).interp
+            if not transports_tuple(comp, sym, interp_b, parts, reflect=reflect):
                 return False
     return True
 

@@ -204,6 +204,11 @@ def test_missing_file(capsys):
 def test_threads_flag_accepted(capsys):
     code, out, _ = run(capsys, "rn", "2", "--threads", "4")
     assert code == 0 and out.strip() == "2"
+    for bad in ("-3", "0"):
+        with pytest.raises(SystemExit) as ex:
+            main(["--threads", bad, "rn", "2"])
+        assert ex.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
 
 def test_backend_mismatch_between_files(tmp_path, capsys):

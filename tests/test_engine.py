@@ -2,11 +2,12 @@
 on small generated instances."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from atomiso import engine
+from atomiso import algebra, engine
 from atomiso.algebra import DefFunction, fn_bijective, set_equal
 from atomiso.compile import Compiler
 from atomiso.engine import (
@@ -21,7 +22,7 @@ from atomiso.engine import (
 from atomiso.errors import DensenessError, ResourceError, ValidationError
 from atomiso.exprs import expr_params
 from atomiso.parser import parse
-from atomiso.structures import check_isomorphism, structure_from_dict
+from atomiso.structures import check_isomorphism, mode_kind, structure_from_dict
 from atomiso.theories import get_backend
 from fixtures_helpers import (
     circle_pair,
@@ -30,8 +31,13 @@ from fixtures_helpers import (
     nondefiso_pair,
     smoothing_parts,
 )
-from generators import gen_structure_pair
-from oracles import naive_find_iso, orbit_transport, reference_piece_determined
+from generators import dlo_chains, gen_structure_pair
+from oracles import (
+    naive_find_iso,
+    orbit_transport,
+    piece_tuple_compatible,
+    reference_piece_determined,
+)
 
 
 def test_kneser_self_iso(eq_comp):
@@ -340,6 +346,68 @@ def test_a_candidate_failing_the_final_check_makes_the_answer_inconclusive(
     assert cert.verdict == NOT_FOUND_INCOMPLETE
     assert cert.caveat == "a candidate failed final verification; result inconclusive"
     assert cert.stats["candidates"] == 1
+
+
+def _pruning_cases():
+    """(backend, A, B, extra parameters): seeded equality pairs on one
+    universe, the dlo order against itself and its reverse, dlo chains,
+    the neighborhoods family anchored at two atoms, and the circle bare
+    and anchored."""
+    rng = random.Random(1717)
+    cases = []
+    while len(cases) < 8:
+        A, B = gen_structure_pair(rng)
+        if A.universe == B.universe:  # else there are seldom any pieces
+            cases.append(("equality", A, B, ()))
+    less = _dlo_graph("less", "{(a, b) | a, b in atoms, a < b}")
+    greater = _dlo_graph("greater", "{(a, b) | a, b in atoms, b < a}")
+    cases += [("dlo", less, less, ()), ("dlo", less, greater, (Fraction(0),))]
+    cases += [("dlo", dlo_chains(2), dlo_chains(2), ())]
+    cases += [("equality", *neighborhoods_pair(), (1, 2))]
+    cases += [("cyclic", *circle_pair(), params) for params in ((), (Fraction(0),))]
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["iso", "emb", "hom"])
+def test_pruning_matches_the_piece_tuple_sentences(monkeypatch, mode):
+    """At every step of the matching, the checks at orbit representatives
+    agree with one transport sentence per tuple of the pieces."""
+    reflect = mode_kind(mode)[0]
+    checked = engine._MorphismChecker.compatible_with
+    verdicts = Counter()
+    case = {}
+
+    def compare(self, assigned, new):
+        got = checked(self, assigned, new)
+        A, B = case["A"], case["B"]
+        want = piece_tuple_compatible(case["ref"], A, B, assigned, new, reflect=reflect)
+        assert got == want, (A.name, B.name, [p.x0 for p in assigned], new.y0)
+        verdicts[got] += 1
+        return got
+
+    monkeypatch.setattr(engine._MorphismChecker, "compatible_with", compare)
+    for backend_name, A, B, params in _pruning_cases():
+        case.update(A=A, B=B, ref=Compiler(get_backend(backend_name)))
+        decide_definable_iso(Compiler(get_backend(backend_name)), A, B, params, mode=mode)
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_the_search_decomposes_each_set_once(monkeypatch):
+    """On the dlo 3-chains the pruning and the final check decompose the
+    edge relation over the same parameters: the memo does it once."""
+    decompose = algebra._decompose
+    calls = Counter()
+
+    def counting(comp, X, S):
+        calls[X.key, S] += 1
+        return decompose(comp, X, S)
+
+    monkeypatch.setattr(algebra, "_decompose", counting)
+    chains = dlo_chains(3)
+    cert = decide_definable_iso(Compiler(get_backend("dlo")), chains, chains)
+    assert cert.verdict == FOUND
+    assert calls[chains.relations[0].interp.key, frozenset()] == 1
+    assert set(calls.values()) == {1}
 
 
 def test_eliminate_parameters_dlo_identity(dlo_comp):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from atomiso import algebra, structures
+from atomiso import algebra
 from atomiso.algebra import (
     DefFunction,
     fn_check,
@@ -443,28 +443,29 @@ def test_transport_leaves_a_value_of_no_tuple_shape_unconstrained(eq_comp):
 
 
 def test_final_check_of_the_anchored_circle_witness_works_orbit_by_orbit(cyc_comp, monkeypatch):
-    """The witness is re-checked at orbit representatives only: no
-    transport sentence over clause tuples, and one breach block per graph
-    orbit and clause for each of functional and injective."""
+    """The witness is re-checked at orbit representatives only: one breach
+    block per graph orbit and clause for each of functional and injective,
+    and no other breach block, so no transport sentence over clause
+    tuples."""
     A, B = circle_pair()
     cert = decide_definable_iso(cyc_comp, A, B, (Fraction(0),))
     assert cert.verdict == FOUND
     fn = cert.witness
     calls = Counter()
-    kernel, sentence = algebra.determined, structures.transports_tuple
+    kernel, block = algebra.determined, algebra.breach_block
 
     def determined(comp, parts, by):
         calls[by] += 1
         return kernel(comp, parts, by)
 
-    def transports_tuple(*args, **kwargs):
-        calls["transports_tuple"] += 1
-        return sentence(*args, **kwargs)
+    def breach_block(*args):
+        calls["breach_block"] += 1
+        return block(*args)
 
     monkeypatch.setattr(algebra, "determined", determined)
-    monkeypatch.setattr(structures, "transports_tuple", transports_tuple)
+    monkeypatch.setattr(algebra, "breach_block", breach_block)
     assert check_isomorphism(cyc_comp, fn, A, B)
     S = expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
     blocks = len(orbit_decomposition(cyc_comp, fn.graph, S)) * len(clauses(fn.graph))
     assert blocks > 0
-    assert calls == Counter({0: blocks, 1: blocks})
+    assert calls == Counter({0: blocks, 1: blocks, "breach_block": 2 * blocks})
