@@ -419,34 +419,17 @@ def fn_apply(comp: Compiler, fn: DefFunction, x: Expr) -> Expr:
     """The value of the function at x; raises DomainError off the domain.
     Expects a validated, functional graph."""
     _require_closed(x)
-    backend = comp.backend
     for c in clauses(fn.graph):
         constraint = land(c.guard, comp.equal(x, c.element.items[0]))
-        witness = backend.find_witness(constraint)
+        # a binder the constraint leaves free may take any value: the graph
+        # is functional, so every choice yields the same image
+        witness = comp.backend.find_witness(constraint, c.binders)
         if witness is None:
             continue
-        # any fresh choice for a binder the constraint leaves free yields
-        # the same value because the graph is functional
-        witness = complete_witness(
-            backend, witness, c.binders, expr_params(fn.graph) | expr_params(x)
-        )
         return subst_expr_vars(
             c.element.items[1], {b: AtomParam(witness[b]) for b in c.binders}
         )
     raise DomainError("value lies outside the function's domain")
-
-
-def complete_witness(backend, witness: dict, binders, avoid: frozenset) -> dict:
-    """The witness extended to every binder: binders it leaves out are
-    unconstrained and take independent atoms avoiding `avoid` and the
-    witness's own values."""
-    missing = [b for b in binders if b not in witness]
-    if not missing:
-        return witness
-    fill = backend.independent_atoms(
-        frozenset(witness.values()) | avoid, len(missing)
-    )
-    return {**witness, **dict(zip(missing, fill))}
 
 
 def fn_inverse(fn: DefFunction) -> DefFunction:

@@ -29,6 +29,7 @@ from .exprs import expr_params
 from .fixtures import FIXTURES, fixture_documents
 from .parser import parse, parse_atoms, print_expr
 from .structures import (
+    MODES,
     function_to_dict,
     load_function,
     load_structure,
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", metavar="A.json")
     p.add_argument("b", metavar="B.json")
     p.add_argument("--params", default=None, help="extra parameter atoms for the search")
-    p.add_argument("--mode", choices=("iso", "hom", "emb"), default="iso")
+    p.add_argument("--mode", choices=MODES, default="iso")
     p.set_defaults(fn=cmd_iso)
 
     p = sub.add_parser(

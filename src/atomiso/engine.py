@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     DefFunction,
-    complete_witness,
     determined,
     fn_apply,
     fn_domain_expr,
@@ -417,16 +416,11 @@ def eliminate_parameters(
     graph_pieces: list[Expr] = []
 
     for _ in range(len(a_orbits)):
-        best = None  # (dim, side_rank, index)
-        for i in sorted(remaining_a):
-            cand = (-dims_a[i], 0, i)
-            if best is None or cand < best:
-                best = cand
-        for j in sorted(remaining_b):
-            cand = (-dims_b[j], 1, j)
-            if best is None or cand < best:
-                best = cand
-        _, side_rank, idx = best
+        # highest dimension first, then the domain side, then the index
+        _, side_rank, idx = min(
+            [(-dims_a[i], 0, i) for i in remaining_a]
+            + [(-dims_b[j], 1, j) for j in remaining_b]
+        )
         h_cur = DefFunction(A.universe, B.universe, union_of(*graph_pieces))
         if side_rank == 0:
             orbit = a_orbits[idx]
@@ -486,12 +480,13 @@ def _independent_representative(comp: Compiler, orbit, S: frozenset, T: frozense
     constraints = [c.guard, orbit.type_formula]
     for b in c.binders:
         constraints.append(comp.backend.independence_formula(b, S, T))
-    witness = comp.backend.find_witness(land(*constraints))
+    # a binder drops out of the constraints only when S is empty, where
+    # independence is vacuous and any value will do
+    witness = comp.backend.find_witness(land(*constraints), c.binders)
     if witness is None:
         raise EliminationError(
             "no orbit representative independent of the parameters exists"
         )
-    witness = complete_witness(comp.backend, witness, c.binders, S)
     return instantiate(c.element, {b: witness[b] for b in c.binders})
 
 

@@ -36,8 +36,9 @@ class SupportError(AtomisoError):
 
 
 class DensenessError(AtomisoError):
-    """The backend does not admit the self-embedding needed to pick
-    independent atoms (the cyclic-order backend is the shipped example)."""
+    """The backend does not admit the self-embedding that parameter
+    elimination needs to place a representative independently of the
+    parameters (the cyclic-order backend is the shipped example)."""
 
 
 class ValidationError(AtomisoError):

@@ -142,7 +142,7 @@ class Backend:
     #: while the input grammar stays gated by `relations` alone
     work_relations: dict[str, int] = {}
     #: whether the structure embeds into itself avoiding any finite region;
-    #: needed for independent-atom picking and parameter elimination
+    #: needed for the independence constraints of parameter elimination
     dense: bool = True
 
     def __init__(self):
@@ -478,15 +478,18 @@ class Backend:
     def holds(self, sentence: Formula) -> bool:
         return self.sat(sentence, {})
 
-    def find_witness(self, f: Formula) -> Valuation | None:
-        """Deterministic satisfying valuation, or None.
+    def find_witness(self, f: Formula, variables=()) -> Valuation | None:
+        """Deterministic satisfying valuation of the free variables of f
+        and of `variables`, or None.
 
         Preference order: parameter atoms of the formula first, then the
         canonical fresh choice of the backend (least unused id for the pure
         set, simplest rational in the leftmost feasible gap for the orders).
+        A variable that f does not constrain takes the first candidate, as
+        `conjunct_witness` gives it to every class no literal pins.
         """
         q = self.qe(f)
-        fvs = sorted(free_vars(f))
+        fvs = sorted(free_vars(f) | set(variables))
         params = sorted(formula_atoms(f) | formula_atoms(q))
         if not fvs:
             return {} if isinstance(q, Top) else None
@@ -556,9 +559,6 @@ class Backend:
 
     # ------------------------------------------------------------------
     # independence regions (dense backends only)
-
-    def independent_atoms(self, params: frozenset[Atom], n: int) -> tuple[Atom, ...]:
-        raise NotImplementedError
 
     def independence_formula(self, var: str, avoid: frozenset[Atom], keep: frozenset[Atom]) -> Formula:
         """Constraint placing `var` inside a self-embedding image that avoids

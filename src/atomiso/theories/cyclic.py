@@ -5,8 +5,8 @@ counterclockwise (equivalently a<b<c up to rotation of the three).
 Elimination reuses the dense-linear machinery by expanding R into its three
 linear readings up front; the complete-type hooks use only R and equality,
 so orbit formulas never mention <.  The circle is not dense in the sense
-the independence operations need (no self-embedding misses a point of
-every arc), so those raise DensenessError.
+parameter elimination needs (no self-embedding misses a point of every
+arc), so `independence_formula` raises DensenessError.
 """
 
 import math
@@ -102,12 +102,6 @@ class CyclicBackend(DloBackend):
         return sum(s[n][k] * math.factorial(k - 1) for k in range(1, n + 1))
 
     # -- independence --------------------------------------------------------
-
-    def independent_atoms(self, params, n: int):
-        raise DensenessError(
-            "the circular order has no proper self-embedding avoiding a region, "
-            "so independent atoms are unavailable"
-        )
 
     def independence_formula(self, var: str, avoid, keep) -> Formula:
         raise DensenessError(

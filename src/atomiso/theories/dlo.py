@@ -138,23 +138,6 @@ class DloBackend(Backend):
 
     # -- independence ------------------------------------------------------
 
-    def independence_interval(self, params) -> tuple[Fraction, Fraction]:
-        """One open rational interval avoiding every parameter."""
-        svals = sorted(params)
-        if not svals:
-            return Fraction(0), Fraction(1)
-        if len(svals) == 1:
-            return svals[0], svals[0] + 1
-        return svals[0], svals[1]
-
-    def independent_atoms(self, params, n: int):
-        lo, hi = self.independence_interval(params)
-        out: list[Fraction] = []
-        for _ in range(n):
-            hi_now = out[0] if out else hi
-            out.insert(0, simplest_between(lo, hi_now))
-        return tuple(out)
-
     def independence_formula(self, var: str, avoid, keep) -> Formula:
         v = Var(var)
         choices = [eq(v, Const(t)) for t in sorted(keep)]

@@ -77,9 +77,6 @@ class EqualityBackend(Backend):
 
     # -- independence ------------------------------------------------------
 
-    def independent_atoms(self, params, n: int):
-        return tuple(itertools.islice(_fresh_ids(params), n))
-
     def independence_formula(self, var: str, avoid, keep) -> Formula:
         v = Var(var)
         outside = land(*(ne(v, Const(s)) for s in sorted(avoid)))

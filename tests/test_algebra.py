@@ -48,6 +48,7 @@ from atomiso.exprs import (
     union_of,
 )
 from atomiso.parser import parse, print_expr
+from atomiso.structures import check_isomorphism, structure_from_dict
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import TRUE, Bot, Const, Rel, Top, Var, land, lnot
 from fixtures_helpers import NESTED_CYCLIC, NESTED_CYCLIC_ORBITS
@@ -264,6 +265,28 @@ def test_fn_apply_outside_domain(eq_comp):
     f = DefFunction(u, u, _p("{(a, a) | a in atoms, a != #1}", eq_comp))
     with pytest.raises(DomainError):
         fn_apply(eq_comp, f, _p("#1", eq_comp))
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+@pytest.mark.parametrize("binders", ["a, b", "a, b, c"])
+def test_idle_binders_take_any_value(comp_for, backend_name, binders):
+    # the identity written with binders that neither the guard nor the
+    # first component constrains; every value of them gives the same image
+    comp = comp_for(backend_name)
+    st = structure_from_dict(
+        {
+            "backend": backend_name,
+            "name": "marked",
+            "universe": "atoms",
+            "relations": [{"name": "E", "arity": 1, "interp": "atoms"}],
+            "families": [],
+        }
+    )
+    f = DefFunction(st.universe, st.universe, _p(f"{{(a, a) | {binders} in atoms}}", comp))
+    for text in ("#0", "#3") if backend_name == "equality" else ("0", "3", "-1/2"):
+        x = _p(text, comp)
+        assert fn_apply(comp, f, x) == x
+    assert check_isomorphism(comp, f, st, st)
 
 
 def test_fn_inverse_round_trip(eq_comp):

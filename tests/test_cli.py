@@ -349,6 +349,13 @@ def test_negative_budget_rejected(capsys, argv):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_unknown_mode_rejected(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["iso", "a.json", "b.json", "--mode", "bad"])
+    assert ex.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # stdout and exit code of the iso/eliminate commands on the equality
 # fixtures, byte for byte, in text and --json form, and of --json iso on the
 # circle fixture, bare and anchored at 0

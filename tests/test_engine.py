@@ -21,7 +21,7 @@ from atomiso.engine import (
 )
 from atomiso.errors import DensenessError, ResourceError, ValidationError
 from atomiso.exprs import expr_params
-from atomiso.parser import parse
+from atomiso.parser import parse, print_expr
 from atomiso.structures import check_isomorphism, mode_kind, structure_from_dict
 from atomiso.theories import get_backend
 from fixtures_helpers import (
@@ -439,6 +439,37 @@ def test_eliminate_parameters_dlo_identity(dlo_comp):
         dlo_comp.backend,
     )
     assert set_equal(dlo_comp, h.graph, ident)
+
+
+def test_eliminate_parameter_free_identity_values_idle_binders(dlo_comp):
+    # with S empty the independence constraints fold to true, so the atoms
+    # orbit's binder is constrained by nothing and takes the first witness
+    # candidate
+    st = structure_from_dict(
+        {
+            "backend": "dlo",
+            "name": "mixed",
+            "universe": "{(a, b) | a, b in atoms} + {a | a in atoms}",
+            "relations": [],
+            "families": [],
+        }
+    )
+    ident = parse(
+        "{(a, a) | a in atoms} + {((a, b), (a, b)) | a, b in atoms}",
+        dlo_comp.backend,
+    )
+    fn = DefFunction(st.universe, st.universe, ident)
+    h, report = eliminate_parameters(dlo_comp, fn, st, st, T=())
+    assert print_expr(h.graph) == (
+        "{((q1, q1), (q1, q1)) | q1 in atoms} + "
+        "{((q1, q2), (q1, q2)) | q1, q2 in atoms, q1 < q2} + "
+        "{((q1, q2), (q1, q2)) | q1, q2 in atoms, q2 < q1} + "
+        "{(q1, q1) | q1 in atoms}"
+    )
+    assert set_equal(dlo_comp, h.graph, ident)
+    assert [(s.a_index, s.b_index) for s in report.steps] == [(1, 1), (2, 2), (0, 0), (3, 3)]
+    assert [print_expr(s.x0) for s in report.steps] == ["(0, 1)", "(0, -1)", "(0, 0)", "0"]
+    assert all(s.walk == [(s.x0, s.x0)] for s in report.steps)
 
 
 def test_eliminate_parameters_smoothing(eq_comp):

@@ -156,28 +156,35 @@ f = lor(
 """
 
 
-def test_pickled_node_is_rehashed_in_a_new_process():
+def _run_under_another_hash_seed(script: str, stdin: str = "") -> str:
+    """The stdout of `script`, run after `_BUILD` and imports of pickle and
+    sys in a child process whose string hashes differ from this one's."""
     env = dict(os.environ)
     src = str(Path(atomiso.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = _BUILD + (
-        "import pickle, sys\n"
-        "sys.stdout.write(pickle.dumps(f).hex() + ' ' + str(hash('x')))\n"
-    )
+    script = _BUILD + "import pickle, sys\n" + script
+    script += "sys.stdout.write(' ' + str(hash('x')))\n"
     for seed in ("1", "2"):
         env["PYTHONHASHSEED"] = seed
         out = subprocess.run(
             [sys.executable, "-c", script],
+            input=stdin,
             env=env,
             capture_output=True,
             text=True,
             timeout=60,
             check=True,
         ).stdout
-        data, their_str_hash = out.split()
+        data, their_str_hash = out.rsplit(" ", 1)
         if int(their_str_hash) != hash("x"):
-            break
-    assert int(their_str_hash) != hash("x"), "string hashes did not differ"
+            return data
+    raise AssertionError("string hashes did not differ")
+
+
+def test_pickled_node_is_rehashed_in_a_new_process():
+    data = _run_under_another_hash_seed(
+        "sys.stdout.write(pickle.dumps(f).hex())\n"
+    )
     scope: dict = {}
     exec(_BUILD, scope)
     fresh = scope["f"]
@@ -189,6 +196,28 @@ def test_pickled_node_is_rehashed_in_a_new_process():
     assert table[loaded] == "entry"
     for a, b in zip(subnodes(loaded), subnodes(fresh)):
         _same(a, b)
+
+
+def test_node_pickled_here_is_rehashed_in_a_new_process():
+    # the other direction: `_Node.__reduce__` runs in this process
+    scope: dict = {}
+    exec(_BUILD, scope)
+    out = _run_under_another_hash_seed(
+        "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "table = {f: 'entry'}\n"
+        "same = loaded == f and hash(loaded) == hash(f) and loaded.key == f.key\n"
+        "sys.stdout.write(str(same) + ' ' + table[loaded])\n",
+        stdin=pickle.dumps(scope["f"]).hex(),
+    )
+    assert out == "True entry"
+
+
+def test_subst_renames_a_binder_that_would_capture():
+    x, y, y1 = Var("x"), Var("y"), Var("y1")
+    f = Exists("y", land(Rel("<", (x, y)), Rel("<", (y, y1))))
+    y2 = Var("y2")
+    want = Exists("y2", land(Rel("<", (y, y2)), Rel("<", (y2, y1))))
+    _same(subst(f, {"x": y}), want)
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -1,5 +1,6 @@
 """The package's public surface: the exported names and the README's
-library example; and the imports of every module, which must all be used."""
+library example; the imports of every module, which must all be used; and
+the package's own functions and classes, which the package must all use."""
 
 import ast
 import os
@@ -59,3 +60,28 @@ def test_no_module_imports_a_name_it_does_not_use():
         str(p.relative_to(ROOT)): names for p in sorted(paths) if (names := _unused_imports(p))
     }
     assert unused == {}
+
+
+def _unread_definitions(root: Path) -> list[str]:
+    """The functions and classes defined under `root`, special methods
+    aside, whose names nothing under `root` reads as a name, an attribute
+    or an import."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((str(path.relative_to(root)), node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{path}:{name}" for path, name in defined if name not in read]
+
+
+def test_every_definition_is_used_by_the_package():
+    # a helper only the tests call, or one a deletion orphaned, shows here
+    assert _unread_definitions(ROOT / "src" / "atomiso") == []

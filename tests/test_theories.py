@@ -495,13 +495,8 @@ def test_extend_automorphism_covers_new_atoms():
             assert is_partial_automorphism(name, out)
 
 
-def test_independent_atoms_dense_only():
-    eqb = get_backend("equality")
-    picked = eqb.independent_atoms(frozenset({0, 1, 5}), 2)
-    assert len(picked) == 2 and not set(picked) & {0, 1, 5}
+def test_cyclic_independence_formula_raises_denseness_error():
     cy = get_backend("cyclic")
-    with pytest.raises(DensenessError):
-        cy.independent_atoms(frozenset(), 1)
     with pytest.raises(DensenessError):
         cy.independence_formula("x", frozenset(), frozenset())
 
