@@ -9,7 +9,10 @@ each satisfiable pairing carves out one orbit, and pieces carving the same
 orbit (which visibly happens for symmetric elements such as unordered pairs)
 are merged by `in_orbit`, the one test of whether a closed value lies in an
 orbit: the type of the atoms a value shows through tuples first, then one
-closed block over the clause's own binders.
+closed block over the clause's own binders.  Likewise `supported_by` is the
+one test of whether S supports a value: `least_support` removes atoms
+greedily through it, and the isomorphism search filters candidate images
+with it.
 """
 
 from dataclasses import dataclass
@@ -241,25 +244,36 @@ def orbit_expression(comp: Compiler, x: Expr, S) -> Union:
 # least supports
 
 
+def supported_by(comp: Compiler, x: Expr, S) -> bool:
+    """Whether every automorphism fixing S pointwise fixes the value of x.
+
+    Two cases send no sentence.  An atom that is x itself or a component of
+    x as a tuple lies in every support, since for any finite S and atom a
+    outside it some automorphism fixing S moves a (on all three backends);
+    and the atoms of x support x.  Otherwise one sentence: every valuation
+    of x's atoms with their type over the atoms of S among them gives x
+    again.  Only those atoms matter, as the least support of x lies among
+    its atoms and supports are closed upward."""
+    _require_closed(x)
+    S = frozenset(S)
+    if not S.issuperset(_tuple_atoms(x)):
+        return False
+    occs, binders, body = _abstracted(x)
+    if S.issuperset(occs):
+        return True
+    t = comp.backend.type_of(binders, tuple(occs), S.intersection(occs))
+    return comp.holds(quantify(Forall, binders, Implies(t, comp.equal(body, x))))
+
+
 def least_support(comp: Compiler, x: Expr) -> frozenset:
     """The least finite atom set whose pointwise stabilizer fixes the value
-    of x.  Greedy removal is exact because supports are closed upward and a
-    least one exists.
-
-    An atom that is x itself or a component of x as a tuple lies in every
-    support, since for any finite S and atom a outside it some automorphism
-    fixing S moves a (on all three backends); such atoms are kept without a
-    sentence.  Atoms inside a set clause are tested, as a set can hide
-    them."""
+    of x, by greedy removal through `supported_by`.  Greedy removal is exact
+    because supports are closed upward and a least one exists."""
     _require_closed(x)
-    occs, binders, body = _abstracted(x)
-    support = set(occs)
-    for a in sorted(support.difference(_tuple_atoms(x))):
-        cand = frozenset(support - {a})
-        t = comp.backend.type_of(binders, tuple(occs), cand)
-        sentence = quantify(Forall, binders, Implies(t, comp.equal(body, x)))
-        if comp.holds(sentence):
-            support = set(cand)
+    support = set(param_occurrences(x))
+    for a in sorted(support):
+        if supported_by(comp, x, support - {a}):
+            support.discard(a)
     return frozenset(support)
 
 
@@ -438,15 +452,3 @@ def fn_inverse(fn: DefFunction) -> DefFunction:
         fst, snd = c.element.items
         out.append(SetComp(ETuple((snd, fst)), c.binders, c.guard))
     return DefFunction(fn.cod, fn.dom, Union(tuple(out)))
-
-
-def fn_domain_expr(fn: DefFunction) -> Union:
-    return Union(
-        tuple(SetComp(c.element.items[0], c.binders, c.guard) for c in clauses(fn.graph))
-    )
-
-
-def fn_image_expr(fn: DefFunction) -> Union:
-    return Union(
-        tuple(SetComp(c.element.items[1], c.binders, c.guard) for c in clauses(fn.graph))
-    )

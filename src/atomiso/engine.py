@@ -5,7 +5,7 @@ orbit of the domain universe, to the graph of a bijection onto one orbit of
 the target universe, and that restriction is itself a single orbit of pairs.
 Such a piece is pinned down by where it sends one representative x0, and the
 image y0 must be fixed by every automorphism fixing x0 and the allowed
-parameters, i.e. its least support lies inside theirs.  Enumerating those
+parameters, which `algebra.supported_by` decides.  Enumerating those
 finitely many candidate images yields every piece; a backtracking perfect
 matching over pieces, pruned by per-symbol compatibility checks, then
 decides existence.
@@ -32,14 +32,12 @@ from .algebra import (
     DefFunction,
     determined,
     fn_apply,
-    fn_domain_expr,
-    fn_image_expr,
     fn_inverse,
     in_orbit,
-    is_member,
     least_support,
     orbit_decomposition,
     orbit_expression,
+    supported_by,
 )
 from .compile import Compiler
 from .errors import (
@@ -116,7 +114,10 @@ def enumerate_pieces(
     budget: int = DEFAULT_BUDGET,
 ):
     """All functional (optionally also injective) orbit graph pieces between
-    the universes, grouped by domain orbit index."""
+    the universes, grouped by domain orbit index.  The candidate images of
+    a domain representative x0 are the representatives of the orbits of
+    B's universe over the anchor, T with the least support of x0, that the
+    anchor supports: those every automorphism fixing x0 and T fixes."""
     a_orbits = orbit_decomposition(comp, A.universe, T)
     b_orbits = orbit_decomposition(comp, B.universe, T)
     pieces: list[GraphPiece] = []
@@ -126,12 +127,8 @@ def enumerate_pieces(
         anchor = T | least_support(comp, x0)
         for cand in orbit_decomposition(comp, B.universe, anchor):
             y0 = cand.rep_element()
-            # the image of x0 must be fixed whenever x0 and T are, i.e. its
-            # least support must lie inside the anchor; atoms of y0 inside
-            # the anchor settle this cheaply, otherwise compute the support
-            if not expr_params(y0) <= anchor:
-                if not least_support(comp, y0) <= anchor:
-                    continue
+            if not supported_by(comp, y0, anchor):
+                continue
             examined += 1
             if examined > budget:
                 raise ResourceError(
@@ -378,12 +375,13 @@ def eliminate_parameters(
     may use more.
 
     Works one universe orbit at a time, highest support dimension first.
-    For the chosen orbit a representative is picked whose support is, apart
-    from T, independent of every parameter in play; following the given map
-    forward (and the partial result backward) from that representative must
-    leave the already-covered region within finitely many steps, and the
-    orbit of the resulting (start, exit) pair is the next graph piece.
-    """
+    For the chosen orbit, of A or of B, a representative is picked whose
+    support is, apart from T, independent of every parameter in play.  One
+    walk serves both sides: it follows the given map (from B, its inverse)
+    forward and the partial result backward until `fn_apply` of the latter
+    raises `DomainError`, i.e. until it leaves the covered region, which it
+    must within finitely many steps.  The orbit of the (start, exit) pair
+    is the next graph piece."""
     backend = comp.backend
     if not backend.dense:
         raise DensenessError(
@@ -402,71 +400,50 @@ def eliminate_parameters(
             "an isomorphism exists yet the universes have different orbit counts"
         )
     report = SmoothingReport()
-    report.walk_bound = max(
-        len(orbit_decomposition(comp, B.universe, S)),
-        len(orbit_decomposition(comp, A.universe, S)),
-    ) + 1
+    report.walk_bound = 1 + max(
+        len(orbit_decomposition(comp, U, S)) for U in (B.universe, A.universe)
+    )
 
-    dims_a = [len(least_support(comp, o.rep_element())) for o in a_orbits]
-    dims_b = [len(least_support(comp, o.rep_element())) for o in b_orbits]
-    remaining_a = set(range(len(a_orbits)))
-    remaining_b = set(range(len(b_orbits)))
-
-    fn_back = fn_inverse(fn)
+    # per side, 0 for A and 1 for B: its orbits and the map walking forward
+    # from them
+    orbits = (a_orbits, b_orbits)
+    forward = (fn, fn_inverse(fn))
+    dims = [[len(least_support(comp, o.rep_element())) for o in os] for os in orbits]
+    remaining = [set(range(len(os))) for os in orbits]
     graph_pieces: list[Expr] = []
 
     for _ in range(len(a_orbits)):
         # highest dimension first, then the domain side, then the index
-        _, side_rank, idx = min(
-            [(-dims_a[i], 0, i) for i in remaining_a]
-            + [(-dims_b[j], 1, j) for j in remaining_b]
-        )
+        _, side, idx = min((-dims[s][i], s, i) for s in (0, 1) for i in remaining[s])
+        other = 1 - side
         h_cur = DefFunction(A.universe, B.universe, union_of(*graph_pieces))
-        if side_rank == 0:
-            orbit = a_orbits[idx]
-            forward = fn
-            covered = fn_image_expr(h_cur)
-            step_back = fn_inverse(h_cur)
-        else:
-            orbit = b_orbits[idx]
-            forward = fn_back
-            covered = fn_domain_expr(h_cur)
-            step_back = h_cur
+        # the partial result, from the other side back to this one
+        back = h_cur if side else fn_inverse(h_cur)
 
-        x0 = _independent_representative(comp, orbit, S, T)
+        x0 = _independent_representative(comp, orbits[side][idx], S, T)
         walk = []
         x = x0
         while True:
-            y = fn_apply(comp, forward, x)
+            y = fn_apply(comp, forward[side], x)
             walk.append((x, y))
             if len(walk) > report.walk_bound:
                 raise EliminationError("the forward walk failed to terminate")
-            if not is_member(comp, y, covered):
+            try:
+                x = fn_apply(comp, back, y)
+            except DomainError:  # y leaves the region already covered
                 break
-            x = fn_apply(comp, step_back, y)
         exit_value = walk[-1][1]
 
-        if side_rank == 0:
-            pair = ETuple((x0, exit_value))
-            a_done, b_done = idx, _orbit_index_of(comp, exit_value, b_orbits)
-        else:
-            pair = ETuple((exit_value, x0))
-            a_done, b_done = _orbit_index_of(comp, exit_value, a_orbits), idx
-        if a_done not in remaining_a or b_done not in remaining_b:
+        there = _orbit_index_of(comp, exit_value, orbits[other])
+        if there not in remaining[other]:
             raise EliminationError("the walk exited into an orbit already covered")
-        piece = orbit_expression(comp, pair, T)
-        graph_pieces.append(piece)
-        remaining_a.discard(a_done)
-        remaining_b.discard(b_done)
+        remaining[side].discard(idx)
+        remaining[other].discard(there)
+        index = {side: idx, other: there}
+        value = {side: x0, other: exit_value}
+        graph_pieces.append(orbit_expression(comp, ETuple((value[0], value[1])), T))
         report.steps.append(
-            SmoothingStep(
-                "dom" if side_rank == 0 else "cod",
-                a_done,
-                b_done,
-                x0,
-                exit_value,
-                walk,
-            )
+            SmoothingStep(("dom", "cod")[side], index[0], index[1], x0, exit_value, walk)
         )
 
     h = DefFunction(A.universe, B.universe, union_of(*graph_pieces))

@@ -2,6 +2,7 @@
 enumeration, and definable functions."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,6 @@ from atomiso.algebra import (
     fn_apply,
     fn_bijective,
     fn_check,
-    fn_domain_expr,
-    fn_image_expr,
     fn_inverse,
     fn_validate,
     in_orbit,
@@ -25,6 +24,7 @@ from atomiso.algebra import (
     orbit_expression,
     set_equal,
     sets_disjoint,
+    supported_by,
 )
 from atomiso.errors import (
     BindingError,
@@ -297,12 +297,6 @@ def test_fn_inverse_round_trip(eq_comp):
     assert set_equal(eq_comp, fn_apply(eq_comp, g, fn_apply(eq_comp, f, x)), x)
 
 
-def test_fn_domain_image_exprs(eq_comp):
-    f = _smooth_fn(eq_comp)
-    assert set_equal(eq_comp, fn_domain_expr(f), f.dom)
-    assert set_equal(eq_comp, fn_image_expr(f), f.cod)
-
-
 def test_partial_function_checks(eq_comp):
     u = _p("atoms", eq_comp)
     half = DefFunction(u, u, _p("{(a, a) | a in atoms, a != #1}", eq_comp))
@@ -353,14 +347,38 @@ def _support_value(rng, backend_name, atoms):
     return ETuple((AtomParam(rng.choice(atoms)), rng.choice((s, _hidden(rng.choice(atoms))))))
 
 
+def _shown(x) -> set:
+    """The atoms x shows through tuples."""
+    if isinstance(x, AtomParam):
+        return {x.value}
+    if isinstance(x, ETuple):
+        return set().union(*map(_shown, x.items))
+    return set()
+
+
 @pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
 def test_least_support_matches_the_greedy_reference(backend_name):
+    # and S supports x exactly when it holds the reference support, for S
+    # each subset of x's atoms and one atom outside them; an S missing an
+    # atom x shows through tuples is decided without a sentence
     rng = random.Random(1010)
     comp = Compiler(get_backend(backend_name))
     ref = Compiler(get_backend(backend_name))
+    sent = []
+    holds = comp.holds
+    comp.holds = lambda f: sent.append(f) or holds(f)
     for _ in range(60):
         x = _support_value(rng, backend_name, sample_atoms(rng, backend_name, 3))
-        assert least_support(comp, x) == reference_least_support(ref, x), x
+        support = reference_least_support(ref, x)
+        assert least_support(comp, x) == support, x
+        atoms = sorted(expr_params(x))
+        atoms.append(max(atoms) + 1)
+        for k in range(len(atoms) + 1):
+            for S in map(frozenset, itertools.combinations(atoms, k)):
+                sent.clear()
+                assert supported_by(comp, x, S) == (support <= S), (x, S)
+                if not _shown(x) <= S:
+                    assert sent == []
 
 
 def test_least_support_of_a_nested_cyclic_set(cyc_comp):

@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 
 from atomiso import algebra, engine
-from atomiso.algebra import DefFunction, fn_bijective, set_equal
+from atomiso.algebra import (
+    DefFunction,
+    fn_apply,
+    fn_bijective,
+    fn_inverse,
+    is_member,
+    orbit_decomposition,
+    set_equal,
+)
 from atomiso.compile import Compiler
 from atomiso.engine import (
     FOUND,
@@ -19,8 +27,8 @@ from atomiso.engine import (
     enumerate_pieces,
     find_definable_map,
 )
-from atomiso.errors import DensenessError, ResourceError, ValidationError
-from atomiso.exprs import expr_params
+from atomiso.errors import DensenessError, DomainError, ResourceError, ValidationError
+from atomiso.exprs import SetComp, Union, clauses, expr_params, union_of
 from atomiso.parser import parse, print_expr
 from atomiso.structures import check_isomorphism, mode_kind, structure_from_dict
 from atomiso.theories import get_backend
@@ -410,6 +418,45 @@ def test_the_search_decomposes_each_set_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_stepping_back_fails_exactly_off_the_covered_region():
+    """The elimination walk stops when stepping back through the partial
+    result raises DomainError.  On unions of search pieces that happens
+    exactly off the region they cover, here written out from the graph
+    clauses: the image for the inverse (the walk from A), the domain for
+    the map itself (the walk from B)."""
+    rng = random.Random(1919)
+    cases = []
+    while len(cases) < 4:
+        A, B = gen_structure_pair(rng)
+        if A.universe == B.universe:  # else there are seldom any pieces
+            cases.append(("equality", A, B, {1}, 2))
+    less = _dlo_graph("less", "{(a, b) | a, b in atoms, a < b}")
+    half = Fraction(1, 2)
+    cases += [("dlo", less, less, {Fraction(0)}, half)]
+    cases += [("dlo", dlo_chains(2), dlo_chains(2), {Fraction(0)}, half)]
+    outcomes = Counter()
+    for backend_name, A, B, T, extra in cases:
+        comp = Compiler(get_backend(backend_name))
+        pieces = enumerate_pieces(comp, A, B, frozenset(T))[0]
+        for k in range(len(pieces) + 1):
+            graph = union_of(*(p.expr for p in rng.sample(pieces, k)))
+            h = DefFunction(A.universe, B.universe, graph)
+            for by, universe, f in ((1, B.universe, fn_inverse(h)), (0, A.universe, h)):
+                covered = Union(
+                    tuple(SetComp(c.element.items[by], c.binders, c.guard) for c in clauses(graph))
+                )
+                for o in orbit_decomposition(comp, universe, T | {extra}):
+                    y = o.rep_element()
+                    try:
+                        fn_apply(comp, f, y)
+                        stepped = True
+                    except DomainError:
+                        stepped = False
+                    assert stepped == is_member(comp, y, covered), (print_expr(graph), y)
+                    outcomes[stepped] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
 def test_eliminate_parameters_dlo_identity(dlo_comp):
     # the identity on atoms plus pairs, written piecewise around 5
     st = structure_from_dict(
@@ -486,6 +533,69 @@ def test_eliminate_parameters_smoothing(eq_comp):
     # the atoms round walks through one covered value before exiting
     walks = sorted(len(s.walk) for s in report.steps)
     assert walks == [1, 1, 2]
+
+
+def test_eliminate_picks_orbits_of_the_target(eq_comp):
+    # A's atoms outside #1 against B's pairs (a, #1): the pair orbits have
+    # dimension 2 and the atom orbits at most 1, so both rounds start in B
+    def marked(universe, p):
+        return structure_from_dict(
+            {
+                "backend": "equality",
+                "name": "marked",
+                "universe": universe,
+                "relations": [{"name": "P", "arity": 1, "interp": p}],
+                "families": [],
+            }
+        )
+
+    A = marked("{a | a in atoms, a != #1}", "{#2}")
+    B = marked("{(a, #1) | a in atoms, a != #1}", "{(#2, #1)}")
+    swap = parse(
+        "{(#2, (#2, #1))} + {(#3, (#4, #1))} + {(#4, (#3, #1))} + "
+        "{(a, (a, #1)) | a in atoms, a != #1 and a != #2 and a != #3 and a != #4}"
+    )
+    fn = DefFunction(A.universe, B.universe, swap)
+    h, report = eliminate_parameters(eq_comp, fn, A, B, T=frozenset({1, 2}))
+    assert [(s.side, s.a_index, s.b_index) for s in report.steps] == [
+        ("cod", 0, 0),
+        ("cod", 1, 1),
+    ]
+    assert print_expr(h.graph) == (
+        "{(q1, (q1, q2)) | q1, q2 in atoms, q1 != #1 and q1 != #2 and q2 = #1} + "
+        "{(q1, (q1, q2)) | q1, q2 in atoms, q1 = #2 and q2 = #1}"
+    )
+    assert check_isomorphism(eq_comp, h, A, B)
+
+
+def test_eliminate_walks_back_through_the_partial_result_from_the_target(eq_comp):
+    # the smoothing map followed by u -> (u, #0): B's orbits outrank A's on
+    # most rounds, and the round of B's pairs (a, #0) walks back once
+    def mixed(universe):
+        doc = {"backend": "equality", "name": "mixed", "universe": universe}
+        return structure_from_dict({**doc, "relations": [], "families": []})
+
+    A = mixed("{(a, b) | a, b in atoms} + {a | a in atoms}")
+    B = mixed("{((a, b), #0) | a, b in atoms} + {(a, #0) | a in atoms}")
+    lifted = parse(
+        "{(a, ((a, #1), #0)) | a in atoms} + {((a, #1), (a, #0)) | a in atoms} + "
+        "{((a, b), ((a, b), #0)) | a, b in atoms, b != #1}"
+    )
+    h, report = eliminate_parameters(
+        eq_comp, DefFunction(A.universe, B.universe, lifted), A, B, T=frozenset({0})
+    )
+    assert [(s.side, s.a_index, s.b_index, len(s.walk)) for s in report.steps] == [
+        ("cod", 4, 4, 1),
+        ("dom", 2, 2, 1),
+        ("dom", 3, 3, 1),
+        ("cod", 1, 1, 1),
+        ("cod", 6, 6, 2),
+        ("dom", 0, 0, 1),
+        ("dom", 5, 5, 2),
+    ]
+    assert [print_expr(v) for v in report.steps[4].walk[1]] == ["((#2, #1), #0)", "#2"]
+    lift = parse("{(a, (a, #0)) | a in atoms} + {((a, b), ((a, b), #0)) | a, b in atoms}")
+    assert set_equal(eq_comp, h.graph, lift)
 
 
 def test_eliminate_rejects_non_iso(eq_comp):

@@ -1,18 +1,22 @@
 """The package's public surface: the exported names and the README's
-library example; the imports of every module, which must all be used; and
-the package's own functions and classes, which the package must all use."""
+library example; the imports of every module, which must all be used; the
+package's own functions and classes, which the package must all use; and
+the names the docs quote, which must all be defined."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
 import atomiso
 import atomiso.theories
+from atomiso.parser import KEYWORDS
+from atomiso.structures import MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,3 +89,56 @@ def _unread_definitions(root: Path) -> list[str]:
 def test_every_definition_is_used_by_the_package():
     # a helper only the tests call, or one a deletion orphaned, shows here
     assert _unread_definitions(ROOT / "src" / "atomiso") == []
+
+
+# a dotted name, alone or called: `least_support`, `structures.MODES`,
+# `least_support(comp, e)`
+_NAME_SPAN = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
+
+
+def _defined_names(paths) -> set[str]:
+    """Every name the modules at `paths` define: modules, functions,
+    classes, parameters, and names and attributes assigned to."""
+    names = {"atomiso"}
+    for path in paths:
+        names.add(path.stem)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return names
+
+
+def _backticked_names(text: str) -> set[str]:
+    """The dotted names, alone or called, that backticked spans of text
+    consist of."""
+    spans = re.findall(r"`([^`\n]+)`", text)
+    return {m[1] for s in spans if (m := _NAME_SPAN.fullmatch(s))}
+
+
+def test_every_backticked_name_is_defined():
+    # a helper that is deleted cannot linger in the docs: every name the
+    # docstrings, comments and README quote is one the package or the tests
+    # define, or a keyword of the expression language, a backend or a mode
+    package = sorted((ROOT / "src" / "atomiso").rglob("*.py"))
+    defined = _defined_names(package + sorted((ROOT / "tests").glob("*.py")))
+    defined |= {*KEYWORDS, *atomiso.theories.backend_names(), *MODES}
+    quoted = {"README.md": _backticked_names((ROOT / "README.md").read_text())}
+    for path in package:
+        with path.open() as f:
+            text = [
+                t.string
+                for t in tokenize.generate_tokens(f.readline)
+                if t.type in (tokenize.COMMENT, tokenize.STRING)
+            ]
+        quoted[str(path.relative_to(ROOT))] = _backticked_names("\n".join(text))
+    undefined = {
+        where: sorted(n for n in names if not set(n.split(".")) <= defined)
+        for where, names in quoted.items()
+    }
+    assert {where: names for where, names in undefined.items() if names} == {}
