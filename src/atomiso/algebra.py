@@ -11,8 +11,11 @@ are merged by `in_orbit`, the one test of whether a closed value lies in an
 orbit: the type of the atoms a value shows through tuples first, then one
 closed block over the clause's own binders.  Likewise `supported_by` is the
 one test of whether S supports a value: `least_support` removes atoms
-greedily through it, and the isomorphism search filters candidate images
-with it.
+greedily through it, and the isomorphism search filters with it the
+candidate images of a target universe with a clause whose element does not
+show every binder through tuples, a set-valued one for instance.  For the
+other universes the search writes the fixed images down instead, from the
+binder values that the support pins (`base.pinned_reps`).
 """
 
 from dataclasses import dataclass

@@ -44,6 +44,9 @@ EXIT_NO = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_RESOURCE = 5
 
+#: the largest tuple length the rn command accepts
+RN_MAX = 500
+
 _VERDICT_EXIT = {FOUND: EXIT_OK, NOT_FOUND: EXIT_NO, NOT_FOUND_INCOMPLETE: EXIT_INCONCLUSIVE}
 
 
@@ -117,6 +120,10 @@ def cmd_rn(args) -> int:
     backend = get_backend(args.backend)
     if args.n < 0:
         raise ValidationError("the tuple length must be nonnegative")
+    if args.n > RN_MAX:
+        # the counts grow faster than exponentially: past the cap the
+        # computation takes seconds to minutes and prints thousands of digits
+        raise ValidationError(f"the tuple length must be at most {RN_MAX}, got {args.n}")
     count = backend.rn_count(args.n)
     _emit(args, {"backend": backend.name, "n": args.n, "count": count}, str(count))
     return EXIT_OK
@@ -281,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="atoms allowed as parameters")
     p.set_defaults(fn=cmd_subsets)
 
-    p = sub.add_parser("rn", parents=[common], help="orbit count of atom tuples of length N")
+    p = sub.add_parser(
+        "rn", parents=[common], help=f"orbit count of atom tuples of length N (at most {RN_MAX})"
+    )
     p.add_argument("n", type=int, metavar="N")
     p.set_defaults(fn=cmd_rn)
 

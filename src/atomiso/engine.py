@@ -4,8 +4,13 @@ The search works orbit by orbit.  Any definable bijection restricts, on each
 orbit of the domain universe, to the graph of a bijection onto one orbit of
 the target universe, and that restriction is itself a single orbit of pairs.
 Such a piece is pinned down by where it sends one representative x0, and the
-image y0 must be fixed by every automorphism fixing x0 and the allowed
-parameters, which `algebra.supported_by` decides.  Enumerating those
+image y0 must be fixed by every automorphism fixing the anchor: x0's least
+support with the allowed parameters.  When every clause of the target
+universe shows all its binders through tuples, those images are written
+down, as the rows of `base.pinned_reps` that a clause's guard admits: such
+an element is fixed exactly when every binder takes an anchor value.
+Otherwise the target is decomposed over the anchor and
+`algebra.supported_by` filters the representatives.  Enumerating those
 finitely many candidate images yields every piece; a backtracking perfect
 matching over pieces, pruned by per-symbol compatibility checks, then
 decides existence.
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     DefFunction,
+    _element_injective,
     determined,
     fn_apply,
     fn_inverse,
@@ -47,7 +53,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .exprs import ETuple, Expr, SetComp, expr_params, instantiate, union_of
+from .exprs import ETuple, Expr, SetComp, clauses, expr_params, instantiate, union_of
 from .structures import (
     Structure,
     carried,
@@ -58,6 +64,7 @@ from .structures import (
     signatures_match,
     tuple_arguments,
 )
+from .theories.base import pinned_reps
 from .theories.formulas import TRUE, format_atom_value, land
 
 DEFAULT_BUDGET = 1 << 16
@@ -115,9 +122,10 @@ def enumerate_pieces(
 ):
     """All functional (optionally also injective) orbit graph pieces between
     the universes, grouped by domain orbit index.  The candidate images of
-    a domain representative x0 are the representatives of the orbits of
-    B's universe over the anchor, T with the least support of x0, that the
-    anchor supports: those every automorphism fixing x0 and T fixes."""
+    a domain representative x0 are the values of B's universe that every
+    automorphism fixing the anchor, T with the least support of x0, fixes:
+    `_candidate_images`, in the order of the universe's orbits over the
+    anchor."""
     a_orbits = orbit_decomposition(comp, A.universe, T)
     b_orbits = orbit_decomposition(comp, B.universe, T)
     pieces: list[GraphPiece] = []
@@ -125,10 +133,7 @@ def enumerate_pieces(
     for i, oa in enumerate(a_orbits):
         x0 = oa.rep_element()
         anchor = T | least_support(comp, x0)
-        for cand in orbit_decomposition(comp, B.universe, anchor):
-            y0 = cand.rep_element()
-            if not supported_by(comp, y0, anchor):
-                continue
+        for y0, j in _candidate_images(comp, B.universe, anchor, b_orbits):
             examined += 1
             if examined > budget:
                 raise ResourceError(
@@ -145,9 +150,52 @@ def enumerate_pieces(
                 continue
             if injective and not determined(comp, parts, 1):
                 continue
-            j = _orbit_index_of(comp, y0, b_orbits)
+            if j is None:
+                j = _orbit_index_of(comp, y0, b_orbits)
             pieces.append(GraphPiece(piece_expr, x0, y0, i, j))
     return pieces, a_orbits, b_orbits
+
+
+def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset, u_orbits):
+    """Each value of U that every automorphism fixing the anchor fixes,
+    once, in the order of `orbit_decomposition(comp, U, anchor)`, with the
+    index of its orbit in `u_orbits` when that comes without a sentence,
+    else None.  `u_orbits` are the orbits of U over a part T of the anchor
+    that holds U's atoms.
+
+    Such a value is an orbit of its own, so it is the representative of
+    the first orbit candidate (clause, then type over the anchor in
+    `type_reps` order) that yields it.  When every clause's element shows
+    all its binders through tuples, the element is fixed exactly when every
+    binder takes an anchor value (atoms shown through tuples lie in every
+    support, and the clause's own atoms lie in T), so the candidates are
+    the `pinned_reps` rows that the guard admits, deduplicated by value
+    across clauses.  Its T-orbit is then the one of the same clause whose
+    type holds at the row: had that T-orbit been merged into an earlier
+    clause's, the value would be an earlier clause's, and deduplication
+    drops it.  Otherwise the universe is decomposed over the anchor and
+    `supported_by` filters the representatives."""
+    cs = clauses(U)
+    if not all(_element_injective(c) for c in cs):
+        for o in orbit_decomposition(comp, U, anchor):
+            y0 = o.rep_element()
+            if supported_by(comp, y0, anchor):
+                yield y0, None
+        return
+    sat = comp.backend.sat
+    seen = set()
+    for c in cs:
+        for values in pinned_reps(c.binders, anchor):
+            row = dict(zip(c.binders, values))
+            if not sat(c.guard, row):
+                continue
+            y0 = instantiate(c.element, row)
+            if y0 in seen:
+                continue
+            seen.add(y0)
+            yield y0, next(
+                j for j, o in enumerate(u_orbits) if o.clause == c and sat(o.type_formula, row)
+            )
 
 
 def _orbit_index_of(comp: Compiler, x: Expr, orbits) -> int:

@@ -41,11 +41,13 @@ its complete quantifier-free type, which one realization determines, so
 `type_reps` enumerates one realization per type and `type_of` writes the
 type of given values.  A caller that filters the types, as
 `orbit_decomposition` does by a guard, decides the guard at the realization
-by `sat` and writes a type only once the guard admits it.  Both handle the
-blocks of equal values and the blocks pinned to a parameter; a backend
-supplies only two hooks on the remaining free blocks: `_free_block_values`
-(one value tuple per arrangement, in a fixed order) and
-`_free_block_literals` (the literals that fix an arrangement).
+by `sat` and writes a type only once the guard admits it.  `pinned_reps`
+walks only the types that pin every block to a parameter, in the same
+order, for a caller that needs only those.  `type_reps` and `type_of`
+handle the blocks of equal values and the blocks pinned to a parameter; a
+backend supplies only two hooks on the remaining free blocks:
+`_free_block_values` (one value tuple per arrangement, in a fixed order)
+and `_free_block_literals` (the literals that fix an arrangement).
 """
 
 import itertools
@@ -129,6 +131,18 @@ def _anchor_choices(k: int, svals: list):
         remaining = [s for s in svals if s != head] if head is not None else svals
         for tail in _anchor_choices(k - 1, remaining):
             yield (head,) + tail
+
+
+def pinned_reps(variables: tuple[str, ...], params: frozenset[Atom]):
+    """The rows of `Backend.type_reps` whose blocks are all pinned to a
+    parameter, in the same order and on every backend: partitions, then
+    the anchor choices with no free block, which are the permutations of
+    the sorted parameters in lexicographic order."""
+    svals = sorted(params)
+    for blocks in set_partitions(tuple(variables)):
+        for anchors in itertools.permutations(svals, len(blocks)):
+            row = {v: a for block, a in zip(blocks, anchors) for v in block}
+            yield tuple(row[v] for v in variables)
 
 
 class Backend:

@@ -349,3 +349,21 @@ def equality_tuples(k: int):
         f"{{({x}) | {x} in atoms}}",
         f"{{(({x}), ({rotated})) | {x} in atoms}}",
     )
+
+
+def equality_subsets(k: int):
+    """The k-subsets of equality atoms (k >= 2), with E = "the two sets are
+    disjoint"; k = 2 is the kneser fixture."""
+    xs = [f"x{i}" for i in range(k)]
+    ys = [f"y{i}" for i in range(k)]
+
+    def distinct(vs):
+        return " and ".join(f"{a} != {b}" for i, a in enumerate(vs) for b in vs[i + 1 :])
+
+    x, y = ", ".join(xs), ", ".join(ys)
+    return _ladder(
+        "equality",
+        f"subsets{k}",
+        f"{{{{{x}}} | {x} in atoms, {distinct(xs)}}}",
+        f"{{({{{x}}}, {{{y}}}) | {x}, {y} in atoms, {distinct(xs + ys)}}}",
+    )

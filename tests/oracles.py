@@ -30,6 +30,9 @@ library's breach block.  `types_with_reps` pairs every complete type that
 `type_of` writes with its realization from `type_reps`.  `reference_orbit_decomposition`
 merges orbit candidates by a membership query on each kept piece, with its
 clause renamed, instead of the library's `in_orbit`.
+`reference_candidate_images` finds the search's candidate images by
+decomposing the target over the anchor, instead of writing down the
+values that the anchor pins.
 """
 
 import itertools
@@ -45,8 +48,10 @@ from atomiso.algebra import (
     fn_apply,
     fn_check,
     fn_validate,
+    in_orbit,
     is_member,
     orbit_decomposition,
+    supported_by,
 )
 from atomiso.engine import FOUND, NOT_FOUND, NOT_FOUND_INCOMPLETE, Certificate
 from atomiso.errors import ResourceError, ValidationError
@@ -353,6 +358,18 @@ def reference_orbit_decomposition(comp, X, S) -> list:
             kept.append(d)
             shapes.append(shape)
     return kept
+
+
+def reference_candidate_images(comp, U, anchor, u_orbits) -> list:
+    """The search's candidate images as once enumerated: the representatives
+    of U's orbits over the anchor that `supported_by` accepts, each with
+    the index of the first orbit of `u_orbits` that holds it."""
+    out = []
+    for o in orbit_decomposition(comp, U, anchor):
+        y = o.rep_element()
+        if supported_by(comp, y, anchor):
+            out.append((y, next(j for j, k in enumerate(u_orbits) if in_orbit(comp, y, k))))
+    return out
 
 
 def reference_fn_check(comp, fn, *, functional=True, total=True, injective=False, surjective=False):

@@ -149,6 +149,17 @@ def test_rn_counts(capsys):
     assert code == 2
 
 
+def test_rn_rejects_a_length_past_the_cap(capsys):
+    # at 1700 the dlo count ran for a minute and then had too many digits
+    # to print; the cap is checked before anything is computed
+    for backend in ("equality", "dlo", "cyclic"):
+        code, out, err = run(capsys, "--backend", backend, "rn", "1700")
+        assert code == 2 and out == "", backend
+        assert "at most 500, got 1700" in err, backend
+        code, out, _ = run(capsys, "--backend", backend, "rn", "500")
+        assert code == 0 and out.strip().isdigit(), backend
+
+
 def test_fixture_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "fixture", "nondefiso", "--emit", str(tmp_path))
     assert code == 0

@@ -1,7 +1,9 @@
 """Isomorphism search and parameter elimination on the shipped examples and
 on small generated instances."""
 
+import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from atomiso.errors import DensenessError, DomainError, ResourceError, Validatio
 from atomiso.exprs import SetComp, Union, clauses, expr_params, union_of
 from atomiso.parser import parse, print_expr
 from atomiso.structures import check_isomorphism, mode_kind, structure_from_dict
-from atomiso.theories import get_backend
+from atomiso.theories import backend_names, get_backend
 from fixtures_helpers import (
     circle_pair,
     kneser_pair,
@@ -39,11 +41,20 @@ from fixtures_helpers import (
     nondefiso_pair,
     smoothing_parts,
 )
-from generators import dlo_chains, gen_structure_pair
+from generators import (
+    dlo_chains,
+    equality_subsets,
+    equality_tuples,
+    equivalent_variant,
+    gen_set_expr,
+    gen_structure_pair,
+    sample_atoms,
+)
 from oracles import (
     naive_find_iso,
     orbit_transport,
     piece_tuple_compatible,
+    reference_candidate_images,
     reference_piece_determined,
 )
 
@@ -272,6 +283,99 @@ def test_the_last_orbit_over_the_anchor_can_be_the_only_image(eq_comp):
     assert [o.rep_element() for o in b_orbits][-1] == parse("{c | c in atoms}")
     assert [(p.a_index, p.b_index) for p in pieces] == [(0, 0), (0, 0), (1, 1)]
     assert decide_definable_iso(eq_comp, st, st).verdict == FOUND
+
+
+def _candidate_cases():
+    """(backend, universe, T, anchor) on seeded universes of each backend:
+    every clause's element showing its binders through tuples (the
+    written-down images), no clause, and both; plus clauses that share
+    values, where the images are deduplicated, and the universe above."""
+    shared = "{(a, b) | a, b in atoms, a != b} + {(b, a) | a, b in atoms} + {a | a in atoms}"
+    mixed = "{(a, b) | a, b in atoms, a != b} + {{c | c in atoms}}"
+    rng = random.Random(2020)
+    cases = []
+    for name in backend_names():
+        pool = sample_atoms(rng, name, 3)
+        for text in (shared, mixed):
+            for k in range(3):
+                cases.append((name, parse(text), frozenset(), frozenset(pool[:k])))
+        kinds = Counter()
+        while min(kinds[kind] for kind in (True, False, None)) < 3:
+            U = gen_set_expr(rng, name, pool[:1])
+            if rng.random() < 0.5:
+                U = equivalent_variant(rng, name, U, pool[:1])
+            tuples = {algebra._element_injective(c) for c in clauses(U)}
+            kind = tuples.pop() if len(tuples) == 1 else None
+            if kinds[kind] >= 3:
+                continue
+            kinds[kind] += 1
+            T = expr_params(U) | frozenset(pool[:1])
+            for extra in range(3):
+                cases.append((name, U, T, T | frozenset(pool[1 : 1 + extra])))
+    return cases
+
+
+def test_candidate_images_match_the_decomposition_over_the_anchor():
+    """The images written down from pinned rows, and those of universes
+    with set-valued clauses, against the representatives of the target's
+    orbits over the anchor that the anchor supports: the same values in the
+    same order, with the same target orbit where it comes with the image."""
+    seen = Counter()
+    for name, U, T, anchor in _candidate_cases():
+        comp, ref = Compiler(get_backend(name)), Compiler(get_backend(name))
+        u_orbits = orbit_decomposition(comp, U, T)
+        got = list(engine._candidate_images(comp, U, anchor, u_orbits))
+        want = reference_candidate_images(ref, U, anchor, u_orbits)
+        assert [y for y, _ in got] == [y for y, _ in want], (name, print_expr(U), anchor)
+        for (y, j), (_, k) in zip(got, want):
+            assert j in (None, k), (name, print_expr(U), anchor, print_expr(y))
+            seen[j is None, k > 0] += 1
+    assert all(seen[key] for key in itertools.product((False, True), repeat=2)), seen
+
+
+def test_pieces_match_those_from_the_decomposition_over_the_anchor(monkeypatch):
+    runs = [(kneser_pair(), ()), (neighborhoods_pair(), ()), (nondefiso_pair(), ())]
+    runs += [(nondefiso_pair()[::-1], ()), ((dlo_chains(3),) * 2, (Fraction(0),))]
+    runs += [(circle_pair(), extra) for extra in ((), (Fraction(0),))]
+    st, _ = smoothing_parts()
+    runs += [((st, st), extra) for extra in ((), (1,))]
+
+    def pieces(A, B, extra, injective):
+        comp = Compiler(get_backend(A.backend_name))
+        T = A.params() | B.params() | frozenset(extra)
+        out = enumerate_pieces(comp, A, B, T, injective=injective)[0]
+        return [(p.x0, p.y0, p.a_index, p.b_index, p.expr) for p in out]
+
+    for (A, B), extra in runs:
+        for injective in (True, False):
+            got = pieces(A, B, extra, injective)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_candidate_images", reference_candidate_images)
+                want = pieces(A, B, extra, injective)
+            assert got == want, (A.name, B.name, extra, injective)
+
+
+def test_pieces_on_the_ladders():
+    """The dlo 5-chains took 19-33 s when the target was decomposed over
+    the 5-atom anchor; one piece comes out."""
+    chains = dlo_chains(5)
+    start = time.process_time()
+    pieces = enumerate_pieces(Compiler(get_backend("dlo")), chains, chains, frozenset())[0]
+    assert time.process_time() - start < 5
+    assert [(p.a_index, p.b_index) for p in pieces] == [(0, 0)]
+    tuples = equality_tuples(4)
+    assert len(enumerate_pieces(Compiler(get_backend("equality")), tuples, tuples, frozenset())[0]) == 339
+    # set-valued: the target is still decomposed over the anchor
+    subsets = equality_subsets(3)
+    pieces = enumerate_pieces(Compiler(get_backend("equality")), subsets, subsets, frozenset())[0]
+    three = "{#1} + {#2} + {#3}"
+    assert [(print_expr(p.x0), print_expr(p.y0), p.a_index, p.b_index) for p in pieces] == [
+        (three, three, 0, 0)
+    ]
+    assert print_expr(pieces[0].expr) == (
+        "{({q1} + {q2} + {q3}, {q1} + {q2} + {q3}) | q1, q2, q3 in atoms, "
+        "q1 != q2 and q1 != q3 and q2 != q3}"
+    )
 
 
 def test_matching_agrees_with_naive_search(eq_comp):

@@ -418,6 +418,20 @@ def test_types_with_reps_order_is_pinned():
         assert digest == TYPE_ORDER_DIGESTS[name], name
 
 
+def test_pinned_reps_are_the_pinned_type_reps_in_order():
+    # a row whose values all lie among the parameters pins every block, as
+    # free blocks take values outside them
+    for name in backend_names():
+        b = get_backend(name)
+        pool = sample_atoms(random.Random(12), name, 4)
+        for n in range(5):
+            variables = tuple(f"v{i}" for i in range(n))
+            for k in range(5):
+                params = frozenset(pool[:k])
+                want = [r for r in b.type_reps(variables, params) if params.issuperset(r)]
+                assert list(base.pinned_reps(variables, params)) == want, (name, n, k)
+
+
 def test_rn_counts_match_bruteforce():
     for name in backend_names():
         b = get_backend(name)
