@@ -8,14 +8,16 @@ each comprehension clause with every complete S-type of its binder tuple;
 each satisfiable pairing carves out one orbit, and pieces carving the same
 orbit (which visibly happens for symmetric elements such as unordered pairs)
 are merged by `in_orbit`, the one test of whether a closed value lies in an
-orbit: the type of the atoms a value shows through tuples first, then one
-closed block over the clause's own binders.  Likewise `supported_by` is the
-one test of whether S supports a value: `least_support` removes atoms
-greedily through it, and the isomorphism search filters with it the
-candidate images of a target universe with a clause whose element does not
-show every binder through tuples, a set-valued one for instance.  For the
-other universes the search writes the fixed images down instead, from the
-binder values that the support pins (`base.pinned_reps`).
+orbit: a match against the clause's element and the type of the binders it
+shows, then, unless it shows every binder, one closed block.  `orbit_index`,
+the one lookup of the orbit that holds a value, scans with it.  Likewise
+`supported_by` is the one test of whether S supports a value:
+`least_support` removes atoms greedily through it, and the isomorphism
+search filters with it the candidate images of a target universe with a
+clause whose element does not show every binder through tuples, a
+set-valued one for instance.  For the other universes the search writes the
+fixed images down instead, from the binder values that the support pins
+(`base.pinned_reps`).
 """
 
 from dataclasses import dataclass
@@ -42,12 +44,12 @@ from .exprs import (
     expr_params,
     free_expr_vars,
     instantiate,
+    kind,
     param_occurrences,
     product_expr,
     rename_clause,
     subst_expr_vars,
     union_of,
-    value_shape,
 )
 from .theories.formulas import (
     TRUE,
@@ -196,32 +198,53 @@ def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor) -> bool:
     """Whether the closed value x lies in the orbit, that is in
     `orbit.piece()`.
 
-    First a necessary test that sends no sentence.  If x lies in the orbit,
-    some automorphism fixing S maps the representative to x, and it does so
-    component by component: the two values have the same shape, and the
-    atoms they show through tuples, position by position, have the same
-    type over S.  Whether x's atoms realize the representative's type is
-    decided by `sat` on that type, which does not depend on how the type
-    formula is written.
-
-    Then the exact test: one closed block `exists binders: guard and type
-    and x = element` over the clause's own binders.  The clause is not
-    renamed: x is closed, so nothing can be captured, and `Compiler.equal`
-    reserves every name of both sides.  Its cache key is then the same for
-    every orbit of the clause, so one compiled equality serves them all."""
+    x is matched against the clause's element (`_match`), and the binders
+    the element shows must take their type at the representative, by `sat`:
+    no sentence.  When the element shows every binder and holds no set
+    (`_element_injective`), that type is `orbit.type_formula`, which the
+    guard admits, so the answer is final.  Otherwise one closed block
+    `exists binders: guard and type and x = element` decides, over the
+    clause's own binders: x is closed and `Compiler.equal` reserves the
+    names of both sides, so nothing is captured, and one compiled equality
+    serves every orbit of the clause."""
     _require_closed(x)
-    rep = orbit.rep_element()
-    if value_shape(x) != value_shape(rep):
+    c = orbit.clause
+    row: dict = {}
+    if not _match(c.element, x, row):
         return False
     backend = comp.backend
-    rep_atoms = _tuple_atoms(rep)
-    names = tuple(f"v{i}" for i in range(len(rep_atoms)))
-    rep_type = backend.type_of(names, rep_atoms, orbit.params)
-    if not backend.sat(rep_type, dict(zip(names, _tuple_atoms(x)))):
+    if _element_injective(c):
+        return backend.sat(orbit.type_formula, row)
+    rep = orbit.rep_valuation()
+    shown = tuple(row)
+    if not backend.sat(backend.type_of(shown, tuple(rep[b] for b in shown), orbit.params), row):
         return False
-    c = orbit.clause
     body = land(c.guard, orbit.type_formula, comp.equal(x, c.element))
     return comp.holds(quantify(Exists, c.binders, body))
+
+
+def _match(element: Expr, x: Expr, row: dict) -> bool:
+    """Whether the closed value x has the element's form, putting into
+    `row` the atom x shows at each binder the element shows through
+    tuples: constants and repeated binders must agree, and a set component
+    matches any set."""
+    if isinstance(element, EVar):
+        return isinstance(x, AtomParam) and row.setdefault(element.name, x.value) == x.value
+    if isinstance(element, AtomParam):
+        return isinstance(x, AtomParam) and x.value == element.value
+    if isinstance(element, ETuple):
+        return (
+            isinstance(x, ETuple)
+            and len(x.items) == len(element.items)
+            and all(_match(e, i, row) for e, i in zip(element.items, x.items))
+        )
+    return kind(x) == "set"
+
+
+def orbit_index(comp: Compiler, x: Expr, orbits) -> int | None:
+    """The index of the orbit among `orbits` that holds the closed value x
+    (`in_orbit`), or None when none does."""
+    return next((j for j, o in enumerate(orbits) if in_orbit(comp, x, o)), None)
 
 
 def _abstracted(x: Expr):

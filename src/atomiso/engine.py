@@ -11,9 +11,10 @@ down, as the rows of `base.pinned_reps` that a clause's guard admits: such
 an element is fixed exactly when every binder takes an anchor value.
 Otherwise the target is decomposed over the anchor and
 `algebra.supported_by` filters the representatives.  Enumerating those
-finitely many candidate images yields every piece; a backtracking perfect
-matching over pieces, pruned by per-symbol compatibility checks, then
-decides existence.
+finitely many candidate images yields every piece, and `algebra.orbit_index`
+finds the target orbit of each kept one; a backtracking perfect matching
+over pieces, pruned by per-symbol compatibility checks, then decides
+existence.
 
 A candidate piece is kept when it is functional, and injective if the
 mode needs it, at its representative pair (x0, y0): the `algebra.determined`
@@ -39,10 +40,10 @@ from .algebra import (
     determined,
     fn_apply,
     fn_inverse,
-    in_orbit,
     least_support,
     orbit_decomposition,
     orbit_expression,
+    orbit_index,
     supported_by,
 )
 from .compile import Compiler
@@ -133,7 +134,7 @@ def enumerate_pieces(
     for i, oa in enumerate(a_orbits):
         x0 = oa.rep_element()
         anchor = T | least_support(comp, x0)
-        for y0, j in _candidate_images(comp, B.universe, anchor, b_orbits):
+        for y0 in _candidate_images(comp, B.universe, anchor):
             examined += 1
             if examined > budget:
                 raise ResourceError(
@@ -150,18 +151,13 @@ def enumerate_pieces(
                 continue
             if injective and not determined(comp, parts, 1):
                 continue
-            if j is None:
-                j = _orbit_index_of(comp, y0, b_orbits)
-            pieces.append(GraphPiece(piece_expr, x0, y0, i, j))
+            pieces.append(GraphPiece(piece_expr, x0, y0, i, orbit_index(comp, y0, b_orbits)))
     return pieces, a_orbits, b_orbits
 
 
-def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset, u_orbits):
+def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset):
     """Each value of U that every automorphism fixing the anchor fixes,
-    once, in the order of `orbit_decomposition(comp, U, anchor)`, with the
-    index of its orbit in `u_orbits` when that comes without a sentence,
-    else None.  `u_orbits` are the orbits of U over a part T of the anchor
-    that holds U's atoms.
+    once, in the order of `orbit_decomposition(comp, U, anchor)`.
 
     Such a value is an orbit of its own, so it is the representative of
     the first orbit candidate (clause, then type over the anchor in
@@ -170,39 +166,26 @@ def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset, u_orbits):
     binder takes an anchor value (atoms shown through tuples lie in every
     support, and the clause's own atoms lie in T), so the candidates are
     the `pinned_reps` rows that the guard admits, deduplicated by value
-    across clauses.  Its T-orbit is then the one of the same clause whose
-    type holds at the row: had that T-orbit been merged into an earlier
-    clause's, the value would be an earlier clause's, and deduplication
-    drops it.  Otherwise the universe is decomposed over the anchor and
-    `supported_by` filters the representatives."""
+    across clauses.  Otherwise the universe is decomposed over the anchor
+    and `supported_by` filters the representatives."""
     cs = clauses(U)
     if not all(_element_injective(c) for c in cs):
         for o in orbit_decomposition(comp, U, anchor):
             y0 = o.rep_element()
             if supported_by(comp, y0, anchor):
-                yield y0, None
+                yield y0
         return
-    sat = comp.backend.sat
     seen = set()
     for c in cs:
         for values in pinned_reps(c.binders, anchor):
             row = dict(zip(c.binders, values))
-            if not sat(c.guard, row):
+            if not comp.backend.sat(c.guard, row):
                 continue
             y0 = instantiate(c.element, row)
             if y0 in seen:
                 continue
             seen.add(y0)
-            yield y0, next(
-                j for j, o in enumerate(u_orbits) if o.clause == c and sat(o.type_formula, row)
-            )
-
-
-def _orbit_index_of(comp: Compiler, x: Expr, orbits) -> int:
-    for j, o in enumerate(orbits):
-        if in_orbit(comp, x, o):
-            return j
-    raise EliminationError("element not covered by the orbit decomposition")
+            yield y0
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +218,10 @@ class _MorphismChecker:
                 x = orbit.rep_element()
                 try:
                     args = tuple_arguments(sym, x)[1]
-                    where = [_orbit_index_of(comp, a, orbits) for a in args]
-                except (DomainError, EliminationError):  # off the universe
+                except DomainError:  # of no tuple shape
+                    continue
+                where = [orbit_index(comp, a, orbits) for a in args]
+                if None in where:  # an argument off the universe
                     continue
                 check = (sym, to.interp, x, where)
                 for i in set(where):
@@ -482,7 +467,9 @@ def eliminate_parameters(
                 break
         exit_value = walk[-1][1]
 
-        there = _orbit_index_of(comp, exit_value, orbits[other])
+        there = orbit_index(comp, exit_value, orbits[other])
+        if there is None:
+            raise EliminationError("the walk exited off the other universe")
         if there not in remaining[other]:
             raise EliminationError("the walk exited into an orbit already covered")
         remaining[side].discard(idx)
@@ -501,8 +488,8 @@ def eliminate_parameters(
 
 
 def _independent_representative(comp: Compiler, orbit, S: frozenset, T: frozenset):
-    c = orbit.clause
-    constraints = [c.guard, orbit.type_formula]
+    (c,) = orbit.piece().clauses
+    constraints = [c.guard]
     for b in c.binders:
         constraints.append(comp.backend.independence_formula(b, S, T))
     # a binder drops out of the constraints only when S is empty, where

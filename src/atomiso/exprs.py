@@ -171,17 +171,6 @@ def union_of(*parts: Expr) -> Union:
     return Union(tuple(out))
 
 
-def value_shape(e: Expr):
-    """Coarse shape of the denoted value; values of different shapes are
-    never equal (atoms, k-tuples by component shape, sets)."""
-    k = kind(e)
-    if k == "atom":
-        return "atom"
-    if k == "tuple":
-        return ("tuple",) + tuple(value_shape(i) for i in e.items)
-    return "set"
-
-
 def expr_params(e: Expr) -> frozenset[Atom]:
     """Every atom occurring in the expression (including guard constants)."""
     return frozenset(param_occurrences(e))

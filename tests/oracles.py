@@ -28,8 +28,8 @@ library skips or replaces by breach blocks, and `reference_piece_determined`
 decides the search's piece check as one universal sentence instead of the
 library's breach block.  `types_with_reps` pairs every complete type that
 `type_of` writes with its realization from `type_reps`.  `reference_orbit_decomposition`
-merges orbit candidates by a membership query on each kept piece, with its
-clause renamed, instead of the library's `in_orbit`.
+merges orbit candidates of one `value_shape` by a membership query on each
+kept piece, with its clause renamed, instead of the library's `in_orbit`.
 `reference_candidate_images` finds the search's candidate images by
 decomposing the target over the anchor, instead of writing down the
 values that the anchor pins.
@@ -48,7 +48,6 @@ from atomiso.algebra import (
     fn_apply,
     fn_check,
     fn_validate,
-    in_orbit,
     is_member,
     orbit_decomposition,
     supported_by,
@@ -66,9 +65,9 @@ from atomiso.exprs import (
     clauses,
     expr_params,
     free_expr_vars,
+    kind,
     product_expr,
     union_of,
-    value_shape,
 )
 from atomiso.structures import (
     FamilySymbol,
@@ -336,6 +335,17 @@ def reference_least_support(comp, x) -> frozenset:
     return frozenset(support)
 
 
+def value_shape(e: Expr):
+    """Coarse shape of the denoted value; values of different shapes are
+    never equal (atoms, k-tuples by component shape, sets)."""
+    k = kind(e)
+    if k == "atom":
+        return "atom"
+    if k == "tuple":
+        return ("tuple",) + tuple(value_shape(i) for i in e.items)
+    return "set"
+
+
 def reference_orbit_decomposition(comp, X, S) -> list:
     """`orbit_decomposition` with each candidate kept unless
     `is_member(rep, k.piece())` holds for an orbit k kept before it (of the
@@ -360,16 +370,14 @@ def reference_orbit_decomposition(comp, X, S) -> list:
     return kept
 
 
-def reference_candidate_images(comp, U, anchor, u_orbits) -> list:
+def reference_candidate_images(comp, U, anchor) -> list:
     """The search's candidate images as once enumerated: the representatives
-    of U's orbits over the anchor that `supported_by` accepts, each with
-    the index of the first orbit of `u_orbits` that holds it."""
-    out = []
-    for o in orbit_decomposition(comp, U, anchor):
-        y = o.rep_element()
-        if supported_by(comp, y, anchor):
-            out.append((y, next(j for j, k in enumerate(u_orbits) if in_orbit(comp, y, k))))
-    return out
+    of U's orbits over the anchor that `supported_by` accepts."""
+    return [
+        o.rep_element()
+        for o in orbit_decomposition(comp, U, anchor)
+        if supported_by(comp, o.rep_element(), anchor)
+    ]
 
 
 def reference_fn_check(comp, fn, *, functional=True, total=True, injective=False, surjective=False):

@@ -4,12 +4,14 @@ enumeration, and definable functions."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from atomiso.algebra import (
     DefFunction,
+    _element_injective,
     definable_subsets,
     fn_apply,
     fn_bijective,
@@ -22,6 +24,7 @@ from atomiso.algebra import (
     least_support,
     orbit_decomposition,
     orbit_expression,
+    orbit_index,
     set_equal,
     sets_disjoint,
     supported_by,
@@ -43,6 +46,7 @@ from atomiso.exprs import (
     SetComp,
     abstract_params,
     act,
+    clauses,
     expr_params,
     product_expr,
     union_of,
@@ -65,6 +69,7 @@ from oracles import (
     reference_least_support,
     reference_orbit_decomposition,
     types_with_reps,
+    value_shape,
 )
 
 
@@ -571,20 +576,31 @@ def test_in_orbit_agrees_with_piece_membership(monkeypatch, backend_name):
     holds = comp.holds
     monkeypatch.setattr(comp, "holds", lambda f: sent.append(f) or holds(f))
     answers = []
-    rejected = 0
+    unsent = Counter()  # (clause element injective, answer) -> decided with no sentence
+    other_shapes = 0
     for x, s, finer in _orbit_cases(backend_name):
         orbits = orbit_decomposition(comp, x, s)
         reps = [o.rep_element() for o in orbits + orbit_decomposition(comp, x, finer)]
+        shapes = {value_shape(c.element) for c in clauses(x)}
         for rep in reps:
             inside = []
             for o in orbits:
                 sent.clear()
                 got = in_orbit(comp, rep, o)
                 assert got == is_member(ref, rep, o.piece()), (print_expr(x), print_expr(rep))
-                rejected += not sent
+                injective = _element_injective(o.clause)
+                # an element showing every binder is matched by its row alone
+                assert not (injective and sent), (print_expr(x), print_expr(rep))
+                unsent[injective, got] += not sent
                 inside.append(got)
             # the orbits partition the set
             assert inside.count(True) == 1, (print_expr(x), print_expr(rep))
+            assert orbit_index(comp, rep, orbits) == inside.index(True)
             answers += inside
+            pair = ETuple((rep, rep))
+            if value_shape(pair) not in shapes:
+                assert orbit_index(comp, pair, orbits) is None
+                other_shapes += 1
     assert set(answers) == {True, False}
-    assert rejected > 0
+    assert all(unsent[key] for key in ((True, True), (True, False), (False, False))), unsent
+    assert other_shapes > 0

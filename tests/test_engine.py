@@ -319,17 +319,18 @@ def test_candidate_images_match_the_decomposition_over_the_anchor():
     """The images written down from pinned rows, and those of universes
     with set-valued clauses, against the representatives of the target's
     orbits over the anchor that the anchor supports: the same values in the
-    same order, with the same target orbit where it comes with the image."""
+    same order.  The T-orbit `orbit_index` gives each image holds it."""
     seen = Counter()
     for name, U, T, anchor in _candidate_cases():
         comp, ref = Compiler(get_backend(name)), Compiler(get_backend(name))
         u_orbits = orbit_decomposition(comp, U, T)
-        got = list(engine._candidate_images(comp, U, anchor, u_orbits))
-        want = reference_candidate_images(ref, U, anchor, u_orbits)
-        assert [y for y, _ in got] == [y for y, _ in want], (name, print_expr(U), anchor)
-        for (y, j), (_, k) in zip(got, want):
-            assert j in (None, k), (name, print_expr(U), anchor, print_expr(y))
-            seen[j is None, k > 0] += 1
+        got = list(engine._candidate_images(comp, U, anchor))
+        assert got == reference_candidate_images(ref, U, anchor), (name, print_expr(U), anchor)
+        written = all(algebra._element_injective(c) for c in clauses(U))
+        for y in got:
+            j = algebra.orbit_index(comp, y, u_orbits)
+            assert is_member(ref, y, u_orbits[j].piece()), (name, print_expr(U), print_expr(y))
+            seen[written, j > 0] += 1
     assert all(seen[key] for key in itertools.product((False, True), repeat=2)), seen
 
 

@@ -32,13 +32,12 @@ from atomiso.exprs import (
     product_expr,
     subst_expr_vars,
     union_of,
-    value_shape,
 )
 from atomiso.parser import parse, print_expr
 from atomiso.theories import backend_names, get_backend
 from atomiso.theories.formulas import TRUE, Var, formula_atoms, ne, nnf
 from generators import gen_automorphism, gen_formula, gen_set_expr, sample_atoms
-from oracles import extend_automorphism
+from oracles import extend_automorphism, value_shape
 
 
 def test_tuple_needs_two_items():

@@ -69,21 +69,27 @@ def test_no_module_imports_a_name_it_does_not_use():
 def _unread_definitions(root: Path) -> list[str]:
     """The functions and classes defined under `root`, special methods
     aside, whose names nothing under `root` reads as a name, an attribute
-    or an import."""
-    defined: list[tuple[str, str]] = []
-    read: set[str] = set()
+    or an import, outside their own definition: a recursive helper that
+    nothing else calls is unread."""
+    defined: list[tuple[str, ast.AST]] = []
+    reads: dict[str, list[tuple[str, int]]] = {}  # name -> (path, line)
     for path in sorted(root.rglob("*.py")):
+        where = str(path.relative_to(root))
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.append((str(path.relative_to(root)), node.name))
-            elif isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
-    return [f"{path}:{name}" for path, name in defined if name not in read]
+                    defined.append((where, node))
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}[type(node)]
+                reads.setdefault(getattr(node, name), []).append((where, node.lineno))
+
+    def read_outside(where: str, node: ast.AST) -> bool:
+        return any(
+            path != where or not node.lineno <= line <= node.end_lineno
+            for path, line in reads.get(node.name, ())
+        )
+
+    return [f"{where}:{node.name}" for where, node in defined if not read_outside(where, node)]
 
 
 def test_every_definition_is_used_by_the_package():
