@@ -19,16 +19,18 @@ existence.
 A candidate piece is kept when it is functional, and injective if the
 mode needs it, at its representative pair (x0, y0): the `algebra.determined`
 kernel of `fn_check`, on the piece's clause and the fixed pair.  The pieces
-assigned so far form a partial map, pruned at one representative per
-T-orbit of each symbol's interpretation (reflecting, also of B's) that they
-cover: `structures.carried`, the transport step of the final check.  One
-pair or representative decides its orbit because orbits are transitive
-under the parameter-fixing automorphisms and every set in play is
-invariant.  Each assembled candidate is then verified in full
-by `structures.check_isomorphism` with the mode, orbit by orbit and with
-no orbit pruned: the same `determined` kernel at the representative of
-every orbit of its graph, and transport at one representative of every
-orbit of each symbol's interpretation.  What each mode requires,
+assigned so far form a partial map, kept in place as one dict per side
+from orbit index to piece, and pruned at the tuples of
+`structures.transport_reps` with S = T (reflecting, also B's) whose
+arguments they cover: `structures.carried`, the transport step of the
+final check, over the same list of tuples.  One pair or representative
+decides its orbit because orbits are transitive under the
+parameter-fixing automorphisms and every set in play is invariant.  Each
+assembled candidate is then verified in full by
+`structures.check_isomorphism` with the mode, orbit by orbit and with no
+orbit pruned: the same `determined` kernel at the representative of every
+orbit of its graph, and `carried` at every tuple of `transport_reps` over
+the atoms of the structures and the graph.  What each mode requires,
 injective and surjective, is read from `structures.MODES` (`mode_kind`).
 """
 
@@ -59,11 +61,10 @@ from .structures import (
     Structure,
     carried,
     check_isomorphism,
-    counterpart,
     function_to_dict,
     mode_kind,
     signatures_match,
-    tuple_arguments,
+    transport_reps,
 )
 from .theories.base import pinned_reps
 from .theories.formulas import TRUE, format_atom_value, land
@@ -194,13 +195,13 @@ def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset):
 
 class _MorphismChecker:
     """Checks that the partial map the assigned pieces form carries each
-    symbol, at one representative per T-orbit of its interpretation (with
-    reflect, also of its counterpart in B, through the inverse pieces), by
-    the step `carried` of the final check.  A piece maps one T-orbit of a
-    universe onto one of the other, and every set in play is T-invariant,
-    so the representative decides its orbit.  An orbit is checked once
-    pieces cover the orbits of all its arguments; one with an argument
-    outside the universe, or of no tuple shape, is not constrained."""
+    symbol, at the tuples of `structures.transport_reps` with S = T (with
+    reflect, B's through the inverse pieces), by the step `carried` of the
+    final check.  A piece maps one T-orbit of a universe onto one of the
+    other, and every set in play is T-invariant, so the representative
+    decides its orbit.  A tuple is checked once pieces cover the orbits of
+    all its arguments; one with an argument outside the universe is not
+    constrained."""
 
     def __init__(
         self, comp: Compiler, A: Structure, B: Structure, T, a_orbits, b_orbits, reflect: bool
@@ -208,36 +209,27 @@ class _MorphismChecker:
         self.comp = comp
         self.universes = (A.universe, B.universe)
         # (reflected, universe orbit) -> the checks with an argument there,
-        # each (symbol, target, representative, its arguments' orbits)
+        # each (head, arguments, target, the arguments' orbits)
         self.checks: dict[tuple, list] = {}
-        symbols = [(sym, counterpart(B, sym)) for sym in (*A.relations, *A.families)]
-        sides = [(sym, to, a_orbits, False) for sym, to in symbols]
-        sides += [(to, sym, b_orbits, True) for sym, to in symbols if reflect]
-        for sym, to, orbits, back in sides:
-            for orbit in orbit_decomposition(comp, sym.interp, T):
-                x = orbit.rep_element()
-                try:
-                    args = tuple_arguments(sym, x)[1]
-                except DomainError:  # of no tuple shape
-                    continue
-                where = [orbit_index(comp, a, orbits) for a in args]
-                if None in where:  # an argument off the universe
-                    continue
-                check = (sym, to.interp, x, where)
-                for i in set(where):
-                    self.checks.setdefault((back, i), []).append(check)
+        orbits = (a_orbits, b_orbits)
+        for back, head, args, target in transport_reps(comp, A, B, T, reflect=reflect):
+            where = [orbit_index(comp, a, orbits[back]) for a in args]
+            if None in where:  # an argument off the universe
+                continue
+            check = (head, args, target, where)
+            for i in set(where):
+                self.checks.setdefault((back, i), []).append(check)
         self.cache: dict[tuple, bool] = {}
 
-    def compatible_with(self, assigned: list[GraphPiece], new: GraphPiece) -> bool:
-        """Every check at the new piece's orbits whose arguments the pieces
-        assigned+new cover, cached per check and pieces."""
-        pool = assigned + [new]
-        for back, index, by in (
-            (False, new.a_index, {p.a_index: p for p in pool}),
-            (True, new.b_index, {p.b_index: p for p in pool}),
-        ):
+    def compatible_with(self, at: tuple[dict, dict], new: GraphPiece) -> bool:
+        """Every check at the new piece's orbits whose arguments the partial
+        map `at` covers, cached per check and pieces.  at[0] maps A's orbit
+        indices to their pieces, new among them, and with reflect at[1]
+        maps B's."""
+        for back, index in ((False, new.a_index), (True, new.b_index)):
+            by = at[back]
             for check in self.checks.get((back, index), ()):
-                sym, target, x, where = check
+                head, args, target, where = check
                 if not all(i in by for i in where):
                     continue
                 pieces = [by[i] for i in where]
@@ -246,7 +238,7 @@ class _MorphismChecker:
                 if ok is None:
                     maps = [DefFunction(*self.universes, p.expr) for p in pieces]
                     maps = [fn_inverse(f) for f in maps] if back else maps
-                    ok = self.cache[key] = carried(self.comp, sym, x, maps, target)
+                    ok = self.cache[key] = carried(self.comp, head, args, maps, target)
                 if not ok:
                     return False
         return True
@@ -316,24 +308,26 @@ def find_definable_map(
     )
     checker = _MorphismChecker(comp, A, B, T, a_orbits, b_orbits, reflect=injective)
 
-    assigned: list[GraphPiece] = []
-    used_b: set[int] = set()
+    # the partial map: A's orbit index -> its piece, in the order assigned
+    # (the witness's clause order), and in an injective mode B's orbit
+    # index -> the piece onto it
+    at: tuple[dict, dict] = ({}, {})
 
     def matchings(k: int):
         if k == len(order):
-            yield list(assigned)
+            yield list(at[0].values())
             return
         i = order[k]
         for p in by_a[i]:
-            if injective and p.b_index in used_b:
+            if p.b_index in at[1]:
                 continue
-            if not checker.compatible_with(assigned, p):
-                continue
-            assigned.append(p)
-            used_b.add(p.b_index)
-            yield from matchings(k + 1)
-            assigned.pop()
-            used_b.discard(p.b_index)
+            at[0][i] = p
+            if injective:
+                at[1][p.b_index] = p
+            if checker.compatible_with(at, p):
+                yield from matchings(k + 1)
+            at[1].pop(p.b_index, None)
+        at[0].pop(i, None)
 
     mismatch = False
     for solution in matchings(0):

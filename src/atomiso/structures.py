@@ -13,10 +13,12 @@ atoms of both structures and of the graph, the map commutes with every
 automorphism fixing S, so a property those automorphisms preserve holds
 everywhere once it holds at one representative of each S-orbit:
 `algebra.fn_check` decides functional and injective at the graph's orbit
-representatives, and `transports_symbols` maps one representative of each
-orbit of every symbol by `fn_apply` and tests the image's membership in
-the counterpart.  That step, `carried`, is the one transport kernel: the
-search's pruning in engine.py runs it on the pieces of a partial map.
+representatives, and `transports_symbols` maps each tuple of
+`transport_reps` by `fn_apply` and tests the image's membership in the
+counterpart.  `transport_reps` is the one list of tuples a map must carry,
+one per S-orbit of every symbol's interpretation, and `carried` the one
+step that carries a tuple: the search's pruning in engine.py runs both on
+the pieces of a partial map.
 """
 
 import json
@@ -331,64 +333,57 @@ def transports_symbols(
 ) -> bool:
     """Whether fn carries every symbol of A into its namesake in B (and,
     with reflect, every symbol of B back through the inverse graph),
-    decided at one representative per S-orbit of each interpretation, S
-    being the atoms of A, B and the graph (`_carries`).
+    decided at the tuples of `transport_reps` with S the atoms of A, B and
+    the graph: fn then commutes with the automorphisms fixing S, and every
+    interpretation is invariant under them, so a tuple and its image keep
+    their membership along its orbit.
 
-    A tuple with an argument outside the domain (reflecting, outside the
-    image) is not constrained.  Precondition: fn is functional, and
-    injective when reflecting, as `check_isomorphism` decides before it
-    transports; the signatures must match."""
+    Precondition: fn is functional, and injective when reflecting, as
+    `check_isomorphism` decides before it transports; the signatures must
+    match."""
     S = A.params() | B.params() | expr_params(fn.graph)
-    back = fn_inverse(fn) if reflect else None
-    for sym in (*A.relations, *A.families):
-        sym_b = counterpart(B, sym)
-        if not _carries(comp, fn, sym, sym_b.interp, S):
-            return False
-        if reflect and not _carries(comp, back, sym_b, sym.interp, S):
-            return False
-    return True
-
-
-def _carries(comp: Compiler, fn: DefFunction, sym, target: Expr, S) -> bool:
-    """Whether fn maps every tuple of sym's interpretation whose arguments
-    it is defined on into target, keeping a family's index.
-
-    Decided at one representative per orbit of the interpretation under
-    the automorphisms fixing S, which must hold every atom of the graph
-    and of both sets: fn then commutes with those automorphisms, and both
-    sets are invariant under them, so the tuple and its image keep their
-    membership along the orbit."""
+    maps = (fn, fn_inverse(fn)) if reflect else (fn,)
     return all(
-        carried(comp, sym, orbit.rep_element(), [fn] * sym.arity, target)
-        for orbit in orbit_decomposition(comp, sym.interp, S)
+        carried(comp, head, args, [maps[back]] * len(args), target)
+        for back, head, args, target in transport_reps(comp, A, B, S, reflect=reflect)
     )
 
 
-def carried(comp: Compiler, sym, x: Expr, maps, target: Expr) -> bool:
-    """Whether the tuple x of sym's interpretation, its i-th argument
-    mapped by `fn_apply` through maps[i] and a family's index kept, lies
-    in target.  True when x is no tuple of sym's shape or an argument lies
-    off its map's domain: such a tuple is not constrained.  The one step
-    of transport, for a whole map (`transports_symbols`) and for the
-    pieces of the search's partial maps (engine.py)."""
+def transport_reps(comp: Compiler, A: Structure, B: Structure, S, *, reflect: bool):
+    """The tuples a map from A to B must carry: for each symbol of A, and
+    with reflect then for its namesake in B, `(back, head, args, target)`
+    at the representative of every S-orbit of the interpretation.  back
+    marks B's tuples, which go back through the inverse; head is a
+    family's index (None for a relation), args the arguments, and target
+    the other side's interpretation.  A representative of no tuple of the
+    symbol's shape is skipped: it is no tuple of domain elements, so it is
+    not constrained."""
+    for sym in (*A.relations, *A.families):
+        sym_b = counterpart(B, sym)
+        for back, src, to in [(False, sym, sym_b)] + [(True, sym_b, sym)] * reflect:
+            family = isinstance(src, FamilySymbol)
+            n = family + src.arity
+            for orbit in orbit_decomposition(comp, src.interp, S):
+                x = orbit.rep_element()
+                if n > 1 and not (isinstance(x, ETuple) and len(x.items) == n):
+                    continue
+                items = list(x.items) if n > 1 else [x]
+                yield back, (items[0] if family else None), items[family:], to.interp
+
+
+def carried(comp: Compiler, head, args, maps, target: Expr) -> bool:
+    """Whether the tuple with family index head (None for a relation) and
+    these arguments, its i-th argument mapped by `fn_apply` through
+    maps[i], lies in target.  True when an argument lies off its map's
+    domain: such a tuple is not constrained.  The one step of transport,
+    at the tuples of `transport_reps`, for a whole map
+    (`transports_symbols`) and for the pieces of the search's partial maps
+    (engine.py)."""
     try:
-        head, args = tuple_arguments(sym, x)
         image = [fn_apply(comp, f, a) for f, a in zip(maps, args)]
     except DomainError:
         return True
     return is_member(comp, _mk_tuple(head, image), target)
-
-
-def tuple_arguments(sym, x: Expr) -> tuple:
-    """The family index of x (None for a relation) and the list of its
-    arguments; DomainError when x is no tuple of sym's shape, as it then
-    is no tuple of domain elements."""
-    family = isinstance(sym, FamilySymbol)
-    n = family + sym.arity
-    if n > 1 and not (isinstance(x, ETuple) and len(x.items) == n):
-        raise DomainError(f"value is no {n}-tuple")
-    items = list(x.items) if n > 1 else [x]
-    return (items[0] if family else None), items[family:]
 
 
 def counterpart(B: Structure, sym):

@@ -42,6 +42,7 @@ from fixtures_helpers import (
     smoothing_parts,
 )
 from generators import (
+    _ladder,
     dlo_chains,
     equality_subsets,
     equality_tuples,
@@ -490,8 +491,9 @@ def test_pruning_matches_the_piece_tuple_sentences(monkeypatch, mode):
     verdicts = Counter()
     case = {}
 
-    def compare(self, assigned, new):
-        got = checked(self, assigned, new)
+    def compare(self, at, new):
+        got = checked(self, at, new)
+        assigned = [p for p in at[0].values() if p is not new]
         A, B = case["A"], case["B"]
         want = piece_tuple_compatible(case["ref"], A, B, assigned, new, reflect=reflect)
         assert got == want, (A.name, B.name, [p.x0 for p in assigned], new.y0)
@@ -503,6 +505,75 @@ def test_pruning_matches_the_piece_tuple_sentences(monkeypatch, mode):
         case.update(A=A, B=B, ref=Compiler(get_backend(backend_name)))
         decide_definable_iso(Compiler(get_backend(backend_name)), A, B, params, mode=mode)
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def _rotated_tuples(k: int, r: int):
+    """The k-tuples of equality atoms with E sending each tuple to its
+    rotation by r places, built as `equality_tuples` builds r = 1."""
+    xs = [f"x{i}" for i in range(k)]
+    x, rotated = ", ".join(xs), ", ".join(xs[r:] + xs[:r])
+    return _ladder(
+        "equality",
+        f"tuples{k}rot{r}",
+        f"{{({x}) | {x} in atoms}}",
+        f"{{(({x}), ({rotated})) | {x} in atoms}}",
+    )
+
+
+def _piece_shapes(fn: DefFunction) -> list[str]:
+    """Each graph clause as 'x -> y', a tuple written as its binders'
+    numbers: q1, q2 and q2 are '122'."""
+    return [
+        " -> ".join("".join(v.name[1:] for v in t.items) for t in c.element.items)
+        for c in clauses(fn.graph)
+    ]
+
+
+_ROTATION_3_ISO = [
+    "1111 -> 1111", "1112 -> 1112", "1121 -> 2111", "1122 -> 1122", "1123 -> 1123",
+    "1211 -> 1211", "1212 -> 1212", "1213 -> 1213", "1221 -> 2112", "1222 -> 2212",
+    "1223 -> 2312", "1231 -> 3112", "1232 -> 3212", "1233 -> 1233", "1234 -> 1432",
+]
+_ROTATION_3_HOM = [
+    "1111 -> 1111", "1112 -> 1111", "1121 -> 1111", "1122 -> 1122", "1123 -> 1111",
+    "1211 -> 1111", "1212 -> 1212", "1213 -> 1111", "1221 -> 2112", "1222 -> 2222",
+    "1223 -> 2222", "1231 -> 1111", "1232 -> 2222", "1233 -> 3333", "1234 -> 1432",
+]
+
+
+@pytest.mark.parametrize(
+    "r, mode, verdict, calls, witness",
+    [
+        (2, "iso", NOT_FOUND, 24, None),
+        (2, "emb", NOT_FOUND_INCOMPLETE, 24, None),
+        (2, "hom", NOT_FOUND_INCOMPLETE, 256, None),
+        (3, "iso", FOUND, 59, _ROTATION_3_ISO),
+        (3, "emb", FOUND, 59, _ROTATION_3_ISO),
+        (3, "hom", FOUND, 670, _ROTATION_3_HOM),
+    ],
+)
+def test_rotation_pairs_search_the_pinned_tree(monkeypatch, r, mode, verdict, calls, witness):
+    """The equality 4-tuples with E the rotation by one place against the
+    rotation by r places: the verdict, the number of `compatible_with`
+    calls and the first witness are pinned.  The hom witness sends 11 of
+    its 15 pieces onto the one orbit of constant tuples, so a matcher that
+    kept the target orbits distinct in hom mode would search another
+    tree."""
+    checked = engine._MorphismChecker.compatible_with
+    count = Counter()
+
+    def counting(self, at, new):
+        count["calls"] += 1
+        return checked(self, at, new)
+
+    monkeypatch.setattr(engine._MorphismChecker, "compatible_with", counting)
+    comp = Compiler(get_backend("equality"))
+    cert = decide_definable_iso(comp, equality_tuples(4), _rotated_tuples(4, r), mode=mode)
+    assert (cert.verdict, count["calls"]) == (verdict, calls)
+    assert (cert.witness and _piece_shapes(cert.witness)) == witness
+    if mode == "hom" and witness:
+        constant = [s for s in witness if len(set(s.split(" -> ")[1])) == 1]
+        assert len(constant) == 11
 
 
 def test_the_search_decomposes_each_set_once(monkeypatch):

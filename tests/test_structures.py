@@ -19,7 +19,7 @@ from atomiso.algebra import (
 from atomiso.compile import Compiler
 from atomiso.engine import FOUND, decide_definable_iso, enumerate_pieces
 from atomiso.errors import ValidationError
-from atomiso.exprs import ATOMS, ETuple, EVar, SetComp, clauses, expr_params, product_expr, union_of
+from atomiso.exprs import ATOMS, AtomParam, ETuple, EVar, SetComp, clauses, expr_params, product_expr, union_of
 from atomiso.parser import parse
 from atomiso.structures import (
     FamilySymbol,
@@ -33,6 +33,7 @@ from atomiso.structures import (
     signatures_match,
     structure_from_dict,
     structure_to_dict,
+    transport_reps,
     transports_symbols,
     validate_structure,
 )
@@ -440,6 +441,68 @@ def test_transport_leaves_a_value_of_no_tuple_shape_unconstrained(eq_comp):
     fn = DefFunction(ATOMS, ATOMS, parse("{(a, a) | a in atoms}", eq_comp.backend))
     assert check_isomorphism(eq_comp, fn, st, st)
     assert _transport_agrees(eq_comp, fn, st, st) == Counter({(False, True): 1, (True, True): 1})
+
+
+def _relation_and_family(name: str, edges: str, members: str) -> Structure:
+    return structure_from_dict(
+        {
+            "backend": "equality",
+            "name": name,
+            "universe": "atoms",
+            "relations": [{"name": "E", "arity": 2, "interp": edges}],
+            "families": [{"name": "N", "arity": 1, "index": "atoms", "interp": members}],
+        }
+    )
+
+
+def test_transport_reps_lists_each_symbol_of_A_then_its_namesake_of_B(eq_comp):
+    """Per symbol, in declaration order: a representative of every S-orbit
+    of A's interpretation bound for B's, then, reflecting, of B's bound
+    back for A's.  A family's head is the index, a relation's None."""
+    A = _relation_and_family(
+        "left", "{(a, a) | a in atoms}", "{(a, b) | a, b in atoms, a != b} + {(#1, #1)}"
+    )
+    B = _relation_and_family("right", "{(a, b) | a, b in atoms, a != b}", "{(a, a) | a in atoms}")
+    S = A.params() | B.params()
+    (eA,), (nA,) = A.relations, A.families
+    (eB,), (nB,) = B.relations, B.families
+
+    def side(back, sym, to):
+        family = isinstance(sym, FamilySymbol)
+        reps = [o.rep_element() for o in orbit_decomposition(eq_comp, sym.interp, S)]
+        head = [x.items[0] if family else None for x in reps]
+        return [(back, h, list(x.items[family:]), to.interp) for h, x in zip(head, reps)]
+
+    forward = list(transport_reps(eq_comp, A, B, S, reflect=False))
+    assert forward == side(False, eA, eB) + side(False, nA, nB)
+    both = list(transport_reps(eq_comp, A, B, S, reflect=True))
+    assert both == side(False, eA, eB) + side(True, eB, eA) + side(False, nA, nB) + side(True, nB, nA)
+    one, two = AtomParam(1), AtomParam(2)
+    assert [(back, head) for back, head, _, _ in both] == [
+        *[(False, None)] * 2,  # the loops at #1 and elsewhere
+        *[(True, None)] * 3,  # the pairs (#1, b), (a, #1) and neither
+        (False, one), (False, one), (False, two), (False, two),
+        (True, one), (True, two),
+    ]
+    assert all(len(args) == 2 for _, head, args, _ in both if head is None)
+    assert all(len(args) == 1 for _, head, args, _ in both if head is not None)
+
+
+def test_transport_reps_skip_a_value_of_no_tuple_shape(eq_comp):
+    """On a library-built, unvalidated structure whose binary symbol also
+    holds atoms, only the loops' orbit is listed, and the identity still
+    transports it both ways."""
+    loose = parse("{a | a in atoms} + {(a, a) | a in atoms}", eq_comp.backend)
+    st = Structure("loose", "equality", ATOMS, (RelationSymbol("E", 2, loose),))
+    reps = [o.rep_element() for o in orbit_decomposition(eq_comp, loose, frozenset())]
+    assert len(reps) == 2
+    (x,) = [y for y in reps if isinstance(y, ETuple)]
+    for reflect in (False, True):
+        got = list(transport_reps(eq_comp, st, st, frozenset(), reflect=reflect))
+        assert got == [(back, None, list(x.items), loose) for back in (False, True)[: 1 + reflect]]
+    fn = DefFunction(ATOMS, ATOMS, parse("{(a, a) | a in atoms}", eq_comp.backend))
+    assert transports_symbols(eq_comp, fn, st, st, reflect=False)
+    assert transports_symbols(eq_comp, fn, st, st, reflect=True)
 
 
 def test_final_check_of_the_anchored_circle_witness_works_orbit_by_orbit(cyc_comp, monkeypatch):
