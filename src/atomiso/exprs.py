@@ -5,7 +5,11 @@ comprehensions `{ element | binders in atoms, guard }`; the atom universe,
 finite enumerations, and `empty` all normalize into that shape on demand via
 `clauses`.  Union nodes canonicalize (sort + dedupe) their clauses at
 construction so that syntactic equality of canonical ASTs is stable under
-printing and re-parsing.
+printing and re-parsing.  Each node's structural `key`, which every compile
+cache lookup reads, is computed once, at construction, from the keys of its
+children, as formula nodes compute theirs, so keys share their sub-tuples.
+`expr_names`, which every compile miss reads to reserve names, walks a node
+once and keeps the result on it.
 
 Renaming atoms is one walk, `_map_atoms`, behind both the automorphism
 action `act` and the abstraction `abstract_params`; it rewrites guards with
@@ -40,9 +44,8 @@ from .theories.formulas import (
 class Expr:
     __slots__ = ()
 
-    @property
-    def key(self) -> tuple:
-        raise NotImplementedError
+    #: set at construction; the first `expr_names` call keeps its result too
+    key: tuple
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,8 @@ class EVar(Expr):
 
     name: str
 
-    @property
-    def key(self):
-        return ("v", self.name)
+    def __post_init__(self):
+        object.__setattr__(self, "key", ("v", self.name))
 
 
 @dataclass(frozen=True)
@@ -62,18 +64,16 @@ class AtomParam(Expr):
 
     value: Atom
 
-    @property
-    def key(self):
-        return ("p", self.value)
+    def __post_init__(self):
+        object.__setattr__(self, "key", ("p", self.value))
 
 
 @dataclass(frozen=True)
 class AtomsSet(Expr):
     """The set of all atoms."""
 
-    @property
-    def key(self):
-        return ("A",)
+    def __post_init__(self):
+        object.__setattr__(self, "key", ("A",))
 
 
 ATOMS = AtomsSet()
@@ -86,10 +86,7 @@ class ETuple(Expr):
     def __post_init__(self):
         if len(self.items) < 2:
             raise ValidationError("a tuple needs at least two components")
-
-    @property
-    def key(self):
-        return ("t",) + tuple(i.key for i in self.items)
+        object.__setattr__(self, "key", ("t",) + tuple(i.key for i in self.items))
 
 
 @dataclass(frozen=True)
@@ -108,10 +105,7 @@ class SetComp(Expr):
             raise ValidationError(
                 "a comprehension without binders cannot carry a guard"
             )
-
-    @property
-    def key(self):
-        return ("s", self.element.key, self.binders, self.guard.key)
+        object.__setattr__(self, "key", ("s", self.element.key, self.binders, self.guard.key))
 
 
 @dataclass(frozen=True)
@@ -121,19 +115,15 @@ class Union(Expr):
     clauses: tuple[SetComp, ...]
 
     def __post_init__(self):
-        seen = set()
-        out = []
+        out: list[SetComp] = []
         for c in sorted(self.clauses, key=lambda c: c.key):
             if not isinstance(c, SetComp):
                 raise ValidationError("union clauses must be comprehensions")
-            if c.key not in seen:
-                seen.add(c.key)
+            # the sort put equal clauses next to each other
+            if not out or c.key != out[-1].key:
                 out.append(c)
         object.__setattr__(self, "clauses", tuple(out))
-
-    @property
-    def key(self):
-        return ("u",) + tuple(c.key for c in self.clauses)
+        object.__setattr__(self, "key", ("u",) + tuple(c.key for c in self.clauses))
 
 
 EMPTY = Union(())
@@ -222,20 +212,26 @@ def free_expr_vars(e: Expr) -> frozenset[str]:
 
 
 def expr_names(e: Expr) -> frozenset[str]:
-    """Every variable name appearing anywhere (bound or free)."""
+    """Every variable name appearing anywhere (bound or free), walked once
+    per node and kept on it."""
+    try:
+        return e._names
+    except AttributeError:
+        pass
     if isinstance(e, EVar):
-        return frozenset((e.name,))
-    if isinstance(e, (AtomParam, AtomsSet)):
-        return frozenset()
-    if isinstance(e, ETuple):
-        return frozenset().union(*(expr_names(i) for i in e.items))
-    if isinstance(e, SetComp):
-        return expr_names(e.element) | all_names(e.guard) | set(e.binders)
-    if isinstance(e, Union):
-        if not e.clauses:
-            return frozenset()
-        return frozenset().union(*(expr_names(c) for c in e.clauses))
-    raise TypeError(f"not an expression: {e!r}")
+        out = frozenset((e.name,))
+    elif isinstance(e, (AtomParam, AtomsSet)):
+        out = frozenset()
+    elif isinstance(e, ETuple):
+        out = frozenset().union(*map(expr_names, e.items))
+    elif isinstance(e, SetComp):
+        out = expr_names(e.element) | all_names(e.guard) | set(e.binders)
+    elif isinstance(e, Union):
+        out = frozenset().union(*map(expr_names, e.clauses))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    object.__setattr__(e, "_names", out)
+    return out
 
 
 def subst_expr_vars(e: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -2,16 +2,21 @@
 
 Each backend describes one countable homogeneous structure whose first-order
 theory admits quantifier elimination.  The base class owns the elimination
-pipeline (negation normal form, miniscoping, disjunctive normal form with
+pipeline (one normal-form walk, miniscoping, disjunctive normal form with
 consistency pruning, per-conjunct variable elimination) and the derived
 operations: truth under a valuation, deterministic witness search and
-complete types.  Truth under a valuation is decided by evaluating the
-eliminated formula at it, each literal folded by the backend's own
-`normalize_literal`, with no formula rebuilt.  A closed chain of like
-quantifiers, as in every sentence behind a verdict, is not eliminated
-binder by binder: it is decided by one pruned DNF search over the
-variable-disjoint components of its body, since an existential closure
-holds exactly when some literal set of the DNF is consistent.
+complete types.  The normal form is one walk, `_nf`, which checks each
+relation atom against the vocabulary, expands it by `pre_transform`, pushes
+the negation onto it and folds it by `normalize_literal`.  Every output of
+`eliminate` joins `_normal`, which `_nf` and `_eliminate` return unchanged,
+so the compiled memberships and inclusions that come back inside later
+sentences are not walked again.  Truth under a valuation is decided by
+evaluating the eliminated formula at it, each literal folded by the
+backend's own `normalize_literal`, with no formula rebuilt.  A closed chain
+of like quantifiers, as in every sentence behind a verdict, is not
+eliminated binder by binder: it is decided by one pruned DNF search over the
+variable-disjoint components of its body, since an existential closure holds
+exactly when some literal set of the DNF is consistent.
 
 The DNF is kept absorbed: a disjunction, and each step of the fold that
 multiplies out a conjunction, keeps only the minimal literal sets, since
@@ -20,20 +25,21 @@ an absorbed set contains an extension of the set that absorbed it, so the
 folded DNF is the minimal part of the unabsorbed one, and the products
 that elimination builds stay small.
 
-One conjunct kernel serves all three backends.  Every backend normalizes
-its literals to =, != and < (the pure set is the order-free reduct of the
-dense order, and the circle is cut open into the linear order before
-elimination), so consistency, `eliminate_from_conjunct` and
-`conjunct_witness` are written once, over union-find classes and the
-strict-order digraph between them.  That state is a `ConjunctState`, and
-it is extended literal by literal: `conjuncts` builds one state per kept
-conjunct of a conjunction and decides each union with a branch of the
-next argument by extending it by the branch's new literals, before the
-union is built, and `conjunct_witness` extends one state by its pins.  A
-backend supplies only `normalize_literal`, whose = case is the shared
-`normalize_equality`, and `_witness_candidates`, the values a witness class
-may take beyond the parameters and the values already taken (the least
-fresh ids for the pure set, one simplest rational per gap for the orders).
+One conjunct kernel serves all three backends.  Every backend normalizes its
+literals to =, != and < (the pure set is the order-free reduct of the dense
+order, and the circle is cut open into the linear order before elimination),
+so consistency, `eliminate_from_conjunct` and `conjunct_witness` are written
+once, over union-find classes and the strict-order digraph between them.
+That state is a `ConjunctState`, and it is extended literal by literal.
+`conjuncts` decides each union of a kept conjunct with a branch of the next
+argument by growing the kept conjunct's state by the branch's new literals,
+before the union is built; a kept union carries the state and the growth it
+came from, so that its own state is built once.  `conjunct_witness` extends
+one state by its pins.  A backend supplies only `normalize_literal`, whose =
+case is the shared `normalize_equality`, and `_witness_candidates`, the
+values a witness class may take beyond the parameters and the values already
+taken (the least fresh ids for the pure set, one simplest rational per gap
+for the orders).
 
 Complete types are built in one place.  Quantifier elimination in a
 homogeneous structure makes the orbit of an atom tuple over a parameter set
@@ -64,6 +70,7 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
+    Implies,
     Not,
     Or,
     Rel,
@@ -74,9 +81,7 @@ from .formulas import (
     formula_atoms,
     free_vars,
     land,
-    lnot,
     lor,
-    nnf,
     subformulas,
 )
 
@@ -161,6 +166,11 @@ class Backend:
 
     def __init__(self):
         self._qe_cache: dict[Formula, Formula] = {}
+        #: every output of `eliminate`, each kept by `_qe_cache` or by a
+        #: `Compiler` cache: quantifier-free and in normal form already
+        self._normal: set[Formula] = set()
+        #: the free variables of each formula `sat` was asked about
+        self._free: dict[Formula, frozenset[str]] = {}
 
     # ------------------------------------------------------------------
     # atoms
@@ -175,28 +185,33 @@ class Backend:
 
     def validate(self, f: Formula, internal: bool = False) -> None:
         for g in subformulas(f):
-            if not isinstance(g, Rel):
-                continue
-            arity = self.relations.get(g.name)
-            if arity is None and internal:
-                arity = self.work_relations.get(g.name)
-            if arity is None:
-                raise VocabularyError(
-                    f"relation {g.name!r} is not part of the {self.name} vocabulary"
-                )
-            if len(g.args) != arity:
-                raise VocabularyError(
-                    f"relation {g.name!r} expects {arity} arguments, got {len(g.args)}"
-                )
-            for t in g.args:
-                if isinstance(t, Const):
-                    self.check_atom(t.value)
+            if isinstance(g, Rel):
+                self._check_literal(g, internal)
+
+    def _check_literal(self, g: Rel, internal: bool) -> None:
+        """Raise VocabularyError unless the relation atom g is in the
+        vocabulary, with `work_relations` too when `internal`."""
+        arity = self.relations.get(g.name)
+        if arity is None and internal:
+            arity = self.work_relations.get(g.name)
+        if arity is None:
+            raise VocabularyError(
+                f"relation {g.name!r} is not part of the {self.name} vocabulary"
+            )
+        if len(g.args) != arity:
+            raise VocabularyError(
+                f"relation {g.name!r} expects {arity} arguments, got {len(g.args)}"
+            )
+        for t in g.args:
+            if isinstance(t, Const):
+                self.check_atom(t.value)
 
     # ------------------------------------------------------------------
     # literal normalization (theory hooks)
 
     def pre_transform(self, f: Formula) -> Formula:
-        """Rewrite defined relation symbols before elimination."""
+        """Rewrite defined relation symbols before elimination; `_nf`
+        calls it on each relation atom."""
         return f
 
     def normalize_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
@@ -204,26 +219,36 @@ class Backend:
         folding ground comparisons to TRUE/FALSE."""
         raise NotImplementedError
 
-    def _norm(self, f: Formula) -> Formula:
-        """Normalize every literal of a negation-normal formula."""
-        if isinstance(f, (Top, Bot)):
+    def _nf(self, f: Formula, negate: bool = False) -> Formula:
+        """The normal form of f, or with `negate` of its negation, in one
+        walk: each relation atom is checked as `validate` checks it with
+        `internal`, expanded by `pre_transform`, and folded by
+        `normalize_literal` with the negation pushed onto it; implications
+        are expanded and quantifiers dualised under a negation.  A formula
+        of `_normal` is its own normal form."""
+        if not negate and f in self._normal:
             return f
         if isinstance(f, Rel):
-            return self.normalize_literal(f.name, f.args, True)
+            self._check_literal(f, True)
+            g = self.pre_transform(f)
+            if g is not f:
+                return self._nf(g, negate)
+            return self.normalize_literal(f.name, f.args, not negate)
         if isinstance(f, Not):
-            body = f.body
-            if isinstance(body, Rel):
-                return self.normalize_literal(body.name, body.args, False)
-            return self._norm(nnf(f))
-        if isinstance(f, And):
-            return land(*(self._norm(g) for g in f.args))
-        if isinstance(f, Or):
-            return lor(*(self._norm(g) for g in f.args))
-        if isinstance(f, Exists):
-            return Exists(f.var, self._norm(f.body))
-        if isinstance(f, Forall):
-            return Forall(f.var, self._norm(f.body))
-        return self._norm(nnf(f))
+            return self._nf(f.body, not negate)
+        if isinstance(f, (And, Or)):
+            parts = [self._nf(g, negate) for g in f.args]
+            return lor(*parts) if isinstance(f, And) == negate else land(*parts)
+        if isinstance(f, (Exists, Forall)):
+            kind = Forall if isinstance(f, Exists) == negate else Exists
+            return kind(f.var, self._nf(f.body, negate))
+        if isinstance(f, Implies):
+            if negate:
+                return land(self._nf(f.premise), self._nf(f.conclusion, True))
+            return lor(self._nf(f.premise, True), self._nf(f.conclusion))
+        if isinstance(f, (Top, Bot)):
+            return FALSE if isinstance(f, Top) == negate else TRUE
+        raise TypeError(f"not a formula: {f!r}")
 
     # ------------------------------------------------------------------
     # the conjunct kernel: literal sets over =, != and <
@@ -338,16 +363,19 @@ class Backend:
         Quantifiers with free variables are eliminated one binder at a
         time; a closed chain of like quantifiers is decided to TRUE or
         FALSE by one pruned DNF search over the variable-disjoint
-        components of its body (`_decide_block`).  Not cached."""
-        self.validate(f, internal=True)
-        return self._eliminate(self._norm(nnf(self.pre_transform(f))))
+        components of its body (`_decide_block`).  Not cached, but the
+        output joins `_normal`, so that it is not normalized or eliminated
+        again when it comes back inside a later formula."""
+        out = self._eliminate(self._nf(f))
+        self._normal.add(out)
+        return out
 
     def _eliminate(self, f: Formula) -> Formula:
         """Eliminate the quantifiers of a normalized formula, innermost
         first: a closed quantifier block by `_decide_block`, any other
         binder by `_exists`, a universal as the negated existential of its
-        negated body."""
-        if isinstance(f, (Top, Bot, Rel, Not)):
+        negated body.  A formula of `_normal` is returned unchanged."""
+        if isinstance(f, (Top, Bot, Rel, Not)) or f in self._normal:
             return f
         if isinstance(f, And):
             return land(*(self._eliminate(g) for g in f.args))
@@ -358,9 +386,8 @@ class Backend:
         if isinstance(f, Exists):
             return self._exists(f.var, self._eliminate(f.body))
         if isinstance(f, Forall):
-            inner = self._eliminate(f.body)
-            neg = self._norm(nnf(lnot(inner)))
-            return self._norm(nnf(lnot(self._exists(f.var, neg))))
+            neg = self._nf(self._eliminate(f.body), True)
+            return self._nf(self._exists(f.var, neg), True)
         raise TypeError(f"not a formula: {f!r}")
 
     def _decide_block(self, f: Formula) -> Formula:
@@ -380,7 +407,7 @@ class Backend:
             body = body.body
         inner = self._eliminate(body)
         if kind is Forall:
-            inner = self._norm(nnf(lnot(inner)))
+            inner = self._nf(inner, True)
         sat = all(self.conjuncts(part) for part in _components(inner))
         return TRUE if sat == (kind is Exists) else FALSE
 
@@ -407,10 +434,15 @@ class Backend:
         """Disjunctive normal form as literal sets, theory-pruned.
 
         A conjunction extends its kept literal sets one argument at a time.
-        The `ConjunctState` of each kept set c is built once, and each
-        branch b of the next argument is decided by extending that state by
-        the literals of b not in c, before the union c | b is built: only
-        consistent unions are built and deduplicated, in first-seen order.
+        Each branch b of the next argument is decided by extending the
+        `ConjunctState` of a kept set c by the literals of b not in c
+        (`_grow`), before the union c | b is built: only consistent unions
+        are built and deduplicated, in first-seen order.  A new union
+        carries the state it grew from and the split `_grow` returned, and
+        its own state is built from them once, by `_with`, when the next
+        argument extends it.  A kept set that already contains a branch is
+        kept as it is, with no branch tried: every other union with a
+        branch contains it and would be dropped as not minimal.
 
         A disjunction and each step of a conjunction then drop every set
         that strictly contains another kept one (`_minimal`), so the result
@@ -431,24 +463,26 @@ class Backend:
                         out.append(c)
             return _minimal(out)
         if isinstance(f, And):
-            acc: list[frozenset[Formula]] = [frozenset()]
+            # each kept set with the state it grew from and its split
+            acc = [(frozenset(), ConjunctState.EMPTY, None)]
             for g in f.args:
                 branches = self.conjuncts(g)
-                nxt = []
-                seen = set()
-                for c in acc:
-                    state = ConjunctState.of(c)
+                grown: dict[frozenset[Formula], tuple] = {}
+                for c, parent, split in acc:
+                    state = parent if split is None else parent._with(*split)
+                    if any(b <= c for b in branches):
+                        # c meets the argument already, and every other
+                        # union with a branch contains c
+                        grown.setdefault(c, (state, None))
+                        continue
                     for b in branches:
-                        if not state.admits(b, c):
-                            continue
-                        u = c | b
-                        if u not in seen:
-                            seen.add(u)
-                            nxt.append(u)
-                acc = _minimal(nxt)
+                        step = state._grow(b, c)
+                        if step is not None:
+                            grown.setdefault(c | b, (state, step))
+                acc = [(u, *grown[u]) for u in _minimal(list(grown))]
                 if not acc:
                     return []
-            return acc
+            return [c for c, _, _ in acc]
         raise TypeError(f"unexpected in DNF conversion: {f!r}")
 
     # ------------------------------------------------------------------
@@ -457,8 +491,12 @@ class Backend:
     def sat(self, f: Formula, valuation: Valuation) -> bool:
         """Truth of f under a valuation covering its free variables: the
         quantifier-free `qe(f)` evaluated at the valuation (`_holds_at`),
-        with no formula rebuilt."""
-        missing = free_vars(f) - set(valuation)
+        with no formula rebuilt.  The free variables of f are walked once
+        per formula, in `_free`."""
+        fvs = self._free.get(f)
+        if fvs is None:
+            fvs = self._free[f] = free_vars(f)
+        missing = fvs.difference(valuation)
         if missing:
             raise ValuationError(
                 f"valuation misses variables: {', '.join(sorted(missing))}"
@@ -602,19 +640,8 @@ class ConjunctState:
         self.root: dict[Term, Term] = root
         self.ne: tuple[tuple[Term, Term], ...] = ne
         self.lt: tuple[tuple[Term, Term], ...] = lt
-        self.succ: dict[Term, set[Term]] = succ
+        self.succ: dict[Term, frozenset[Term]] = succ
         self.chain: tuple[Const, ...] = chain
-
-    @staticmethod
-    def of(lits) -> "ConjunctState":
-        """The state of a literal set already known to be consistent,
-        built without checking it."""
-        return ConjunctState.EMPTY._with(*ConjunctState.EMPTY._split(lits, ()))
-
-    def admits(self, lits, known=frozenset()) -> bool:
-        """Whether this state stays consistent once extended by the
-        literals of `lits` that are not in `known`."""
-        return self._grow(lits, known) is not None
 
     def extended(self, lits) -> "ConjunctState | None":
         """This state extended by `lits`, or None when they contradict it."""
@@ -638,7 +665,11 @@ class ConjunctState:
                 lt.append(lit.args)
             else:
                 a, b = lit.args
-                a, b = _find(root, up, a), _find(root, up, b)
+                a, b = root.get(a, a), root.get(b, b)
+                while a in up:
+                    a = up[a]
+                while b in up:
+                    b = up[b]
                 if a == b:
                     continue
                 if isinstance(a, Const):
@@ -647,8 +678,10 @@ class ConjunctState:
                     up[b] = a
                 else:
                     up[a] = b
-        for t in up:
-            up[t] = _find({}, up, t)
+        for t, r in up.items():
+            while r in up:
+                r = up[r]
+            up[t] = r
         return up, ne, lt
 
     def _merged(self, up) -> dict[Term, Term]:
@@ -669,7 +702,7 @@ class ConjunctState:
         root = self._merged(up)
         # a merge may put an old != or < pair inside one class, and moves
         # the old < pairs it touches onto the merged class
-        for a, b in itertools.chain(ne, self.ne if up else ()):
+        for a, b in itertools.chain(ne, self.ne) if up else ne:
             if root.get(a, a) == root.get(b, b):
                 return None
         edges: list[tuple[Term, Term]] = []
@@ -696,12 +729,7 @@ class ConjunctState:
         The old digraph is acyclic and a merged class has its old edges
         among `edges`, so a new cycle runs through some new edge (u, v):
         u is reachable from v."""
-        chain = self.chain
-        fresh = {u for e in edges for u in e if isinstance(u, Const) and u not in chain}
-        if fresh:
-            # a newly touched constant class joins the chain
-            full = sorted((*chain, *fresh), key=_VALUE)
-            edges += [(p, q) for p, q in zip(full, full[1:]) if p in fresh or q in fresh]
+        _, edges = _joined_chain(self.chain, edges)
         new: dict[Term, list[Term]] = {}
         for a, b in edges:
             new.setdefault(a, []).append(b)
@@ -711,9 +739,12 @@ class ConjunctState:
             seen = {v}
             while stack:
                 n = stack.pop()
-                for w in itertools.chain(succ.get(n, ()), new.get(n, ())):
-                    if root is not None:
-                        w = root.get(w, w)
+                nxt = succ.get(n, ())
+                if root is not None and nxt:
+                    nxt = [root.get(w, w) for w in nxt]
+                if n in new:
+                    nxt = [*nxt, *new[n]]
+                for w in nxt:
                     if w == u:
                         return True
                     if w not in seen:
@@ -722,17 +753,20 @@ class ConjunctState:
         return False
 
     def _with(self, up, ne, lt) -> "ConjunctState":
-        """This state with a split added that does not contradict it."""
+        """This state with a split added that does not contradict it.  A
+        merge rebuilds the digraph; otherwise it grows by the new edges, an
+        old successor set copied only where it grows."""
         root = self._merged(up)
-        lt = self.lt + tuple(lt)
-        succ: dict[Term, set[Term]] = {}
-        for a, b in lt:
-            succ.setdefault(root.get(a, a), set()).add(root.get(b, b))
-        touched = set(succ).union(*succ.values())
-        chain = tuple(sorted((u for u in touched if isinstance(u, Const)), key=_VALUE))
-        for c1, c2 in zip(chain, chain[1:]):
-            succ.setdefault(c1, set()).add(c2)
-        return ConjunctState(root, self.ne + tuple(ne), lt, succ, chain)
+        lts = self.lt + tuple(lt)
+        if up:
+            succ, chain, new = {}, (), lts
+        else:
+            succ, chain, new = dict(self.succ), self.chain, lt
+        edges = [(root.get(a, a), root.get(b, b)) for a, b in new]
+        chain, edges = _joined_chain(chain, edges)
+        for a, b in edges:
+            succ[a] = succ.get(a, frozenset()) | {b}
+        return ConjunctState(root, self.ne + tuple(ne), lts, succ, chain)
 
 
 ConjunctState.EMPTY = ConjunctState({}, (), (), {}, ())
@@ -756,6 +790,17 @@ def _components(f: Formula) -> list[Formula]:
     return [land(*(f.args[i] for i in sorted(members))) for _, members in groups]
 
 
+def _joined_chain(chain: tuple[Const, ...], edges: list) -> tuple[tuple[Const, ...], list]:
+    """The constant chain once the constants on `edges` join it, and
+    `edges` with the chain edges of each newly touched constant."""
+    fresh = {u for e in edges for u in e if isinstance(u, Const)}
+    fresh.difference_update(chain)
+    if not fresh:
+        return chain, edges
+    chain = tuple(sorted((*chain, *fresh), key=_VALUE))
+    return chain, edges + [(p, q) for p, q in zip(chain, chain[1:]) if p in fresh or q in fresh]
+
+
 def _minimal(sets: list[frozenset]) -> list[frozenset]:
     """The sets of `sets`, all distinct, that strictly contain no other
     one, in their given order: a disjunct c or (c and d) is absorbed by c."""
@@ -768,11 +813,3 @@ def _minimal(sets: list[frozenset]) -> list[frozenset]:
         return sets
     keep = set(kept)
     return [c for c in sets if c in keep]
-
-
-def _find(root: dict[Term, Term], up: dict[Term, Term], t: Term) -> Term:
-    """The representative of t's class after the merges `up`."""
-    t = root.get(t, t)
-    while t in up:
-        t = up[t]
-    return t

@@ -38,7 +38,8 @@ class CyclicBackend(DloBackend):
     # -- R expansion ------------------------------------------------------
 
     def pre_transform(self, f: Formula) -> Formula:
-        # only nnf reads the result, and it canonicalizes the connectives
+        # `Backend._nf` calls this on each relation atom and canonicalizes
+        # the connectives of the readings
         return map_relations(f, _linear_readings)
 
     # -- types -------------------------------------------------------------

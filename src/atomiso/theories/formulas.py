@@ -17,8 +17,9 @@ Two traversals serve every job that only reads or rewrites relation atoms:
 `subformulas` lists the nodes (vocabulary checks, the atoms a formula
 mentions, the capture check of atom abstraction) and `map_relations`
 rebuilds a formula with each relation atom replaced (atom renaming, the
-circle's expansion of R).  Walks that handle binders or polarity (`free_vars`,
-`all_names`, `subst`, `nnf`) keep their own recursion.
+circle's expansion of R).  Walks that handle binders (`free_vars`,
+`all_names`, `subst`) keep their own recursion, and so does the one walk
+that handles polarity, the backends' normal form `Backend._nf`.
 """
 
 from dataclasses import dataclass, fields
@@ -106,6 +107,7 @@ class Bot(Formula):
 TRUE = Top()
 FALSE = Bot()
 _KEY = attrgetter("key")
+_HASH = attrgetter("_hash")
 
 
 @_node
@@ -114,10 +116,8 @@ class Rel(Formula):
     args: tuple[Term, ...]
 
     def __post_init__(self):
-        self._set_key(
-            ("r", self.name) + tuple(a.key for a in self.args),
-            hash(("r", self.name) + tuple(a._hash for a in self.args)),
-        )
+        name, args = self.name, self.args
+        self._set_key(("r", name, *map(_KEY, args)), hash(("r", name, *map(_HASH, args))))
 
 
 @_node
@@ -133,10 +133,8 @@ class And(Formula):
     args: tuple[Formula, ...]
 
     def __post_init__(self):
-        self._set_key(
-            ("a",) + tuple(f.key for f in self.args),
-            hash(("a",) + tuple(f._hash for f in self.args)),
-        )
+        args = self.args
+        self._set_key(("a", *map(_KEY, args)), hash(("a", *map(_HASH, args))))
 
 
 @_node
@@ -144,10 +142,8 @@ class Or(Formula):
     args: tuple[Formula, ...]
 
     def __post_init__(self):
-        self._set_key(
-            ("o",) + tuple(f.key for f in self.args),
-            hash(("o",) + tuple(f._hash for f in self.args)),
-        )
+        args = self.args
+        self._set_key(("o", *map(_KEY, args)), hash(("o", *map(_HASH, args))))
 
 
 @_node
@@ -240,26 +236,25 @@ def lnot(f: Formula) -> Formula:
     return Not(f)
 
 
-def _flatten(parts: Iterable[Formula], kind) -> Iterator[Formula]:
+def _flatten(parts: Iterable[Formula], kind) -> list[Formula]:
+    out: list[Formula] = []
     for p in parts:
         if isinstance(p, kind):
-            yield from _flatten(p.args, kind)
+            out += _flatten(p.args, kind)
         else:
-            yield p
+            out.append(p)
+    return out
 
 
 def free_vars(f: Formula) -> frozenset[str]:
+    if isinstance(f, Rel):
+        return frozenset([t.name for t in f.args if isinstance(t, Var)])
+    if isinstance(f, (And, Or)):
+        return frozenset().union(*map(free_vars, f.args))
     if isinstance(f, (Top, Bot)):
         return frozenset()
-    if isinstance(f, Rel):
-        return frozenset(t.name for t in f.args if isinstance(t, Var))
     if isinstance(f, Not):
         return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for g in f.args:
-            out |= free_vars(g)
-        return out
     if isinstance(f, Implies):
         return free_vars(f.premise) | free_vars(f.conclusion)
     if isinstance(f, (Exists, Forall)):
@@ -405,33 +400,3 @@ class NameSource:
             if cand not in self._used:
                 self._used.add(cand)
                 return cand
-
-
-def nnf(f: Formula, negate: bool = False) -> Formula:
-    """Negation normal form; implications expanded, negation pushed onto
-    relation symbols, quantifiers dualised as needed."""
-    if isinstance(f, Top):
-        return FALSE if negate else TRUE
-    if isinstance(f, Bot):
-        return TRUE if negate else FALSE
-    if isinstance(f, Rel):
-        return lnot(f) if negate else f
-    if isinstance(f, Not):
-        return nnf(f.body, not negate)
-    if isinstance(f, And):
-        parts = [nnf(g, negate) for g in f.args]
-        return lor(*parts) if negate else land(*parts)
-    if isinstance(f, Or):
-        parts = [nnf(g, negate) for g in f.args]
-        return land(*parts) if negate else lor(*parts)
-    if isinstance(f, Implies):
-        if negate:
-            return land(nnf(f.premise), nnf(f.conclusion, True))
-        return lor(nnf(f.premise, True), nnf(f.conclusion))
-    if isinstance(f, Exists):
-        body = nnf(f.body, negate)
-        return Forall(f.var, body) if negate else Exists(f.var, body)
-    if isinstance(f, Forall):
-        body = nnf(f.body, negate)
-        return Exists(f.var, body) if negate else Forall(f.var, body)
-    raise TypeError(f"not a formula: {f!r}")

@@ -19,6 +19,10 @@ search's pruning by one sentence per tuple of pieces.
 `scratch_consistent` and `reference_conjuncts` are the conjunct kernel and
 the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
+`reference_nf` is the normal form in three walks, the vocabulary check,
+the whole formula's `pre_transform`, and `nnf` with `reference_norm`
+normalizing every literal after it, the reference for the library's one
+walk `Backend._nf`.
 `reference_qe` eliminates every quantifier binder by binder, the reference
 for the library's one-search decision of closed quantifier blocks.
 `reference_sat` substitutes a valuation into the eliminated formula and
@@ -82,6 +86,7 @@ from atomiso.theories.formulas import (
     Bot,
     Const,
     Exists,
+    FALSE,
     Forall,
     Implies,
     Not,
@@ -94,7 +99,6 @@ from atomiso.theories.formulas import (
     land,
     lnot,
     lor,
-    nnf,
     quantify,
     subst,
 )
@@ -272,6 +276,67 @@ def reference_conjuncts(f, pairs=None, absorb=True) -> list:
     raise TypeError(f"unexpected in DNF conversion: {f!r}")
 
 
+def nnf(f, negate: bool = False):
+    """Negation normal form; implications expanded, negation pushed onto
+    relation symbols, quantifiers dualised as needed."""
+    if isinstance(f, Top):
+        return FALSE if negate else TRUE
+    if isinstance(f, Bot):
+        return TRUE if negate else FALSE
+    if isinstance(f, Rel):
+        return lnot(f) if negate else f
+    if isinstance(f, Not):
+        return nnf(f.body, not negate)
+    if isinstance(f, And):
+        parts = [nnf(g, negate) for g in f.args]
+        return lor(*parts) if negate else land(*parts)
+    if isinstance(f, Or):
+        parts = [nnf(g, negate) for g in f.args]
+        return land(*parts) if negate else lor(*parts)
+    if isinstance(f, Implies):
+        if negate:
+            return land(nnf(f.premise), nnf(f.conclusion, True))
+        return lor(nnf(f.premise, True), nnf(f.conclusion))
+    if isinstance(f, Exists):
+        body = nnf(f.body, negate)
+        return Forall(f.var, body) if negate else Exists(f.var, body)
+    if isinstance(f, Forall):
+        body = nnf(f.body, negate)
+        return Exists(f.var, body) if negate else Forall(f.var, body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_norm(backend, f):
+    """Every literal of a negation-normal formula normalized by the
+    backend's `normalize_literal`."""
+    if isinstance(f, (Top, Bot)):
+        return f
+    if isinstance(f, Rel):
+        return backend.normalize_literal(f.name, f.args, True)
+    if isinstance(f, Not):
+        body = f.body
+        if isinstance(body, Rel):
+            return backend.normalize_literal(body.name, body.args, False)
+        return reference_norm(backend, nnf(f))
+    if isinstance(f, And):
+        return land(*(reference_norm(backend, g) for g in f.args))
+    if isinstance(f, Or):
+        return lor(*(reference_norm(backend, g) for g in f.args))
+    if isinstance(f, Exists):
+        return Exists(f.var, reference_norm(backend, f.body))
+    if isinstance(f, Forall):
+        return Forall(f.var, reference_norm(backend, f.body))
+    return reference_norm(backend, nnf(f))
+
+
+def reference_nf(backend, f):
+    """`backend._nf(f)` as three walks: the vocabulary check of
+    `validate`, the backend's `pre_transform` of the whole formula, and
+    its negation normal form with every literal then normalized."""
+    backend.validate(f, internal=True)
+    return reference_norm(backend, nnf(backend.pre_transform(f)))
+
+
 def reference_qe(backend, f):
     """`backend.qe(f)` with every quantifier eliminated binder by binder,
     closed blocks included: an existential by `backend._exists` on the
@@ -287,10 +352,10 @@ def reference_qe(backend, f):
             return lor(*map(elim, g.args))
         if isinstance(g, Exists):
             return backend._exists(g.var, elim(g.body))
-        neg = backend._norm(nnf(lnot(elim(g.body))))
-        return backend._norm(nnf(lnot(backend._exists(g.var, neg))))
+        neg = reference_norm(backend, nnf(lnot(elim(g.body))))
+        return reference_norm(backend, nnf(lnot(backend._exists(g.var, neg))))
 
-    return elim(backend._norm(nnf(backend.pre_transform(f))))
+    return elim(reference_nf(backend, f))
 
 
 def reference_sat(backend, f, valuation) -> bool:
@@ -298,7 +363,7 @@ def reference_sat(backend, f, valuation) -> bool:
     variable replaced by its constant and every literal normalized again,
     which folds the ground formula to TRUE or FALSE."""
     q = backend.qe(f)
-    g = backend._norm(subst(q, {k: Const(v) for k, v in valuation.items()}))
+    g = reference_norm(backend, subst(q, {k: Const(v) for k, v in valuation.items()}))
     assert isinstance(g, (Top, Bot)), g
     return isinstance(g, Top)
 

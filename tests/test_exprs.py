@@ -17,6 +17,7 @@ from atomiso.exprs import (
     ATOMS,
     EMPTY,
     AtomParam,
+    AtomsSet,
     ETuple,
     EVar,
     SetComp,
@@ -24,6 +25,7 @@ from atomiso.exprs import (
     abstract_params,
     act,
     clauses,
+    expr_names,
     expr_params,
     free_expr_vars,
     instantiate,
@@ -35,9 +37,9 @@ from atomiso.exprs import (
 )
 from atomiso.parser import parse, print_expr
 from atomiso.theories import backend_names, get_backend
-from atomiso.theories.formulas import TRUE, Var, formula_atoms, ne, nnf
+from atomiso.theories.formulas import TRUE, Var, all_names, formula_atoms, ne
 from generators import gen_automorphism, gen_formula, gen_set_expr, sample_atoms
-from oracles import extend_automorphism, value_shape
+from oracles import extend_automorphism, nnf, value_shape
 
 
 def test_tuple_needs_two_items():
@@ -111,6 +113,54 @@ def test_subst_shadowing():
     # bound a untouched, free b replaced
     assert c.element.items[0] == EVar("a")
     assert c.element.items[1] == AtomParam(7)
+
+
+def reference_expr_key(e) -> tuple:
+    """The structural key of an expression, recomputed by recursion."""
+    if isinstance(e, EVar):
+        return ("v", e.name)
+    if isinstance(e, AtomParam):
+        return ("p", e.value)
+    if isinstance(e, AtomsSet):
+        return ("A",)
+    if isinstance(e, ETuple):
+        return ("t",) + tuple(reference_expr_key(i) for i in e.items)
+    if isinstance(e, SetComp):
+        return ("s", reference_expr_key(e.element), e.binders, e.guard.key)
+    return ("u",) + tuple(reference_expr_key(c) for c in e.clauses)
+
+
+def reference_expr_names(e) -> frozenset:
+    """Every variable name of an expression, recomputed by recursion."""
+    if isinstance(e, EVar):
+        return frozenset((e.name,))
+    if isinstance(e, SetComp):
+        return reference_expr_names(e.element) | all_names(e.guard) | set(e.binders)
+    parts = getattr(e, "items", ()) or getattr(e, "clauses", ())
+    return frozenset().union(*map(reference_expr_names, parts))
+
+
+def _expr_nodes(e):
+    yield e
+    for child in getattr(e, "items", ()) or getattr(e, "clauses", ()):
+        yield from _expr_nodes(child)
+    if isinstance(e, SetComp):
+        yield from _expr_nodes(e.element)
+
+
+@pytest.mark.parametrize("name", backend_names())
+def test_cached_expression_key_and_names_match_recomputation(name):
+    # each node's key is computed once, from its children's cached keys, and
+    # its names once, on first read, the whole expression's first
+    rng = random.Random(5)
+    atoms = sample_atoms(rng, name, 3)
+    for _ in range(80):
+        e = gen_set_expr(rng, name, atoms[:2], max_binders=3, depth=2)
+        moved = act(gen_automorphism(rng, name, sorted(expr_params(e))), e)
+        for n in (*_expr_nodes(e), *_expr_nodes(moved), ATOMS):
+            assert n.key == reference_expr_key(n), (name, n)
+            assert expr_names(n) == reference_expr_names(n), (name, n)
+            assert expr_names(n) is expr_names(n)
 
 
 @pytest.mark.parametrize("name", backend_names())

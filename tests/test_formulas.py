@@ -26,11 +26,12 @@ from atomiso.theories.formulas import (
     Top,
     Var,
     land,
+    lnot,
     lor,
-    nnf,
     subst,
 )
 from generators import gen_formula, sample_atoms
+from oracles import nnf, reference_nf
 
 BACKENDS = ("equality", "dlo", "cyclic")
 NAMES = ["x", "y"]
@@ -221,12 +222,25 @@ def test_subst_renames_a_binder_that_would_capture():
 
 
 @pytest.mark.parametrize("name", BACKENDS)
+def test_one_walk_normal_form_matches_the_three_walks(name):
+    # `_nf` checks, expands, pushes the negation and normalizes in one walk;
+    # the reference validates, expands the whole formula, builds its
+    # negation normal form and then normalizes every literal
+    backend = get_backend(name)
+    for f in formulas(name, 14, 150):
+        for negate, g in ((False, f), (True, lnot(f))):
+            want = reference_nf(backend, g)
+            _same(backend._nf(f, negate), want)
+            _same(backend._nf(g), want)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
 def test_qe_cache_agrees_with_uncached_elimination(name):
     backend = get_backend(name)
     fs = formulas(name, 13, 60)
     again = formulas(name, 13, 60)
     for f, g in zip(fs, again):
-        ref = backend._eliminate(backend._norm(nnf(backend.pre_transform(f))))
+        ref = backend._eliminate(reference_nf(backend, f))
         first = backend.qe(f)
         assert first.key == ref.key
         # an equal formula built separately hits the entry of f

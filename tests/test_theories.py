@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from atomiso.algebra import is_subset, least_support, set_equal
+from atomiso.compile import Compiler
 from atomiso.errors import DensenessError, ValuationError, VocabularyError
 from atomiso.parser import parse_atoms
 from atomiso.theories import backend_names, base, get_backend
@@ -19,6 +21,7 @@ from atomiso.theories.formulas import (
     Const,
     Exists,
     Forall,
+    Formula,
     Not,
     Or,
     Rel,
@@ -36,7 +39,7 @@ from atomiso.theories.formulas import (
     quantify,
     subformulas,
 )
-from generators import gen_formula, gen_qf_formula, sample_atoms
+from generators import gen_formula, gen_qf_formula, gen_set_expr, sample_atoms
 from oracles import (
     count_tuple_orbits,
     eval_formula,
@@ -88,6 +91,34 @@ def test_validate_vocabulary():
         dlo.validate(cyc(Var("x"), Var("y"), Var("z")))
 
 
+_X, _Y = Var("x"), Var("y")
+_BAD_LITERALS = [
+    ("equality", lt(_X, _Y)),  # a relation outside the vocabulary
+    ("dlo", cyc(_X, _Y, _Y)),
+    ("cyclic", Rel("R", (_X, _Y))),  # a wrong arity
+    ("dlo", Rel("<", (_X, _Y, _Y))),
+    ("equality", eq(_X, Const(Fraction(1, 2)))),  # a wrong atom kind
+    ("dlo", eq(_X, Const(3))),
+    ("cyclic", cyc(_X, Const(1), _Y)),
+]
+
+
+@pytest.mark.parametrize("name, bad", _BAD_LITERALS)
+def test_eliminate_rejects_a_bad_literal_as_validate_does(name, bad):
+    # the normal-form walk checks each literal where it meets it; the
+    # message is the one `validate` gives, at the top, behind a literal the
+    # walk has already normalized, and under quantifiers
+    b = get_backend(name)
+    good = ne(_X, Const(Fraction(2) if name != "equality" else 2))
+    for f in (bad, land(good, lnot(bad)), Forall("x", Exists("y", lor(good, bad)))):
+        with pytest.raises(VocabularyError) as want:
+            b.validate(f, internal=True)
+        with pytest.raises(VocabularyError) as got:
+            b.eliminate(f)
+        assert str(got.value) == str(want.value), (name, f)
+    assert not b._normal and not b._qe_cache
+
+
 def test_qe_removes_quantifiers_simple():
     dlo = get_backend("dlo")
     f = Exists("x", land(lt(Var("a"), Var("x")), lt(Var("x"), Var("b"))))
@@ -105,6 +136,21 @@ def test_sat_requires_full_valuation():
     eqb = get_backend("equality")
     with pytest.raises(ValuationError):
         eqb.sat(eq(Var("x"), Var("y")), {"x": 1})
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_sat_requires_a_variable_that_elimination_drops(name):
+    # x = x eliminates to TRUE, yet x is free in the formula asked about;
+    # its free variables are walked once, and the QE cache takes one entry
+    b = get_backend(name)
+    f = eq(_X, _X)
+    assert b.qe(f) == TRUE and len(b._qe_cache) == 1
+    for _ in range(2):
+        with pytest.raises(ValuationError, match="misses variables: x"):
+            b.sat(f, {})
+    assert len(b._qe_cache) == 1 and b._free == {f: frozenset({"x"})}
+    atom = 1 if name == "equality" else Fraction(1)
+    assert b.sat(f, {"x": atom}) and len(b._qe_cache) == 1
 
 
 def test_find_witness_prefers_parameters_then_fresh():
@@ -186,7 +232,7 @@ def test_conjunct_kernel_matches_oracle():
             for c in _raw_conjuncts(b.qe(f)) or ():
                 fvs = sorted(free_vars(land(*c)))
                 sat = eval_formula(name, quantify(Exists, fvs, land(*c)), {})
-                assert ConjunctState.EMPTY.admits(c) == sat, (name, c)
+                assert (ConjunctState.EMPTY.extended(c) is not None) == sat, (name, c)
                 seen[sat] += 1
                 params = sorted(formula_atoms(land(*c)) | set(atoms[:1]))
                 w = b.conjunct_witness(c, fvs + ["z"], params)
@@ -195,6 +241,32 @@ def test_conjunct_kernel_matches_oracle():
                     continue
                 assert set(w) == set(fvs) | {"z"}, (name, c)
                 assert all(eval_formula(name, lit, w) for lit in c), (name, c, w)
+
+
+@pytest.mark.parametrize("name", ["dlo", "cyclic"])
+def test_a_state_grown_literal_by_literal_matches_the_scratch_kernel(name):
+    # without a merge `_with` copies only the successor sets it grows, and a
+    # merge rebuilds them: each step's verdict is the from-scratch one, and
+    # extending a state leaves the state itself as it was
+    rng = random.Random(31)
+    b = get_backend(name)
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        atoms = sample_atoms(rng, name, 3)
+        f = b.qe(gen_qf_formula(rng, name, ["u", "v", "w", "x"], atoms, depth=3))
+        for c in _raw_conjuncts(f) or ():
+            state, seen = ConjunctState.EMPTY, frozenset()
+            for lit in sorted(c, key=lambda l: l.key):
+                before = {k: set(v) for k, v in state.succ.items()}
+                seen |= {lit}
+                grown = state.extended((lit,))
+                assert {k: set(v) for k, v in state.succ.items()} == before
+                assert (grown is not None) == scratch_consistent(seen), (name, seen)
+                verdicts[grown is not None] += 1
+                if grown is None:
+                    break
+                state = grown
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 # a literal each backend folds in its own way, as (positive, relation): a
@@ -231,6 +303,54 @@ def test_sat_by_evaluation_matches_substitution(name):
     assert min(verdicts.values()) >= 100, verdicts
 
 
+def _folded_literal(name, terms) -> Formula:
+    """The literal of `_FOLDED_LITERAL` over `terms`, before normalization."""
+    positive, rel = _FOLDED_LITERAL[name]
+    lit = Rel(rel, tuple(terms[: 3 if rel == "R" else 2]))
+    return lit if positive else lnot(lit)
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_resubmitted_outputs_eliminate_as_on_a_fresh_backend(name):
+    # an output of eliminate is known normal and comes back unchanged; in a
+    # formula with raw literals, under a quantifier or negated, it gives
+    # what a backend that never saw it gives
+    rng = random.Random(47)
+    b = get_backend(name)
+    names = ["x", "y", "z"]
+    for _ in range(60):
+        atoms = sample_atoms(rng, name, 2)
+        out = b.eliminate(gen_formula(rng, name, names, atoms, depth=3, qdepth=2))
+        assert out in b._normal and b._nf(out) is out and b.eliminate(out) is out
+        raw = _folded_literal(name, [Var(rng.choice(names)) for _ in range(2)] + [Const(atoms[0])])
+        for f in (out, land(out, raw), Exists("x", lor(raw, out)), Forall("y", lnot(out))):
+            fresh = get_backend(name)
+            assert b.eliminate(f) == fresh.eliminate(f), (name, f)
+            assert b.qe(f) == fresh.qe(f), (name, f)
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_known_normal_formulas_are_each_held_by_a_cache(name):
+    # `_normal` keeps no formula alive that no cache keeps: after compiles,
+    # membership and subset questions and `holds` calls, every member is,
+    # as an object, a value of the QE cache or of a compile cache
+    rng = random.Random(53)
+    comp = Compiler(get_backend(name))
+    b = comp.backend
+    for _ in range(20):
+        params = sample_atoms(rng, name, 2)
+        e1, e2 = (gen_set_expr(rng, name, params, max_binders=2, depth=2) for _ in range(2))
+        set_equal(comp, e1, e2)
+        is_subset(comp, e2, e1)
+        least_support(comp, e1)
+        comp.holds(gen_formula(rng, name, [], params, depth=3, qdepth=2))
+    held = {id(v) for v in b._qe_cache.values()}
+    assert held and len(b._normal) > len(held)
+    for cache in (comp._eq_cache, comp._mem_cache, comp._sub_cache):
+        held |= {id(v) for v in cache.values()}
+    assert all(id(f) in held for f in b._normal)
+
+
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
 def test_incremental_conjuncts_match_the_scratch_kernel(name):
     # the DNF of normalized random formulas equals the union-then-check
@@ -252,7 +372,8 @@ def test_incremental_conjuncts_match_the_scratch_kernel(name):
         assert b.conjuncts(f) == reference_conjuncts(f, pairs), (name, f)
         for c, br in pairs:
             ok = scratch_consistent(c | br)
-            assert ConjunctState.of(c).admits(br, c) == ok, (name, c, br)
+            state = ConjunctState.EMPTY.extended(c)
+            assert (state._grow(br, c) is not None) == ok, (name, c, br)
             verdicts[ok] += 1
     assert min(verdicts.values()) >= 100, verdicts
 
