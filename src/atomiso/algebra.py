@@ -8,16 +8,24 @@ each comprehension clause with every complete S-type of its binder tuple;
 each satisfiable pairing carves out one orbit, and pieces carving the same
 orbit (which visibly happens for symmetric elements such as unordered pairs)
 are merged by `in_orbit`, the one test of whether a closed value lies in an
-orbit: a match against the clause's element and the type of the binders it
-shows, then, unless it shows every binder, one closed block.  `orbit_index`,
-the one lookup of the orbit that holds a value, scans with it.  Likewise
-`supported_by` is the one test of whether S supports a value:
-`least_support` removes atoms greedily through it, and the isomorphism
-search filters with it the candidate images of a target universe with a
-clause whose element does not show every binder through tuples, a
-set-valued one for instance.  For the other universes the search writes the
-fixed images down instead, from the binder values that the support pins
-(`base.pinned_reps`).
+orbit.  `orbit_index`, the one lookup of the orbit that holds a value, scans
+with it.  Likewise `supported_by` is the one test of whether S supports a
+value: `least_support` removes atoms greedily through it, and the
+isomorphism search filters with it the candidate images of a target
+universe with a clause whose element does not show every binder through
+tuples, a set-valued one for instance.  For the other universes the search
+writes the fixed images down instead, from the binder values that the
+support pins (`base.pinned_reps`).
+
+Whether a closed value is an instance of an expression that shows every
+binder of its clause through tuples is decided by one kernel, `_admits`:
+the value is matched against the expression, which fixes the only
+candidate row of binder values, and the guard is evaluated there, with no
+sentence.  It serves `in_orbit`, `is_member`, `fn_apply` and `determined`,
+and so the final check of a map (`fn_validate`, `fn_check`), which works
+at the representatives of the S-orbits of the graph, the domain and the
+codomain.  Each caller keeps its compiled sentence for clauses that hide a
+binder, in a set component for instance.
 """
 
 from dataclasses import dataclass
@@ -46,9 +54,7 @@ from .exprs import (
     instantiate,
     kind,
     param_occurrences,
-    product_expr,
     rename_clause,
-    subst_expr_vars,
     union_of,
 )
 from .theories.formulas import (
@@ -81,14 +87,22 @@ def _require_closed(e: Expr) -> None:
 
 
 def set_equal(comp: Compiler, e1: Expr, e2: Expr) -> bool:
+    """Whether the closed expressions denote the same value; true with no
+    sentence when they are the same expression."""
     _require_closed(e1)
     _require_closed(e2)
-    return comp.holds(comp.equal(e1, e2))
+    return e1.key == e2.key or comp.holds(comp.equal(e1, e2))
 
 
 def is_member(comp: Compiler, x: Expr, s: Expr) -> bool:
+    """Whether the value of x belongs to the set s.  When every clause of s
+    shows all its binders, the kernel `_admits` decides clause by clause
+    with no sentence; otherwise the compiled membership does."""
     _require_closed(x)
     _require_closed(s)
+    cs = clauses(s)
+    if all(_element_injective(c) for c in cs):
+        return any(_admits(comp, c.element, c.guard, x) is not None for c in cs)
     return comp.holds(comp.member(x, s))
 
 
@@ -133,7 +147,15 @@ class OrbitDescriptor:
 
 def _element_injective(c: SetComp) -> bool:
     """True when distinct binder tuples always yield distinct elements:
-    the element is pure atom/tuple structure mentioning every binder."""
+    the element shows every binder (`_shows_binders`)."""
+    return _shows_binders(c.element, c.binders)
+
+
+def _shows_binders(e: Expr, binders) -> bool:
+    """True when e is pure atom/tuple structure mentioning every binder, so
+    that a closed value of e's form fixes the value of each binder
+    (`_match`).  With no binders, it says that a closed value is flat:
+    atoms and tuples only."""
     used: set[str] = set()
 
     def walk(e: Expr) -> bool:
@@ -146,7 +168,12 @@ def _element_injective(c: SetComp) -> bool:
             return all(walk(i) for i in e.items)
         return False
 
-    return walk(c.element) and set(c.binders) <= used
+    return walk(e) and used.issuperset(binders)
+
+
+def _flat(x: Expr) -> bool:
+    """Whether the closed value x is made of atoms and tuples only."""
+    return _shows_binders(x, ())
 
 
 def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
@@ -198,29 +225,44 @@ def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor) -> bool:
     """Whether the closed value x lies in the orbit, that is in
     `orbit.piece()`.
 
-    x is matched against the clause's element (`_match`), and the binders
-    the element shows must take their type at the representative, by `sat`:
-    no sentence.  When the element shows every binder and holds no set
-    (`_element_injective`), that type is `orbit.type_formula`, which the
-    guard admits, so the answer is final.  Otherwise one closed block
-    `exists binders: guard and type and x = element` decides, over the
-    clause's own binders: x is closed and `Compiler.equal` reserves the
-    names of both sides, so nothing is captured, and one compiled equality
-    serves every orbit of the clause."""
+    When the clause's element shows every binder (`_element_injective`),
+    the kernel `_admits` decides with the orbit's type as the guard: the
+    clause's guard admits that type, as it admits its representative.
+    Otherwise x is matched against the element (`_match`), and the binders
+    the element shows must take their type at the representative, by
+    `sat`; then one closed block `exists binders: guard and type and x =
+    element` decides, over the clause's own binders: x is closed and
+    `Compiler.equal` reserves the names of both sides, so nothing is
+    captured, and one compiled equality serves every orbit of the
+    clause."""
     _require_closed(x)
     c = orbit.clause
+    if _element_injective(c):
+        return _admits(comp, c.element, orbit.type_formula, x) is not None
     row: dict = {}
     if not _match(c.element, x, row):
         return False
     backend = comp.backend
-    if _element_injective(c):
-        return backend.sat(orbit.type_formula, row)
     rep = orbit.rep_valuation()
     shown = tuple(row)
     if not backend.sat(backend.type_of(shown, tuple(rep[b] for b in shown), orbit.params), row):
         return False
     body = land(c.guard, orbit.type_formula, comp.equal(x, c.element))
     return comp.holds(quantify(Exists, c.binders, body))
+
+
+def _admits(comp: Compiler, shown: Expr, guard: Formula, x: Expr) -> dict | None:
+    """The binder values at which `shown` takes the closed value x and the
+    guard holds, or None when there are none.  `shown` must show every
+    binder of the guard's clause (`_shows_binders`): x then fixes the only
+    candidate row by `_match`, and `sat` evaluates the guard there, so the
+    answer is exact and sends no sentence.  The one kernel behind
+    `in_orbit`, `is_member`, `fn_apply`, `determined` and so the final
+    check."""
+    row: dict = {}
+    if _match(shown, x, row) and comp.backend.sat(guard, row):
+        return row
+    return None
 
 
 def _match(element: Expr, x: Expr, row: dict) -> bool:
@@ -350,7 +392,11 @@ class DefFunction:
 
 def fn_validate(comp: Compiler, fn: DefFunction) -> None:
     """Well-formedness: closed parts, explicit pair elements, and graph
-    contained in dom x cod."""
+    contained in dom x cod.  Containment is decided orbit by orbit: with S
+    the atoms of dom, cod and graph, dom x cod is S-invariant, so the graph
+    lies in it when the representative (a, b) of each S-orbit of the
+    graph's pairs does, by `is_member(a, dom)` and `is_member(b, cod)`.
+    The decomposition is the one `fn_check` reads."""
     for e in (fn.dom, fn.cod, fn.graph):
         _require_closed(e)
     for c in clauses(fn.graph):
@@ -358,8 +404,16 @@ def fn_validate(comp: Compiler, fn: DefFunction) -> None:
             raise ValidationError(
                 "every graph clause must produce an explicit pair"
             )
-    if not is_subset(comp, fn.graph, product_expr(fn.dom, fn.cod)):
-        raise ValidationError("graph is not contained in dom x cod")
+    for o in orbit_decomposition(comp, fn.graph, _fn_params(fn)):
+        a, b = o.rep_element().items
+        if not (is_member(comp, a, fn.dom) and is_member(comp, b, fn.cod)):
+            raise ValidationError("graph is not contained in dom x cod")
+
+
+def _fn_params(fn: DefFunction) -> frozenset:
+    """The atoms of dom, cod and graph: the S of the orbit-by-orbit
+    checks."""
+    return expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
 
 
 def breach_block(comp: Compiler, parts, breach) -> Formula:
@@ -390,7 +444,24 @@ def determined(comp: Compiler, parts, by: int) -> bool:
     """Whether no instances p, q of the two pair clauses `parts` agree in
     component `by` and differ in the other: by=0 says their union is
     functional, by=1 that it is injective.  The breach is symmetric in p
-    and q, so the order of the two parts does not matter."""
+    and q, so the order of the two parts does not matter.
+
+    When one part has no binders and the other's component `by` shows all
+    its binders, the fixed component picks the only instance that can
+    agree with it (`_admits`), and the breach is that instance's other
+    component differing from the fixed one: compared as written when both
+    are flat, else by one closed equality.  Otherwise one breach block
+    decides."""
+    for c, fixed in (parts, parts[::-1]):
+        if fixed.binders or not _shows_binders(c.element.items[by], c.binders):
+            continue
+        row = _admits(comp, c.element.items[by], c.guard, fixed.element.items[by])
+        if row is None:
+            return True
+        mine, theirs = instantiate(c.element.items[1 - by], row), fixed.element.items[1 - by]
+        if _flat(mine) and _flat(theirs):
+            return mine == theirs
+        return comp.holds(comp.equal(mine, theirs))
 
     def differ(pq):
         p, q = pq
@@ -415,17 +486,19 @@ def fn_check(
     functional with the pair components swapped, and surjective is total
     with the codomain in place of the domain.
 
+    Every property is decided orbit by orbit, with S the atoms of dom, cod
+    and graph: the three sets are S-invariant, so an automorphism fixing S
+    moves any counterexample to one at an orbit representative.
     Functional holds when no two pairs agree in the first component and
-    differ in the second, decided orbit by orbit: with S the atoms of dom,
-    cod and graph, each S-orbit of the graph's pairs gives its
+    differ in the second: each S-orbit of the graph's pairs gives its
     representative pair as a clause without binders, and `determined`
-    checks it against every graph clause.  The graph is S-invariant, so an
-    automorphism fixing S moves any breach to one whose first pair is a
-    representative; the one decomposition serves functional and injective.
-    Total holds when every element of the domain is the first component of
-    some pair."""
+    checks it against every graph clause; the one decomposition serves
+    functional and injective.  Total holds when the representative of
+    every S-orbit of the domain is the first component of some pair:
+    `is_member` in the graph's first components, one clause per graph
+    clause."""
     graph = clauses(fn.graph)
-    S = expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
+    S = _fn_params(fn)
 
     def determined_everywhere(by: int) -> bool:
         return all(
@@ -436,10 +509,9 @@ def fn_check(
 
     def covered(s: Expr, by: int) -> bool:
         # every element of s is component `by` of some pair
-        return comp.holds(
-            comp.forall_elem(
-                s, lambda x: comp.exists_elem(fn.graph, lambda p: comp.equal(x, p.items[by]))
-            )
+        shadow = Union(tuple(SetComp(c.element.items[by], c.binders, c.guard) for c in graph))
+        return all(
+            is_member(comp, o.rep_element(), shadow) for o in orbit_decomposition(comp, s, S)
         )
 
     checks = (
@@ -457,18 +529,20 @@ def fn_bijective(comp: Compiler, fn: DefFunction) -> bool:
 
 def fn_apply(comp: Compiler, fn: DefFunction, x: Expr) -> Expr:
     """The value of the function at x; raises DomainError off the domain.
-    Expects a validated, functional graph."""
+    Expects a validated, functional graph.  The clauses are tried in
+    order: one whose first component shows all its binders matches x by
+    the kernel `_admits`, any other searches a witness."""
     _require_closed(x)
     for c in clauses(fn.graph):
-        constraint = land(c.guard, comp.equal(x, c.element.items[0]))
-        # a binder the constraint leaves free may take any value: the graph
-        # is functional, so every choice yields the same image
-        witness = comp.backend.find_witness(constraint, c.binders)
-        if witness is None:
-            continue
-        return subst_expr_vars(
-            c.element.items[1], {b: AtomParam(witness[b]) for b in c.binders}
-        )
+        fst, snd = c.element.items
+        if _shows_binders(fst, c.binders):
+            row = _admits(comp, fst, c.guard, x)
+        else:
+            # a binder the constraint leaves free may take any value: the
+            # graph is functional, so every choice yields the same image
+            row = comp.backend.find_witness(land(c.guard, comp.equal(x, fst)), c.binders)
+        if row is not None:
+            return instantiate(snd, row)
     raise DomainError("value lies outside the function's domain")
 
 

@@ -16,22 +16,26 @@ finds the target orbit of each kept one; a backtracking perfect matching
 over pieces, pruned by per-symbol compatibility checks, then decides
 existence.
 
-A candidate piece is kept when it is functional, and injective if the
-mode needs it, at its representative pair (x0, y0): the `algebra.determined`
-kernel of `fn_check`, on the piece's clause and the fixed pair.  The pieces
-assigned so far form a partial map, kept in place as one dict per side
-from orbit index to piece, and pruned at the tuples of
-`structures.transport_reps` with S = T (reflecting, also B's) whose
-arguments they cover: `structures.carried`, the transport step of the
+A candidate piece is kept when it is functional, and injective if the mode
+needs it, at its representative pair (x0, y0).  When x0 is flat (atoms and
+tuples only) the piece is functional, and with a flat y0 it is injective
+exactly when T and the atoms of y0 support x0: no sentence
+(`_flat_piece_determined`).  Otherwise the `algebra.determined` kernel of
+`fn_check` decides, on the piece's clause and the fixed pair.  The piece's
+clause, `algebra.orbit_expression`, is written only when a check needs it
+or the piece is kept.  The pieces assigned so far form a partial map, kept
+in place as one dict per side from orbit index to piece, and pruned at the
+tuples of `structures.transport_reps` with S = T (reflecting, also B's)
+whose arguments they cover: `structures.carried`, the transport step of the
 final check, over the same list of tuples.  One pair or representative
-decides its orbit because orbits are transitive under the
-parameter-fixing automorphisms and every set in play is invariant.  Each
-assembled candidate is then verified in full by
-`structures.check_isomorphism` with the mode, orbit by orbit and with no
-orbit pruned: the same `determined` kernel at the representative of every
-orbit of its graph, and `carried` at every tuple of `transport_reps` over
-the atoms of the structures and the graph.  What each mode requires,
-injective and surjective, is read from `structures.MODES` (`mode_kind`).
+decides its orbit because orbits are transitive under the parameter-fixing
+automorphisms and every set in play is invariant.  Each assembled candidate
+is then verified in full by `structures.check_isomorphism` with the mode,
+orbit by orbit and with no orbit pruned: the same `determined` kernel at
+the representative of every orbit of its graph, and `carried` at every
+tuple of `transport_reps` over the atoms of the structures and the graph.
+What each mode requires, injective and surjective, is read from
+`structures.MODES` (`mode_kind`).
 """
 
 from dataclasses import dataclass, field
@@ -39,6 +43,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     DefFunction,
     _element_injective,
+    _flat,
     determined,
     fn_apply,
     fn_inverse,
@@ -142,18 +147,42 @@ def enumerate_pieces(
                     f"piece enumeration exceeded the budget of {budget}",
                     count=examined,
                 )
-            fixed = SetComp(ETuple((x0, y0)), (), TRUE)
-            piece_expr = orbit_expression(comp, fixed.element, T)
+            pair = ETuple((x0, y0))
+            piece_expr = None
             # across the orbit of pairs, the component `by` at its value in
-            # (x0, y0) forces the other one: functional, then injective; the
-            # clause comes first, so it keeps its names (`breach_block`)
-            parts = (piece_expr.clauses[0], fixed)
-            if not determined(comp, parts, 0):
-                continue
-            if injective and not determined(comp, parts, 1):
-                continue
-            pieces.append(GraphPiece(piece_expr, x0, y0, i, orbit_index(comp, y0, b_orbits)))
+            # (x0, y0) forces the other one: functional, then injective
+            for by in (0, 1)[: 1 + injective]:
+                ok = _flat_piece_determined(comp, T, x0, y0, by)
+                if ok is None:
+                    if piece_expr is None:
+                        piece_expr = orbit_expression(comp, pair, T)
+                    # the clause comes first, so it keeps its names
+                    # (`breach_block`)
+                    ok = determined(comp, (piece_expr.clauses[0], SetComp(pair, (), TRUE)), by)
+                if not ok:
+                    break
+            else:
+                if piece_expr is None:
+                    piece_expr = orbit_expression(comp, pair, T)
+                pieces.append(GraphPiece(piece_expr, x0, y0, i, orbit_index(comp, y0, b_orbits)))
     return pieces, a_orbits, b_orbits
+
+
+def _flat_piece_determined(comp: Compiler, T: frozenset, x0: Expr, y0: Expr, by: int):
+    """The piece check at (x0, y0) where flat values settle it with no
+    sentence, else None.  When x0 is flat, its atoms lie in its least
+    support and so in the anchor that fixes every candidate y0: the piece
+    is functional.  When y0 is flat too, a T-automorphism fixes y0 exactly
+    when it fixes the atoms of y0, so the piece is injective exactly when
+    those and T support x0, which `supported_by` settles from the atoms of
+    x0 alone."""
+    if not _flat(x0):
+        return None
+    if by == 0:
+        return True
+    if not _flat(y0):
+        return None
+    return supported_by(comp, x0, T | expr_params(y0))
 
 
 def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset):

@@ -12,7 +12,8 @@ a map that must be injective must also reflect every symbol.
 atoms of both structures and of the graph, the map commutes with every
 automorphism fixing S, so a property those automorphisms preserve holds
 everywhere once it holds at one representative of each S-orbit:
-`algebra.fn_check` decides functional and injective at the graph's orbit
+`algebra.fn_validate` and `algebra.fn_check` decide containment in
+dom x cod, functional, injective, total and surjective at orbit
 representatives, and `transports_symbols` maps each tuple of
 `transport_reps` by `fn_apply` and tests the image's membership in the
 counterpart.  `transport_reps` is the one list of tuples a map must carry,

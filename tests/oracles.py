@@ -28,7 +28,9 @@ for the library's one-search decision of closed quantifier blocks.
 `reference_sat` substitutes a valuation into the eliminated formula and
 normalizes the result, the reference for the library's evaluation of it.
 `reference_least_support` and `reference_fn_check` send every sentence the
-library skips or replaces by breach blocks, and `reference_piece_determined`
+library skips or replaces by breach blocks or by matching, `reference_fn_apply`
+searches a witness for every graph clause where the library matches a
+clause that shows its binders, and `reference_piece_determined`
 decides the search's piece check as one universal sentence instead of the
 library's breach block.  `types_with_reps` pairs every complete type that
 `type_of` writes with its realization from `type_reps`.  `reference_orbit_decomposition`
@@ -57,7 +59,7 @@ from atomiso.algebra import (
     supported_by,
 )
 from atomiso.engine import FOUND, NOT_FOUND, NOT_FOUND_INCOMPLETE, Certificate
-from atomiso.errors import ResourceError, ValidationError
+from atomiso.errors import DomainError, ResourceError, ValidationError
 from atomiso.exprs import (
     AtomParam,
     AtomsSet,
@@ -71,6 +73,7 @@ from atomiso.exprs import (
     free_expr_vars,
     kind,
     product_expr,
+    subst_expr_vars,
     union_of,
 )
 from atomiso.structures import (
@@ -465,6 +468,18 @@ def reference_fn_check(comp, fn, *, functional=True, total=True, injective=False
         (surjective, lambda: covered(fn.cod, 1)),
     )
     return all(comp.holds(sentence()) for wanted, sentence in checks if wanted)
+
+
+def reference_fn_apply(comp, fn, x):
+    """`fn_apply` with a witness search for every clause: the first clause,
+    in order, whose guard admits x as its first component gives the image
+    at the witness; DomainError when none does."""
+    for c in clauses(fn.graph):
+        fst, snd = c.element.items
+        witness = comp.backend.find_witness(land(c.guard, comp.equal(x, fst)), c.binders)
+        if witness is not None:
+            return subst_expr_vars(snd, {b: AtomParam(witness[b]) for b in c.binders})
+    raise DomainError("value lies outside the function's domain")
 
 
 def reference_piece_determined(comp, clause, x0, y0, by) -> bool:

@@ -12,7 +12,9 @@ import pytest
 from atomiso.algebra import (
     DefFunction,
     _element_injective,
+    _shows_binders,
     definable_subsets,
+    determined,
     fn_apply,
     fn_bijective,
     fn_check,
@@ -44,6 +46,7 @@ from atomiso.exprs import (
     ETuple,
     EVar,
     SetComp,
+    Union,
     abstract_params,
     act,
     clauses,
@@ -65,9 +68,11 @@ from generators import (
 )
 from oracles import (
     extend_automorphism,
+    reference_fn_apply,
     reference_fn_check,
     reference_least_support,
     reference_orbit_decomposition,
+    reference_piece_determined,
     types_with_reps,
     value_shape,
 )
@@ -413,6 +418,189 @@ def _graph_clause(rng, backend_name, atoms):
     return SetComp(pair, binders, guard)
 
 
+def _neq(name, value):
+    return lnot(Rel("=", (Var(name), Const(value))))
+
+
+def _kernel_sets(atoms):
+    """Sets whose clauses show every binder, with constants, repeated
+    binders and guards; then sets with a set component, alone and in a
+    union with a clause that shows its binders."""
+    a, b = EVar("a"), EVar("b")
+    p, q = AtomParam(atoms[0]), AtomParam(atoms[1])
+    inner = Union((SetComp(b, ("b",), _neq("b", atoms[0])),))
+    shown = [
+        ATOMS,
+        union_of(SetComp(p, (), TRUE), SetComp(q, (), TRUE)),
+        SetComp(ETuple((a, p)), ("a",), _neq("a", atoms[1])),
+        SetComp(ETuple((a, a)), ("a",), TRUE),
+        SetComp(ETuple((a, ETuple((b, a)))), ("a", "b"), _neq("b", atoms[0])),
+        union_of(SetComp(ETuple((a, b)), ("a", "b"), _neq("a", atoms[0])), SetComp(ETuple((p, p)), (), TRUE)),
+    ]
+    hidden = [
+        SetComp(ETuple((a, inner)), ("a",), TRUE),
+        union_of(SetComp(ETuple((a, b)), ("a", "b"), TRUE), SetComp(ETuple((a, inner)), ("a",), TRUE)),
+        SetComp(a, ("a", "b"), _neq("b", atoms[0])),
+    ]
+    return shown, hidden
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_is_member_by_matching_agrees_with_the_compiled_membership(monkeypatch, backend_name):
+    """Against `comp.member` on a fresh compiler.  A set whose clauses all
+    show their binders is decided with no sentence; any other set sends
+    its compiled membership."""
+    rng = random.Random(2525)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    atoms = sample_atoms(rng, backend_name, 3)
+    shown, hidden = _kernel_sets(atoms)
+    generated = [gen_set_expr(rng, backend_name, atoms[:2], max_binders=2, depth=2) for _ in range(20)]
+    sets = shown + hidden + generated
+    values = [
+        o.rep_element()
+        for x in sets
+        for o in orbit_decomposition(comp, x, frozenset(atoms[:2]) | expr_params(x))
+    ]
+    sent = []
+    holds = comp.holds
+    monkeypatch.setattr(comp, "holds", lambda f: sent.append(f) or holds(f))
+    seen = Counter()
+    for s in sets:
+        kernel = all(_element_injective(c) for c in clauses(s))
+        for x in rng.sample(values, 12) + [o.rep_element() for o in orbit_decomposition(ref, s, frozenset(atoms))]:
+            sent.clear()
+            got = is_member(comp, x, s)
+            assert got == ref.holds(ref.member(x, s)), (print_expr(x), print_expr(s))
+            assert bool(sent) != kernel, (print_expr(x), print_expr(s))
+            seen[kernel, got] += 1
+    assert all(seen[key] for key in itertools.product((True, False), repeat=2)), seen
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_fn_apply_by_matching_agrees_with_the_witness_search(backend_name):
+    """Against the witness search on every clause (`reference_fn_apply`):
+    the same image, or DomainError from both, on graphs whose clauses show
+    their binders in the first component, on graphs whose clauses do not,
+    and on mixtures."""
+    rng = random.Random(2526)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    atoms = sample_atoms(rng, backend_name, 3)
+    shown, hidden = _kernel_sets(atoms)
+    a, b = EVar("a"), EVar("b")
+    p = AtomParam(atoms[0])
+    graphs = [
+        union_of(*(SetComp(ETuple((c.element, e)), c.binders, c.guard) for c in clauses(s)))
+        for s in shown + hidden
+        for e in (p, a)
+        if all("a" in c.binders for c in clauses(s))
+    ]
+    graphs += [
+        union_of(*(_graph_clause(rng, backend_name, atoms[:2]) for _ in range(rng.choice((1, 2, 3)))))
+        for _ in range(12)
+    ]
+    graphs.append(SetComp(ETuple((a, b)), ("a", "b"), Rel("=", (Var("a"), Var("b")))))
+    values = [o.rep_element() for x in shown + hidden for o in orbit_decomposition(comp, x, frozenset(atoms))]
+    answers = Counter()
+    for g in graphs:
+        fn = DefFunction(ATOMS, ATOMS, g)
+        shows = [_shows_binders(c.element.items[0], c.binders) for c in clauses(g)]
+        for x in values:
+            try:
+                want = reference_fn_apply(ref, fn, x)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    fn_apply(comp, fn, x)
+                answers[any(shows), all(shows), None] += 1
+                continue
+            assert fn_apply(comp, fn, x) == want, (print_expr(g), print_expr(x))
+            answers[any(shows), all(shows), True] += 1
+    for key in ((True, True), (True, False), (False, False)):
+        assert answers[(*key, True)] and answers[(*key, None)], answers
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_determined_by_matching_agrees_with_the_breach_block(monkeypatch, backend_name):
+    """A clause whose component `by` shows its binders against a fixed pair
+    is decided by matching: no agreeing instance, flat components compared
+    as written, or one closed equality when a set is involved.  Each
+    verdict agrees with the universal sentence of the reference."""
+    rng = random.Random(2527)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    atoms = sample_atoms(rng, backend_name, 3)
+    shown, _ = _kernel_sets(atoms)
+    a = EVar("a")
+    p = AtomParam(atoms[0])
+    inner = Union((SetComp(EVar("b"), ("b",), _neq("b", atoms[0])),))
+    clauses_ = [
+        SetComp(ETuple((a, a)), ("a",), TRUE),
+        SetComp(ETuple((a, p)), ("a",), _neq("a", atoms[1])),
+        SetComp(ETuple((a, inner)), ("a",), TRUE),
+        SetComp(ETuple((inner, a)), ("a",), _neq("a", atoms[0])),
+        SetComp(ETuple((ETuple((a, p)), a)), ("a",), TRUE),
+    ]
+    firsts = [o.rep_element() for x in shown for o in orbit_decomposition(comp, x, frozenset(atoms))]
+    seconds = firsts[:6] + [inner, Union((SetComp(EVar("b"), ("b",), TRUE),))]
+    sent = []
+    holds = comp.holds
+    monkeypatch.setattr(comp, "holds", lambda f: sent.append(f) or holds(f))
+    verdicts = Counter()
+    for c in clauses_:
+        for x0, y0 in itertools.product(firsts[:8], seconds):
+            fixed = SetComp(ETuple((x0, y0)), (), TRUE)
+            for by in (0, 1):
+                if not _shows_binders(c.element.items[by], c.binders):
+                    continue
+                for parts in ((c, fixed), (fixed, c)):
+                    sent.clear()
+                    got = determined(comp, parts, by)
+                    assert got == reference_piece_determined(ref, c, x0, y0, by), (print_expr(c), x0, y0, by)
+                    verdicts[got, bool(sent)] += 1
+    assert all(verdicts[key] for key in itertools.product((True, False), repeat=2)), verdicts
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_fn_validate_finds_the_one_escaping_orbit(backend_name):
+    """Orbit by orbit against the inclusion in dom x cod, on graphs where
+    exactly one S-orbit of pairs escapes: by its first component, by its
+    second, and inside a set component; then the same graphs without
+    it."""
+    rng = random.Random(2528)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    p, q = sample_atoms(rng, backend_name, 2)
+    a, b = EVar("a"), EVar("b")
+    off_p = SetComp(a, ("a",), _neq("a", p))
+    inner = Union((SetComp(b, ("b",), _neq("b", p)),))
+    sets = Union((SetComp(inner, (), TRUE), SetComp(ATOMS, (), TRUE)))
+    cases = [
+        (ATOMS, off_p, SetComp(ETuple((a, a)), ("a",), TRUE)),
+        (off_p, ATOMS, SetComp(ETuple((a, a)), ("a",), _neq("a", q))),
+        (ATOMS, ATOMS, union_of(SetComp(ETuple((a, a)), ("a",), TRUE), SetComp(ETuple((AtomParam(q), inner)), (), TRUE))),
+        (ATOMS, sets, union_of(SetComp(ETuple((a, inner)), ("a",), TRUE), SetComp(ETuple((AtomParam(q), ATOMS)), (), TRUE))),
+    ]
+    escaped = Counter()
+    for dom, cod, g in cases:
+        for graph in (g, union_of(*(c for c in clauses(g) if not c.binders) or [EMPTY])):
+            fn = DefFunction(dom, cod, graph)
+            S = expr_params(dom) | expr_params(cod) | expr_params(graph)
+            out = [
+                o for o in orbit_decomposition(comp, graph, S)
+                if not ref.holds(ref.member(o.rep_element(), product_expr(dom, cod)))
+            ]
+            inside = ref.holds(ref.subset(graph, product_expr(dom, cod)))
+            assert inside == (not out)
+            if inside:
+                fn_validate(comp, fn)
+            else:
+                with pytest.raises(ValidationError):
+                    fn_validate(comp, fn)
+            escaped[len(out)] += 1
+    assert escaped[1] >= 3 and escaped[0] >= 1, escaped
+
+
 @pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
 def test_fn_check_matches_the_nested_sentences(backend_name):
     rng = random.Random(2020)
@@ -459,14 +647,21 @@ def test_fn_check_matches_the_nested_sentences(backend_name):
         assert fn_check(comp, fn, total=False) == functional
         assert fn_check(comp, fn, functional=False, total=False, injective=True) == injective
     maps = [(u, g) for g in graphs] + [(dom, g) for dom, g, _, _ in split]
+    # each property alone: functional, total, injective, surjective
+    alone = [
+        {"total": False},
+        {"functional": False},
+        {"functional": False, "total": False, "injective": True},
+        {"functional": False, "total": False, "surjective": True},
+    ]
     seen = set()
     for dom, g in maps:
         fn = DefFunction(dom, dom, g)
-        for flags in ({"total": False}, {"functional": False, "total": False, "injective": True}):
+        for k, flags in enumerate(alone):
             got = fn_check(comp, fn, **flags)
             assert got == reference_fn_check(ref, fn, **flags), (print_expr(g), flags)
-            seen.add((len(flags), got))
-    assert seen == {(1, True), (1, False), (3, True), (3, False)}
+            seen.add((k, got))
+    assert seen == {(k, v) for k in range(4) for v in (True, False)}
 
 
 def _orbit_cases(backend_name):

@@ -17,6 +17,7 @@ from atomiso.algebra import (
     fn_inverse,
     is_member,
     orbit_decomposition,
+    orbit_expression,
     set_equal,
 )
 from atomiso.compile import Compiler
@@ -30,7 +31,7 @@ from atomiso.engine import (
     find_definable_map,
 )
 from atomiso.errors import DensenessError, DomainError, ResourceError, ValidationError
-from atomiso.exprs import SetComp, Union, clauses, expr_params, union_of
+from atomiso.exprs import ETuple, SetComp, Union, clauses, expr_params, union_of
 from atomiso.parser import parse, print_expr
 from atomiso.structures import check_isomorphism, mode_kind, structure_from_dict
 from atomiso.theories import backend_names, get_backend
@@ -217,17 +218,28 @@ def test_piece_enumeration_counts(eq_comp):
 
 
 def test_piece_checks_match_the_universal_sentence(monkeypatch):
-    # every piece check the search makes, recorded at the engine's name for
-    # the breach kernel, against the universal sentence it replaced
+    # every piece check the search makes, recorded at the engine's names for
+    # the breach kernel and for the sentence-free check of flat values,
+    # against the universal sentence they replaced
     checks = []
-    kernel = engine.determined
+    kernel, flat = engine.determined, engine._flat_piece_determined
 
     def recording(comp, parts, by):
         verdict = kernel(comp, parts, by)
-        checks.append((comp.backend.name, parts, by, verdict))
+        clause, fixed = parts
+        assert not fixed.binders
+        checks.append((comp.backend.name, clause, *fixed.element.items, by, verdict))
+        return verdict
+
+    def recording_flat(comp, T, x0, y0, by):
+        verdict = flat(comp, T, x0, y0, by)
+        if verdict is not None:
+            clause = orbit_expression(comp, ETuple((x0, y0)), T).clauses[0]
+            checks.append((comp.backend.name, clause, x0, y0, by, verdict))
         return verdict
 
     monkeypatch.setattr(engine, "determined", recording)
+    monkeypatch.setattr(engine, "_flat_piece_determined", recording_flat)
     runs = [(pair(), ()) for pair in (kneser_pair, neighborhoods_pair, nondefiso_pair)]
     st, _ = smoothing_parts()
     # from unordered pairs to atoms, {a, b} -> a is a candidate piece that
@@ -236,12 +248,10 @@ def test_piece_checks_match_the_universal_sentence(monkeypatch):
     for (A, B), extra in runs:
         decide_definable_iso(Compiler(get_backend(A.backend_name)), A, B, extra)
     refs = {}
-    for name, (clause, fixed), by, verdict in checks:
-        assert not fixed.binders
+    for name, clause, x0, y0, by, verdict in checks:
         ref = refs.setdefault(name, Compiler(get_backend(name)))
-        x0, y0 = fixed.element.items
         assert verdict == reference_piece_determined(ref, clause, x0, y0, by), (name, by)
-    assert {(by, v) for _, _, by, v in checks} == {(0, True), (0, False), (1, True), (1, False)}
+    assert {(by, v) for *_, by, v in checks} == {(0, True), (0, False), (1, True), (1, False)}
 
 
 def _pairs_graph(name, interp, universe="{(a, b) | a, b in atoms, a != b}"):

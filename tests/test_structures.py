@@ -40,7 +40,7 @@ from atomiso.structures import (
 from atomiso.theories import get_backend
 from fixtures_helpers import circle_pair, kneser_pair, neighborhoods_pair, smoothing_parts
 from generators import gen_qf_formula, gen_structure_pair, sample_atoms
-from oracles import clause_tuple_transport, orbit_transport
+from oracles import clause_tuple_transport, orbit_transport, reference_fn_check
 
 
 def test_roundtrip(tmp_path, eq_comp):
@@ -506,29 +506,43 @@ def test_transport_reps_skip_a_value_of_no_tuple_shape(eq_comp):
 
 
 def test_final_check_of_the_anchored_circle_witness_works_orbit_by_orbit(cyc_comp, monkeypatch):
-    """The witness is re-checked at orbit representatives only: one breach
-    block per graph orbit and clause for each of functional and injective,
-    and no other breach block, so no transport sentence over clause
-    tuples."""
+    """The witness is re-checked at orbit representatives only: one
+    `determined` call per graph orbit and clause for each of functional
+    and injective, each settled by matching the representative, so the
+    whole final check sends no sentence.  Each verdict agrees with the
+    nested sentences of the reference."""
     A, B = circle_pair()
     cert = decide_definable_iso(cyc_comp, A, B, (Fraction(0),))
     assert cert.verdict == FOUND
     fn = cert.witness
     calls = Counter()
-    kernel, block = algebra.determined, algebra.breach_block
+    verdicts = set()
+    kernel, block, holds = algebra.determined, algebra.breach_block, cyc_comp.holds
 
     def determined(comp, parts, by):
         calls[by] += 1
-        return kernel(comp, parts, by)
+        verdict = kernel(comp, parts, by)
+        verdicts.add(verdict)
+        return verdict
 
     def breach_block(*args):
         calls["breach_block"] += 1
         return block(*args)
 
+    def counted_holds(sentence):
+        calls["sentence"] += 1
+        return holds(sentence)
+
     monkeypatch.setattr(algebra, "determined", determined)
     monkeypatch.setattr(algebra, "breach_block", breach_block)
+    monkeypatch.setattr(cyc_comp, "holds", counted_holds)
     assert check_isomorphism(cyc_comp, fn, A, B)
     S = expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
     blocks = len(orbit_decomposition(cyc_comp, fn.graph, S)) * len(clauses(fn.graph))
     assert blocks > 0
-    assert calls == Counter({0: blocks, 1: blocks, "breach_block": 2 * blocks})
+    assert calls == Counter({0: blocks, 1: blocks})
+    assert verdicts == {True}
+    ref = Compiler(get_backend("cyclic"))
+    for flag in ("functional", "total", "injective", "surjective"):
+        flags = {f: f == flag for f in ("functional", "total", "injective", "surjective")}
+        assert fn_check(cyc_comp, fn, **flags) == reference_fn_check(ref, fn, **flags) is True
