@@ -5,16 +5,17 @@ by definable graphs.
 Orbits here are always orbits under the automorphisms fixing a finite set S
 of atoms pointwise.  A set expression decomposes into orbit pieces by pairing
 each comprehension clause with every complete S-type of its binder tuple;
-each satisfiable pairing carves out one orbit, and pieces carving the same
-orbit (which visibly happens for symmetric elements such as unordered pairs)
-are merged by `in_orbit`, the one test of whether a closed value lies in an
-orbit.  `orbit_index`, the one lookup of the orbit that holds a value, scans
-with it.  Likewise `supported_by` is the one test of whether S supports a
-value: `least_support` removes atoms greedily through it, and the
-isomorphism search filters with it the candidate images of a target
-universe with a clause whose element does not show every binder through
-tuples, a set-valued one for instance.  For the other universes the search
-writes the fixed images down instead, from the binder values that the
+each satisfiable pairing carves out one orbit.  In one pass over the
+pairings, a pairing is kept unless `orbit_index`, the one lookup of the orbit
+that holds a value, finds its representative in an orbit kept before it:
+pieces carving the same orbit visibly happen for symmetric elements such as
+unordered pairs.  `orbit_index` scans with `in_orbit`, the one test of
+whether a closed value lies in an orbit.  Likewise `supported_by` is the one
+test of whether S supports a value: `least_support` removes atoms greedily
+through it, and the isomorphism search filters with it the candidate images
+of a target universe with a clause whose element does not show every binder
+through tuples, a set-valued one for instance.  For the other universes the
+search writes the fixed images down instead, from the binder values that the
 support pins (`base.pinned_reps`).
 
 Whether a closed value is an instance of an expression that shows every
@@ -184,11 +185,13 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     guard admits is a candidate orbit.  The guard is decided at the type's
     representative by evaluation (`sat`), which is exact as guard truth is
     constant across a complete type, and the type's formula is written only
-    once the guard admits it.  A candidate is kept unless its
-    representative lies in an orbit kept before it (`in_orbit`).  Candidates
-    from one clause whose element is injective are never compared, as
-    distinct types of its binders give distinct elements.  Memoised per
-    compiler by (X, S); every call returns a fresh list."""
+    once the guard admits it.  In one pass, a candidate is kept unless
+    `orbit_index` finds its representative in an orbit it can share.  For a
+    clause whose element is injective (`_element_injective`) those are the
+    `earlier` orbits, kept before the clause's first candidate: distinct
+    types of its binders give distinct elements.  Otherwise they are all
+    the orbits kept so far.  Memoised per compiler by (X, S); every call
+    returns a fresh list."""
     S = frozenset(S)
     if (X.key, S) not in comp._orbit_cache:
         comp._orbit_cache[X.key, S] = tuple(_decompose(comp, X, S))
@@ -202,22 +205,17 @@ def _decompose(comp: Compiler, X: Expr, S: frozenset) -> list[OrbitDescriptor]:
         names = ", ".join(format_atom_value(a) for a in sorted(missing))
         raise SupportError(f"parameter set must contain the atoms of X; missing: {names}")
     backend = comp.backend
-    descs = []  # (descriptor, injectivity of its clause's element)
+    kept: list[OrbitDescriptor] = []
     for c in clauses(X):
-        injective = _element_injective(c)
+        # the orbits a candidate of this clause can share
+        earlier = len(kept) if _element_injective(c) else None
         for values in backend.type_reps(c.binders, S):
             rep = dict(zip(c.binders, values))
             if backend.sat(c.guard, rep):
                 t = backend.type_of(c.binders, values, S)
-                descs.append((OrbitDescriptor(c, t, S, tuple(sorted(rep.items()))), injective))
-    kept: list[OrbitDescriptor] = []
-    for d, injective in descs:
-        x = d.rep_element()
-        if not any(
-            not (injective and k.clause == d.clause) and in_orbit(comp, x, k)
-            for k in kept
-        ):
-            kept.append(d)
+                d = OrbitDescriptor(c, t, S, tuple(sorted(rep.items())))
+                if orbit_index(comp, d.rep_element(), kept[:earlier]) is None:
+                    kept.append(d)
     return kept
 
 

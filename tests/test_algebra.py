@@ -4,6 +4,7 @@ enumeration, and definable functions."""
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -684,12 +685,41 @@ def _orbit_cases(backend_name):
     return out
 
 
+# two injective clauses of the same orbits
+_SHARED_ORBITS = {
+    "equality": "{(a, b) | a, b in atoms, a != b} + {(b, a) | a, b in atoms, a != b}",
+    "dlo": "{(a, b) | a, b in atoms, a < b} + {(b, a) | a, b in atoms, b < a}",
+    "cyclic": "{(a, b, c) | a, b, c in atoms, R(a, b, c)} + {(b, c, a) | a, b, c in atoms, R(a, b, c)}",
+}
+
+
+def _merging_sets(backend_name):
+    """Sets whose candidates merge, over no atom or over one, each with
+    whether its clauses' elements are injective, in clause order: a
+    non-injective clause merging with itself and then an injective clause
+    of the same orbits, two injective clauses of the same orbits, and a
+    non-injective clause merging with itself."""
+    return [
+        ("{(a, b) | a, b, c in atoms, a != b and c != a} + {(b, a) | a, b in atoms, a != b}", [False, True]),
+        (_SHARED_ORBITS[backend_name], [True, True]),
+        ("{{a, b} | a, b in atoms, a != b}", [False]),
+    ]
+
+
 @pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
 def test_orbit_decomposition_matches_the_membership_reference(backend_name):
     comp = Compiler(get_backend(backend_name))
     ref = Compiler(get_backend(backend_name))
-    merged = 0
-    for x, s, _ in _orbit_cases(backend_name):
+    cases = [(x, s) for x, s, _ in _orbit_cases(backend_name)]
+    extra = frozenset(sample_atoms(random.Random(26), backend_name, 1))
+    merging = set()
+    for text, injective in _merging_sets(backend_name):
+        x = _p(text, comp)
+        assert [_element_injective(c) for c in x.clauses] == injective, text
+        merging.add(x.key)
+        cases += [(x, frozenset()), (x, extra)]
+    merged = set()
+    for x, s in cases:
         got = orbit_decomposition(comp, x, s)
         assert got == reference_orbit_decomposition(ref, x, s), print_expr(x)
         candidates = sum(
@@ -697,8 +727,34 @@ def test_orbit_decomposition_matches_the_membership_reference(backend_name):
             for c in x.clauses
             for t in types_with_reps(comp.backend, c.binders, s)
         )
-        merged += candidates > len(got)
-    assert merged > 0
+        if candidates > len(got):
+            merged.add(x.key)
+    assert merged - merging and merging <= merged
+
+
+def test_orbit_decomposition_of_one_injective_clause_needs_no_merge_test(monkeypatch):
+    # distinct types of a clause whose element shows every binder are
+    # distinct orbits: each admitted type is kept with no in_orbit call
+    comp = Compiler(get_backend("dlo"))
+    x = _p("{(a, b, c) | a, b, c in atoms}", comp)
+    s = frozenset({Fraction(1), Fraction(2)})
+    calls = []
+    merge_test = in_orbit
+    monkeypatch.setattr("atomiso.algebra.in_orbit", lambda *args: calls.append(args) or merge_test(*args))
+    got = orbit_decomposition(comp, x, s)
+    assert calls == []
+    assert len(got) == sum(1 for _ in comp.backend.type_reps(("a", "b", "c"), s))
+
+
+def test_orbit_decomposition_of_a_clause_of_many_orbits_is_fast():
+    # one injective clause with 12,931 orbits: no candidate is compared with
+    # the orbits of its own clause
+    comp = Compiler(get_backend("dlo"))
+    x = _p("{(v0, v1, v2, v3) | v0, v1, v2, v3 in atoms}", comp)
+    s = frozenset(Fraction(i) for i in range(1, 5))
+    start = time.process_time()
+    assert len(orbit_decomposition(comp, x, s)) == 12931
+    assert time.process_time() - start < 10
 
 
 # sha256 of the descriptors (clause, type, representative) of the
