@@ -130,8 +130,9 @@ def cmd_rn(args) -> int:
 
 
 def _load_pair(args):
-    """Both structures of the command, checked against each other and each
-    against its universe, with a compiler for their backend."""
+    """Both structures of the command, checked against each other, with a
+    compiler for their backend.  The command validates each over the atoms
+    its search or first final check decomposes over, to share the orbits."""
     A = load_structure(args.a)
     B = load_structure(args.b)
     if A.backend_name != B.backend_name:
@@ -139,16 +140,15 @@ def _load_pair(args):
             f"the structures use different backends: "
             f"{A.backend_name} vs {B.backend_name}"
         )
-    comp = Compiler(get_backend(A.backend_name))
-    validate_structure(comp, A)
-    validate_structure(comp, B)
-    return A, B, comp
+    return A, B, Compiler(get_backend(A.backend_name))
 
 
 def cmd_iso(args) -> int:
     A, B, comp = _load_pair(args)
     backend = comp.backend
     extra = parse_atoms(args.params, backend)
+    for st in (A, B):
+        validate_structure(comp, st, A.params() | B.params() | extra)
     cert = decide_definable_iso(
         comp, A, B, extra_params=extra, mode=args.mode, budget=args.budget
     )
@@ -170,6 +170,8 @@ def cmd_eliminate(args) -> int:
             f"the map uses backend {backend_name}, the structures use "
             f"{A.backend_name}"
         )
+    for st in (A, B):
+        validate_structure(comp, st, A.params() | B.params() | expr_params(fn.graph))
     extra = parse_atoms(args.params, backend)
     h, report = eliminate_parameters(comp, fn, A, B, T=extra)
     doc = function_to_dict(backend.name, h)

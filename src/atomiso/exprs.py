@@ -9,7 +9,8 @@ printing and re-parsing.  Each node's structural `key`, which every compile
 cache lookup reads, is computed once, at construction, from the keys of its
 children, as formula nodes compute theirs, so keys share their sub-tuples.
 `expr_names`, which every compile miss reads to reserve names, walks a node
-once and keeps the result on it.
+once and keeps the result on it, and so does `free_expr_vars` on a closed
+node; the nodes are slotted, as formula nodes are.
 
 Renaming atoms is one walk, `_map_atoms`, behind both the automorphism
 action `act` and the abstraction `abstract_params`; it rewrites guards with
@@ -34,7 +35,6 @@ from .theories.formulas import (
     Var,
     all_names,
     free_vars,
-    land,
     map_relations,
     subformulas,
     subst,
@@ -42,13 +42,13 @@ from .theories.formulas import (
 
 
 class Expr:
-    __slots__ = ()
+    __slots__ = ("key", "_names", "_free")
 
-    #: set at construction; the first `expr_names` call keeps its result too
+    #: set at construction; `expr_names` and `free_expr_vars` fill the others
     key: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EVar(Expr):
     """A variable bound by an enclosing comprehension (denotes an atom)."""
 
@@ -58,7 +58,7 @@ class EVar(Expr):
         object.__setattr__(self, "key", ("v", self.name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomParam(Expr):
     """A concrete atom appearing directly in the expression."""
 
@@ -68,7 +68,7 @@ class AtomParam(Expr):
         object.__setattr__(self, "key", ("p", self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomsSet(Expr):
     """The set of all atoms."""
 
@@ -79,7 +79,7 @@ class AtomsSet(Expr):
 ATOMS = AtomsSet()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ETuple(Expr):
     items: tuple[Expr, ...]
 
@@ -89,7 +89,7 @@ class ETuple(Expr):
         object.__setattr__(self, "key", ("t",) + tuple(i.key for i in self.items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetComp(Expr):
     """One comprehension clause { element | binders in atoms, guard }."""
 
@@ -108,7 +108,7 @@ class SetComp(Expr):
         object.__setattr__(self, "key", ("s", self.element.key, self.binders, self.guard.key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Union(Expr):
     """Union of comprehension clauses; canonically sorted and deduplicated."""
 
@@ -194,21 +194,32 @@ def param_occurrences(e: Expr) -> list[Atom]:
     return list(seen)
 
 
+_CLOSED: frozenset[str] = frozenset()
+
+
 def free_expr_vars(e: Expr) -> frozenset[str]:
+    """The expression variables free in e.  A closed tuple, clause or union
+    keeps its (shared, empty) result on the node, as `expr_names` keeps its
+    names: every query reads it to refuse an open expression."""
     if isinstance(e, EVar):
         return frozenset((e.name,))
     if isinstance(e, (AtomParam, AtomsSet)):
-        return frozenset()
+        return _CLOSED
+    try:
+        return e._free
+    except AttributeError:
+        pass
     if isinstance(e, ETuple):
-        return frozenset().union(*(free_expr_vars(i) for i in e.items))
-    if isinstance(e, SetComp):
-        inner = free_expr_vars(e.element) | free_vars(e.guard)
-        return inner - set(e.binders)
-    if isinstance(e, Union):
-        if not e.clauses:
-            return frozenset()
-        return frozenset().union(*(free_expr_vars(c) for c in e.clauses))
-    raise TypeError(f"not an expression: {e!r}")
+        out = frozenset().union(*map(free_expr_vars, e.items))
+    elif isinstance(e, SetComp):
+        out = (free_expr_vars(e.element) | free_vars(e.guard)).difference(e.binders)
+    elif isinstance(e, Union):
+        out = frozenset().union(*map(free_expr_vars, e.clauses))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    if not out:
+        object.__setattr__(e, "_free", _CLOSED)
+    return out
 
 
 def expr_names(e: Expr) -> frozenset[str]:
@@ -341,20 +352,3 @@ def rename_clause(c: SetComp, fresh: NameSource) -> SetComp:
     element = subst_expr_vars(c.element, mapping)
     guard = subst(c.guard, {b: Var(n) for b, n in zip(c.binders, new)})
     return SetComp(element, new, guard)
-
-
-def product_expr(*sets: Expr) -> Union:
-    """The set of tuples pairing one element from each factor."""
-    import itertools
-
-    if len(sets) < 2:
-        raise ValidationError("a product needs at least two factors")
-    fresh = NameSource(n for s in sets for n in expr_names(s))
-    out = []
-    for combo in itertools.product(*(clauses(s) for s in sets)):
-        renamed = [rename_clause(c, fresh) for c in combo]
-        element = ETuple(tuple(c.element for c in renamed))
-        binders = tuple(b for c in renamed for b in c.binders)
-        guard = land(*(c.guard for c in renamed))
-        out.append(SetComp(element, binders, guard))
-    return Union(tuple(out))

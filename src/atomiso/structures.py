@@ -19,7 +19,9 @@ representatives, and `transports_symbols` maps each tuple of
 counterpart.  `transport_reps` is the one list of tuples a map must carry,
 one per S-orbit of every symbol's interpretation, and `carried` the one
 step that carries a tuple: the search's pruning in engine.py runs both on
-the pieces of a partial map.
+the pieces of a partial map.  `validate_structure` works at the orbit
+representatives too, over the atoms a command's search (or first final
+check) decomposes over, so both read one decomposition per symbol.
 """
 
 import json
@@ -32,13 +34,12 @@ from .algebra import (
     fn_inverse,
     fn_validate,
     is_member,
-    is_subset,
     orbit_decomposition,
     set_equal,
 )
 from .compile import Compiler
 from .errors import DomainError, ValidationError
-from .exprs import ETuple, Expr, expr_params, product_expr
+from .exprs import ETuple, Expr, expr_params
 from .parser import parse, print_expr
 from .theories import get_backend
 
@@ -251,38 +252,37 @@ def _check_shape(st: Structure) -> None:
             )
 
 
-def validate_structure(comp: Compiler, st: Structure) -> None:
+def validate_structure(comp: Compiler, st: Structure, S=frozenset()) -> None:
     """Containment checks: every interpretation lives in the matching power
-    of the universe (with the index set in front for families)."""
+    of the universe (with the index set in front for families).  The power
+    is invariant under the automorphisms fixing the structure's atoms and S,
+    so it holds when each orbit's representative has the symbol's shape and
+    its components lie in the universe, or index set, by `is_member`.  A
+    command passes as S the atoms its search decomposes over, to share it."""
     if comp.backend.name != st.backend_name:
         raise ValidationError(
             f"structure {st.name!r} targets backend {st.backend_name!r}, "
             f"not {comp.backend.name!r}"
         )
-    for r in st.relations:
-        target = _power(st.universe, r.arity)
-        if not is_subset(comp, r.interp, target):
-            raise ValidationError(
-                f"interpretation of {r.name!r} is not contained in the "
-                f"{r.arity}-fold product of the universe"
-            )
-    for f in st.families:
-        target = _indexed_power(f.index_set, st.universe, f.arity)
-        if not is_subset(comp, f.interp, target):
-            raise ValidationError(
-                f"interpretation of {f.name!r} is not contained in "
-                f"index x universe^{f.arity}"
-            )
+    S = st.params() | frozenset(S)
+    for sym in (*st.relations, *st.families):
+        if isinstance(sym, FamilySymbol):
+            sets, where = [sym.index_set], f"index x universe^{sym.arity}"
+        else:
+            sets, where = [], f"the {sym.arity}-fold product of the universe"
+        sets += [st.universe] * sym.arity
+        for orbit in orbit_decomposition(comp, sym.interp, S):
+            items = _components(orbit.rep_element(), len(sets))
+            if items is None or not all(is_member(comp, x, s) for x, s in zip(items, sets)):
+                raise ValidationError(f"interpretation of {sym.name!r} is not contained in {where}")
 
 
-def _power(universe: Expr, r: int) -> Expr:
-    if r == 1:
-        return universe
-    return product_expr(*([universe] * r))
-
-
-def _indexed_power(index_set: Expr, universe: Expr, r: int) -> Expr:
-    return product_expr(index_set, *([universe] * r))
+def _components(x: Expr, n: int) -> list[Expr] | None:
+    """The components of the value x as an n-tuple (x itself when n is 1),
+    or None when x has another shape."""
+    if n == 1:
+        return [x]
+    return list(x.items) if isinstance(x, ETuple) and len(x.items) == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +363,10 @@ def transport_reps(comp: Compiler, A: Structure, B: Structure, S, *, reflect: bo
         sym_b = counterpart(B, sym)
         for back, src, to in [(False, sym, sym_b)] + [(True, sym_b, sym)] * reflect:
             family = isinstance(src, FamilySymbol)
-            n = family + src.arity
             for orbit in orbit_decomposition(comp, src.interp, S):
-                x = orbit.rep_element()
-                if n > 1 and not (isinstance(x, ETuple) and len(x.items) == n):
-                    continue
-                items = list(x.items) if n > 1 else [x]
-                yield back, (items[0] if family else None), items[family:], to.interp
+                items = _components(orbit.rep_element(), family + src.arity)
+                if items is not None:
+                    yield back, (items[0] if family else None), items[family:], to.interp
 
 
 def carried(comp: Compiler, head, args, maps, target: Expr) -> bool:

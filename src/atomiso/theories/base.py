@@ -10,10 +10,10 @@ relation atom against the vocabulary, expands it by `pre_transform`, pushes
 the negation onto it and folds it by `normalize_literal`.  Every output of
 `eliminate` joins `_normal`, which `_nf` and `_eliminate` return unchanged,
 so the compiled memberships and inclusions that come back inside later
-sentences are not walked again.  Truth under a valuation is decided by
-evaluating the eliminated formula at it, each literal folded by the
-backend's own `normalize_literal`, with no formula rebuilt.  A closed chain
-of like quantifiers, as in every sentence behind a verdict, is not
+sentences are not walked again.  Truth under a valuation is the eliminated
+formula evaluated on the valuation's atoms, each literal by `GROUND`, which
+`normalize_literal` folds by too: no formula or term is built.  A closed
+chain of like quantifiers, as in every sentence behind a verdict, is not
 eliminated binder by binder: it is decided by one pruned DNF search over the
 variable-disjoint components of its body, since an existential closure holds
 exactly when some literal set of the DNF is consistent.
@@ -57,7 +57,7 @@ and `_free_block_literals` (the literals that fix an arrangement).
 """
 
 import itertools
-from operator import attrgetter
+import operator
 
 from ..errors import ValuationError, VocabularyError
 from .formulas import (
@@ -86,8 +86,11 @@ from .formulas import (
 )
 
 Valuation = dict[str, Atom]
-_NAME = attrgetter("name")
-_VALUE = attrgetter("value")
+_NAME = operator.attrgetter("name")
+_VALUE = operator.attrgetter("value")
+#: each normal-form relation on two atoms: the one definition of ground =
+#: and <, by which `normalize_literal` folds and `Backend.sat` evaluates
+GROUND = {"=": operator.eq, "<": operator.lt}
 
 
 def normalize_equality(args: tuple[Term, ...], positive: bool) -> Formula:
@@ -98,7 +101,7 @@ def normalize_equality(args: tuple[Term, ...], positive: bool) -> Formula:
     if a == b:
         return TRUE if positive else FALSE
     if isinstance(a, Const) and isinstance(b, Const):
-        return TRUE if (a.value == b.value) == positive else FALSE
+        return TRUE if GROUND["="](a.value, b.value) == positive else FALSE
     if b.key < a.key:
         a, b = b, a
     lit = Rel("=", (a, b))
@@ -490,9 +493,9 @@ class Backend:
 
     def sat(self, f: Formula, valuation: Valuation) -> bool:
         """Truth of f under a valuation covering its free variables: the
-        quantifier-free `qe(f)` evaluated at the valuation (`_holds_at`),
-        with no formula rebuilt.  The free variables of f are walked once
-        per formula, in `_free`."""
+        quantifier-free `qe(f)` evaluated at the valuation's atoms
+        (`_holds_at`), with no formula or term built.  The free variables
+        of f are walked once per formula, in `_free`."""
         fvs = self._free.get(f)
         if fvs is None:
             fvs = self._free[f] = free_vars(f)
@@ -503,29 +506,29 @@ class Backend:
             )
         for v in valuation.values():
             self.check_atom(v)
-        consts = {k: Const(v) for k, v in valuation.items()}
-        return self._holds_at(self.qe(f), consts)
+        return self._holds_at(self.qe(f), valuation)
 
-    def _holds_at(self, f: Formula, consts: dict[str, Const]) -> bool:
+    def _holds_at(self, f: Formula, valuation: Valuation) -> bool:
         """Truth of a normalized quantifier-free formula once each variable
-        takes its constant in `consts`.  And and Or short-circuit; a literal
-        is folded by `normalize_literal` on its ground arguments, so each
-        backend's ground semantics stay in one place."""
-        if isinstance(f, And):
-            return all(self._holds_at(g, consts) for g in f.args)
-        if isinstance(f, Or):
-            return any(self._holds_at(g, consts) for g in f.args)
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        positive = isinstance(f, Rel)
+        takes its atom in `valuation`.  And and Or short-circuit; a literal,
+        = or < after normalization, compares its arguments' atoms by
+        `GROUND`, so the ground semantics stay in one place."""
+        kind = type(f)
+        if kind is And or kind is Or:
+            # an And fails at its first false argument, an Or holds at its
+            # first true one
+            for g in f.args:
+                if self._holds_at(g, valuation) == (kind is Or):
+                    return kind is Or
+            return kind is And
+        if kind is Top or kind is Bot:
+            return kind is Top
+        positive = kind is Rel
         rel = f if positive else f.body
-        args = tuple(consts[t.name] if isinstance(t, Var) else t for t in rel.args)
-        g = self.normalize_literal(rel.name, args, positive)
-        if isinstance(g, (Top, Bot)):
-            return isinstance(g, Top)
-        raise AssertionError(f"ground literal did not fold: {g!r}")
+        a, b = rel.args
+        a = valuation[a.name] if isinstance(a, Var) else a.value
+        b = valuation[b.name] if isinstance(b, Var) else b.value
+        return GROUND[rel.name](a, b) == positive
 
     def holds(self, sentence: Formula) -> bool:
         return self.sat(sentence, {})

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from ..errors import VocabularyError
-from .base import Backend, normalize_equality
+from .base import GROUND, Backend, normalize_equality
 from .formulas import (
     FALSE,
     TRUE,
@@ -83,7 +83,7 @@ class DloBackend(Backend):
                 if a == b:
                     return FALSE
                 if isinstance(a, Const) and isinstance(b, Const):
-                    return TRUE if a.value < b.value else FALSE
+                    return TRUE if GROUND["<"](a.value, b.value) else FALSE
                 return Rel("<", (a, b))
             return lor(
                 self.normalize_literal("<", (b, a), True),

@@ -282,9 +282,10 @@ _EDGE_SETS: dict[str, tuple] = {
 }
 
 
-def gen_structure_pair(rng: random.Random):
-    """Two random graph-like structures over the equality atoms; universes
-    may differ, signatures always match."""
+def gen_structure_pair(rng: random.Random, backend_name: str = "equality"):
+    """Two random graph-like structures, over the equality atoms unless
+    another backend is named (the sets use = alone, so they read the same
+    over every backend); universes may differ, signatures always match."""
     from atomiso.structures import structure_from_dict
 
     ua = rng.choice(_UNIVERSES)
@@ -293,7 +294,7 @@ def gen_structure_pair(rng: random.Random):
     eb = rng.choice(_EDGE_SETS[ub])
     mk = lambda name, u, e: structure_from_dict(
         {
-            "backend": "equality",
+            "backend": backend_name,
             "name": name,
             "universe": u,
             "relations": [{"name": "E", "arity": 2, "interp": e}],

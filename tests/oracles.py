@@ -26,7 +26,13 @@ walk `Backend._nf`.
 `reference_qe` eliminates every quantifier binder by binder, the reference
 for the library's one-search decision of closed quantifier blocks.
 `reference_sat` substitutes a valuation into the eliminated formula and
-normalizes the result, the reference for the library's evaluation of it.
+normalizes the result, the reference for the library's evaluation of it,
+and `const_folding_sat` evaluates it with each variable made a constant and
+each literal folded by `normalize_literal`, as the library did before it
+compared raw atoms.  `reference_validate_structure` decides containment by
+one `is_subset` sentence per symbol against the power of the universe
+(`product_expr`), the reference for the library's validation at orbit
+representatives.
 `reference_least_support` and `reference_fn_check` send every sentence the
 library skips or replaces by breach blocks or by matching, `reference_fn_apply`
 searches a witness for every graph clause where the library matches a
@@ -55,11 +61,12 @@ from atomiso.algebra import (
     fn_check,
     fn_validate,
     is_member,
+    is_subset,
     orbit_decomposition,
     supported_by,
 )
 from atomiso.engine import FOUND, NOT_FOUND, NOT_FOUND_INCOMPLETE, Certificate
-from atomiso.errors import DomainError, ResourceError, ValidationError
+from atomiso.errors import DomainError, ResourceError, ValidationError, ValuationError
 from atomiso.exprs import (
     AtomParam,
     AtomsSet,
@@ -69,10 +76,11 @@ from atomiso.exprs import (
     SetComp,
     Union,
     clauses,
+    expr_names,
     expr_params,
     free_expr_vars,
     kind,
-    product_expr,
+    rename_clause,
     subst_expr_vars,
     union_of,
 )
@@ -92,6 +100,7 @@ from atomiso.theories.formulas import (
     FALSE,
     Forall,
     Implies,
+    NameSource,
     Not,
     Or,
     TRUE,
@@ -99,6 +108,7 @@ from atomiso.theories.formulas import (
     Top,
     Var,
     formula_atoms,
+    free_vars,
     land,
     lnot,
     lor,
@@ -359,6 +369,35 @@ def reference_qe(backend, f):
         return reference_norm(backend, nnf(lnot(backend._exists(g.var, neg))))
 
     return elim(reference_nf(backend, f))
+
+
+def const_folding_sat(backend, f, valuation) -> bool:
+    """`backend.sat(f, valuation)` as it was written before it evaluated on
+    the valuation's atoms: the same checks, then the `qe` output evaluated
+    with every variable made a `Const` and every ground literal folded by
+    the backend's `normalize_literal`."""
+    missing = free_vars(f).difference(valuation)
+    if missing:
+        raise ValuationError(f"valuation misses variables: {', '.join(sorted(missing))}")
+    for v in valuation.values():
+        backend.check_atom(v)
+    consts = {k: Const(v) for k, v in valuation.items()}
+
+    def holds(g) -> bool:
+        if isinstance(g, And):
+            return all(map(holds, g.args))
+        if isinstance(g, Or):
+            return any(map(holds, g.args))
+        if isinstance(g, (Top, Bot)):
+            return isinstance(g, Top)
+        positive = isinstance(g, Rel)
+        rel = g if positive else g.body
+        args = tuple(consts[t.name] if isinstance(t, Var) else t for t in rel.args)
+        folded = backend.normalize_literal(rel.name, args, positive)
+        assert isinstance(folded, (Top, Bot)), folded
+        return isinstance(folded, Top)
+
+    return holds(backend.qe(f))
 
 
 def reference_sat(backend, f, valuation) -> bool:
@@ -673,6 +712,46 @@ def extend_automorphism(backend_name: str, mapping: dict, atoms) -> dict:
 
 # ---------------------------------------------------------------------------
 # symbol transport tested on orbit representatives
+
+
+def product_expr(*sets: Expr) -> Union:
+    """The set of tuples pairing one element from each factor."""
+    if len(sets) < 2:
+        raise ValidationError("a product needs at least two factors")
+    fresh = NameSource(n for s in sets for n in expr_names(s))
+    out = []
+    for combo in itertools.product(*(clauses(s) for s in sets)):
+        renamed = [rename_clause(c, fresh) for c in combo]
+        element = ETuple(tuple(c.element for c in renamed))
+        binders = tuple(b for c in renamed for b in c.binders)
+        guard = land(*(c.guard for c in renamed))
+        out.append(SetComp(element, binders, guard))
+    return Union(tuple(out))
+
+
+def reference_validate_structure(comp, st) -> None:
+    """`validate_structure` by one inclusion sentence per symbol, as it was
+    decided before it worked orbit by orbit: the interpretation against
+    the power of the universe (`product_expr`), with the index set in
+    front for a family."""
+    if comp.backend.name != st.backend_name:
+        raise ValidationError(
+            f"structure {st.name!r} targets backend {st.backend_name!r}, "
+            f"not {comp.backend.name!r}"
+        )
+    for r in st.relations:
+        target = st.universe if r.arity == 1 else product_expr(*[st.universe] * r.arity)
+        if not is_subset(comp, r.interp, target):
+            raise ValidationError(
+                f"interpretation of {r.name!r} is not contained in the "
+                f"{r.arity}-fold product of the universe"
+            )
+    for f in st.families:
+        if not is_subset(comp, f.interp, product_expr(f.index_set, *[st.universe] * f.arity)):
+            raise ValidationError(
+                f"interpretation of {f.name!r} is not contained in "
+                f"index x universe^{f.arity}"
+            )
 
 
 def orbit_transport(comp, fn, A, B, *, reflect: bool = True) -> bool:

@@ -52,7 +52,6 @@ from atomiso.exprs import (
     act,
     clauses,
     expr_params,
-    product_expr,
     union_of,
 )
 from atomiso.parser import parse, print_expr
@@ -69,6 +68,7 @@ from generators import (
 )
 from oracles import (
     extend_automorphism,
+    product_expr,
     reference_fn_apply,
     reference_fn_check,
     reference_least_support,

@@ -1,12 +1,18 @@
 """Command line behavior: outputs, JSON mode, exit codes, file handling."""
 
 import json
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from atomiso import algebra, cli
 from atomiso.cli import main
+from atomiso.exprs import expr_params
+from atomiso.structures import function_from_dict, load_structure, save_structure
 from fixtures_helpers import NESTED_CYCLIC, NESTED_CYCLIC_ORBITS
+from generators import dlo_chains
 
 
 def run(capsys, *argv):
@@ -324,6 +330,49 @@ def test_uncontained_interpretation_exit(tmp_path, capsys, command, side):
     assert code == 2
     assert out == ""
     assert "not contained" in err
+
+
+@pytest.mark.parametrize("pair", ["circle", "dlo_chains(3)"])
+def test_loading_searching_and_checking_decompose_each_interpretation_once(
+    tmp_path, capsys, monkeypatch, pair
+):
+    # validation decomposes every interpretation over the search's atoms,
+    # so the search reuses those orbits and validation adds no
+    # decomposition: each (interpretation, atoms) pair is decomposed once,
+    # over the search's atoms or the final check's
+    if pair == "circle":
+        run(capsys, "fixture", "circle", "--emit", str(tmp_path))
+        files, params = [str(tmp_path / f"circle.{s}.json") for s in "ab"], ["--params", "0"]
+    else:
+        save_structure(dlo_chains(3), str(tmp_path / "chains.json"))
+        files, params = [str(tmp_path / "chains.json")] * 2, []
+    A, B = map(load_structure, files)
+    calls, during = Counter(), {}
+    decompose, validate = algebra._decompose, cli.validate_structure
+    phase = ["search"]
+
+    def counted(comp, X, S):
+        calls[X.key, S] += 1
+        during[X.key, S] = phase[0]
+        return decompose(comp, X, S)
+
+    def validating(*args):
+        phase[0] = "validation"
+        validate(*args)
+        phase[0] = "search"
+
+    monkeypatch.setattr(algebra, "_decompose", counted)
+    monkeypatch.setattr(cli, "validate_structure", validating)
+    code, out, _ = run(capsys, "--json", "iso", *files, *params)
+    assert code == 0
+    graph = function_from_dict(json.loads(out)["witness"])[1].graph
+    T = frozenset(Fraction(p) for p in params[1:])
+    interps = {r.interp.key for r in (*A.relations, *B.relations)}
+    done = {(key, S) for key, S in calls if key in interps}
+    check = A.params() | B.params() | expr_params(graph)
+    assert done == {(key, S) for key in interps for S in (T, check)}
+    assert {during[key, T] for key in interps} == {"validation"}
+    assert set(calls.values()) == {1}
 
 
 _BAD_MAPS = {

@@ -31,7 +31,6 @@ from atomiso.exprs import (
     instantiate,
     kind,
     param_occurrences,
-    product_expr,
     subst_expr_vars,
     union_of,
 )
@@ -39,7 +38,7 @@ from atomiso.parser import parse, print_expr
 from atomiso.theories import backend_names, get_backend
 from atomiso.theories.formulas import TRUE, Var, all_names, formula_atoms, ne
 from generators import gen_automorphism, gen_formula, gen_set_expr, sample_atoms
-from oracles import extend_automorphism, nnf, value_shape
+from oracles import extend_automorphism, nnf, product_expr, value_shape
 
 
 def test_tuple_needs_two_items():

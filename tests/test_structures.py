@@ -19,7 +19,17 @@ from atomiso.algebra import (
 from atomiso.compile import Compiler
 from atomiso.engine import FOUND, decide_definable_iso, enumerate_pieces
 from atomiso.errors import ValidationError
-from atomiso.exprs import ATOMS, AtomParam, ETuple, EVar, SetComp, clauses, expr_params, product_expr, union_of
+from atomiso.exprs import (
+    ATOMS,
+    EMPTY,
+    AtomParam,
+    ETuple,
+    EVar,
+    SetComp,
+    clauses,
+    expr_params,
+    union_of,
+)
 from atomiso.parser import parse
 from atomiso.structures import (
     FamilySymbol,
@@ -39,8 +49,14 @@ from atomiso.structures import (
 )
 from atomiso.theories import get_backend
 from fixtures_helpers import circle_pair, kneser_pair, neighborhoods_pair, smoothing_parts
-from generators import gen_qf_formula, gen_structure_pair, sample_atoms
-from oracles import clause_tuple_transport, orbit_transport, reference_fn_check
+from generators import gen_qf_formula, gen_set_expr, gen_structure_pair, sample_atoms
+from oracles import (
+    clause_tuple_transport,
+    orbit_transport,
+    product_expr,
+    reference_fn_check,
+    reference_validate_structure,
+)
 
 
 def test_roundtrip(tmp_path, eq_comp):
@@ -127,6 +143,118 @@ def test_validate_structure_family_interp(eq_comp):
     st2 = structure_from_dict(bad)
     with pytest.raises(ValidationError):
         validate_structure(eq_comp, st2)
+
+
+def _validation_outcome(validate, comp, st, *extra):
+    """None when `validate` accepts the structure, else its message."""
+    try:
+        validate(comp, st, *extra)
+    except ValidationError as ex:
+        return str(ex)
+    return None
+
+
+def _random_structure(rng, comp, backend_name: str, name: str) -> Structure:
+    """A random universe over two atoms, a relation of arity 1 or 2 and a
+    family of arity 1 whose interpretations are unions of orbits of a power
+    of the universe or of the atoms, so that some lie in the universe and
+    some do not."""
+    atoms = sample_atoms(rng, backend_name, 2)
+    universe = gen_set_expr(rng, backend_name, atoms, max_binders=1, depth=1)
+    index = gen_set_expr(rng, backend_name, atoms, max_binders=1, depth=1)
+
+    def some_orbits(*factors):
+        ambient = factors[0] if len(factors) == 1 else product_expr(*factors)
+        picked = [o.piece() for o in orbit_decomposition(comp, ambient, atoms) if rng.random() < 0.5]
+        return union_of(*picked) if picked else EMPTY
+
+    arity = rng.randint(1, 2)
+    factors = [rng.choice((universe, universe, ATOMS)) for _ in range(arity)]
+    relation = RelationSymbol("E", arity, some_orbits(*factors))
+    family = FamilySymbol("N", 1, index, some_orbits(rng.choice((index, ATOMS)), universe))
+    return Structure(name, backend_name, universe, (relation,), (family,))
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_validation_at_orbit_representatives_matches_the_inclusion_sentence(backend_name):
+    # seeded structure pairs, each structure also with the other's relation,
+    # and random structures whose interpretations are unions of orbits:
+    # validation at orbit representatives accepts and rejects exactly as
+    # one inclusion sentence per symbol, with the same message, over the
+    # structure's atoms and, for the random ones, over two more atoms (the
+    # pairs' sets of four binders would take seconds over more atoms)
+    rng = random.Random(61)
+    gen, comp, ref = (Compiler(get_backend(backend_name)) for _ in range(3))
+    cases = []
+    for i in range(10):
+        A, B = gen_structure_pair(rng, backend_name)
+        for st in (A, B, Structure("mixed", backend_name, A.universe, B.relations)):
+            cases.append((st, [()]))
+        extra = frozenset(sample_atoms(rng, backend_name, 2))
+        cases.append((_random_structure(rng, gen, backend_name, f"random{i}"), [(), (extra,)]))
+    outcomes = Counter()
+    for st, extras in cases:
+        want = _validation_outcome(reference_validate_structure, ref, st)
+        for extra in extras:
+            assert _validation_outcome(validate_structure, comp, st, *extra) == want, st
+        outcomes[want.split(" is not")[0] if want else "contained"] += 1
+    assert outcomes["contained"] >= 10, outcomes
+    assert outcomes["interpretation of 'E'"] >= 5, outcomes
+    assert outcomes["interpretation of 'N'"] >= 1, outcomes
+
+
+# structures not contained in their universe, made by hand: (backend,
+# universe, relations, families, the symbol the error names)
+_UNCONTAINED_STRUCTURES = {
+    "tuple-of-the-wrong-arity": (
+        "dlo",
+        "atoms",
+        [("E", 2, "{(a, b, c) | a, b, c in atoms, a < b}")],
+        [],
+        "E",
+    ),
+    "set-where-a-tuple-is-expected": (
+        "equality",
+        "atoms",
+        [("E", 2, "{(a, b) | a, b in atoms} + { {a, b} | a, b in atoms, a != b }")],
+        [],
+        "E",
+    ),
+    "family-head-outside-its-index-set": (
+        "equality",
+        "atoms",
+        [("E", 1, "atoms")],
+        [("N", 1, "{a | a in atoms, a != #1}", "{(a, b) | a, b in atoms, a != b}")],
+        "N",
+    ),
+    "atom-outside-a-cofinite-universe": (
+        "cyclic",
+        "{x | x in atoms, x != 0}",
+        [("E", 1, "{x | x in atoms, not R(1, x, 2)}")],
+        [],
+        "E",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNCONTAINED_STRUCTURES))
+def test_uncontained_structures_are_rejected_as_by_the_inclusion_sentence(case):
+    backend_name, universe, relations, families, symbol = _UNCONTAINED_STRUCTURES[case]
+    st = structure_from_dict(
+        {
+            "backend": backend_name,
+            "universe": universe,
+            "relations": [{"name": n, "arity": k, "interp": e} for n, k, e in relations],
+            "families": [
+                {"name": n, "arity": k, "index": i, "interp": e} for n, k, i, e in families
+            ],
+        }
+    )
+    got = _validation_outcome(validate_structure, Compiler(get_backend(backend_name)), st)
+    assert got is not None and got.startswith(f"interpretation of {symbol!r} is not contained")
+    assert got == _validation_outcome(
+        reference_validate_structure, Compiler(get_backend(backend_name)), st
+    )
 
 
 def test_signatures_match(eq_comp):

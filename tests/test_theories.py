@@ -4,6 +4,7 @@ types, witnesses, and partial automorphisms."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from atomiso.theories.formulas import (
 )
 from generators import gen_formula, gen_qf_formula, gen_set_expr, sample_atoms
 from oracles import (
+    const_folding_sat,
     count_tuple_orbits,
     eval_formula,
     exhaustive_pool,
@@ -301,6 +303,46 @@ def test_sat_by_evaluation_matches_substitution(name):
             verdicts[got] += 1
     assert _FOLDED_LITERAL[name] in literals
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def _outcome(call):
+    """What call() returns, or the type and message of the valuation or
+    vocabulary error it raises."""
+    try:
+        return call()
+    except (ValuationError, VocabularyError) as ex:
+        return type(ex), str(ex)
+
+
+@pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
+def test_sat_on_raw_atoms_matches_the_const_folding_evaluator(name):
+    # sat compares the valuation's atoms by GROUND; the reference makes each
+    # a Const and folds every literal by normalize_literal.  The valuations
+    # mix the formula's parameter atoms with others; a missing variable, an
+    # atom of another backend and a literal off the vocabulary raise the
+    # same errors on both
+    rng = random.Random(71)
+    b, ref = get_backend(name), get_backend(name)
+    names = ["x", "y", "z"]
+    foreign = {"equality": Fraction(1, 2), "dlo": 3, "cyclic": 3}[name]
+    off_vocabulary = [Rel("S", (Var("x"), Var("y"))), Rel("=", (Var("x"),))]
+    if name == "equality":
+        off_vocabulary.append(Rel("<", (Var("x"), Var("y"))))
+    outcomes = Counter()
+    for i in range(80):
+        atoms = sample_atoms(rng, name, 3)
+        f = gen_qf_formula(rng, name, names, atoms, depth=3)
+        pool = atoms + sample_atoms(rng, name, 2)
+        val = {v: rng.choice(pool) for v in names}
+        dropped = {v: a for v, a in val.items() if v != min(free_vars(f), default=None)}
+        cases = [(f, val), (f, dropped), (f, {**val, "y": foreign})]
+        cases.append((land(f, off_vocabulary[i % len(off_vocabulary)]), val))
+        for g, at in cases:
+            got = _outcome(lambda: b.sat(g, at))
+            assert got == _outcome(lambda: const_folding_sat(ref, g, at)), (name, g, at)
+            outcomes[got if isinstance(got, bool) else got[0]] += 1
+    assert min(outcomes[True], outcomes[False]) >= 20, outcomes
+    assert outcomes[ValuationError] >= 40 and outcomes[VocabularyError] >= 100, outcomes
 
 
 def _folded_literal(name, terms) -> Formula:
