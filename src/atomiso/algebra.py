@@ -214,7 +214,8 @@ def _decompose(comp: Compiler, X: Expr, S: frozenset) -> list[OrbitDescriptor]:
             if backend.sat(c.guard, rep):
                 t = backend.type_of(c.binders, values, S)
                 d = OrbitDescriptor(c, t, S, tuple(sorted(rep.items())))
-                if orbit_index(comp, d.rep_element(), kept[:earlier]) is None:
+                shared = kept[:earlier]
+                if not shared or orbit_index(comp, d.rep_element(), shared) is None:
                     kept.append(d)
     return kept
 

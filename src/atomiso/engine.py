@@ -68,6 +68,7 @@ from .structures import (
     check_isomorphism,
     function_to_dict,
     mode_kind,
+    require_backend,
     signatures_match,
     transport_reps,
 )
@@ -526,8 +527,9 @@ def _independent_representative(comp: Compiler, orbit, S: frozenset, T: frozense
 
 
 def _require_structure_atoms(comp: Compiler, A: Structure, B: Structure, T) -> frozenset:
-    """T as a frozenset; raises ValidationError unless it contains every
-    atom of both structures."""
+    """T as a frozenset; raises ValidationError unless both structures use
+    the compiler's backend and T contains every atom of both."""
+    require_backend(comp, A, B)
     T = frozenset(T)
     missing = (A.params() | B.params()) - T
     if missing:

@@ -11,6 +11,11 @@ Atom literals are read by one scanner, `_scan_atom`, which also serves
 `parse_atoms` for the command line's atom lists.  Comments start with `#`
 unless a digit follows and run to the end of the line: `#` and ASCII digits
 are an atom literal, `#` and any other digit is an error naming it.
+
+Closedness is decided here, once.  The parser keeps one list of variable
+uses in input order; a comprehension or quantifier, once complete, drops
+the uses since its start that it binds (`_Parser.bind`), so the first use
+left over is the first unbound one, reported with its line and column.
 """
 
 from fractions import Fraction
@@ -206,17 +211,15 @@ def _nested(production):
 
 
 class _Parser:
-    """Recursive descent over the token stream.
-
-    Expression and formula parsers return (ast, free) where free maps each
-    still-unbound variable name to the position of its first use; completing
-    a comprehension or quantifier discharges its binders from that map.
-    """
+    """Recursive descent over the token stream; each production returns its
+    AST.  Each variable use appends its token to `uses`, and a completed
+    comprehension or quantifier discharges its binders' uses by `bind`."""
 
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
         self.depth = 0
+        self.uses: list[_Token] = []
 
     # -- token plumbing -------------------------------------------------
 
@@ -258,42 +261,44 @@ class _Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def bind(self, mark: int, names) -> None:
+        """Drop the uses recorded since `mark` of the names a binder binds."""
+        self.uses[mark:] = [t for t in self.uses[mark:] if t.value not in names]
+
     # -- expressions -----------------------------------------------------
 
     @_nested
     def parse_expr(self):
         t0 = self.peek()
-        ast, free = self.parse_primary()
+        ast = self.parse_primary()
         if not self.at_sym("+"):
-            return ast, free
+            return ast
         parts = [(ast, t0)]
         while self.at_sym("+"):
             self.next()
             tn = self.peek()
-            nxt, f2 = self.parse_primary()
-            parts.append((nxt, tn))
-            _merge_free(free, f2)
+            parts.append((self.parse_primary(), tn))
         out: list[SetComp] = []
         for p, tok in parts:
             if not isinstance(p, (Union, SetComp, AtomsSet)):
                 raise ParseError("operands of + must be sets", tok.line, tok.col)
             out.extend(clauses(p))
-        return Union(tuple(out)), free
+        return Union(tuple(out))
 
     def parse_primary(self):
         t = self.peek()
         if t.kind == "kw" and t.value == "atoms":
             self.next()
-            return ATOMS, {}
+            return ATOMS
         if t.kind == "kw" and t.value == "empty":
             self.next()
-            return Union(()), {}
+            return Union(())
         if t.kind == "atom":
             self.next()
-            return AtomParam(t.value), {}
+            return AtomParam(t.value)
         if t.kind == "ident":
-            self.next()
-            return EVar(t.value), {t.value: (t.line, t.col)}
+            self.uses.append(self.next())
+            return EVar(t.value)
         if t.kind == "sym" and t.value == "(":
             return self.parse_tuple()
         if t.kind == "sym" and t.value == "{":
@@ -302,47 +307,37 @@ class _Parser:
 
     def parse_tuple(self):
         opener = self.expect_sym("(")
-        items = []
-        free: dict = {}
-        ast, f = self.parse_expr()
-        items.append(ast)
-        _merge_free(free, f)
+        items = [self.parse_expr()]
         while self.at_sym(","):
             self.next()
-            ast, f = self.parse_expr()
-            items.append(ast)
-            _merge_free(free, f)
+            items.append(self.parse_expr())
         self.expect_sym(")")
         if len(items) < 2:
             raise ParseError(
                 "a tuple needs at least two components", opener.line, opener.col
             )
-        return ETuple(tuple(items)), free
+        return ETuple(tuple(items))
 
     def parse_brace(self):
         self.expect_sym("{")
-        head, head_free = self.parse_expr()
+        mark = len(self.uses)
+        head = self.parse_expr()
         if self.at_sym("|"):
             self.next()
-            return self.parse_comp_tail(head, head_free)
+            return self.parse_comp_tail(head, mark)
         elements = [head]
-        free = dict(head_free)
         while self.at_sym(","):
             self.next()
-            ast, f = self.parse_expr()
-            elements.append(ast)
-            _merge_free(free, f)
+            elements.append(self.parse_expr())
         self.expect_sym("}")
-        return Union(tuple(SetComp(e, (), TRUE) for e in elements)), free
+        return Union(tuple(SetComp(e, (), TRUE) for e in elements))
 
-    def parse_comp_tail(self, element, element_free):
+    def parse_comp_tail(self, element, mark: int):
         binders = []
-        seen = set()
         while True:
             t = self.expect_ident()
-            if t.value in seen:
+            if t.value in binders:
                 raise ParseError(f"duplicate binder {t.value!r}", t.line, t.col)
-            seen.add(t.value)
             binders.append(t.value)
             if self.at_sym(","):
                 self.next()
@@ -351,20 +346,12 @@ class _Parser:
         self.expect_kw("in")
         self.expect_kw("atoms")
         guard = TRUE
-        guard_free: dict = {}
         if self.at_sym(","):
             self.next()
-            guard, guard_free = self.parse_formula()
+            guard = self.parse_formula()
         self.expect_sym("}")
-        free: dict = {}
-        for name, pos in element_free.items():
-            if name not in seen:
-                free[name] = pos
-        for name, pos in guard_free.items():
-            if name not in seen:
-                _merge_free(free, {name: pos})
-        comp = SetComp(element, tuple(binders), guard)
-        return Union((comp,)), free
+        self.bind(mark, binders)
+        return Union((SetComp(element, tuple(binders), guard),))
 
     # -- formulas ----------------------------------------------------------
 
@@ -373,33 +360,25 @@ class _Parser:
 
     @_nested
     def parse_implies(self):
-        lhs, free = self.parse_or()
+        lhs = self.parse_or()
         if self.at_sym("->"):
             self.next()
-            rhs, f2 = self.parse_implies()
-            _merge_free(free, f2)
-            return Implies(lhs, rhs), free
-        return lhs, free
+            return Implies(lhs, self.parse_implies())
+        return lhs
 
     def parse_or(self):
-        lhs, free = self.parse_and()
-        parts = [lhs]
+        parts = [self.parse_and()]
         while self.at_kw("or"):
             self.next()
-            nxt, f2 = self.parse_and()
-            parts.append(nxt)
-            _merge_free(free, f2)
-        return (lor(*parts) if len(parts) > 1 else lhs), free
+            parts.append(self.parse_and())
+        return lor(*parts) if len(parts) > 1 else parts[0]
 
     def parse_and(self):
-        lhs, free = self.parse_unary()
-        parts = [lhs]
+        parts = [self.parse_unary()]
         while self.at_kw("and"):
             self.next()
-            nxt, f2 = self.parse_unary()
-            parts.append(nxt)
-            _merge_free(free, f2)
-        return (land(*parts) if len(parts) > 1 else lhs), free
+            parts.append(self.parse_unary())
+        return land(*parts) if len(parts) > 1 else parts[0]
 
     def parse_unary(self):
         # a run of negations is read in a loop: it does not deepen the
@@ -413,23 +392,23 @@ class _Parser:
             self.next()
             v = self.expect_ident()
             self.expect_sym(".")
-            body, free = self.parse_formula()
-            free.pop(v.value, None)
-            out = ctor(v.value, body)
+            mark = len(self.uses)
+            out = ctor(v.value, self.parse_formula())
+            self.bind(mark, (v.value,))
         else:
-            out, free = self.parse_atomic()
+            out = self.parse_atomic()
         for _ in range(negations):
             out = lnot(out)
-        return out, free
+        return out
 
     def parse_atomic(self):
         t = self.peek()
         if t.kind == "kw" and t.value == "true":
             self.next()
-            return TRUE, {}
+            return TRUE
         if t.kind == "kw" and t.value == "false":
             self.next()
-            return FALSE, {}
+            return FALSE
         if t.kind == "kw" and t.value == "R":
             self.next()
             self.expect_sym("(")
@@ -438,60 +417,40 @@ class _Parser:
                 self.expect_sym(",")
                 args.append(self.parse_term())
             self.expect_sym(")")
-            free: dict = {}
-            for term, pos in args:
-                if isinstance(term, Var):
-                    _merge_free(free, {term.name: pos})
-            return Rel("R", tuple(term for term, _ in args)), free
+            return Rel("R", tuple(args))
         if t.kind == "sym" and t.value == "(":
             self.next()
-            inner, free = self.parse_formula()
+            inner = self.parse_formula()
             self.expect_sym(")")
-            return inner, free
-        lhs, lpos = self.parse_term()
+            return inner
+        lhs = self.parse_term()
         op = self.next()
         if op.kind != "sym" or op.value not in ("=", "!=", "<", "<="):
             raise ParseError("expected a comparison operator", op.line, op.col)
-        rhs, rpos = self.parse_term()
-        free = {}
-        if isinstance(lhs, Var):
-            _merge_free(free, {lhs.name: lpos})
-        if isinstance(rhs, Var):
-            _merge_free(free, {rhs.name: rpos})
-        if op.value == "=":
-            out = Rel("=", (lhs, rhs))
-        elif op.value == "!=":
-            out = lnot(Rel("=", (lhs, rhs)))
-        elif op.value == "<":
-            out = Rel("<", (lhs, rhs))
-        else:
-            out = Rel("<=", (lhs, rhs))
-        return out, free
+        rhs = self.parse_term()
+        if op.value == "!=":
+            return lnot(Rel("=", (lhs, rhs)))
+        return Rel(op.value, (lhs, rhs))
 
     def parse_term(self):
         t = self.next()
         if t.kind == "ident":
-            return Var(t.value), (t.line, t.col)
+            self.uses.append(t)
+            return Var(t.value)
         if t.kind == "atom":
-            return Const(t.value), (t.line, t.col)
+            return Const(t.value)
         raise ParseError("expected a variable or an atom literal", t.line, t.col)
 
 
-def _merge_free(into: dict, new: dict) -> None:
-    for name, pos in new.items():
-        into.setdefault(name, pos)
-
-
-def _closed(p: _Parser, ast, free: dict, what: str):
-    """ast, once p is at the end of its input and nothing is left free; the
-    first unbound variable is reported at its first position."""
+def _closed(p: _Parser, ast, what: str):
+    """ast, once p is at the end of its input and no use is left unbound;
+    the first unbound use is reported."""
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input after {what}", t.line, t.col)
-    if free:
-        name = min(free, key=lambda k: free[k])
-        line, col = free[name]
-        raise ParseError(f"unbound variable {name!r}", line, col)
+    if p.uses:
+        u = p.uses[0]
+        raise ParseError(f"unbound variable {u.value!r}", u.line, u.col)
     return ast
 
 
@@ -499,7 +458,7 @@ def parse(text: str, backend: Backend | None = None) -> Expr:
     """Parse a closed expression; with a backend, also validate guards and
     atom literals against its vocabulary."""
     p = _Parser(_tokenize(text))
-    ast = _closed(p, *p.parse_expr(), "expression")
+    ast = _closed(p, p.parse_expr(), "expression")
     if backend is not None:
         validate_expr(ast, backend)
     return ast
@@ -508,7 +467,7 @@ def parse(text: str, backend: Backend | None = None) -> Expr:
 def parse_formula(text: str, backend: Backend | None = None) -> Formula:
     """Parse a closed formula (no free variables)."""
     p = _Parser(_tokenize(text))
-    ast = _closed(p, *p.parse_formula(), "formula")
+    ast = _closed(p, p.parse_formula(), "formula")
     if backend is not None:
         backend.validate(ast)
     return ast
@@ -557,12 +516,8 @@ def print_formula(f: Formula, level: int = _LVL_IMPLIES) -> str:
     if isinstance(f, Bot):
         return "false"
     if isinstance(f, Rel):
-        if f.name == "=":
-            return f"{print_term(f.args[0])} = {print_term(f.args[1])}"
-        if f.name == "<":
-            return f"{print_term(f.args[0])} < {print_term(f.args[1])}"
-        if f.name == "<=":
-            return f"{print_term(f.args[0])} <= {print_term(f.args[1])}"
+        if f.name in ("=", "<", "<="):
+            return f"{print_term(f.args[0])} {f.name} {print_term(f.args[1])}"
         args = ", ".join(print_term(a) for a in f.args)
         return f"{f.name}({args})"
     if isinstance(f, Not):

@@ -305,6 +305,13 @@ def signatures_match(comp: Compiler, A: Structure, B: Structure) -> bool:
     return True
 
 
+def require_backend(comp: Compiler, A: Structure, B: Structure) -> None:
+    """Raises ValidationError unless both structures use the compiler's
+    backend: a verdict of another theory would be no answer."""
+    if A.backend_name != comp.backend.name or B.backend_name != comp.backend.name:
+        raise ValidationError("structures and compiler use different backends")
+
+
 def check_isomorphism(
     comp: Compiler, fn: DefFunction, A: Structure, B: Structure, *, mode: str = "iso"
 ) -> bool:
@@ -315,8 +322,7 @@ def check_isomorphism(
     is validated first (ValidationError), so a malformed map is reported as
     such whatever the structures."""
     injective, surjective = mode_kind(mode)
-    if A.backend_name != comp.backend.name or B.backend_name != comp.backend.name:
-        raise ValidationError("structures and compiler use different backends")
+    require_backend(comp, A, B)
     fn_validate(comp, fn)
     if not signatures_match(comp, A, B):
         return False

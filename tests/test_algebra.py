@@ -12,6 +12,7 @@ import pytest
 
 from atomiso.algebra import (
     DefFunction,
+    OrbitDescriptor,
     _element_injective,
     _shows_binders,
     definable_subsets,
@@ -734,15 +735,20 @@ def test_orbit_decomposition_matches_the_membership_reference(backend_name):
 
 def test_orbit_decomposition_of_one_injective_clause_needs_no_merge_test(monkeypatch):
     # distinct types of a clause whose element shows every binder are
-    # distinct orbits: each admitted type is kept with no in_orbit call
+    # distinct orbits: each admitted type is kept with no in_orbit call,
+    # and with no representative built for a lookup that scans nothing
     comp = Compiler(get_backend("dlo"))
     x = _p("{(a, b, c) | a, b, c in atoms}", comp)
     s = frozenset({Fraction(1), Fraction(2)})
     calls = []
     merge_test = in_orbit
     monkeypatch.setattr("atomiso.algebra.in_orbit", lambda *args: calls.append(args) or merge_test(*args))
+    reps = []
+    rep_element = OrbitDescriptor.rep_element
+    monkeypatch.setattr(OrbitDescriptor, "rep_element", lambda d: reps.append(d) or rep_element(d))
     got = orbit_decomposition(comp, x, s)
     assert calls == []
+    assert reps == []
     assert len(got) == sum(1 for _ in comp.backend.type_reps(("a", "b", "c"), s))
 
 

@@ -202,6 +202,26 @@ def test_params_must_cover_structures(eq_comp):
     assert cert.verdict == FOUND
 
 
+@pytest.mark.parametrize("backend", ["dlo", "equality"])
+def test_a_search_under_another_backend_is_refused(monkeypatch, backend):
+    """Cyclic atoms against cyclic distinct pairs is inconclusive over the
+    cyclic backend; another compiler must not answer for another theory,
+    and must refuse before it decomposes anything."""
+    A = structure_from_dict({"backend": "cyclic", "universe": "atoms"})
+    B = structure_from_dict(
+        {"backend": "cyclic", "universe": "{(a, b) | a, b in atoms, a != b}"}
+    )
+    assert decide_definable_iso(Compiler(get_backend("cyclic")), A, B).verdict == NOT_FOUND_INCOMPLETE
+    monkeypatch.setattr(algebra, "_decompose", lambda *args: pytest.fail("decomposed"))
+    comp = Compiler(get_backend(backend))
+    for search in (
+        lambda: decide_definable_iso(comp, A, B),
+        lambda: find_definable_map(comp, A, B, frozenset(), mode="hom"),
+    ):
+        with pytest.raises(ValidationError, match="structures and compiler use different backends"):
+            search()
+
+
 def test_budget_exhaustion(eq_comp):
     A, B = kneser_pair()
     with pytest.raises(ResourceError):

@@ -1,13 +1,24 @@
 """Grammar coverage: accepted forms, printed canonical forms, reparse
 identity, and rejected inputs with their reported positions."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from atomiso.errors import ParseError, VocabularyError
-from atomiso.exprs import AtomParam, AtomsSet, ETuple, Union, expr_params, kind
+from atomiso.exprs import (
+    AtomParam,
+    AtomsSet,
+    ETuple,
+    EVar,
+    SetComp,
+    Union,
+    expr_params,
+    kind,
+    subst_expr_vars,
+)
 from atomiso.parser import (
     MAX_NESTING,
     parse,
@@ -18,8 +29,8 @@ from atomiso.parser import (
     validate_expr,
 )
 from atomiso.theories import get_backend
-from atomiso.theories.formulas import TRUE, Exists, Implies, Not, Or
-from generators import gen_set_expr
+from atomiso.theories.formulas import TRUE, And, Exists, Implies, Not, Or, Rel, Var, subst
+from generators import gen_set_expr, sample_atoms
 
 
 def test_parse_atoms_and_empty():
@@ -220,6 +231,72 @@ def test_error_positions():
     with pytest.raises(ParseError) as ei2:
         parse("{a |\n a in}")
     assert ei2.value.line == 2
+
+
+def _with_zz(e, pick):
+    """e with the variable use that `pick()` first answers True for renamed
+    `zz`: an element's through `subst_expr_vars`, a guard literal's through
+    `formulas.subst`.  `pick` is asked once per use."""
+    if isinstance(e, EVar):
+        return subst_expr_vars(e, {e.name: EVar("zz")}) if pick() else e
+    if isinstance(e, ETuple):
+        return ETuple(tuple(_with_zz(i, pick) for i in e.items))
+    if isinstance(e, Union):
+        return Union(tuple(_with_zz(c, pick) for c in e.clauses))
+    if isinstance(e, SetComp):
+        return SetComp(_with_zz(e.element, pick), e.binders, _guard_with_zz(e.guard, pick))
+    return e
+
+
+def _guard_with_zz(f, pick):
+    if isinstance(f, Rel):
+        for t in f.args:
+            if isinstance(t, Var) and pick():
+                return subst(f, {t.name: Var("zz")})
+        return f
+    if isinstance(f, Not):
+        return Not(_guard_with_zz(f.body, pick))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_guard_with_zz(g, pick) for g in f.args))
+    return f
+
+
+def test_unbound_variable_reported_at_its_first_use():
+    """One use of a closed expression renamed to a fresh name is reported
+    where the name first occurs, on every backend."""
+    rng = random.Random(28)
+    placed = 0
+    for name in ("equality", "dlo", "cyclic"):
+        b = get_backend(name)
+        for _ in range(80):
+            e = gen_set_expr(rng, name, sample_atoms(rng, name, 2), max_binders=3, depth=2)
+            uses = []
+            _with_zz(e, lambda: uses.append(None))
+            if not uses:
+                continue
+            ticks = itertools.count(-rng.randrange(len(uses)))
+            text = print_expr(_with_zz(e, lambda: next(ticks) == 0))
+            assert "zz" in text
+            with pytest.raises(ParseError) as ei:
+                parse(text, b)
+            assert str(ei.value) == f"unbound variable 'zz' (line 1, column {text.index('zz') + 1})", text
+            placed += 1
+    assert placed > 150
+
+
+@pytest.mark.parametrize(
+    "text, name, column",
+    [
+        # bound in another clause of the union, not in the one that uses it
+        ("{x | x in atoms} + {(x, y) | y in atoms}", "x", 22),
+        # free in the body of a quantifier that binds another name
+        ("{a | a in atoms, exists b. a = b and c = b}", "c", 38),
+    ],
+)
+def test_unbound_variable_edge_cases(text, name, column):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value) == f"unbound variable {name!r} (line 1, column {column})"
 
 
 def test_nesting_limit():
