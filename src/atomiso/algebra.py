@@ -14,19 +14,25 @@ whether a closed value lies in an orbit.  Likewise `supported_by` is the one
 test of whether S supports a value: `least_support` removes atoms greedily
 through it, and the isomorphism search filters with it the candidate images
 of a target universe with a clause whose element does not show every binder
-through tuples, a set-valued one for instance.  For the other universes the
-search writes the fixed images down instead, from the binder values that the
-support pins (`base.pinned_reps`).
+(`_shape`), a comprehension-valued one for instance.  For the other
+universes the search writes the fixed images down instead, from the binder
+values that the support pins (`base.pinned_reps`).
 
-Whether a closed value is an instance of an expression that shows every
-binder of its clause through tuples is decided by one kernel, `_admits`:
-the value is matched against the expression, which fixes the only
-candidate row of binder values, and the guard is evaluated there, with no
-sentence.  It serves `in_orbit`, `is_member`, `fn_apply` and `determined`,
-and so the final check of a map (`fn_validate`, `fn_check`), which works
-at the representatives of the S-orbits of the graph, the domain and the
-codomain.  Each caller keeps its compiled sentence for clauses that hide a
-binder, in a set component for instance.
+An expression shows the binders of its clause when it is built from them,
+atoms, tuples and finite set literals such as `{a, b}` (a union of clauses
+without binders) and mentions every binder.  Whether a closed value is an
+instance of such an expression is decided by one kernel, `_admits`: the
+value is matched against the expression, which leaves finitely many rows of
+binder values (one, through tuples alone), and the guard is evaluated at
+each, with no sentence.  Against a literal the value must be finite too
+(`_value`): a comprehension may denote a finite set, so it keeps the
+compiled sentence.  The kernel serves `in_orbit`, `is_member`, `fn_apply`
+and `determined`, and so the final check of a map (`fn_validate`,
+`fn_check`), which works at the representatives of the S-orbits of the
+graph, the domain and the codomain.  Each caller keeps its compiled
+sentence for clauses that hide a binder, in a comprehension for instance.
+Only elements shown through tuples alone are injective in their binders
+(`_element_injective`): `{a, b}` is also `{b, a}`.
 """
 
 from dataclasses import dataclass
@@ -97,13 +103,21 @@ def set_equal(comp: Compiler, e1: Expr, e2: Expr) -> bool:
 
 def is_member(comp: Compiler, x: Expr, s: Expr) -> bool:
     """Whether the value of x belongs to the set s.  When every clause of s
-    shows all its binders, the kernel `_admits` decides clause by clause
-    with no sentence; otherwise the compiled membership does."""
+    shows all its binders (`_shape`), and x is finite if one shows them
+    through a literal, the kernel `_admits` decides clause by clause with
+    no sentence; otherwise the compiled membership does."""
     _require_closed(x)
     _require_closed(s)
     cs = clauses(s)
-    if all(_element_injective(c) for c in cs):
-        return any(_admits(comp, c.element, c.guard, x) is not None for c in cs)
+    shapes = [_shape(c.element, c.binders) for c in cs]
+    if all(shapes):
+        literal = _LITERALS in shapes
+        xv = _value(x) if literal else None
+        if not literal or xv is not None:
+            for c in cs:
+                for _ in _admits(comp, c.element, c.guard, x, xv):
+                    return True
+            return False
     return comp.holds(comp.member(x, s))
 
 
@@ -148,18 +162,34 @@ class OrbitDescriptor:
 
 def _element_injective(c: SetComp) -> bool:
     """True when distinct binder tuples always yield distinct elements:
-    the element shows every binder (`_shows_binders`)."""
+    the element shows every binder through tuples (`_shows_binders`)."""
     return _shows_binders(c.element, c.binders)
 
 
 def _shows_binders(e: Expr, binders) -> bool:
-    """True when e is pure atom/tuple structure mentioning every binder, so
-    that a closed value of e's form fixes the value of each binder
-    (`_match`).  With no binders, it says that a closed value is flat:
-    atoms and tuples only."""
+    """True when e shows every binder through tuples alone (`_shape`)."""
+    return _shape(e, binders) == _TUPLES
+
+
+#: `_shape` of an expression that shows every binder through tuples alone,
+#: and of one that shows them through finite set literals too
+_TUPLES, _LITERALS = 1, 2
+
+
+def _shape(e: Expr, binders) -> int:
+    """How e shows the binders: `_TUPLES` when e is pure atom/tuple
+    structure mentioning every binder, so that a closed value of e's form
+    fixes the value of each binder (`_match`); `_LITERALS` when finite set
+    literals, unions of clauses without binders, occur in that structure
+    too, so that a finite closed value leaves finitely many rows of binder
+    values (`_rows`); 0 when e hides a binder or holds any other set.  With
+    no binders, `_TUPLES` says that a closed value is flat: atoms and
+    tuples only."""
     used: set[str] = set()
+    literal = False
 
     def walk(e: Expr) -> bool:
+        nonlocal literal
         if isinstance(e, EVar):
             used.add(e.name)
             return True
@@ -167,14 +197,50 @@ def _shows_binders(e: Expr, binders) -> bool:
             return True
         if isinstance(e, ETuple):
             return all(walk(i) for i in e.items)
+        if _literal(e):
+            literal = True
+            return all(walk(c.element) for c in e.clauses)
         return False
 
-    return walk(e) and used.issuperset(binders)
+    if not (walk(e) and used.issuperset(binders)):
+        return 0
+    return _LITERALS if literal else _TUPLES
+
+
+def _literal(e: Expr) -> bool:
+    """Whether e is a finite set literal: a union of clauses without
+    binders, such as `{a, b}`, whatever its members."""
+    return isinstance(e, Union) and not any(c.binders for c in e.clauses)
 
 
 def _flat(x: Expr) -> bool:
     """Whether the closed value x is made of atoms and tuples only."""
-    return _shows_binders(x, ())
+    return _shape(x, ()) == _TUPLES
+
+
+def _value(e: Expr, row=None):
+    """The canonical value of e, each binder taking its atom in row: an
+    atom as itself, a tuple as the tuple of its components' values, and a
+    finite set literal as the frozenset of its members' values; None when
+    e holds any other set.  Two finite closed values are equal exactly
+    when their canonical values are."""
+    if isinstance(e, AtomParam):
+        return e.value
+    if isinstance(e, EVar):
+        return row[e.name]
+    if isinstance(e, ETuple):
+        parts, make = e.items, tuple
+    elif _literal(e):
+        parts, make = [c.element for c in e.clauses], frozenset
+    else:
+        return None
+    values = []
+    for p in parts:
+        v = _value(p, row)
+        if v is None:
+            return None
+        values.append(v)
+    return make(values)
 
 
 def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
@@ -220,24 +286,34 @@ def _decompose(comp: Compiler, X: Expr, S: frozenset) -> list[OrbitDescriptor]:
     return kept
 
 
-def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor) -> bool:
+def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor, known=None) -> bool:
     """Whether the closed value x lies in the orbit, that is in
     `orbit.piece()`.
 
-    When the clause's element shows every binder (`_element_injective`),
-    the kernel `_admits` decides with the orbit's type as the guard: the
-    clause's guard admits that type, as it admits its representative.
-    Otherwise x is matched against the element (`_match`), and the binders
-    the element shows must take their type at the representative, by
-    `sat`; then one closed block `exists binders: guard and type and x =
-    element` decides, over the clause's own binders: x is closed and
-    `Compiler.equal` reserves the names of both sides, so nothing is
-    captured, and one compiled equality serves every orbit of the
-    clause."""
-    _require_closed(x)
+    When the clause's element shows every binder (`_shape`), and x is
+    finite if it shows one through a literal, the kernel `_admits` decides
+    with the orbit's type as the guard: the clause's guard admits that
+    type, as it admits its representative.  Otherwise x is matched against
+    the element (`_match`), and the binders the element shows through
+    tuples must take their type at the representative, by `sat`; then one
+    closed block `exists binders: guard and type and x = element` decides,
+    over the clause's own binders: x is closed and `Compiler.equal`
+    reserves the names of both sides, so nothing is captured, and one
+    compiled equality serves every orbit of the clause.
+
+    `known` is the pair (the clause's shape, x's canonical value when that
+    shape is `_LITERALS`, else None) from a caller that checked x already,
+    as `orbit_index` does; without it x is checked here."""
     c = orbit.clause
-    if _element_injective(c):
-        return _admits(comp, c.element, orbit.type_formula, x) is not None
+    if known is None:
+        _require_closed(x)
+        shape = _shape(c.element, c.binders)
+        known = shape, _value(x) if shape == _LITERALS else None
+    shape, xv = known
+    if shape == _TUPLES or xv is not None:
+        for _ in _admits(comp, c.element, orbit.type_formula, x, xv):
+            return True
+        return False
     row: dict = {}
     if not _match(c.element, x, row):
         return False
@@ -250,18 +326,76 @@ def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor) -> bool:
     return comp.holds(quantify(Exists, c.binders, body))
 
 
-def _admits(comp: Compiler, shown: Expr, guard: Formula, x: Expr) -> dict | None:
-    """The binder values at which `shown` takes the closed value x and the
-    guard holds, or None when there are none.  `shown` must show every
-    binder of the guard's clause (`_shows_binders`): x then fixes the only
-    candidate row by `_match`, and `sat` evaluates the guard there, so the
-    answer is exact and sends no sentence.  The one kernel behind
-    `in_orbit`, `is_member`, `fn_apply`, `determined` and so the final
-    check."""
-    row: dict = {}
-    if _match(shown, x, row) and comp.backend.sat(guard, row):
-        return row
-    return None
+def _admits(comp: Compiler, shown: Expr, guard: Formula, x: Expr, xv=None):
+    """The rows of binder values at which `shown` takes the closed value x
+    and the guard holds, each once.  `shown` must show every binder of the
+    guard's clause (`_shape`).  Through tuples alone, with xv None, x fixes
+    the only candidate row by `_match`.  Otherwise xv is the canonical value
+    of x (`_value`, not None) and `_rows` gives the candidate rows, lazily,
+    so a caller that needs one row stops at the first.  `sat` evaluates the
+    guard at each candidate, so the answer is exact and sends no sentence.
+    The one kernel behind `in_orbit`, `is_member`, `fn_apply`,
+    `determined` and so the final check."""
+    if xv is None:
+        row: dict = {}
+        return (row,) if _match(shown, x, row) and comp.backend.sat(guard, row) else ()
+    return _admitted(comp, shown, guard, xv)
+
+
+def _admitted(comp: Compiler, shown: Expr, guard: Formula, xv):
+    """The rows of `_admits` against the canonical value xv."""
+    seen: list[dict] = []
+    for row in _rows(shown, xv, {}):
+        if row not in seen:
+            seen.append(row)
+            if comp.backend.sat(guard, row):
+                yield row
+
+
+def _rows(e: Expr, v, row: dict):
+    """The rows at which e takes the canonical value v, each extending row
+    (left as it is), possibly with repeats.  e shows its binders
+    (`_shape`), so a binder meets an atom of v, a constant must equal it,
+    and a tuple matches component by component.  A literal's members are
+    each assigned to one member of v, in order, and a branch ends once
+    fewer members are left to assign than members of v are uncovered; a
+    completed assignment may still leave a member uncovered, so the
+    literal's value there must equal v."""
+    if isinstance(e, ETuple):
+        if isinstance(v, tuple) and len(v) == len(e.items):
+            yield from _assign([(i, (w,)) for i, w in zip(e.items, v)], row, 0)
+    elif isinstance(e, Union):
+        if isinstance(v, frozenset):
+            members = tuple(v)
+            for r in _assign([(c.element, members) for c in e.clauses], row, len(members)):
+                if _value(e, r) == v:
+                    yield r
+    elif isinstance(v, (tuple, frozenset)):
+        return
+    elif isinstance(e, AtomParam):
+        if v == e.value:
+            yield row
+    elif e.name not in row:
+        yield {**row, e.name: v}
+    elif row[e.name] == v:
+        yield row
+
+
+def _assign(parts: list, row: dict, cover: int, covered: frozenset = frozenset()):
+    """The rows of `_rows` for parts, each (expression, the values it may
+    take), matched in order from row.  A literal's members are to take all
+    `cover` values between them, a tuple's components none; `covered`
+    holds the positions of the values taken so far, and a branch ends once
+    fewer parts are left than positions are uncovered."""
+    if not parts:
+        yield row
+        return
+    if len(parts) < cover - len(covered):
+        return
+    (e, options), rest = parts[0], parts[1:]
+    for j, w in enumerate(options):
+        for r in _rows(e, w, row):
+            yield from _assign(rest, r, cover, covered | {j})
 
 
 def _match(element: Expr, x: Expr, row: dict) -> bool:
@@ -284,8 +418,21 @@ def _match(element: Expr, x: Expr, row: dict) -> bool:
 
 def orbit_index(comp: Compiler, x: Expr, orbits) -> int | None:
     """The index of the orbit among `orbits` that holds the closed value x
-    (`in_orbit`), or None when none does."""
-    return next((j for j, o in enumerate(orbits) if in_orbit(comp, x, o)), None)
+    (`in_orbit`), or None when none does.  x is checked once, and its
+    canonical value taken at most once; each clause's shape is taken once
+    per run of its orbits, which a decomposition lists together."""
+    _require_closed(x)
+    clause = xv = None
+    valued = False
+    for j, o in enumerate(orbits):
+        if o.clause is not clause:
+            clause = o.clause
+            shape = _shape(clause.element, clause.binders)
+            if shape == _LITERALS and not valued:
+                valued, xv = True, _value(x)
+        if in_orbit(comp, x, o, (shape, xv if shape == _LITERALS else None)):
+            return j
+    return None
 
 
 def _abstracted(x: Expr):
@@ -314,16 +461,21 @@ def orbit_expression(comp: Compiler, x: Expr, S) -> Union:
 def supported_by(comp: Compiler, x: Expr, S) -> bool:
     """Whether every automorphism fixing S pointwise fixes the value of x.
 
-    Two cases send no sentence.  An atom that is x itself or a component of
-    x as a tuple lies in every support, since for any finite S and atom a
-    outside it some automorphism fixing S moves a (on all three backends);
-    and the atoms of x support x.  Otherwise one sentence: every valuation
-    of x's atoms with their type over the atoms of S among them gives x
-    again.  Only those atoms matter, as the least support of x lies among
-    its atoms and supports are closed upward."""
+    Two cases send no sentence.  An atom shown in x (`_shown_atoms`), that
+    is x itself or an atom reached through tuples and finite set literals,
+    lies in every support, by homogeneity on all three backends: for such
+    an atom b outside S, some automorphism fixes S and the other atoms of
+    x pointwise and sends b to an atom b' fresh to x.  Follow the tuple
+    components of x to the atom or finite value (`_value`) that holds b:
+    its image there holds b' and it holds none, and a finite value's atoms
+    are those of its canonical value, so the image of x is another value.
+    And the atoms of x support x.  Otherwise one sentence: every
+    valuation of x's atoms with their type over the atoms of S among them
+    gives x again.  Only those atoms matter, as the least support of x lies
+    among its atoms and supports are closed upward."""
     _require_closed(x)
     S = frozenset(S)
-    if not S.issuperset(_tuple_atoms(x)):
+    if not S.issuperset(_shown_atoms(x)):
         return False
     occs, binders, body = _abstracted(x)
     if S.issuperset(occs):
@@ -344,13 +496,16 @@ def least_support(comp: Compiler, x: Expr) -> frozenset:
     return frozenset(support)
 
 
-def _tuple_atoms(x: Expr) -> tuple:
-    """The atoms reached from x through tuples alone, in walk order, with
-    repeats; the atoms of set components are not reached."""
+def _shown_atoms(x: Expr) -> tuple:
+    """The atoms reached from x through tuples and finite set literals
+    (`_value`), in walk order, with repeats; the atoms of any other set, and
+    of a literal that holds one, are not reached."""
     if isinstance(x, AtomParam):
         return (x.value,)
     if isinstance(x, ETuple):
-        return tuple(a for i in x.items for a in _tuple_atoms(i))
+        return tuple(a for i in x.items for a in _shown_atoms(i))
+    if _value(x) is not None:
+        return tuple(param_occurrences(x))
     return ()
 
 
@@ -446,21 +601,26 @@ def determined(comp: Compiler, parts, by: int) -> bool:
     and q, so the order of the two parts does not matter.
 
     When one part has no binders and the other's component `by` shows all
-    its binders, the fixed component picks the only instance that can
-    agree with it (`_admits`), and the breach is that instance's other
-    component differing from the fixed one: compared as written when both
-    are flat, else by one closed equality.  Otherwise one breach block
-    decides."""
+    its binders (`_shape`), and the fixed component is finite if it shows
+    one through a literal, the fixed component picks the instances that
+    can agree with it: each row `_admits` gives, as a literal can be
+    matched more than one way.  The breach is such an instance's other
+    component differing from the fixed one: compared by canonical value
+    when both are finite (`_value`), else by one closed equality.
+    Otherwise one breach block decides."""
     for c, fixed in (parts, parts[::-1]):
-        if fixed.binders or not _shows_binders(c.element.items[by], c.binders):
+        if fixed.binders:
             continue
-        row = _admits(comp, c.element.items[by], c.guard, fixed.element.items[by])
-        if row is None:
-            return True
-        mine, theirs = instantiate(c.element.items[1 - by], row), fixed.element.items[1 - by]
-        if _flat(mine) and _flat(theirs):
-            return mine == theirs
-        return comp.holds(comp.equal(mine, theirs))
+        shown, at = c.element.items[by], fixed.element.items[by]
+        shape = _shape(shown, c.binders)
+        xv = _value(at) if shape == _LITERALS else None
+        if shape == _TUPLES or xv is not None:
+            mine, theirs = c.element.items[1 - by], fixed.element.items[1 - by]
+            want = _value(theirs)
+            return all(
+                _agrees(comp, mine, row, theirs, want)
+                for row in _admits(comp, shown, c.guard, at, xv)
+            )
 
     def differ(pq):
         p, q = pq
@@ -470,6 +630,17 @@ def determined(comp: Compiler, parts, by: int) -> bool:
         )
 
     return not comp.holds(breach_block(comp, parts, differ))
+
+
+def _agrees(comp: Compiler, e: Expr, row: dict, theirs: Expr, want) -> bool:
+    """Whether e at the binder values of row equals the closed value
+    theirs, whose canonical value is want: compared by value when both
+    are finite, else by one closed equality."""
+    if want is not None:
+        mine = _value(e, row)
+        if mine is not None:
+            return mine == want
+    return comp.holds(comp.equal(instantiate(e, row), theirs))
 
 
 def fn_check(
@@ -529,18 +700,25 @@ def fn_bijective(comp: Compiler, fn: DefFunction) -> bool:
 def fn_apply(comp: Compiler, fn: DefFunction, x: Expr) -> Expr:
     """The value of the function at x; raises DomainError off the domain.
     Expects a validated, functional graph.  The clauses are tried in
-    order: one whose first component shows all its binders matches x by
-    the kernel `_admits`, any other searches a witness."""
+    order: one whose first component shows all its binders (`_shape`),
+    with x finite if it shows one through a literal, matches x by the
+    kernel `_admits`, any other searches a witness.  Every row a match
+    gives yields the same image, as the graph is functional."""
     _require_closed(x)
+    valued, xv = False, None
     for c in clauses(fn.graph):
         fst, snd = c.element.items
-        if _shows_binders(fst, c.binders):
-            row = _admits(comp, fst, c.guard, x)
+        shape = _shape(fst, c.binders)
+        if shape == _LITERALS and not valued:
+            valued, xv = True, _value(x)
+        if shape == _TUPLES or shape == _LITERALS and xv is not None:
+            rows = _admits(comp, fst, c.guard, x, xv if shape == _LITERALS else None)
         else:
             # a binder the constraint leaves free may take any value: the
             # graph is functional, so every choice yields the same image
             row = comp.backend.find_witness(land(c.guard, comp.equal(x, fst)), c.binders)
-        if row is not None:
+            rows = () if row is None else (row,)
+        for row in rows:
             return instantiate(snd, row)
     raise DomainError("value lies outside the function's domain")
 

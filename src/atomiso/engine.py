@@ -6,9 +6,10 @@ the target universe, and that restriction is itself a single orbit of pairs.
 Such a piece is pinned down by where it sends one representative x0, and the
 image y0 must be fixed by every automorphism fixing the anchor: x0's least
 support with the allowed parameters.  When every clause of the target
-universe shows all its binders through tuples, those images are written
-down, as the rows of `base.pinned_reps` that a clause's guard admits: such
-an element is fixed exactly when every binder takes an anchor value.
+universe shows all its binders, through tuples and finite set literals such
+as `{a, b}`, those images are written down, as the rows of
+`base.pinned_reps` that a clause's guard admits, once per value: such an
+element is fixed exactly when every binder takes an anchor value.
 Otherwise the target is decomposed over the anchor and
 `algebra.supported_by` filters the representatives.  Enumerating those
 finitely many candidate images yields every piece, and `algebra.orbit_index`
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     DefFunction,
-    _element_injective,
     _flat,
+    _shape,
     determined,
     fn_apply,
     fn_inverse,
@@ -193,14 +194,17 @@ def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset):
     Such a value is an orbit of its own, so it is the representative of
     the first orbit candidate (clause, then type over the anchor in
     `type_reps` order) that yields it.  When every clause's element shows
-    all its binders through tuples, the element is fixed exactly when every
-    binder takes an anchor value (atoms shown through tuples lie in every
-    support, and the clause's own atoms lie in T), so the candidates are
-    the `pinned_reps` rows that the guard admits, deduplicated by value
-    across clauses.  Otherwise the universe is decomposed over the anchor
-    and `supported_by` filters the representatives."""
+    all its binders (`algebra._shape`), through tuples and finite set
+    literals, the element is fixed exactly when every binder takes an
+    anchor value (the atoms it shows lie in every support, as
+    `supported_by` argues, and the clause's own atoms lie in T), so the
+    candidates are the `pinned_reps` rows that the guard admits,
+    deduplicated by value across clauses and rows: `{a, b}` gives one
+    image at (#1, #2) and at (#2, #1).  Otherwise the universe is
+    decomposed over the anchor and `supported_by` filters the
+    representatives."""
     cs = clauses(U)
-    if not all(_element_injective(c) for c in cs):
+    if not all([_shape(c.element, c.binders) for c in cs]):
         for o in orbit_decomposition(comp, U, anchor):
             y0 = o.rep_element()
             if supported_by(comp, y0, anchor):
@@ -213,9 +217,11 @@ def _candidate_images(comp: Compiler, U: Expr, anchor: frozenset):
             if not comp.backend.sat(c.guard, row):
                 continue
             y0 = instantiate(c.element, row)
-            if y0 in seen:
+            # instantiation builds literals in canonical form, so equal
+            # values have equal keys
+            if y0.key in seen:
                 continue
-            seen.add(y0)
+            seen.add(y0.key)
             yield y0
 
 

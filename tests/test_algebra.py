@@ -13,8 +13,11 @@ import pytest
 from atomiso.algebra import (
     DefFunction,
     OrbitDescriptor,
+    _LITERALS,
     _element_injective,
+    _shape,
     _shows_binders,
+    _value,
     definable_subsets,
     determined,
     fn_apply,
@@ -55,10 +58,10 @@ from atomiso.exprs import (
     expr_params,
     union_of,
 )
-from atomiso.parser import parse, print_expr
+from atomiso.parser import parse, parse_atoms, print_expr
 from atomiso.structures import check_isomorphism, structure_from_dict
 from atomiso.theories import get_backend
-from atomiso.theories.formulas import TRUE, Bot, Const, Rel, Top, Var, land, lnot
+from atomiso.theories.formulas import TRUE, Bot, Const, Rel, Top, Var, format_atom_value, land, lnot
 from fixtures_helpers import NESTED_CYCLIC, NESTED_CYCLIC_ORBITS
 from generators import (
     equivalent_variant,
@@ -450,8 +453,9 @@ def _kernel_sets(atoms):
 @pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
 def test_is_member_by_matching_agrees_with_the_compiled_membership(monkeypatch, backend_name):
     """Against `comp.member` on a fresh compiler.  A set whose clauses all
-    show their binders is decided with no sentence; any other set sends
-    its compiled membership."""
+    show their binders is decided with no sentence, when x is finite if a
+    clause shows them through a literal; any other set sends its compiled
+    membership."""
     rng = random.Random(2525)
     comp = Compiler(get_backend(backend_name))
     ref = Compiler(get_backend(backend_name))
@@ -469,8 +473,9 @@ def test_is_member_by_matching_agrees_with_the_compiled_membership(monkeypatch, 
     monkeypatch.setattr(comp, "holds", lambda f: sent.append(f) or holds(f))
     seen = Counter()
     for s in sets:
-        kernel = all(_element_injective(c) for c in clauses(s))
+        shapes = [_shape(c.element, c.binders) for c in clauses(s)]
         for x in rng.sample(values, 12) + [o.rep_element() for o in orbit_decomposition(ref, s, frozenset(atoms))]:
+            kernel = all(shapes) and (_LITERALS not in shapes or _value(x) is not None)
             sent.clear()
             got = is_member(comp, x, s)
             assert got == ref.holds(ref.member(x, s)), (print_expr(x), print_expr(s))
@@ -861,3 +866,162 @@ def test_in_orbit_agrees_with_piece_membership(monkeypatch, backend_name):
     assert set(answers) == {True, False}
     assert all(unsent[key] for key in ((True, True), (True, False), (False, False))), unsent
     assert other_shapes > 0
+
+
+# sets whose clauses show their binders through finite set literals, with
+# {p} and {q} standing for two atoms: repeated binders, a constant member,
+# a nested literal, a tuple holding a literal, the empty set as a member,
+# and a clause of each shape in one union
+_LITERAL_SETS = (
+    "{ {a, b} | a, b in atoms }",
+    "{ {a, b} | a, b in atoms, a = b }",
+    "{ {a, a} | a in atoms }",
+    "{ {a, {p}} | a in atoms, a != {q} }",
+    "{ { {a}, {a, b} } | a, b in atoms }",
+    "{ ({a, b}, (a, c)) | a, b, c in atoms }",
+    "{ {a, b, c} | a, b, c in atoms, a != b }",
+    "{ (a, empty) | a in atoms } + { {a, b} | a, b in atoms, a != b }",
+    "{ {a, b} | a, b in atoms, a != b } + {(a, b) | a, b in atoms}",
+)
+
+# values to look up besides the sets' orbit representatives: duplicate
+# members, the empty set, a literal holding a comprehension, and a
+# comprehension that equals a literal, which keeps its sentence
+_LITERAL_VALUES = (
+    "{{p}, {p}}",
+    "{{p}, {q}}",
+    "{ {{p}}, {{p}, {q}} }",
+    "({{p}, {q}}, ({p}, {q}))",
+    "({{p}, {q}}, ({q}, {p}))",
+    "empty",
+    "{empty}",
+    "({p}, empty)",
+    "{ {a | a in atoms, a = {p}} }",
+    "{a | a in atoms, a = {p} or a = {q}}",
+)
+
+
+def _literal_texts(texts, p, q):
+    return [t.replace("{p}", format_atom_value(p)).replace("{q}", format_atom_value(q)) for t in texts]
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_literal_kernel_agrees_with_the_references(monkeypatch, backend_name):
+    """`is_member`, `orbit_decomposition`, `orbit_index` and
+    `least_support` on sets shown through literals, against the compiled
+    membership of a fresh compiler, `reference_orbit_decomposition` and
+    `reference_least_support`, at the hand-made values and at a sample of
+    orbit representatives.  A finite value is decided with no sentence, a
+    comprehension with one."""
+    rng = random.Random(3030)
+    backend = get_backend(backend_name)
+    comp, ref = Compiler(backend), Compiler(get_backend(backend_name))
+    p, q = sample_atoms(rng, backend_name, 2)
+    sets = [parse(t, backend) for t in _literal_texts(_LITERAL_SETS, p, q)]
+    values = [parse(t, backend) for t in _literal_texts(_LITERAL_VALUES, p, q)]
+    reps = []
+    for s in sets:
+        for S in (expr_params(s), expr_params(s) | {p}):
+            got = orbit_decomposition(comp, s, S)
+            assert got == reference_orbit_decomposition(Compiler(get_backend(backend_name)), s, S)
+            reps += [o.rep_element() for o in got]
+    values += rng.sample(reps, 16)
+    sent = []
+    holds = comp.holds
+    monkeypatch.setattr(comp, "holds", lambda f: sent.append(f) or holds(f))
+    seen = Counter()
+    for x in values:
+        finite = _value(x) is not None
+        sent.clear()
+        assert least_support(comp, x) == reference_least_support(ref, x), print_expr(x)
+        assert not (finite and sent), print_expr(x)
+        for s in sets:
+            sent.clear()
+            got = is_member(comp, x, s)
+            assert got == ref.holds(ref.member(x, s)), (print_expr(x), print_expr(s))
+            assert bool(sent) != finite, (print_expr(x), print_expr(s))
+            seen[finite, got] += 1
+    assert all(seen[key] for key in itertools.product((True, False), repeat=2)), seen
+    # the orbit holding each value, against the compiled membership of
+    # every piece
+    for s in sets:
+        orbits = orbit_decomposition(comp, s, expr_params(s) | {p})
+        for x in values[:10] + rng.sample(values[10:], 2):
+            want = [j for j, o in enumerate(orbits) if ref.holds(ref.member(x, o.piece()))]
+            sent.clear()
+            assert [orbit_index(comp, x, orbits)] == (want or [None]), (print_expr(x), print_expr(s))
+            assert not (_value(x) is not None and sent), (print_expr(x), print_expr(s))
+
+
+def test_orbits_of_unordered_pairs_send_no_sentence(monkeypatch):
+    # the merge tests between the candidates of a literal-valued clause
+    # match the representatives against each other with no sentence
+    for backend_name, text, S, count in (
+        ("equality", "{ {a, b} | a, b in atoms }", "#1, #2", 7),
+        ("dlo", "{ ({a, b}, {c, d}) | a, b, c, d in atoms, a < b and b < c and c < d }", "1", 9),
+    ):
+        backend = get_backend(backend_name)
+        comp = Compiler(backend)
+        S = frozenset(parse_atoms(S, backend))
+        sent = []
+        monkeypatch.setattr(backend, "holds", sent.append)
+        orbits = orbit_decomposition(comp, parse(text, backend), S)
+        monkeypatch.undo()
+        assert len(orbits) == count and sent == []
+        want = reference_orbit_decomposition(Compiler(get_backend(backend_name)), parse(text, backend), S)
+        assert orbits == want
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_fn_apply_and_determined_on_literals_agree_with_the_references(monkeypatch, backend_name):
+    """Graphs whose first component shows its binders through literals:
+    `fn_apply` against `reference_fn_apply`, and `determined` at fixed
+    pairs against `reference_piece_determined`, where a literal matched
+    two ways must check both rows."""
+    rng = random.Random(3031)
+    backend = get_backend(backend_name)
+    comp, ref = Compiler(backend), Compiler(get_backend(backend_name))
+    p, q = sample_atoms(rng, backend_name, 2)
+    functional = _literal_texts(
+        (
+            "{ ({a, b}, {a, b}) | a, b in atoms }",
+            "{ ({a}, a) | a in atoms }",
+            "{ (({a, b}, (a, c)), c) | a, b, c in atoms }",
+            "{ ({a, b}, {p}) | a, b in atoms, a != b } + { ({a}, {q}) | a in atoms }",
+            "{ ({ {a}, {a, b} }, (a, b)) | a, b in atoms, a != {p} }",
+        ),
+        p,
+        q,
+    )
+    values = [parse(t, backend) for t in _literal_texts(_LITERAL_VALUES, p, q)]
+    for text in functional:
+        fn = DefFunction(ATOMS, ATOMS, parse(text, backend))
+        for x in values:
+            try:
+                want = reference_fn_apply(ref, fn, x)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    fn_apply(comp, fn, x)
+                continue
+            assert set_equal(ref, fn_apply(comp, fn, x), want), (text, print_expr(x))
+    # ({a, b}, (a, b)) at ({p, q}, (p, q)) has a second row, (q, p), with
+    # another image
+    pairs = "{ ({a, b}, (a, b)) | a, b in atoms }"
+    fixed = [("{{p}, {q}}", "({p}, {q})"), ("{{p}, {q}}", "({q}, {p})"), ("{{p}}", "({p}, {p})")]
+    cases = [(pairs, x0, y0) for x0, y0 in fixed + [("{{p}}", "({p}, {q})")]]
+    cases += [(t, x0, y0) for t in functional for x0 in ("{{p}, {q}}", "{{p}}") for y0 in ("{p}", "{{p}, {q}}")]
+    sent = []
+    holds = comp.holds
+    monkeypatch.setattr(comp, "holds", lambda f: sent.append(f) or holds(f))
+    verdicts = Counter()
+    for texts in cases:
+        c, x0, y0 = (parse(t, backend) for t in _literal_texts(texts, p, q))
+        c = c.clauses[0]
+        fixed = SetComp(ETuple((x0, y0)), (), TRUE)
+        for parts in ((c, fixed), (fixed, c)):
+            sent.clear()
+            got = determined(comp, parts, 0)
+            assert got == reference_piece_determined(ref, c, x0, y0, 0), (print_expr(c), print_expr(x0), print_expr(y0))
+            assert sent == []
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False], verdicts
