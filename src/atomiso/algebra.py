@@ -35,7 +35,7 @@ Only elements shown through tuples alone are injective in their binders
 (`_element_injective`): `{a, b}` is also `{b, a}`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .compile import Compiler
 from .errors import (
@@ -142,18 +142,26 @@ def sets_disjoint(comp: Compiler, s1: Expr, s2: Expr) -> bool:
 class OrbitDescriptor:
     """One orbit of a definable set under the S-pointwise stabilizer,
     presented as a clause of the set restricted to one complete S-type of
-    the clause's binders."""
+    the clause's binders.  Its representative element is computed once and
+    kept on the descriptor, which lives as long as the compiler's orbit
+    memo that holds it."""
 
     clause: SetComp
     type_formula: Formula
     params: frozenset
     rep: tuple[tuple[str, Atom], ...]
+    _element: Expr | None = field(default=None, init=False, repr=False, compare=False)
 
     def rep_valuation(self) -> dict[str, Atom]:
         return dict(self.rep)
 
     def rep_element(self) -> Expr:
-        return instantiate(self.clause.element, self.rep_valuation())
+        """The clause's element at the representative, the same node on
+        every call."""
+        if self._element is None:
+            x = instantiate(self.clause.element, self.rep_valuation())
+            object.__setattr__(self, "_element", x)
+        return self._element
 
     def piece(self) -> Union:
         guard = land(self.clause.guard, self.type_formula)
@@ -537,11 +545,22 @@ def definable_subsets(
 
 @dataclass(frozen=True)
 class DefFunction:
-    """A function presented by its graph, a definable set of pairs."""
+    """A function presented by its graph, a definable set of pairs.  Its
+    atoms (`params`) are computed once and kept on the instance, outside
+    the compared fields."""
 
     dom: Expr
     cod: Expr
     graph: Expr
+    _params: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+
+    def params(self) -> frozenset:
+        """The atoms of dom, cod and graph: the S of the orbit-by-orbit
+        checks."""
+        if self._params is None:
+            atoms = expr_params(self.dom) | expr_params(self.cod) | expr_params(self.graph)
+            object.__setattr__(self, "_params", atoms)
+        return self._params
 
 
 def fn_validate(comp: Compiler, fn: DefFunction) -> None:
@@ -558,16 +577,10 @@ def fn_validate(comp: Compiler, fn: DefFunction) -> None:
             raise ValidationError(
                 "every graph clause must produce an explicit pair"
             )
-    for o in orbit_decomposition(comp, fn.graph, _fn_params(fn)):
+    for o in orbit_decomposition(comp, fn.graph, fn.params()):
         a, b = o.rep_element().items
         if not (is_member(comp, a, fn.dom) and is_member(comp, b, fn.cod)):
             raise ValidationError("graph is not contained in dom x cod")
-
-
-def _fn_params(fn: DefFunction) -> frozenset:
-    """The atoms of dom, cod and graph: the S of the orbit-by-orbit
-    checks."""
-    return expr_params(fn.dom) | expr_params(fn.cod) | expr_params(fn.graph)
 
 
 def breach_block(comp: Compiler, parts, breach) -> Formula:
@@ -668,7 +681,7 @@ def fn_check(
     `is_member` in the graph's first components, one clause per graph
     clause."""
     graph = clauses(fn.graph)
-    S = _fn_params(fn)
+    S = fn.params()
 
     def determined_everywhere(by: int) -> bool:
         return all(

@@ -2,9 +2,14 @@
 
 Exit codes: 0 success (or positive answer), 3 negative answer, 4 negative
 but inconclusive, 2 bad input of any kind, 5 resource budget exhausted.
+
+The argument parser is built once per process (`build_parser`), so `main`
+may be called repeatedly in one process at the cost of parsing alone;
+each call gets a fresh namespace and its own compiler.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,7 +176,7 @@ def cmd_eliminate(args) -> int:
             f"{A.backend_name}"
         )
     for st in (A, B):
-        validate_structure(comp, st, A.params() | B.params() | expr_params(fn.graph))
+        validate_structure(comp, st, A.params() | B.params() | fn.params())
     extra = parse_atoms(args.params, backend)
     h, report = eliminate_parameters(comp, fn, A, B, T=extra)
     doc = function_to_dict(backend.name, h)
@@ -251,7 +256,11 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing keeps no state on it between calls, and each parse
+    returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="atomiso",
         description="Definable sets over atom structures: orbits, supports, "

@@ -9,7 +9,7 @@ small JSON document holding expressions in concrete syntax.
 injective and surjective, an embedding injective, a homomorphism neither;
 a map that must be injective must also reflect every symbol.
 `check_isomorphism` checks a map of any mode orbit by orbit.  With S the
-atoms of both structures and of the graph, the map commutes with every
+atoms of both structures and of the map, the map commutes with every
 automorphism fixing S, so a property those automorphisms preserve holds
 everywhere once it holds at one representative of each S-orbit:
 `algebra.fn_validate` and `algebra.fn_check` decide containment in
@@ -25,7 +25,7 @@ check) decomposes over, so both read one decomposition per symbol.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     DefFunction,
@@ -77,19 +77,27 @@ class FamilySymbol:
 
 @dataclass(frozen=True)
 class Structure:
+    """A universe with relation and family symbols.  Its atoms (`params`)
+    are computed once and kept on the instance, outside the compared
+    fields, so they live and die with the structure."""
+
     name: str
     backend_name: str
     universe: Expr
     relations: tuple[RelationSymbol, ...] = ()
     families: tuple[FamilySymbol, ...] = ()
+    _params: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
     def params(self) -> frozenset:
-        out = expr_params(self.universe)
-        for r in self.relations:
-            out |= expr_params(r.interp)
-        for f in self.families:
-            out |= expr_params(f.index_set) | expr_params(f.interp)
-        return out
+        """Every atom of the universe and of each symbol's expressions."""
+        if self._params is None:
+            out = expr_params(self.universe)
+            for r in self.relations:
+                out |= expr_params(r.interp)
+            for f in self.families:
+                out |= expr_params(f.index_set) | expr_params(f.interp)
+            object.__setattr__(self, "_params", out)
+        return self._params
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +349,14 @@ def transports_symbols(
     """Whether fn carries every symbol of A into its namesake in B (and,
     with reflect, every symbol of B back through the inverse graph),
     decided at the tuples of `transport_reps` with S the atoms of A, B and
-    the graph: fn then commutes with the automorphisms fixing S, and every
-    interpretation is invariant under them, so a tuple and its image keep
-    their membership along its orbit.
+    fn (`DefFunction.params`): fn then commutes with the automorphisms
+    fixing S, and every interpretation is invariant under them, so a tuple
+    and its image keep their membership along its orbit.
 
     Precondition: fn is functional, and injective when reflecting, as
     `check_isomorphism` decides before it transports; the signatures must
     match."""
-    S = A.params() | B.params() | expr_params(fn.graph)
+    S = A.params() | B.params() | fn.params()
     maps = (fn, fn_inverse(fn)) if reflect else (fn,)
     return all(
         carried(comp, head, args, [maps[back]] * len(args), target)

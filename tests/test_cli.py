@@ -432,6 +432,40 @@ def test_equality_fixture_outputs_are_pinned(tmp_path, capsys):
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main builds its parser once per process: no call may see the flags,
+    # errors or help of the calls before it
+    assert cli.build_parser() is cli.build_parser()
+    for name in ("kneser", "neighborhoods", "nondefiso", "smoothing"):
+        run(capsys, "fixture", name, "--emit", str(tmp_path))
+    cases = [
+        ([a.replace("{dir}", str(tmp_path)) for a in c["argv"]], c["exit"], c["stdout"])
+        for c in _GOLDEN
+    ]
+
+    def exits(*argv):
+        with pytest.raises(SystemExit) as ex:
+            main(list(argv))
+        out = capsys.readouterr()
+        return ex.value.code, out.out, out.err
+
+    usage, helped = [], []
+    for order in (cases, cases[::-1]):
+        for argv, code, stdout in order:
+            assert run(capsys, *argv)[:2] == (code, stdout), argv
+        usage.append(exits("iso", "--budget", "-1", "a.json", "b.json"))
+        helped.append(exits("iso", "--help"))
+    assert usage[0] == usage[1] and usage[0][0] == 2 and "nonnegative" in usage[0][2]
+    assert helped[0] == helped[1] and helped[0][0] == 0
+    assert helped[0][1].startswith("usage: atomiso iso")
+
+    argv, code, stdout = cases[0]
+    flagged = run(capsys, "--json", *argv, "--params", "#1", "--budget", "7")
+    assert flagged[0] == 0 and json.loads(flagged[1])["params"] == ["#1"]
+    assert run(capsys, *argv, "--budget", "0")[0] == 5
+    assert run(capsys, *argv)[:2] == (code, stdout)
+
+
 def test_circle_fixture_outputs_are_pinned(tmp_path, capsys):
     run(capsys, "fixture", "circle", "--emit", str(tmp_path))
     for case in _GOLDEN_FILE["circle"]:

@@ -1,9 +1,12 @@
 """Structure documents: JSON round trips, shape validation, interpretation
 checks, and isomorphism verification including indexed families."""
 
+import gc
 import json
 import random
+import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from atomiso import algebra
 from atomiso.algebra import (
     DefFunction,
     fn_check,
+    fn_inverse,
     fn_validate,
     orbit_decomposition,
     set_equal,
@@ -28,8 +32,10 @@ from atomiso.exprs import (
     SetComp,
     clauses,
     expr_params,
+    instantiate,
     union_of,
 )
+from atomiso.fixtures import FIXTURES, fixture_documents
 from atomiso.parser import parse
 from atomiso.structures import (
     FamilySymbol,
@@ -703,3 +709,76 @@ def test_final_check_of_the_anchored_circle_witness_works_orbit_by_orbit(cyc_com
     for flag in ("functional", "total", "injective", "surjective"):
         flags = {f: f == flag for f in ("functional", "total", "injective", "surjective")}
         assert fn_check(cyc_comp, fn, **flags) == reference_fn_check(ref, fn, **flags) is True
+
+
+def _symbol_sets(st: Structure) -> list:
+    return [st.universe, *(r.interp for r in st.relations)] + [
+        e for f in st.families for e in (f.index_set, f.interp)
+    ]
+
+
+def _memo_owners():
+    """The structures and maps of every built-in fixture and of seeded
+    random pairs over each backend, with each map's inverse."""
+    structures, maps = [], []
+    for name in sorted(FIXTURES):
+        docs = fixture_documents(name)
+        structures += [structure_from_dict(docs[side]) for side in "ab"]
+        if "map" in docs:
+            maps.append(function_from_dict(docs["map"])[1])
+    for seed in range(6):
+        A, B = gen_structure_pair(random.Random(seed), ("equality", "dlo", "cyclic")[seed % 3])
+        structures += [A, B]
+        maps.append(DefFunction(A.universe, B.universe, A.relations[0].interp))
+    return structures, maps + [fn_inverse(fn) for fn in maps]
+
+
+def _memo_is_invisible(obj, fill) -> None:
+    """fill() memoises on obj: ==, hash and repr read the same before and
+    after, and against a copy whose memo is still empty."""
+    twin = replace(obj)
+    seen = (hash(obj), repr(obj))
+    assert obj == twin
+    fill()
+    assert (hash(obj), repr(obj)) == seen == (hash(twin), repr(twin))
+    assert obj == twin and twin == obj
+
+
+def test_memoised_atoms_and_representatives_match_a_fresh_walk(comp_for):
+    # a structure's and a map's atoms, and an orbit's representative
+    # element, are computed once and kept on their object
+    structures, maps = _memo_owners()
+    walks = [(st, _symbol_sets(st)) for st in structures]
+    walks += [(fn, [fn.dom, fn.cod, fn.graph]) for fn in maps]
+    for owner, exprs in walks:
+        _memo_is_invisible(owner, owner.params)
+        assert owner.params() == frozenset().union(*map(expr_params, exprs))
+        assert owner.params() is owner.params()
+    for st in structures:
+        comp = comp_for(st.backend_name)
+        for s in _symbol_sets(st):
+            for d in orbit_decomposition(comp, s, st.params()):
+                # the decomposition may have filled d's memo; its copy's is empty
+                for o in (d, replace(d)):
+                    _memo_is_invisible(o, o.rep_element)
+                    x = o.rep_element()
+                    assert o.rep_element() is x
+                    assert x.key == instantiate(o.clause.element, o.rep_valuation()).key
+
+
+def test_memos_do_not_keep_their_owners_alive():
+    # each memo lives on its object: a cache outside it, keyed by the
+    # object, would keep every command's structures and maps alive.  The
+    # objects equal none that another test builds, which such a cache
+    # could hold instead
+    st = replace(kneser_pair()[0], name="short-lived")
+    backend = get_backend("equality")
+    fn = DefFunction(ATOMS, ATOMS, parse("{(a, a) | a in atoms, a != #97} + {(#97, #97)}", backend))
+    comp = Compiler(backend)
+    orbit = orbit_decomposition(comp, fn.graph, fn.params())[0]
+    orbit.rep_element()
+    st.params()
+    refs = [weakref.ref(owner) for owner in (st, fn, orbit)]
+    del st, fn, orbit, comp
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
