@@ -20,19 +20,21 @@ values that the support pins (`base.pinned_reps`).
 
 An expression shows the binders of its clause when it is built from them,
 atoms, tuples and finite set literals such as `{a, b}` (a union of clauses
-without binders) and mentions every binder.  Whether a closed value is an
-instance of such an expression is decided by one kernel, `_admits`: the
-value is matched against the expression, which leaves finitely many rows of
-binder values (one, through tuples alone), and the guard is evaluated at
-each, with no sentence.  Against a literal the value must be finite too
-(`_value`): a comprehension may denote a finite set, so it keeps the
-compiled sentence.  The kernel serves `in_orbit`, `is_member`, `fn_apply`
-and `determined`, and so the final check of a map (`fn_validate`,
-`fn_check`), which works at the representatives of the S-orbits of the
-graph, the domain and the codomain.  Each caller keeps its compiled
-sentence for clauses that hide a binder, in a comprehension for instance.
-Only elements shown through tuples alone are injective in their binders
-(`_element_injective`): `{a, b}` is also `{b, a}`.
+without binders) and mentions every binder (`_shape`, whose walk each node
+keeps).  Whether a closed value is an instance of such an expression is
+decided by one kernel, `_admits`: the value is matched against the
+expression, which leaves finitely many rows of binder values (one, through
+tuples alone), and the guard is evaluated at each, with no sentence.
+Against a literal the value must be finite too (`_value`): a comprehension
+may denote a finite set, so it keeps the compiled sentence.  `_admits` is
+also the one gate: it returns None where it cannot answer, a clause that
+hides a binder or a literal against an infinite value, and only there do
+its callers `in_orbit`, `is_member`, `fn_apply` and `determined` send their
+compiled sentences.  Through them it serves the final check of a map
+(`fn_validate`, `fn_check`), which works at the representatives of the
+S-orbits of the graph, the domain and the codomain.  Only elements shown
+through tuples alone are injective in their binders (`_element_injective`):
+`{a, b}` is also `{b, a}`.
 """
 
 from dataclasses import dataclass, field
@@ -102,22 +104,14 @@ def set_equal(comp: Compiler, e1: Expr, e2: Expr) -> bool:
 
 
 def is_member(comp: Compiler, x: Expr, s: Expr) -> bool:
-    """Whether the value of x belongs to the set s.  When every clause of s
-    shows all its binders (`_shape`), and x is finite if one shows them
-    through a literal, the kernel `_admits` decides clause by clause with
-    no sentence; otherwise the compiled membership does."""
+    """Whether the value of x belongs to the set s.  When the kernel
+    `_admits` can answer for every clause of s, it decides clause by
+    clause with no sentence; otherwise the compiled membership does."""
     _require_closed(x)
     _require_closed(s)
-    cs = clauses(s)
-    shapes = [_shape(c.element, c.binders) for c in cs]
-    if all(shapes):
-        literal = _LITERALS in shapes
-        xv = _value(x) if literal else None
-        if not literal or xv is not None:
-            for c in cs:
-                for _ in _admits(comp, c.element, c.guard, x, xv):
-                    return True
-            return False
+    rows = [_admits(comp, c.element, c.binders, c.guard, x) for c in clauses(s)]
+    if None not in rows:
+        return any(True for r in rows for _ in r)
     return comp.holds(comp.member(x, s))
 
 
@@ -170,13 +164,8 @@ class OrbitDescriptor:
 
 def _element_injective(c: SetComp) -> bool:
     """True when distinct binder tuples always yield distinct elements:
-    the element shows every binder through tuples (`_shows_binders`)."""
-    return _shows_binders(c.element, c.binders)
-
-
-def _shows_binders(e: Expr, binders) -> bool:
-    """True when e shows every binder through tuples alone (`_shape`)."""
-    return _shape(e, binders) == _TUPLES
+    the element shows every binder through tuples alone (`_shape`)."""
+    return _shape(c.element, c.binders) == _TUPLES
 
 
 #: `_shape` of an expression that shows every binder through tuples alone,
@@ -192,27 +181,28 @@ def _shape(e: Expr, binders) -> int:
     too, so that a finite closed value leaves finitely many rows of binder
     values (`_rows`); 0 when e hides a binder or holds any other set.  With
     no binders, `_TUPLES` says that a closed value is flat: atoms and
-    tuples only."""
-    used: set[str] = set()
-    literal = False
+    tuples only.
 
-    def walk(e: Expr) -> bool:
-        nonlocal literal
-        if isinstance(e, EVar):
-            used.add(e.name)
-            return True
-        if isinstance(e, AtomParam):
-            return True
-        if isinstance(e, ETuple):
-            return all(walk(i) for i in e.items)
-        if _literal(e):
-            literal = True
-            return all(walk(c.element) for c in e.clauses)
-        return False
-
-    if not (walk(e) and used.issuperset(binders)):
-        return 0
-    return _LITERALS if literal else _TUPLES
+    The answer for no binders is walked once per node and kept on it, as
+    `expr_names` keeps its names.  Where it is not 0, the names of e are
+    exactly the variables the walk meets, as a literal's clauses have no
+    binders and so no guard: e shows the binders when its names include
+    them."""
+    try:
+        form = e._shape
+    except AttributeError:
+        if isinstance(e, (EVar, AtomParam)):
+            form, parts = _TUPLES, ()
+        elif isinstance(e, ETuple):
+            form, parts = _TUPLES, e.items
+        elif _literal(e):
+            form, parts = _LITERALS, [c.element for c in e.clauses]
+        else:
+            form, parts = 0, ()
+        forms = [_shape(p, ()) for p in parts]
+        form = max([form, *forms]) if all(forms) else 0
+        object.__setattr__(e, "_shape", form)
+    return form if form and (not binders or expr_names(e).issuperset(binders)) else 0
 
 
 def _literal(e: Expr) -> bool:
@@ -231,11 +221,18 @@ def _value(e: Expr, row=None):
     atom as itself, a tuple as the tuple of its components' values, and a
     finite set literal as the frozenset of its members' values; None when
     e holds any other set.  Two finite closed values are equal exactly
-    when their canonical values are."""
+    when their canonical values are.  Asked with no row, of a closed e,
+    the answer is computed once and kept on the node."""
     if isinstance(e, AtomParam):
         return e.value
     if isinstance(e, EVar):
         return row[e.name]
+    if row is None:
+        try:
+            return e._value
+        except AttributeError:
+            object.__setattr__(e, "_value", _value(e, {}))
+            return e._value
     if isinstance(e, ETuple):
         parts, make = e.items, tuple
     elif _literal(e):
@@ -294,34 +291,24 @@ def _decompose(comp: Compiler, X: Expr, S: frozenset) -> list[OrbitDescriptor]:
     return kept
 
 
-def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor, known=None) -> bool:
+def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor) -> bool:
     """Whether the closed value x lies in the orbit, that is in
     `orbit.piece()`.
 
-    When the clause's element shows every binder (`_shape`), and x is
-    finite if it shows one through a literal, the kernel `_admits` decides
-    with the orbit's type as the guard: the clause's guard admits that
-    type, as it admits its representative.  Otherwise x is matched against
-    the element (`_match`), and the binders the element shows through
-    tuples must take their type at the representative, by `sat`; then one
-    closed block `exists binders: guard and type and x = element` decides,
-    over the clause's own binders: x is closed and `Compiler.equal`
-    reserves the names of both sides, so nothing is captured, and one
-    compiled equality serves every orbit of the clause.
-
-    `known` is the pair (the clause's shape, x's canonical value when that
-    shape is `_LITERALS`, else None) from a caller that checked x already,
-    as `orbit_index` does; without it x is checked here."""
+    When the kernel `_admits` can answer, it decides with the orbit's type
+    as the guard: the clause's guard admits that type, as it admits its
+    representative.  Otherwise x is matched against the element
+    (`_match`), and the binders the element shows through tuples must take
+    their type at the representative, by `sat`; then one closed block
+    `exists binders: guard and type and x = element` decides, over the
+    clause's own binders: x is closed and `Compiler.equal` reserves the
+    names of both sides, so nothing is captured, and one compiled equality
+    serves every orbit of the clause."""
+    _require_closed(x)
     c = orbit.clause
-    if known is None:
-        _require_closed(x)
-        shape = _shape(c.element, c.binders)
-        known = shape, _value(x) if shape == _LITERALS else None
-    shape, xv = known
-    if shape == _TUPLES or xv is not None:
-        for _ in _admits(comp, c.element, orbit.type_formula, x, xv):
-            return True
-        return False
+    rows = _admits(comp, c.element, c.binders, orbit.type_formula, x)
+    if rows is not None:
+        return any(True for _ in rows)
     row: dict = {}
     if not _match(c.element, x, row):
         return False
@@ -334,26 +321,35 @@ def in_orbit(comp: Compiler, x: Expr, orbit: OrbitDescriptor, known=None) -> boo
     return comp.holds(quantify(Exists, c.binders, body))
 
 
-def _admits(comp: Compiler, shown: Expr, guard: Formula, x: Expr, xv=None):
-    """The rows of binder values at which `shown` takes the closed value x
-    and the guard holds, each once.  `shown` must show every binder of the
-    guard's clause (`_shape`).  Through tuples alone, with xv None, x fixes
-    the only candidate row by `_match`.  Otherwise xv is the canonical value
-    of x (`_value`, not None) and `_rows` gives the candidate rows, lazily,
-    so a caller that needs one row stops at the first.  `sat` evaluates the
-    guard at each candidate, so the answer is exact and sends no sentence.
-    The one kernel behind `in_orbit`, `is_member`, `fn_apply`,
-    `determined` and so the final check."""
+def _admits(comp: Compiler, shown: Expr, binders, guard: Formula, x: Expr):
+    """The rows of values of the binders at which `shown` takes the closed
+    value x and the guard holds, each once, lazily, so a caller that needs
+    one row stops at the first; None when the kernel cannot answer, and
+    the caller sends its sentence.  It can when `shown` shows every binder
+    (`_shape`), and x is finite (`_value`) if `shown` shows one through a
+    literal.  Through tuples alone x fixes the only candidate row by
+    `_match`; against a literal `_rows` gives the candidates from x's
+    canonical value.  `sat` evaluates the guard at each candidate, so the
+    answer is exact and sends no sentence.  The one gate and kernel of
+    `in_orbit`, `is_member`, `fn_apply`, `determined` and so the final
+    check."""
+    shape = _shape(shown, binders)
+    if shape == _TUPLES:
+        return _admitted(comp, shown, guard, x, None)
+    xv = _value(x) if shape else None
+    return None if xv is None else _admitted(comp, shown, guard, x, xv)
+
+
+def _admitted(comp: Compiler, shown: Expr, guard: Formula, x: Expr, xv):
+    """The rows of `_admits`: by `_match` when xv is None, else by `_rows`
+    against the canonical value xv."""
     if xv is None:
         row: dict = {}
-        return (row,) if _match(shown, x, row) and comp.backend.sat(guard, row) else ()
-    return _admitted(comp, shown, guard, xv)
-
-
-def _admitted(comp: Compiler, shown: Expr, guard: Formula, xv):
-    """The rows of `_admits` against the canonical value xv."""
+        candidates = (row,) if _match(shown, x, row) else ()
+    else:
+        candidates = _rows(shown, xv, {})
     seen: list[dict] = []
-    for row in _rows(shown, xv, {}):
+    for row in candidates:
         if row not in seen:
             seen.append(row)
             if comp.backend.sat(guard, row):
@@ -426,21 +422,8 @@ def _match(element: Expr, x: Expr, row: dict) -> bool:
 
 def orbit_index(comp: Compiler, x: Expr, orbits) -> int | None:
     """The index of the orbit among `orbits` that holds the closed value x
-    (`in_orbit`), or None when none does.  x is checked once, and its
-    canonical value taken at most once; each clause's shape is taken once
-    per run of its orbits, which a decomposition lists together."""
-    _require_closed(x)
-    clause = xv = None
-    valued = False
-    for j, o in enumerate(orbits):
-        if o.clause is not clause:
-            clause = o.clause
-            shape = _shape(clause.element, clause.binders)
-            if shape == _LITERALS and not valued:
-                valued, xv = True, _value(x)
-        if in_orbit(comp, x, o, (shape, xv if shape == _LITERALS else None)):
-            return j
-    return None
+    (`in_orbit`), or None when none does."""
+    return next((j for j, o in enumerate(orbits) if in_orbit(comp, x, o)), None)
 
 
 def _abstracted(x: Expr):
@@ -613,27 +596,21 @@ def determined(comp: Compiler, parts, by: int) -> bool:
     functional, by=1 that it is injective.  The breach is symmetric in p
     and q, so the order of the two parts does not matter.
 
-    When one part has no binders and the other's component `by` shows all
-    its binders (`_shape`), and the fixed component is finite if it shows
-    one through a literal, the fixed component picks the instances that
-    can agree with it: each row `_admits` gives, as a literal can be
-    matched more than one way.  The breach is such an instance's other
-    component differing from the fixed one: compared by canonical value
-    when both are finite (`_value`), else by one closed equality.
-    Otherwise one breach block decides."""
+    When one part has no binders and the kernel `_admits` can answer for
+    the other's component `by` at the fixed one, the fixed component picks
+    the instances that can agree with it: each row `_admits` gives, as a
+    literal can be matched more than one way.  The breach is such an
+    instance's other component differing from the fixed one: compared by
+    canonical value when both are finite (`_value`), else by one closed
+    equality.  Otherwise one breach block decides."""
     for c, fixed in (parts, parts[::-1]):
         if fixed.binders:
             continue
-        shown, at = c.element.items[by], fixed.element.items[by]
-        shape = _shape(shown, c.binders)
-        xv = _value(at) if shape == _LITERALS else None
-        if shape == _TUPLES or xv is not None:
+        rows = _admits(comp, c.element.items[by], c.binders, c.guard, fixed.element.items[by])
+        if rows is not None:
             mine, theirs = c.element.items[1 - by], fixed.element.items[1 - by]
             want = _value(theirs)
-            return all(
-                _agrees(comp, mine, row, theirs, want)
-                for row in _admits(comp, shown, c.guard, at, xv)
-            )
+            return all(_agrees(comp, mine, row, theirs, want) for row in rows)
 
     def differ(pq):
         p, q = pq
@@ -713,20 +690,14 @@ def fn_bijective(comp: Compiler, fn: DefFunction) -> bool:
 def fn_apply(comp: Compiler, fn: DefFunction, x: Expr) -> Expr:
     """The value of the function at x; raises DomainError off the domain.
     Expects a validated, functional graph.  The clauses are tried in
-    order: one whose first component shows all its binders (`_shape`),
-    with x finite if it shows one through a literal, matches x by the
-    kernel `_admits`, any other searches a witness.  Every row a match
-    gives yields the same image, as the graph is functional."""
+    order: where the kernel `_admits` can answer for the first component
+    at x, it matches x; any other clause searches a witness.  Every row a
+    match gives yields the same image, as the graph is functional."""
     _require_closed(x)
-    valued, xv = False, None
     for c in clauses(fn.graph):
         fst, snd = c.element.items
-        shape = _shape(fst, c.binders)
-        if shape == _LITERALS and not valued:
-            valued, xv = True, _value(x)
-        if shape == _TUPLES or shape == _LITERALS and xv is not None:
-            rows = _admits(comp, fst, c.guard, x, xv if shape == _LITERALS else None)
-        else:
+        rows = _admits(comp, fst, c.binders, c.guard, x)
+        if rows is None:
             # a binder the constraint leaves free may take any value: the
             # graph is functional, so every choice yields the same image
             row = comp.backend.find_witness(land(c.guard, comp.equal(x, fst)), c.binders)

@@ -10,7 +10,11 @@ cache lookup reads, is computed once, at construction, from the keys of its
 children, as formula nodes compute theirs, so keys share their sub-tuples.
 `expr_names`, which every compile miss reads to reserve names, walks a node
 once and keeps the result on it, and so does `free_expr_vars` on a closed
-node; the nodes are slotted, as formula nodes are.
+node.  A node also keeps its shape, `algebra._shape` for no binders: whether
+it is built of atoms and tuples, with finite set literals too, or holds any
+other set, which tells the literal kernel whether it can answer; and a
+closed node its canonical value (`algebra._value`), which the kernel
+compares.  The nodes are slotted, as formula nodes are.
 
 Renaming atoms is one walk, `_map_atoms`, behind both the automorphism
 action `act` and the abstraction `abstract_params`; it rewrites guards with
@@ -42,9 +46,10 @@ from .theories.formulas import (
 
 
 class Expr:
-    __slots__ = ("key", "_names", "_free")
+    __slots__ = ("key", "_names", "_free", "_shape", "_value")
 
-    #: set at construction; `expr_names` and `free_expr_vars` fill the others
+    #: set at construction; `expr_names`, `free_expr_vars`, `algebra._shape`
+    #: and `algebra._value` fill the others
     key: tuple
 
 

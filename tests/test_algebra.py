@@ -14,9 +14,9 @@ from atomiso.algebra import (
     DefFunction,
     OrbitDescriptor,
     _LITERALS,
+    _TUPLES,
     _element_injective,
     _shape,
-    _shows_binders,
     _value,
     definable_subsets,
     determined,
@@ -512,7 +512,7 @@ def test_fn_apply_by_matching_agrees_with_the_witness_search(backend_name):
     answers = Counter()
     for g in graphs:
         fn = DefFunction(ATOMS, ATOMS, g)
-        shows = [_shows_binders(c.element.items[0], c.binders) for c in clauses(g)]
+        shows = [_shape(c.element.items[0], c.binders) == _TUPLES for c in clauses(g)]
         for x in values:
             try:
                 want = reference_fn_apply(ref, fn, x)
@@ -558,7 +558,7 @@ def test_determined_by_matching_agrees_with_the_breach_block(monkeypatch, backen
         for x0, y0 in itertools.product(firsts[:8], seconds):
             fixed = SetComp(ETuple((x0, y0)), (), TRUE)
             for by in (0, 1):
-                if not _shows_binders(c.element.items[by], c.binders):
+                if _shape(c.element.items[by], c.binders) != _TUPLES:
                     continue
                 for parts in ((c, fixed), (fixed, c)):
                     sent.clear()
@@ -908,8 +908,9 @@ def _literal_texts(texts, p, q):
 @pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
 def test_literal_kernel_agrees_with_the_references(monkeypatch, backend_name):
     """`is_member`, `orbit_decomposition`, `orbit_index` and
-    `least_support` on sets shown through literals, against the compiled
-    membership of a fresh compiler, `reference_orbit_decomposition` and
+    `least_support` on sets shown through literals, and `in_orbit` called
+    directly on every orbit, against the compiled membership of a fresh
+    compiler, `reference_orbit_decomposition` and
     `reference_least_support`, at the hand-made values and at a sample of
     orbit representatives.  A finite value is decided with no sentence, a
     comprehension with one."""
@@ -942,14 +943,16 @@ def test_literal_kernel_agrees_with_the_references(monkeypatch, backend_name):
             assert bool(sent) != finite, (print_expr(x), print_expr(s))
             seen[finite, got] += 1
     assert all(seen[key] for key in itertools.product((True, False), repeat=2)), seen
-    # the orbit holding each value, against the compiled membership of
-    # every piece
+    # each orbit's answer by a direct `in_orbit` call, and the orbit
+    # holding each value, against the compiled membership of every piece
     for s in sets:
         orbits = orbit_decomposition(comp, s, expr_params(s) | {p})
-        for x in values[:10] + rng.sample(values[10:], 2):
-            want = [j for j, o in enumerate(orbits) if ref.holds(ref.member(x, o.piece()))]
+        for x in values:
+            inside = [ref.holds(ref.member(x, o.piece())) for o in orbits]
+            want = inside.index(True) if True in inside else None
             sent.clear()
-            assert [orbit_index(comp, x, orbits)] == (want or [None]), (print_expr(x), print_expr(s))
+            assert [in_orbit(comp, x, o) for o in orbits] == inside, (print_expr(x), print_expr(s))
+            assert orbit_index(comp, x, orbits) == want, (print_expr(x), print_expr(s))
             assert not (_value(x) is not None and sent), (print_expr(x), print_expr(s))
 
 
@@ -1025,3 +1028,63 @@ def test_fn_apply_and_determined_on_literals_agree_with_the_references(monkeypat
             assert sent == []
             verdicts[got] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def _reference_shape(e, binders) -> int:
+    """`_shape` as one walk of e per call, with nothing kept on the nodes:
+    the reference for the shape each node keeps."""
+    used = set()
+    literal = False
+
+    def walk(e) -> bool:
+        nonlocal literal
+        if isinstance(e, EVar):
+            used.add(e.name)
+            return True
+        if isinstance(e, AtomParam):
+            return True
+        if isinstance(e, ETuple):
+            return all(walk(i) for i in e.items)
+        if isinstance(e, Union) and not any(c.binders for c in e.clauses):
+            literal = True
+            return all(walk(c.element) for c in e.clauses)
+        return False
+
+    if not (walk(e) and used.issuperset(binders)):
+        return 0
+    return _LITERALS if literal else _TUPLES
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_the_shape_kept_on_a_node_agrees_with_a_fresh_walk(backend_name):
+    """On the clause elements and pair components of seeded sets and of
+    the literal sets, asked with the clause's binders and with none, the
+    first answer (which fills the node) and the second (which reads it)
+    equal the walk; the node's key, equality, hash and repr do not change.
+    Only the answer for no binders is kept: one node asked with two binder
+    tuples, in either order, answers each."""
+    rng = random.Random(3333)
+    backend = get_backend(backend_name)
+    p, q = sample_atoms(rng, backend_name, 2)
+    sets = [gen_set_expr(rng, backend_name, [p, q], max_binders=3, depth=3) for _ in range(40)]
+    sets += [parse(t, backend) for t in _literal_texts(_LITERAL_SETS, p, q)]
+    asked = Counter()
+    for s in sets:
+        for c in clauses(s):
+            items = c.element.items if isinstance(c.element, ETuple) else ()
+            # components first, so that each is asked before its tuple
+            # fills it
+            for e in (*items, c.element):
+                twin = act({}, e)
+                before = (e.key, hash(e), repr(e))
+                assert twin == e
+                for binders in (c.binders, ()):
+                    want = _reference_shape(e, binders)
+                    assert [_shape(e, binders), _shape(e, binders)] == [want, want], (print_expr(e), binders)
+                    asked[want] += 1
+                assert (e.key, hash(e), repr(e)) == before and twin == e and hash(twin) == hash(e)
+    assert all(asked[shape] for shape in (0, _TUPLES, _LITERALS)), asked
+    a, b = EVar("a"), EVar("b")
+    for order in ((("a", "b"), ("a", "b", "c")), (("a", "b", "c"), ("a", "b"))):
+        e = ETuple((a, b))
+        assert [_shape(e, binders) for binders in order] == [_TUPLES if len(bs) == 2 else 0 for bs in order]
