@@ -183,25 +183,29 @@ def _shape(e: Expr, binders) -> int:
     no binders, `_TUPLES` says that a closed value is flat: atoms and
     tuples only.
 
-    The answer for no binders is walked once per node and kept on it, as
-    `expr_names` keeps its names.  Where it is not 0, the names of e are
-    exactly the variables the walk meets, as a literal's clauses have no
-    binders and so no guard: e shows the binders when its names include
-    them."""
-    try:
-        form = e._shape
-    except AttributeError:
-        if isinstance(e, (EVar, AtomParam)):
-            form, parts = _TUPLES, ()
-        elif isinstance(e, ETuple):
-            form, parts = _TUPLES, e.items
-        elif _literal(e):
-            form, parts = _LITERALS, [c.element for c in e.clauses]
-        else:
-            form, parts = 0, ()
-        forms = [_shape(p, ()) for p in parts]
-        form = max([form, *forms]) if all(forms) else 0
-        object.__setattr__(e, "_shape", form)
+    The answer for no binders is walked once per tuple or union and kept
+    on it, as `expr_names` keeps its names; an atom or a variable is
+    `_TUPLES` and any other node 0, with no walk.  Where it is not 0, the
+    names of e are exactly the variables the walk meets, as a literal's
+    clauses have no binders and so no guard: e shows the binders when its
+    names include them."""
+    if isinstance(e, (EVar, AtomParam)):
+        form = _TUPLES
+    elif isinstance(e, (ETuple, Union)):
+        try:
+            form = e._shape
+        except AttributeError:
+            if isinstance(e, ETuple):
+                form, parts = _TUPLES, e.items
+            elif _literal(e):
+                form, parts = _LITERALS, [c.element for c in e.clauses]
+            else:
+                form, parts = 0, ()
+            forms = [_shape(p, ()) for p in parts]
+            form = max([form, *forms]) if all(forms) else 0
+            object.__setattr__(e, "_shape", form)
+    else:
+        form = 0
     return form if form and (not binders or expr_names(e).issuperset(binders)) else 0
 
 
@@ -221,12 +225,14 @@ def _value(e: Expr, row=None):
     atom as itself, a tuple as the tuple of its components' values, and a
     finite set literal as the frozenset of its members' values; None when
     e holds any other set.  Two finite closed values are equal exactly
-    when their canonical values are.  Asked with no row, of a closed e,
-    the answer is computed once and kept on the node."""
+    when their canonical values are.  Asked with no row, of a closed tuple
+    or union, the answer is computed once and kept on the node."""
     if isinstance(e, AtomParam):
         return e.value
     if isinstance(e, EVar):
         return row[e.name]
+    if not isinstance(e, (ETuple, Union)):
+        return None
     if row is None:
         try:
             return e._value

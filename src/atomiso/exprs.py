@@ -10,11 +10,16 @@ cache lookup reads, is computed once, at construction, from the keys of its
 children, as formula nodes compute theirs, so keys share their sub-tuples.
 `expr_names`, which every compile miss reads to reserve names, walks a node
 once and keeps the result on it, and so does `free_expr_vars` on a closed
-node.  A node also keeps its shape, `algebra._shape` for no binders: whether
-it is built of atoms and tuples, with finite set literals too, or holds any
-other set, which tells the literal kernel whether it can answer; and a
-closed node its canonical value (`algebra._value`), which the kernel
-compares.  The nodes are slotted, as formula nodes are.
+node.  Name sets are shared rather than rebuilt: atoms and the universe
+answer the one empty set, `_CLOSED`, and a tuple, clause or union whose
+names are those of one of its parts keeps that part's set, so the many
+nodes over the same few binders hold few distinct sets.  A tuple or a union
+also keeps its shape, `algebra._shape` for no binders: whether it is built
+of atoms and tuples, with finite set literals too, or holds any other set,
+which tells the literal kernel whether it can answer; and a closed one its
+canonical value (`algebra._value`), which the kernel compares.  Other
+nodes answer both with no walk, so only tuples and unions carry those two
+slots.  The nodes are slotted, as formula nodes are.
 
 Renaming atoms is one walk, `_map_atoms`, behind both the automorphism
 action `act` and the abstraction `abstract_params`; it rewrites guards with
@@ -46,11 +51,17 @@ from .theories.formulas import (
 
 
 class Expr:
-    __slots__ = ("key", "_names", "_free", "_shape", "_value")
+    __slots__ = ("key", "_names", "_free")
 
-    #: set at construction; `expr_names`, `free_expr_vars`, `algebra._shape`
-    #: and `algebra._value` fill the others
+    #: set at construction; `expr_names` and `free_expr_vars` fill the others
     key: tuple
+
+
+class _Walked(Expr):
+    """A tuple or a union, the nodes whose shape and value take a walk:
+    `algebra._shape` and `algebra._value` keep theirs here."""
+
+    __slots__ = ("_shape", "_value")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +96,7 @@ ATOMS = AtomsSet()
 
 
 @dataclass(frozen=True, slots=True)
-class ETuple(Expr):
+class ETuple(_Walked):
     items: tuple[Expr, ...]
 
     def __post_init__(self):
@@ -114,7 +125,7 @@ class SetComp(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Union(Expr):
+class Union(_Walked):
     """Union of comprehension clauses; canonically sorted and deduplicated."""
 
     clauses: tuple[SetComp, ...]
@@ -229,25 +240,39 @@ def free_expr_vars(e: Expr) -> frozenset[str]:
 
 def expr_names(e: Expr) -> frozenset[str]:
     """Every variable name appearing anywhere (bound or free), walked once
-    per node and kept on it."""
+    per node and kept on it.  Atoms and the universe share `_CLOSED`, and a
+    node whose names are one part's shares that part's set."""
+    if isinstance(e, (AtomParam, AtomsSet)):
+        return _CLOSED
     try:
         return e._names
     except AttributeError:
         pass
     if isinstance(e, EVar):
         out = frozenset((e.name,))
-    elif isinstance(e, (AtomParam, AtomsSet)):
-        out = frozenset()
     elif isinstance(e, ETuple):
-        out = frozenset().union(*map(expr_names, e.items))
+        out = _shared(list(map(expr_names, e.items)))
     elif isinstance(e, SetComp):
-        out = expr_names(e.element) | all_names(e.guard) | set(e.binders)
+        inner = expr_names(e.element)
+        out = inner.union(all_names(e.guard), e.binders)
+        if len(out) == len(inner):
+            out = inner
     elif isinstance(e, Union):
-        out = frozenset().union(*map(expr_names, e.clauses))
+        out = _shared(list(map(expr_names, e.clauses)))
     else:
         raise TypeError(f"not an expression: {e!r}")
     object.__setattr__(e, "_names", out)
     return out
+
+
+def _shared(parts: list[frozenset[str]]) -> frozenset[str]:
+    """The union of `parts`: the first part that holds all of it, else a
+    new set (`_CLOSED` when empty)."""
+    out = frozenset().union(*parts)
+    for p in parts:
+        if len(p) == len(out):
+            return p
+    return out if out else _CLOSED
 
 
 def subst_expr_vars(e: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -377,21 +377,30 @@ class Backend:
         """Eliminate the quantifiers of a normalized formula, innermost
         first: a closed quantifier block by `_decide_block`, any other
         binder by `_exists`, a universal as the negated existential of its
-        negated body.  A formula of `_normal` is returned unchanged."""
+        negated body.  A quantifier directly under an open one is open too,
+        so `free_vars` is walked once per chain of quantifiers.  A formula
+        of `_normal` is returned unchanged."""
         if isinstance(f, (Top, Bot, Rel, Not)) or f in self._normal:
             return f
         if isinstance(f, And):
             return land(*(self._eliminate(g) for g in f.args))
         if isinstance(f, Or):
             return lor(*(self._eliminate(g) for g in f.args))
-        if isinstance(f, (Exists, Forall)) and not free_vars(f):
+        if not isinstance(f, (Exists, Forall)):
+            raise TypeError(f"not a formula: {f!r}")
+        if not free_vars(f):
             return self._decide_block(f)
-        if isinstance(f, Exists):
-            return self._exists(f.var, self._eliminate(f.body))
-        if isinstance(f, Forall):
-            neg = self._nf(self._eliminate(f.body), True)
-            return self._nf(self._exists(f.var, neg), True)
-        raise TypeError(f"not a formula: {f!r}")
+        chain = []
+        while isinstance(f, (Exists, Forall)):
+            chain.append(f)
+            f = f.body
+        out = self._eliminate(f)
+        for q in reversed(chain):
+            if isinstance(q, Exists):
+                out = self._exists(q.var, out)
+            else:
+                out = self._nf(self._exists(q.var, self._nf(out, True)), True)
+        return out
 
     def _decide_block(self, f: Formula) -> Formula:
         """TRUE or FALSE for a closed chain of like quantifiers.

@@ -7,11 +7,20 @@ structural key.
 
 Every node (term or formula) is a slotted frozen dataclass that computes its
 structural `key` and its hash once, at construction, from the cached keys
-and hashes of its children; atoms are hashed once, in their `Const`.  Two
-nodes are equal when their keys are equal, so formulas built along
-different paths compare and hash equal, and `key` order is the sort order
-of `land`/`lor`.  A pickled node is rebuilt through its constructor, so a
-hash never travels between processes (string hashes differ per process).
+and hashes of its children; atoms are hashed once, in their `Const`.  Terms
+are interned: `Var` and `Const` return the one live node of a name, or of
+an atom's type and value, from a weak table, so a term that nothing holds
+any more leaves it.  A `Var` is equal only to itself and hashed by
+identity, so the dictionaries of the conjunct kernel look variables up
+without a Python-level call; a `Const` stays equal by value, an int to an
+equal Fraction.  A formula node is equal to another when their keys are
+equal, so formulas built along different paths compare and hash equal, and
+`key` order is the sort order of `land`/`lor`.  The cached hash of a
+compound node is built from its children's cached hashes, never from a
+variable's identity, so it does not depend on which node was built first.
+A pickled node is rebuilt through its constructor, so a hash never travels
+between processes (string hashes differ per process), and a pickled or
+copied term is the live one.
 
 Two traversals serve every job that only reads or rewrites relation atoms:
 `subformulas` lists the nodes (vocabulary checks, the atoms a formula
@@ -26,6 +35,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
+from weakref import WeakValueDictionary
 
 Atom = Union[int, Fraction]
 
@@ -64,22 +74,55 @@ class _Node:
 _node = dataclass(frozen=True, slots=True, eq=False)
 
 
-@_node
-class Var(_Node):
+class _Term(_Node):
+    """A term: one live node per name or atom, kept in its class's weak
+    table and filled through setdefault, so that a term never has two
+    live nodes."""
+
+    __slots__ = ("__weakref__",)
+
+
+_VARS: "WeakValueDictionary[str, Var]" = WeakValueDictionary()
+_CONSTS: "WeakValueDictionary[tuple, Const]" = WeakValueDictionary()
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Var(_Term):
+    """A variable, equal only to itself: its one node per name."""
+
     name: str
 
-    def __post_init__(self):
-        key = ("v", self.name)
-        self._set_key(key, hash(key))
+    def __new__(cls, name: str):
+        node = _VARS.get(name)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "name", name)
+            key = ("v", name)
+            node._set_key(key, hash(key))
+            node = _VARS.setdefault(name, node)
+        return node
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
-@_node
-class Const(_Node):
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Const(_Term):
+    """An atom, one node per (type, value) and equal by value, so that an
+    int and an equal Fraction still compare and hash equal."""
+
     value: Atom
 
-    def __post_init__(self):
-        key = ("c", self.value)
-        self._set_key(key, hash(key))
+    def __new__(cls, value: Atom):
+        token = (type(value), value)
+        node = _CONSTS.get(token)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "value", value)
+            key = ("c", value)
+            node._set_key(key, hash(key))
+            node = _CONSTS.setdefault(token, node)
+        return node
 
 
 Term = Union[Var, Const]

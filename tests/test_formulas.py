@@ -1,6 +1,10 @@
-"""Formula-layer contract: cached keys and hashes, equality by key, pickling
-across processes, and the node-keyed QE cache against the uncached path."""
+"""Formula-layer contract: cached keys and hashes, equality by key, interned
+terms, pickling across processes, and the node-keyed QE cache against the
+uncached path."""
 
+import copy
+import dataclasses
+import gc
 import os
 import pickle
 import random
@@ -12,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import atomiso
+from atomiso.exprs import _CLOSED, AtomParam, ETuple, EVar, expr_names
+from atomiso.theories import formulas as formulas_module
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import (
     And,
@@ -144,6 +150,56 @@ def test_nodes_with_overlapping_payloads_differ():
     _same(Const(1), Const(Fraction(1)))
 
 
+def test_terms_are_interned():
+    assert Var("x") is Var("x")
+    assert Const(Fraction(1, 2)) is Const(Fraction(1, 2))
+    assert Const(3) is Const(3)
+    # the table is keyed by the atom's type too: an int and an equal
+    # Fraction are two nodes, still equal with equal hashes
+    assert Const(1) is not Const(Fraction(1))
+    _same(Const(1), Const(Fraction(1)))
+    assert type(Const(1).value) is int
+    assert type(Const(Fraction(1)).value) is Fraction
+    assert Var("x") is not Var("y") and Var("x") != Var("y")
+
+
+def test_an_interned_term_keeps_its_face():
+    x, half = Var("x"), Const(Fraction(1, 2))
+    for t in (x, half, Const(7)):
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert t.key == reference_key(t)
+    assert repr(x) == "Var(name='x')"
+    assert repr(half) == "Const(value=Fraction(1, 2))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.name = "y"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        half.value = 1
+    # a formula's cached hash reads its terms' cached hashes, not their
+    # identities
+    assert hash(Rel("<", (x, half))) == hash(("r", "<", x._hash, half._hash))
+
+
+def test_a_term_nothing_holds_leaves_its_table():
+    for kind, table, payload, token in (
+        (Var, formulas_module._VARS, "gone_after_collect", "gone_after_collect"),
+        (Const, formulas_module._CONSTS, Fraction(7919, 13), (Fraction, Fraction(7919, 13))),
+    ):
+        t = kind(payload)
+        assert table[token] is t
+        del t
+        gc.collect()
+        assert token not in table
+
+
+def test_expression_name_sets_are_shared():
+    x = EVar("x")
+    assert expr_names(ETuple((x, x))) is expr_names(x) == {"x"}
+    assert expr_names(ETuple((AtomParam(1), AtomParam(2)))) is _CLOSED
+    assert expr_names(AtomParam(1)) is _CLOSED
+
+
 _BUILD = """
 from fractions import Fraction as F
 from atomiso.theories.formulas import Const, Exists, Forall, Rel, Var, land, lnot, lor
@@ -249,3 +305,24 @@ def test_qe_cache_agrees_with_uncached_elimination(name):
         hit = backend.qe(g)
         assert len(backend._qe_cache) == size
         assert hit is first and hit.key == ref.key
+
+
+def test_terms_built_in_another_order_leave_the_pinned_outputs():
+    # identity hashes, and so the order of a set of variables, depend on
+    # which terms a process built first; the pinned outputs must not
+    tests = Path(__file__).resolve().parent
+    out = _run_under_another_hash_seed(
+        "import contextlib, io, random\n"
+        "import pytest\n"
+        "made = [(Var, n) for n in 'abcuvwxyz'] + [(Var, f'q{i}') for i in range(150)]\n"
+        "made += [(Const, i) for i in range(-20, 80)] + [(Const, F(i, 3)) for i in range(-30, 30)]\n"
+        "random.Random(34).shuffle(made)\n"
+        "held = [kind(payload) for kind, payload in made]\n"
+        "report = io.StringIO()\n"
+        "with contextlib.redirect_stdout(report):\n"
+        "    code = pytest.main(['-q', '-p', 'no:cacheprovider',\n"
+        f"        {str(tests / 'test_theories.py')!r} + '::test_qe_and_witnesses_are_pinned',\n"
+        f"        {str(tests / 'test_algebra.py')!r} + '::test_orbits_of_a_nested_cyclic_set'])\n"
+        "sys.stdout.write('pinned' if code == 0 else report.getvalue())\n"
+    )
+    assert out == "pinned", out
