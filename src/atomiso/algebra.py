@@ -39,7 +39,7 @@ through tuples alone are injective in their binders (`_element_injective`):
 
 from dataclasses import dataclass, field
 
-from .compile import Compiler
+from .compile import Compiler, question
 from .errors import (
     BindingError,
     DomainError,
@@ -95,6 +95,7 @@ def _require_closed(e: Expr) -> None:
 # boolean queries on closed expressions
 
 
+@question
 def set_equal(comp: Compiler, e1: Expr, e2: Expr) -> bool:
     """Whether the closed expressions denote the same value; true with no
     sentence when they are the same expression."""
@@ -103,6 +104,7 @@ def set_equal(comp: Compiler, e1: Expr, e2: Expr) -> bool:
     return e1.key == e2.key or comp.holds(comp.equal(e1, e2))
 
 
+@question
 def is_member(comp: Compiler, x: Expr, s: Expr) -> bool:
     """Whether the value of x belongs to the set s.  When the kernel
     `_admits` can answer for every clause of s, it decides clause by
@@ -115,12 +117,14 @@ def is_member(comp: Compiler, x: Expr, s: Expr) -> bool:
     return comp.holds(comp.member(x, s))
 
 
+@question
 def is_subset(comp: Compiler, s1: Expr, s2: Expr) -> bool:
     _require_closed(s1)
     _require_closed(s2)
     return comp.holds(comp.subset(s1, s2))
 
 
+@question
 def sets_disjoint(comp: Compiler, s1: Expr, s2: Expr) -> bool:
     _require_closed(s1)
     _require_closed(s2)
@@ -138,7 +142,7 @@ class OrbitDescriptor:
     presented as a clause of the set restricted to one complete S-type of
     the clause's binders.  Its representative element is computed once and
     kept on the descriptor, which lives as long as the compiler's orbit
-    memo that holds it."""
+    memo holds it, for one question, or a caller does."""
 
     clause: SetComp
     type_formula: Formula
@@ -254,6 +258,7 @@ def _value(e: Expr, row=None):
     return make(values)
 
 
+@question
 def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     """The orbits of X under automorphisms fixing S pointwise, in a
     deterministic order.  S must contain every atom of X.
@@ -267,7 +272,7 @@ def orbit_decomposition(comp: Compiler, X: Expr, S) -> list[OrbitDescriptor]:
     clause whose element is injective (`_element_injective`) those are the
     `earlier` orbits, kept before the clause's first candidate: distinct
     types of its binders give distinct elements.  Otherwise they are all
-    the orbits kept so far.  Memoised per compiler by (X, S); every call
+    the orbits kept so far.  Memoised per question by (X, S); every call
     returns a fresh list."""
     S = frozenset(S)
     if (X.key, S) not in comp._orbit_cache:
@@ -442,6 +447,7 @@ def _abstracted(x: Expr):
     return occs, binders, abstract_params(x, dict(zip(occs, binders)))
 
 
+@question
 def orbit_expression(comp: Compiler, x: Expr, S) -> Union:
     """An expression for the orbit of the value of x under automorphisms
     fixing S pointwise."""
@@ -481,6 +487,7 @@ def supported_by(comp: Compiler, x: Expr, S) -> bool:
     return comp.holds(quantify(Forall, binders, Implies(t, comp.equal(body, x))))
 
 
+@question
 def least_support(comp: Compiler, x: Expr) -> frozenset:
     """The least finite atom set whose pointwise stabilizer fixes the value
     of x, by greedy removal through `supported_by`.  Greedy removal is exact
@@ -510,6 +517,7 @@ def _shown_atoms(x: Expr) -> tuple:
 # definable subsets
 
 
+@question
 def definable_subsets(
     comp: Compiler, X: Expr, T, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> list[Expr]:
@@ -552,6 +560,7 @@ class DefFunction:
         return self._params
 
 
+@question
 def fn_validate(comp: Compiler, fn: DefFunction) -> None:
     """Well-formedness: closed parts, explicit pair elements, and graph
     contained in dom x cod.  Containment is decided orbit by orbit: with S
@@ -639,6 +648,7 @@ def _agrees(comp: Compiler, e: Expr, row: dict, theirs: Expr, want) -> bool:
     return comp.holds(comp.equal(instantiate(e, row), theirs))
 
 
+@question
 def fn_check(
     comp: Compiler,
     fn: DefFunction,
@@ -689,10 +699,12 @@ def fn_check(
     return all(check() for wanted, check in checks if wanted)
 
 
+@question
 def fn_bijective(comp: Compiler, fn: DefFunction) -> bool:
     return fn_check(comp, fn, injective=True, surjective=True)
 
 
+@question
 def fn_apply(comp: Compiler, fn: DefFunction, x: Expr) -> Expr:
     """The value of the function at x; raises DomainError off the domain.
     Expects a validated, functional graph.  The clauses are tried in

@@ -137,7 +137,8 @@ def cmd_rn(args) -> int:
 def _load_pair(args):
     """Both structures of the command, checked against each other, with a
     compiler for their backend.  The command validates each over the atoms
-    its search or first final check decomposes over, to share the orbits."""
+    its search or first final check decomposes over, in one question with
+    the search, to share the orbits."""
     A = load_structure(args.a)
     B = load_structure(args.b)
     if A.backend_name != B.backend_name:
@@ -152,11 +153,12 @@ def cmd_iso(args) -> int:
     A, B, comp = _load_pair(args)
     backend = comp.backend
     extra = parse_atoms(args.params, backend)
-    for st in (A, B):
-        validate_structure(comp, st, A.params() | B.params() | extra)
-    cert = decide_definable_iso(
-        comp, A, B, extra_params=extra, mode=args.mode, budget=args.budget
-    )
+    with comp:
+        for st in (A, B):
+            validate_structure(comp, st, A.params() | B.params() | extra)
+        cert = decide_definable_iso(
+            comp, A, B, extra_params=extra, mode=args.mode, budget=args.budget
+        )
     lines = [f"verdict: {cert.verdict}"]
     if cert.caveat:
         lines.append(f"note: {cert.caveat}")
@@ -175,10 +177,11 @@ def cmd_eliminate(args) -> int:
             f"the map uses backend {backend_name}, the structures use "
             f"{A.backend_name}"
         )
-    for st in (A, B):
-        validate_structure(comp, st, A.params() | B.params() | fn.params())
-    extra = parse_atoms(args.params, backend)
-    h, report = eliminate_parameters(comp, fn, A, B, T=extra)
+    with comp:
+        for st in (A, B):
+            validate_structure(comp, st, A.params() | B.params() | fn.params())
+        extra = parse_atoms(args.params, backend)
+        h, report = eliminate_parameters(comp, fn, A, B, T=extra)
     doc = function_to_dict(backend.name, h)
     plain = "\n".join(
         [

@@ -12,7 +12,19 @@ equality of sets the conjunction of its two inclusions, which are already
 quantifier-free and normalized: nothing is left to eliminate.  All bound
 names are drawn from one monotone supply per compiler, so a cached formula
 can never capture a variable of a later query.
+
+Every memo of a compiler and of its backend lives for one question, the
+outermost call of the public API: each function of `atomiso.__all__` that
+takes the compiler first is wrapped by `question`, which counts as one
+`with comp:` block.  The compiler counts the questions and blocks open on
+it and empties the memos when the count returns to 0, also when a
+question raises.  A question asked by another question shares its memos,
+and so do the calls inside one `with comp:` block.  Only `names` outlives
+a question: it stays monotone, so the argument above holds across
+questions too.
 """
+
+import functools
 
 from .exprs import (
     Expr,
@@ -37,7 +49,9 @@ from .theories.formulas import (
 
 
 class Compiler:
-    """Holds a backend, a fresh-name supply, and the formula and orbit caches."""
+    """Holds a backend, a fresh-name supply, and the formula and orbit caches,
+    which last for one question.  As a context manager it opens one
+    question around its block, so that the calls inside share the caches."""
 
     def __init__(self, backend: Backend):
         self.backend = backend
@@ -46,6 +60,25 @@ class Compiler:
         self._mem_cache: dict[tuple, Formula] = {}
         self._sub_cache: dict[tuple, Formula] = {}
         self._orbit_cache: dict[tuple, tuple] = {}
+        #: how many questions and `with comp:` blocks are open on this compiler
+        self._depth = 0
+
+    def __enter__(self) -> "Compiler":
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._depth -= 1
+        if not self._depth:
+            self.forget()
+
+    def forget(self) -> None:
+        """Empty the caches of the compiler and of its backend."""
+        self._eq_cache.clear()
+        self._mem_cache.clear()
+        self._sub_cache.clear()
+        self._orbit_cache.clear()
+        self.backend.forget()
 
     # ------------------------------------------------------------------
 
@@ -123,3 +156,23 @@ class Compiler:
 
     def holds(self, sentence: Formula) -> bool:
         return self.backend.holds(sentence)
+
+
+def question(fn):
+    """fn, whose first argument is a `Compiler`, as one question: a call
+    counts as a `with comp:` block, so the compiler's caches are emptied
+    when the outermost open question or block on it returns or raises.
+    The count is kept inline rather than by a with statement, which costs two
+    more Python-level calls per question."""
+
+    @functools.wraps(fn)
+    def asked(comp: Compiler, *args, **kwargs):
+        comp._depth += 1
+        try:
+            return fn(comp, *args, **kwargs)
+        finally:
+            comp._depth -= 1
+            if not comp._depth:
+                comp.forget()
+
+    return asked

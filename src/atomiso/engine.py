@@ -54,7 +54,7 @@ from .algebra import (
     orbit_index,
     supported_by,
 )
-from .compile import Compiler
+from .compile import Compiler, question
 from .errors import (
     DensenessError,
     DomainError,
@@ -284,6 +284,7 @@ class _MorphismChecker:
 # the search
 
 
+@question
 def find_definable_map(
     comp: Compiler,
     A: Structure,
@@ -392,6 +393,7 @@ def find_definable_map(
     return negative()
 
 
+@question
 def decide_definable_iso(
     comp: Compiler,
     A: Structure,
@@ -427,6 +429,7 @@ class SmoothingReport:
     walk_bound: int = 0
 
 
+@question
 def eliminate_parameters(
     comp: Compiler,
     fn: DefFunction,

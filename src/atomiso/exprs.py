@@ -28,8 +28,6 @@ action `act` and the abstraction `abstract_params`; it rewrites guards with
 one conversion of an atom-denoting expression into a formula term.
 """
 
-from dataclasses import dataclass
-
 from .errors import BindingError, DomainError, ValidationError
 from .theories.formulas import (
     TRUE,
@@ -44,6 +42,7 @@ from .theories.formulas import (
     Var,
     all_names,
     free_vars,
+    frozen_node,
     map_relations,
     subformulas,
     subst,
@@ -64,7 +63,7 @@ class _Walked(Expr):
     __slots__ = ("_shape", "_value")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node()
 class EVar(Expr):
     """A variable bound by an enclosing comprehension (denotes an atom)."""
 
@@ -74,7 +73,7 @@ class EVar(Expr):
         object.__setattr__(self, "key", ("v", self.name))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node()
 class AtomParam(Expr):
     """A concrete atom appearing directly in the expression."""
 
@@ -84,7 +83,7 @@ class AtomParam(Expr):
         object.__setattr__(self, "key", ("p", self.value))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node()
 class AtomsSet(Expr):
     """The set of all atoms."""
 
@@ -95,7 +94,7 @@ class AtomsSet(Expr):
 ATOMS = AtomsSet()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node()
 class ETuple(_Walked):
     items: tuple[Expr, ...]
 
@@ -105,7 +104,7 @@ class ETuple(_Walked):
         object.__setattr__(self, "key", ("t",) + tuple(i.key for i in self.items))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node()
 class SetComp(Expr):
     """One comprehension clause { element | binders in atoms, guard }."""
 
@@ -124,7 +123,7 @@ class SetComp(Expr):
         object.__setattr__(self, "key", ("s", self.element.key, self.binders, self.guard.key))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node()
 class Union(_Walked):
     """Union of comprehension clauses; canonically sorted and deduplicated."""
 

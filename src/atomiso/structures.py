@@ -37,7 +37,7 @@ from .algebra import (
     orbit_decomposition,
     set_equal,
 )
-from .compile import Compiler
+from .compile import Compiler, question
 from .errors import DomainError, ValidationError
 from .exprs import ETuple, Expr, expr_params
 from .parser import parse, print_expr
@@ -260,6 +260,7 @@ def _check_shape(st: Structure) -> None:
             )
 
 
+@question
 def validate_structure(comp: Compiler, st: Structure, S=frozenset()) -> None:
     """Containment checks: every interpretation lives in the matching power
     of the universe (with the index set in front for families).  The power
@@ -297,6 +298,7 @@ def _components(x: Expr, n: int) -> list[Expr] | None:
 # isomorphism checking
 
 
+@question
 def signatures_match(comp: Compiler, A: Structure, B: Structure) -> bool:
     if {(r.name, r.arity) for r in A.relations} != {
         (r.name, r.arity) for r in B.relations
@@ -320,6 +322,7 @@ def require_backend(comp: Compiler, A: Structure, B: Structure) -> None:
         raise ValidationError("structures and compiler use different backends")
 
 
+@question
 def check_isomorphism(
     comp: Compiler, fn: DefFunction, A: Structure, B: Structure, *, mode: str = "iso"
 ) -> bool:

@@ -10,13 +10,15 @@ relation atom against the vocabulary, expands it by `pre_transform`, pushes
 the negation onto it and folds it by `normalize_literal`.  Every output of
 `eliminate` joins `_normal`, which `_nf` and `_eliminate` return unchanged,
 so the compiled memberships and inclusions that come back inside later
-sentences are not walked again.  Truth under a valuation is the eliminated
-formula evaluated on the valuation's atoms, each literal by `GROUND`, which
-`normalize_literal` folds by too: no formula or term is built.  A closed
-chain of like quantifiers, as in every sentence behind a verdict, is not
-eliminated binder by binder: it is decided by one pruned DNF search over the
-variable-disjoint components of its body, since an existential closure holds
-exactly when some literal set of the DNF is consistent.
+sentences of the same question are not walked again; `forget` empties it
+with the caches that hold those outputs.  Truth under a valuation is the
+eliminated formula evaluated on the valuation's atoms, each literal by
+`GROUND`, which `normalize_literal` folds by too: no formula or term is
+built.  A closed chain of like quantifiers, as in every sentence behind a
+verdict, is not eliminated binder by binder: it is decided by one pruned DNF
+search over the variable-disjoint components of its body, since an
+existential closure holds exactly when some literal set of the DNF is
+consistent.
 
 The DNF is kept absorbed: a disjunction, and each step of the fold that
 multiplies out a conjunction, keeps only the minimal literal sets, since
@@ -170,10 +172,19 @@ class Backend:
     def __init__(self):
         self._qe_cache: dict[Formula, Formula] = {}
         #: every output of `eliminate`, each kept by `_qe_cache` or by a
-        #: `Compiler` cache: quantifier-free and in normal form already
+        #: `Compiler` cache: quantifier-free and in normal form already;
+        #: `forget` empties it with those caches, at the end of a question
         self._normal: set[Formula] = set()
-        #: the free variables of each formula `sat` was asked about
+        #: the free variables of each formula `sat` was asked about, for as
+        #: long as `_qe_cache` holds its elimination
         self._free: dict[Formula, frozenset[str]] = {}
+
+    def forget(self) -> None:
+        """Empty the QE memo and the two memos that mirror it; a `Compiler`
+        calls this at the end of each question, with its own caches."""
+        self._qe_cache.clear()
+        self._normal.clear()
+        self._free.clear()
 
     # ------------------------------------------------------------------
     # atoms
@@ -274,7 +285,7 @@ class Backend:
         uppers: list[Term] = []
         keep: list[Formula] = []
         for lit in lits:
-            if var not in free_vars(lit):
+            if not _occurs(v, lit):
                 keep.append(lit)
                 continue
             if isinstance(lit, Not):
@@ -348,11 +359,12 @@ class Backend:
     # quantifier elimination
 
     def qe(self, f: Formula) -> Formula:
-        """`eliminate(f)`, memoised in `_qe_cache`, one entry per miss,
-        keyed by the formula node itself: its hash and key are cached on the
-        node, so a lookup costs one hash read, plus one key comparison on a
-        hit.  A caller that keeps its own cache of the result, as `Compiler`
-        does, calls `eliminate` instead, so that no formula is held twice."""
+        """`eliminate(f)`, memoised in `_qe_cache` until `forget`, one entry
+        per miss, keyed by the formula node itself: its hash and key are
+        cached on the node, so a lookup costs one hash read, plus one key
+        comparison on a hit.  A caller that keeps its own cache of the
+        result, as `Compiler` does, calls `eliminate` instead, so that no
+        formula is held twice."""
         hit = self._qe_cache.get(f)
         if hit is not None:
             return hit
@@ -427,14 +439,15 @@ class Backend:
         """Eliminate one existential from a quantifier-free formula."""
         if isinstance(f, And):
             # the conjuncts without var stay outside, split in one pass
+            v = Var(var)
             inside, outside = [], []
             for g in f.args:
-                (inside if var in free_vars(g) else outside).append(g)
+                (inside if _occurs(v, g) else outside).append(g)
             if not inside:
                 return f
             if outside:
                 return land(*outside, self._exists(var, land(*inside)))
-        elif var not in free_vars(f):
+        elif not _occurs(Var(var), f):
             return f
         elif isinstance(f, Or):
             return lor(*(self._exists(var, d) for d in f.args))
@@ -782,6 +795,29 @@ class ConjunctState:
 
 
 ConjunctState.EMPTY = ConjunctState({}, (), (), {}, ())
+
+
+def _occurs(v: Var, f: Formula) -> bool:
+    """Whether the variable v occurs in the quantifier-free formula f.
+    Variables are interned, so a term is compared by identity; the walk
+    stops at the first occurrence and builds no set."""
+    kind = type(f)
+    if kind is Not:
+        return _occurs(v, f.body)
+    if kind is Rel:
+        # by identity: a Const's value equality is a Python-level call
+        for t in f.args:
+            if t is v:
+                return True
+        return False
+    if kind is And or kind is Or:
+        for g in f.args:
+            if _occurs(v, g):
+                return True
+        return False
+    if kind is Top or kind is Bot:
+        return False
+    raise TypeError(f"not a quantifier-free formula: {f!r}")
 
 
 def _components(f: Formula) -> list[Formula]:

@@ -31,7 +31,7 @@ circle's expansion of R).  Walks that handle binders (`free_vars`,
 that handles polarity, the backends' normal form `Backend._nf`.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
@@ -71,7 +71,31 @@ class _Node:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-_node = dataclass(frozen=True, slots=True, eq=False)
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_node(**options):
+    """A frozen slotted dataclass with `options`, whose every assignment
+    and deletion raises FrozenInstanceError.  The frozen `__setattr__` and
+    `__delattr__` that dataclass writes call super() with the class that
+    slots=True replaces, so for a name that is not a field they raised
+    TypeError instead."""
+
+    def make(cls):
+        cls = dataclass(frozen=True, slots=True, **options)(cls)
+        cls.__setattr__ = _refuse_set
+        cls.__delattr__ = _refuse_del
+        return cls
+
+    return make
+
+
+_node = frozen_node(eq=False)
 
 
 class _Term(_Node):
@@ -86,7 +110,7 @@ _VARS: "WeakValueDictionary[str, Var]" = WeakValueDictionary()
 _CONSTS: "WeakValueDictionary[tuple, Const]" = WeakValueDictionary()
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@frozen_node(eq=False, init=False)
 class Var(_Term):
     """A variable, equal only to itself: its one node per name."""
 
@@ -106,7 +130,7 @@ class Var(_Term):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@frozen_node(eq=False, init=False)
 class Const(_Term):
     """An atom, one node per (type, value) and equal by value, so that an
     int and an equal Fraction still compare and hash equal."""

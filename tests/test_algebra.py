@@ -180,17 +180,18 @@ def test_orbit_decomposition_needs_support(eq_comp):
 def test_orbit_decomposition_is_memoised_per_set_and_parameters():
     comp = Compiler(get_backend("equality"))
     x = _p("{(a, b) | a, b in atoms, a != #1}", comp)
-    first = orbit_decomposition(comp, x, frozenset({1}))
-    want = list(first)
-    first.clear()
-    assert orbit_decomposition(comp, x, {1}) == want
-    assert len(comp._orbit_cache) == 1
-    # another parameter set is another entry
-    assert len(orbit_decomposition(comp, x, frozenset({1, 2}))) > len(want)
-    assert len(comp._orbit_cache) == 2
-    with pytest.raises(SupportError):
-        orbit_decomposition(comp, x, frozenset())
-    assert len(comp._orbit_cache) == 2
+    with comp:
+        first = orbit_decomposition(comp, x, frozenset({1}))
+        want = list(first)
+        first.clear()
+        assert orbit_decomposition(comp, x, {1}) == want
+        assert len(comp._orbit_cache) == 1
+        # another parameter set is another entry
+        assert len(orbit_decomposition(comp, x, frozenset({1, 2}))) > len(want)
+        assert len(comp._orbit_cache) == 2
+        with pytest.raises(SupportError):
+            orbit_decomposition(comp, x, frozenset())
+        assert len(comp._orbit_cache) == 2
 
 
 def test_orbit_expression_contains_value(eq_comp):

@@ -326,3 +326,41 @@ def test_terms_built_in_another_order_leave_the_pinned_outputs():
         "sys.stdout.write('pinned' if code == 0 else report.getvalue())\n"
     )
     assert out == "pinned", out
+
+
+def _node_classes(base: type) -> set:
+    """The node classes under base that their module defines; a class that
+    slots=True replaced may linger among the subclasses until collected."""
+    out, todo = set(), [base]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if dataclasses.is_dataclass(sub) and getattr(sys.modules[sub.__module__], sub.__name__) is sub:
+                out.add(sub)
+    return out
+
+
+def test_every_node_refuses_every_assignment():
+    from atomiso import exprs
+
+    x, one = Var("x"), Const(1)
+    rel = Rel("=", (x, one))
+    element = exprs.ETuple((exprs.EVar("a"), exprs.AtomParam(1)))
+    clause = exprs.SetComp(element, ("a",), rel)
+    nodes = [
+        x, one, Top(), Bot(), rel, Not(rel), And((rel, Not(rel))), Or((rel, Not(rel))),
+        Implies(rel, rel), Exists("x", rel), Forall("x", rel),
+        exprs.EVar("a"), exprs.AtomParam(1), exprs.ATOMS, element, clause, exprs.Union((clause,)),
+    ]
+    classes = _node_classes(formulas_module._Node) | _node_classes(exprs.Expr)
+    assert {type(n) for n in nodes} == classes
+    for node in nodes:
+        before = (node.key, hash(node))
+        names = [f.name for f in dataclasses.fields(node)] + ["key", "zzz"]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert (node.key, hash(node)) == before
+        assert not hasattr(node, "zzz")

@@ -379,18 +379,21 @@ def test_known_normal_formulas_are_each_held_by_a_cache(name):
     rng = random.Random(53)
     comp = Compiler(get_backend(name))
     b = comp.backend
-    for _ in range(20):
-        params = sample_atoms(rng, name, 2)
-        e1, e2 = (gen_set_expr(rng, name, params, max_binders=2, depth=2) for _ in range(2))
-        set_equal(comp, e1, e2)
-        is_subset(comp, e2, e1)
-        least_support(comp, e1)
-        comp.holds(gen_formula(rng, name, [], params, depth=3, qdepth=2))
-    held = {id(v) for v in b._qe_cache.values()}
-    assert held and len(b._normal) > len(held)
-    for cache in (comp._eq_cache, comp._mem_cache, comp._sub_cache):
-        held |= {id(v) for v in cache.values()}
-    assert all(id(f) in held for f in b._normal)
+    with comp:
+        for _ in range(20):
+            params = sample_atoms(rng, name, 2)
+            e1, e2 = (gen_set_expr(rng, name, params, max_binders=2, depth=2) for _ in range(2))
+            set_equal(comp, e1, e2)
+            is_subset(comp, e2, e1)
+            least_support(comp, e1)
+            comp.holds(gen_formula(rng, name, [], params, depth=3, qdepth=2))
+        held = {id(v) for v in b._qe_cache.values()}
+        assert held and len(b._normal) > len(held)
+        for cache in (comp._eq_cache, comp._mem_cache, comp._sub_cache):
+            held |= {id(v) for v in cache.values()}
+        assert all(id(f) in held for f in b._normal)
+    # and the question's end empties them together
+    assert not b._normal and not b._qe_cache and not b._free
 
 
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
