@@ -161,18 +161,11 @@ class Compiler:
 def question(fn):
     """fn, whose first argument is a `Compiler`, as one question: a call
     counts as a `with comp:` block, so the compiler's caches are emptied
-    when the outermost open question or block on it returns or raises.
-    The count is kept inline rather than by a with statement, which costs two
-    more Python-level calls per question."""
+    when the outermost open question or block on it returns or raises."""
 
     @functools.wraps(fn)
     def asked(comp: Compiler, *args, **kwargs):
-        comp._depth += 1
-        try:
+        with comp:
             return fn(comp, *args, **kwargs)
-        finally:
-            comp._depth -= 1
-            if not comp._depth:
-                comp.forget()
 
     return asked

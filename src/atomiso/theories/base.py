@@ -276,10 +276,10 @@ class Backend:
         dropped, as every region holds infinitely many atoms."""
         v = Var(var)
         for lit in sorted(lits, key=lambda l: l.key):
-            if isinstance(lit, Rel) and lit.name == "=" and v in lit.args:
-                other = lit.args[1] if lit.args[0] == v else lit.args[0]
+            if isinstance(lit, Rel) and lit.name == "=" and _occurs(v, lit):
+                other = lit.args[1] if lit.args[0] is v else lit.args[0]
                 return land(
-                    *(self._subst_literal(l, var, other) for l in lits if l is not lit)
+                    *(self._subst_literal(l, v, other) for l in lits if l is not lit)
                 )
         lowers: list[Term] = []
         uppers: list[Term] = []
@@ -292,7 +292,7 @@ class Backend:
                 continue
             if lit.name == "<":
                 a, b = lit.args
-                if b == v:
+                if b is v:
                     lowers.append(a)
                 else:
                     uppers.append(b)
@@ -301,10 +301,10 @@ class Backend:
                 keep.append(self.normalize_literal("<", (l, u), True))
         return land(*keep)
 
-    def _subst_literal(self, lit: Formula, var: str, term: Term) -> Formula:
+    def _subst_literal(self, lit: Formula, v: Var, term: Term) -> Formula:
         positive = isinstance(lit, Rel)
         rel = lit if positive else lit.body
-        args = tuple(term if t == Var(var) else t for t in rel.args)
+        args = tuple(term if t is v else t for t in rel.args)
         return self.normalize_literal(rel.name, args, positive)
 
     def conjunct_witness(self, lits, fvs: list[str], params: list[Atom]) -> Valuation | None:
