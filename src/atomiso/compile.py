@@ -9,9 +9,7 @@ backend's uncached `eliminate`, not its memoising `qe`, so no compiled
 formula is held twice.  An equality of atoms is one normalized literal, an
 equality of tuples the conjunction of its components' equalities, and an
 equality of sets the conjunction of its two inclusions, which are already
-quantifier-free and normalized: nothing is left to eliminate.  All bound
-names are drawn from one monotone supply per compiler, so a cached formula
-can never capture a variable of a later query.
+quantifier-free and normalized: nothing is left to eliminate.
 
 Every memo of a compiler and of its backend lives for one question, the
 outermost call of the public API: each function of `atomiso.__all__` that
@@ -19,9 +17,16 @@ takes the compiler first is wrapped by `question`, which counts as one
 `with comp:` block.  The compiler counts the questions and blocks open on
 it and empties the memos when the count returns to 0, also when a
 question raises.  A question asked by another question shares its memos,
-and so do the calls inside one `with comp:` block.  Only `names` outlives
-a question: it stays monotone, so the argument above holds across
-questions too.
+and so do the calls inside one `with comp:` block.
+
+All bound names are drawn from one supply, `names`, which lives exactly
+as long as the memos: `forget` starts it afresh.  No drawn name can be
+captured.  Within one memo lifetime the supply is monotone and reserves
+the names of every expression it compiles, so a name drawn later never
+meets a cached formula's variables.  No cached formula outlives that
+lifetime.  And a drawn name is always bound inside the sentence that
+draws it, which is eliminated before it is answered, so no drawn name
+reaches an answer that a caller keeps into a later question.
 """
 
 import functools
@@ -49,9 +54,9 @@ from .theories.formulas import (
 
 
 class Compiler:
-    """Holds a backend, a fresh-name supply, and the formula and orbit caches,
-    which last for one question.  As a context manager it opens one
-    question around its block, so that the calls inside share the caches."""
+    """Holds a backend and, for one question, a fresh-name supply and the
+    formula and orbit caches.  As a context manager it opens one question
+    around its block, so that the calls inside share the caches."""
 
     def __init__(self, backend: Backend):
         self.backend = backend
@@ -73,7 +78,9 @@ class Compiler:
             self.forget()
 
     def forget(self) -> None:
-        """Empty the caches of the compiler and of its backend."""
+        """Empty the caches of the compiler and of its backend, and start
+        the fresh-name supply afresh."""
+        self.names = NameSource()
         self._eq_cache.clear()
         self._mem_cache.clear()
         self._sub_cache.clear()

@@ -19,14 +19,23 @@ of atoms and tuples, with finite set literals too, or holds any other set,
 which tells the literal kernel whether it can answer; and a closed one its
 canonical value (`algebra._value`), which the kernel compares.  Other
 nodes answer both with no walk, so only tuples and unions carry those two
-slots.  The nodes are slotted, as formula nodes are.
+slots.  The nodes are slotted, as formula nodes are.  The leaves are
+interned as formula terms are: `EVar` and `AtomParam` return the one live
+node of a name, or of an atom's type and value, from a weak table, and
+stay equal by value.  A pickled or copied node is rebuilt through its
+constructors, so its key is set again and its leaves are the live ones.
 
 Renaming atoms is one walk, `_map_atoms`, behind both the automorphism
 action `act` and the abstraction `abstract_params`; it rewrites guards with
-`formulas.map_relations`.  Guards are read with `formulas.subformulas`
-(atom occurrences, binders an abstraction would capture).  `as_term` is the
-one conversion of an atom-denoting expression into a formula term.
+`formulas.map_relations`.  It and `subst_expr_vars` return the very node
+they were given wherever nothing in it changed, so a rewritten expression
+shares every unchanged subtree with its input.  Guards are read with
+`formulas.subformulas` (atom occurrences, binders an abstraction would
+capture).  `as_term` is the one conversion of an atom-denoting expression
+into a formula term.
 """
+
+from weakref import WeakValueDictionary
 
 from .errors import BindingError, DomainError, ValidationError
 from .theories.formulas import (
@@ -44,8 +53,10 @@ from .theories.formulas import (
     free_vars,
     frozen_node,
     map_relations,
+    rebuilt,
     subformulas,
     subst,
+    unchanged,
 )
 
 
@@ -55,6 +66,10 @@ class Expr:
     #: set at construction; `expr_names` and `free_expr_vars` fill the others
     key: tuple
 
+    def __reduce__(self):
+        # the memo slots are not carried: they refill on first read
+        return rebuilt(self)
+
 
 class _Walked(Expr):
     """A tuple or a union, the nodes whose shape and value take a walk:
@@ -63,24 +78,50 @@ class _Walked(Expr):
     __slots__ = ("_shape", "_value")
 
 
-@frozen_node()
-class EVar(Expr):
+class _Leaf(Expr):
+    """An atom-denoting leaf: one live node per name or atom, kept in its
+    class's weak table and filled through setdefault, as the terms
+    `formulas.Var` and `Const` are."""
+
+    __slots__ = ("__weakref__",)
+
+
+_EVARS: "WeakValueDictionary[str, EVar]" = WeakValueDictionary()
+_PARAMS: "WeakValueDictionary[tuple, AtomParam]" = WeakValueDictionary()
+
+
+@frozen_node(init=False)
+class EVar(_Leaf):
     """A variable bound by an enclosing comprehension (denotes an atom)."""
 
     name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", ("v", self.name))
+    def __new__(cls, name: str):
+        node = _EVARS.get(name)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "name", name)
+            object.__setattr__(node, "key", ("v", name))
+            node = _EVARS.setdefault(name, node)
+        return node
 
 
-@frozen_node()
-class AtomParam(Expr):
-    """A concrete atom appearing directly in the expression."""
+@frozen_node(init=False)
+class AtomParam(_Leaf):
+    """A concrete atom appearing directly in the expression, one node per
+    (type, value) as a `Const` is."""
 
     value: Atom
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", ("p", self.value))
+    def __new__(cls, value: Atom):
+        token = (type(value), value)
+        node = _PARAMS.get(token)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "value", value)
+            object.__setattr__(node, "key", ("p", value))
+            node = _PARAMS.setdefault(token, node)
+        return node
 
 
 @frozen_node()
@@ -285,17 +326,19 @@ def subst_expr_vars(e: Expr, mapping: dict[str, Expr]) -> Expr:
     if isinstance(e, (AtomParam, AtomsSet)):
         return e
     if isinstance(e, ETuple):
-        return ETuple(tuple(subst_expr_vars(i, mapping) for i in e.items))
+        items = tuple(subst_expr_vars(i, mapping) for i in e.items)
+        return e if unchanged(items, e.items) else ETuple(items)
     if isinstance(e, SetComp):
         inner = {k: v for k, v in mapping.items() if k not in e.binders}
         terms = {k: as_term(v) for k, v in inner.items()}
-        return SetComp(
-            subst_expr_vars(e.element, inner),
-            e.binders,
-            subst(e.guard, terms) if terms else e.guard,
-        )
+        element = subst_expr_vars(e.element, inner)
+        guard = subst(e.guard, terms)
+        if element is e.element and guard is e.guard:
+            return e
+        return SetComp(element, e.binders, guard)
     if isinstance(e, Union):
-        return Union(tuple(subst_expr_vars(c, mapping) for c in e.clauses))
+        cs = tuple(subst_expr_vars(c, mapping) for c in e.clauses)
+        return e if unchanged(cs, e.clauses) else Union(cs)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -338,16 +381,16 @@ def abstract_params(e: Expr, mapping: dict[Atom, str]) -> Expr:
 
 def _map_atoms(e: Expr, image: dict[Atom, Expr]) -> Expr:
     """e with every atom a in `image` replaced by the atom-denoting image[a],
-    guards included; other atoms stay.  A guard quantifier binding the name
-    of an image variable would capture it, so it is refused."""
+    guards included; other atoms stay, and so does every node in which no
+    atom moved.  An image variable would be captured by a guard quantifier
+    binding its name, or by a comprehension binder of its name around an
+    atom mapped to it, so both are refused."""
     terms = {a: as_term(x) for a, x in image.items()}
     names = {x.name for x in image.values() if isinstance(x, EVar)}
 
     def rel(r: Rel) -> Rel:
-        return Rel(
-            r.name,
-            tuple(terms.get(t.value, t) if isinstance(t, Const) else t for t in r.args),
-        )
+        args = tuple(terms.get(t.value, t) if isinstance(t, Const) else t for t in r.args)
+        return r if unchanged(args, r.args) else Rel(r.name, args)
 
     def ren(x: Expr) -> Expr:
         if isinstance(x, AtomParam):
@@ -355,21 +398,40 @@ def _map_atoms(e: Expr, image: dict[Atom, Expr]) -> Expr:
         if isinstance(x, (EVar, AtomsSet)):
             return x
         if isinstance(x, ETuple):
-            return ETuple(tuple(ren(i) for i in x.items))
+            items = tuple(ren(i) for i in x.items)
+            return x if unchanged(items, x.items) else ETuple(items)
         if isinstance(x, SetComp):
             element = ren(x.element)
             if names:
-                for g in subformulas(x.guard):
-                    if isinstance(g, (Exists, Forall)) and g.var in names:
-                        raise ValidationError(
-                            f"abstraction variable {g.var!r} is already bound in a guard"
-                        )
-            return SetComp(element, x.binders, map_relations(x.guard, rel))
+                _refuse_capture(x, names, image)
+            guard = map_relations(x.guard, rel)
+            if element is x.element and guard is x.guard:
+                return x
+            return SetComp(element, x.binders, guard)
         if isinstance(x, Union):
-            return Union(tuple(ren(c) for c in x.clauses))
+            cs = tuple(ren(c) for c in x.clauses)
+            return x if unchanged(cs, x.clauses) else Union(cs)
         raise TypeError(f"not an expression: {x!r}")
 
     return ren(e)
+
+
+def _refuse_capture(c: SetComp, names: set[str], image: dict[Atom, Expr]) -> None:
+    """Raise ValidationError when abstracting the atoms of `image` in the
+    clause c would bind one of the new variables `names` inside c."""
+    for g in subformulas(c.guard):
+        if isinstance(g, (Exists, Forall)) and g.var in names:
+            raise ValidationError(
+                f"abstraction variable {g.var!r} is already bound in a guard"
+            )
+    bound = names.intersection(c.binders)
+    if bound:
+        for a in expr_params(c):
+            x = image.get(a)
+            if isinstance(x, EVar) and x.name in bound:
+                raise ValidationError(
+                    f"abstraction variable {x.name!r} is already bound in a comprehension"
+                )
 
 
 def rename_clause(c: SetComp, fresh: NameSource) -> SetComp:

@@ -28,12 +28,16 @@ mentions, the capture check of atom abstraction) and `map_relations`
 rebuilds a formula with each relation atom replaced (atom renaming, the
 circle's expansion of R).  Walks that handle binders (`free_vars`,
 `all_names`, `subst`) keep their own recursion, and so does the one walk
-that handles polarity, the backends' normal form `Backend._nf`.
+that handles polarity, the backends' normal form `Backend._nf`.  The two
+rewrites, `map_relations` and `subst`, return the very node they were
+given wherever nothing in it changed (`unchanged` compares the rewritten
+children with the originals by identity), so their results share every
+unchanged subtree with their input.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Iterator, Union
 from weakref import WeakValueDictionary
 
@@ -68,7 +72,14 @@ class _Node:
         return self._hash
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return rebuilt(self)
+
+
+def rebuilt(node) -> tuple:
+    """The pickle and copy reduction of a frozen node: its class and its
+    fields, so that a copy is built by the constructor, which sets its
+    cached key (and hash) again and returns an interned leaf's live node."""
+    return type(node), tuple(getattr(node, f.name) for f in fields(node))
 
 
 def _refuse_set(self, name, value):
@@ -381,44 +392,63 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 def map_relations(f: Formula, fn) -> Formula:
     """f with every relation atom r replaced by fn(r).  Every other node is
-    rebuilt by its own constructor, so argument order is kept."""
+    rebuilt by its own constructor, so argument order is kept, and only
+    when a child changed: a subtree in which fn returned every atom itself
+    comes back as the same node."""
     if isinstance(f, Rel):
         return fn(f)
     if isinstance(f, (Top, Bot)):
         return f
     if isinstance(f, Not):
-        return Not(map_relations(f.body, fn))
+        body = map_relations(f.body, fn)
+        return f if body is f.body else Not(body)
     if isinstance(f, (And, Or)):
-        return type(f)(tuple(map_relations(g, fn) for g in f.args))
+        args = tuple(map_relations(g, fn) for g in f.args)
+        return f if unchanged(args, f.args) else type(f)(args)
     if isinstance(f, Implies):
-        return Implies(map_relations(f.premise, fn), map_relations(f.conclusion, fn))
+        premise = map_relations(f.premise, fn)
+        conclusion = map_relations(f.conclusion, fn)
+        if premise is f.premise and conclusion is f.conclusion:
+            return f
+        return Implies(premise, conclusion)
     if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, map_relations(f.body, fn))
+        body = map_relations(f.body, fn)
+        return f if body is f.body else type(f)(f.var, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
+def unchanged(new: tuple, old: tuple) -> bool:
+    """Whether every rewritten child in `new` is the original node at the
+    same place in `old`: then a rewrite keeps the parent itself."""
+    return all(map(is_, new, old))
+
+
 def subst(f: Formula, mapping: dict[str, Term]) -> Formula:
-    """Capture-avoiding substitution of terms for free variables."""
+    """Capture-avoiding substitution of terms for free variables.  A
+    subtree that no substitution reaches comes back as the same node."""
     if not mapping:
         return f
     if isinstance(f, (Top, Bot)):
         return f
     if isinstance(f, Rel):
-        return Rel(
-            f.name,
-            tuple(
-                mapping.get(t.name, t) if isinstance(t, Var) else t
-                for t in f.args
-            ),
+        args = tuple(
+            mapping.get(t.name, t) if isinstance(t, Var) else t for t in f.args
         )
+        return f if unchanged(args, f.args) else Rel(f.name, args)
     if isinstance(f, Not):
-        return lnot(subst(f.body, mapping))
-    if isinstance(f, And):
-        return land(*(subst(g, mapping) for g in f.args))
-    if isinstance(f, Or):
-        return lor(*(subst(g, mapping) for g in f.args))
+        body = subst(f.body, mapping)
+        return f if body is f.body else lnot(body)
+    if isinstance(f, (And, Or)):
+        args = tuple(subst(g, mapping) for g in f.args)
+        if unchanged(args, f.args):
+            return f
+        return (land if isinstance(f, And) else lor)(*args)
     if isinstance(f, Implies):
-        return Implies(subst(f.premise, mapping), subst(f.conclusion, mapping))
+        premise = subst(f.premise, mapping)
+        conclusion = subst(f.conclusion, mapping)
+        if premise is f.premise and conclusion is f.conclusion:
+            return f
+        return Implies(premise, conclusion)
     if isinstance(f, (Exists, Forall)):
         inner = {k: v for k, v in mapping.items() if k != f.var}
         captured = {v.name for v in inner.values() if isinstance(v, Var)}
@@ -429,7 +459,8 @@ def subst(f: Formula, mapping: dict[str, Term]) -> Formula:
             body = subst(f.body, {f.var: Var(new)})
             body = subst(body, inner)
             return type(f)(new, body)
-        return type(f)(f.var, subst(f.body, inner))
+        body = subst(f.body, inner)
+        return f if body is f.body else type(f)(f.var, body)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -172,6 +172,54 @@ def test_nested_questions_and_with_blocks_keep_the_memos(monkeypatch):
     assert _forgotten(comp) and len(sizes) == 3 and sizes[-1] > 0
 
 
+def _drawn(comp: Compiler) -> int:
+    """How many fresh names comp's supply has drawn, or tried, since it
+    started."""
+    return comp.names._next - 1
+
+
+def test_each_question_starts_the_name_supply_afresh():
+    comp = Compiler(get_backend("dlo"))
+    x = parse("{(a, b) | a, b in atoms, a < b and 1 < a}", comp.backend)
+    y = parse("{(b, a) | a, b in atoms, b < a and 1 < b}", comp.backend)
+    first = comp.names
+    assert set_equal(comp, x, y)
+    # the supply lasts as long as the memos: a new one, with nothing drawn
+    # or reserved, after each question
+    assert comp.names is not first and _drawn(comp) == 0 and not comp.names._used
+    assert least_support(comp, x) == frozenset({1})
+    assert _drawn(comp) == 0 and not comp.names._used
+
+
+def test_nested_questions_and_with_blocks_keep_the_name_supply():
+    comp = Compiler(get_backend("dlo"))
+    x = parse("{(a, b) | a, b in atoms, a < b and 1 < a}", comp.backend)
+    y = parse("{(b, a) | a, b in atoms, b < a and 1 < b}", comp.backend)
+
+    @question
+    def both(comp):
+        names = comp.names
+        assert set_equal(comp, x, y)
+        drawn = _drawn(comp)
+        assert drawn and comp.names is names
+        assert least_support(comp, x) == frozenset({1})
+        assert comp.names is names and _drawn(comp) > drawn
+
+    both(comp)
+    assert _drawn(comp) == 0
+    with comp:
+        names = comp.names
+        assert set_equal(comp, x, y)
+        drawn = _drawn(comp)
+        with comp:
+            assert least_support(comp, y) == frozenset({1})
+        assert comp.names is names and _drawn(comp) > drawn
+        # the kept names are reserved, so the memos' formulas never meet a
+        # name drawn again
+        assert "q1" in names._used
+    assert comp.names is not names and _drawn(comp) == 0
+
+
 def _ask(comp: Compiler, kind: int, e1, e2):
     if kind == 0:
         return set_equal(comp, e1, e2)

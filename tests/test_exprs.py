@@ -1,12 +1,19 @@
 """Expression AST invariants: canonical unions, parameter collection,
-substitution, atom-map action, and products."""
+substitution, atom-map action, and products; interned leaves, rewrites
+that keep what they do not change, and copies that keep their keys."""
 
+import copy
+import gc
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from atomiso import exprs as exprs_module
+from atomiso.algebra import is_subset, least_support, set_equal
+from atomiso.compile import Compiler
 from atomiso.errors import (
     BindingError,
     DomainError,
@@ -36,9 +43,28 @@ from atomiso.exprs import (
 )
 from atomiso.parser import parse, print_expr
 from atomiso.theories import backend_names, get_backend
-from atomiso.theories.formulas import TRUE, Var, all_names, formula_atoms, ne
+from atomiso.theories.cyclic import _linear_readings
+from atomiso.theories.formulas import (
+    TRUE,
+    Const,
+    Rel,
+    Var,
+    all_names,
+    formula_atoms,
+    free_vars,
+    map_relations,
+    ne,
+    subformulas,
+    subst,
+)
 from generators import gen_automorphism, gen_formula, gen_set_expr, sample_atoms
 from oracles import extend_automorphism, nnf, product_expr, value_shape
+from reference_rewrites import (
+    reference_map_atoms,
+    reference_map_relations,
+    reference_subst,
+    reference_subst_expr_vars,
+)
 
 
 def test_tuple_needs_two_items():
@@ -187,6 +213,20 @@ def test_abstract_params_refuses_a_capturing_guard_binder():
     out = abstract_params(e, {1: "q"})
     assert expr_params(out) == frozenset({2})
     assert free_expr_vars(out) == frozenset({"q"})
+    # a comprehension binder around the atom would capture it the same way,
+    # in the guard, in the element, or in a nested clause
+    for text in (
+        "{ a | a in atoms, a != #1 }",
+        "{ (a, #1) | a in atoms }",
+        "{ {b | b in atoms, b != #1} | a in atoms }",
+        "{ {a | a in atoms, a != #1} | b in atoms }",
+    ):
+        with pytest.raises(ValidationError, match="'a' is already bound in a comprehension"):
+            abstract_params(parse(text), {1: "a"})
+    # a binder of that name around no such atom captures nothing
+    out = abstract_params(parse("{ a | a in atoms, a != #2 } + {#1}"), {1: "a"})
+    assert free_expr_vars(out) == frozenset({"a"})
+    assert print_expr(out) in ("{a | a in atoms, a != #2} + {a}", "{a} + {a | a in atoms, a != #2}")
 
 
 def test_act_applies_and_extends():
@@ -278,3 +318,136 @@ def test_formula_and_atom_walks_are_pinned():
             out.append((occs, moved.key, abstract_params(e, names).key))
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
         assert digest == WALK_DIGESTS[name], (name, digest)
+
+
+def test_leaves_are_interned():
+    assert EVar("x") is EVar("x") and EVar("x") is not EVar("y")
+    assert AtomParam(3) is AtomParam(3)
+    assert AtomParam(Fraction(1, 2)) is AtomParam(Fraction(1, 2))
+    # keyed by the atom's type too, as a `Const` is: an int and an equal
+    # Fraction are two nodes, still equal, with equal keys and hashes
+    one, also_one = AtomParam(1), AtomParam(Fraction(1))
+    assert one is not also_one
+    assert one == also_one and hash(one) == hash(also_one) and one.key == also_one.key
+    assert type(one.value) is int and type(also_one.value) is Fraction
+    # keys, equality and repr are those of the dataclass nodes
+    assert EVar("x").key == ("v", "x") and AtomParam(3).key == ("p", 3)
+    assert repr(EVar("x")) == "EVar(name='x')"
+    assert repr(AtomParam(Fraction(1, 2))) == "AtomParam(value=Fraction(1, 2))"
+    assert EVar("x") != AtomParam(3)
+    # one name set per name, however many nodes mention it
+    assert expr_names(ETuple((EVar("x"), AtomParam(1)))) is expr_names(EVar("x"))
+
+
+def test_a_leaf_nothing_holds_leaves_its_table():
+    for kind, table, payload, token in (
+        (EVar, exprs_module._EVARS, "gone_after_collect", "gone_after_collect"),
+        (AtomParam, exprs_module._PARAMS, Fraction(7907, 13), (Fraction, Fraction(7907, 13))),
+    ):
+        leaf = kind(payload)
+        assert table[token] is leaf
+        del leaf
+        gc.collect()
+        assert token not in table
+
+
+def _copies(e):
+    yield pickle.loads(pickle.dumps(e))
+    yield copy.copy(e)
+    yield copy.deepcopy(e)
+
+
+def test_every_expression_class_survives_pickle_and_copy():
+    comp = Compiler(get_backend("equality"))
+    e = parse("{(a, #3, {b | b in atoms, b != a}) | a in atoms, a != #5} + {#3}")
+    other = parse("{(a, #3, {b | b in atoms, a != b}) | a in atoms, a != #5} + {#3, #4}")
+    clause = e.clauses[0]
+    nodes = [EVar("a"), AtomParam(3), AtomParam(Fraction(1, 2)), ATOMS, EMPTY, e, clause]
+    nodes.append(next(c for c in e.clauses if isinstance(c.element, ETuple)).element)
+    assert {type(n) for n in nodes} == {EVar, AtomParam, AtomsSet, ETuple, SetComp, Union}
+    for n in nodes:
+        for c in _copies(n):
+            assert type(c) is type(n) and c == n and hash(c) == hash(n)
+            assert c.key == n.key == reference_expr_key(n)
+            assert expr_names(c) == expr_names(n)
+            if isinstance(n, (EVar, AtomParam)):
+                # a leaf comes back as the live node
+                assert c is n
+    for c in _copies(e):
+        assert set_equal(comp, e, c)
+        assert set_equal(comp, c, other) == set_equal(comp, e, other) is False
+        assert is_subset(comp, c, other) == is_subset(comp, e, other) is True
+        assert least_support(comp, c) == least_support(comp, e) == frozenset({3, 5})
+
+
+def test_rewrites_return_their_input_when_nothing_moves():
+    e = parse("{(a, #1, {b | b in atoms, b != #2}) | a in atoms, a != #1 and a != #2}")
+    assert act({}, e) is e
+    assert act({1: 1, 2: 2}, e) is e
+    assert abstract_params(e, {}) is e and abstract_params(e, {7: "p"}) is e
+    assert subst_expr_vars(e, {"a": AtomParam(9), "zz": AtomParam(9)}) is e
+    inner = e.clauses[0].element
+    assert subst_expr_vars(inner, {"b": AtomParam(9), "c": EVar("d")}) is inner
+    # moving one atom keeps the subtrees that do not hold it
+    moved = act({2: 4}, e)
+    assert moved.clauses[0].element.items[0] is EVar("a")
+    assert moved.clauses[0].element.items[1] is inner.items[1]
+    f = e.clauses[0].guard
+    assert map_relations(f, lambda r: r) is f
+    assert subst(f, {"zz": Var("yy"), "b": Const(3)}) is f
+
+
+@pytest.mark.parametrize("name", backend_names())
+def test_rewrites_equal_the_rebuilding_reference_and_keep_what_nothing_moved_in(name):
+    # the library's rewrites against walks that rebuild every node: equal by
+    # key on every subtree, and each subtree that holds nothing moved comes
+    # back as the input's own node
+    backend = get_backend(name)
+    atom = int if name == "equality" else Fraction
+    rng = random.Random(43)
+    for _ in range(40):
+        atoms = sample_atoms(rng, name, 4)
+        e = gen_set_expr(rng, name, atoms[:3], max_binders=3, depth=2)
+        params = sorted(expr_params(e))
+        moved = set(rng.sample(params, rng.randint(0, len(params))))
+        # atoms the expressions never hold
+        fresh = iter(map(atom, range(100, 200)))
+        images = {a: AtomParam(next(fresh)) for a in sorted(moved)}
+        names = {a: EVar(f"n{i}") for i, a in enumerate(sorted(moved))}
+        binders = sorted({b for c in _expr_nodes(e) if isinstance(c, SetComp) for b in c.binders})
+        swapped = sorted(rng.sample(binders, rng.randint(0, len(binders))))
+        values = {b: rng.choice((AtomParam(next(fresh)), EVar(f"m{b}"))) for b in swapped}
+        for s in _expr_nodes(e):
+            untouched = not (expr_params(s) & moved)
+            got = act({a: x.value for a, x in images.items()}, s)
+            assert got.key == reference_map_atoms(s, images).key, (name, s)
+            assert (got is s) == untouched, (name, s)
+            got = abstract_params(s, {a: x.name for a, x in names.items()})
+            assert got.key == reference_map_atoms(s, names).key, (name, s)
+            assert (got is s) == untouched, (name, s)
+            got = subst_expr_vars(s, values)
+            assert got.key == reference_subst_expr_vars(s, values).key, (name, s)
+            assert (got is s) == free_expr_vars(s).isdisjoint(swapped), (name, s)
+        f = gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=2)
+        terms = {a: Const(x.value) for a, x in images.items()}
+
+        def rel(r):
+            args = tuple(terms.get(t.value, t) if isinstance(t, Const) else t for t in r.args)
+            return r if args == r.args else Rel(r.name, args)
+
+        free = sorted(rng.sample(["u", "v", "w"], rng.randint(0, 3)))
+        into = {v: rng.choice((Const(next(fresh)), Var(f"z{v}"))) for v in free}
+        for g in subformulas(f):
+            got = map_relations(g, rel)
+            assert got.key == reference_map_relations(g, rel).key, (name, g)
+            assert (got is g) == (not (formula_atoms(g) & moved)), (name, g)
+            if name == "cyclic":
+                got = backend.pre_transform(g)
+                assert got.key == reference_map_relations(g, _linear_readings).key
+                assert (got is g) == all(
+                    r.name != "R" for r in subformulas(g) if isinstance(r, Rel)
+                )
+            got = subst(g, into)
+            assert got.key == reference_subst(g, into).key, (name, g)
+            if free_vars(g).isdisjoint(free):
+                assert got is g, (name, g)

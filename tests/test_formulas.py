@@ -16,8 +16,11 @@ from pathlib import Path
 import pytest
 
 import atomiso
+from atomiso.algebra import least_support, set_equal
+from atomiso.compile import Compiler
 from atomiso.exprs import _CLOSED, AtomParam, ETuple, EVar, expr_names
 from atomiso.theories import formulas as formulas_module
+from atomiso.parser import parse
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import (
     And,
@@ -267,6 +270,25 @@ def test_node_pickled_here_is_rehashed_in_a_new_process():
         stdin=pickle.dumps(scope["f"]).hex(),
     )
     assert out == "True entry"
+
+
+def test_pickled_expression_is_rebuilt_in_a_new_process():
+    # an expression rebuilds its key through its constructor, as a formula
+    # node does; its leaves come back as the live nodes of this process
+    text = "{(a, #3, {b | b in atoms, b != a}) | a in atoms, a != #5} + {#3}"
+    data = _run_under_another_hash_seed(
+        "from atomiso.parser import parse\n"
+        f"sys.stdout.write(pickle.dumps(parse({text!r})).hex())\n"
+    )
+    loaded = pickle.loads(bytes.fromhex(data))
+    fresh = parse(text)
+    assert loaded is not fresh and loaded == fresh and loaded.key == fresh.key
+    assert hash(loaded) == hash(fresh) and {fresh: "entry"}[loaded] == "entry"
+    element = next(c.element for c in loaded.clauses if isinstance(c.element, ETuple))
+    assert element.items[0] is EVar("a") and element.items[1] is AtomParam(3)
+    comp = Compiler(get_backend("equality"))
+    assert set_equal(comp, loaded, fresh)
+    assert least_support(comp, loaded) == least_support(comp, fresh) == frozenset({3, 5})
 
 
 def test_subst_renames_a_binder_that_would_capture():
