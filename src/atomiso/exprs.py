@@ -25,14 +25,14 @@ node of a name, or of an atom's type and value, from a weak table, and
 stay equal by value.  A pickled or copied node is rebuilt through its
 constructors, so its key is set again and its leaves are the live ones.
 
-Renaming atoms is one walk, `_map_atoms`, behind both the automorphism
-action `act` and the abstraction `abstract_params`; it rewrites guards with
-`formulas.map_relations`.  It and `subst_expr_vars` return the very node
-they were given wherever nothing in it changed, so a rewritten expression
-shares every unchanged subtree with its input.  Guards are read with
-`formulas.subformulas` (atom occurrences, binders an abstraction would
-capture).  `as_term` is the one conversion of an atom-denoting expression
-into a formula term.
+Every rewrite is one capture-avoiding walk, `subst_expr`, keyed by leaves
+(an `EVar` for a free variable, an `AtomParam` for an atom), which rewrites
+guards by `formulas.subst`: `instantiate`, `act`, `abstract_params` and
+`rename_clause` each call it.  It returns the very node it was given
+wherever nothing in it changed, so a rewritten expression shares every
+unchanged subtree with its input, and its guards are canonical.  Guards
+are read with `formulas.subformulas` (atom occurrences).  `as_term` is the
+one conversion of an atom-denoting expression into a formula term.
 """
 
 from weakref import WeakValueDictionary
@@ -42,8 +42,6 @@ from .theories.formulas import (
     TRUE,
     Atom,
     Const,
-    Exists,
-    Forall,
     Formula,
     NameSource,
     Rel,
@@ -51,8 +49,8 @@ from .theories.formulas import (
     Var,
     all_names,
     free_vars,
+    fresh_name,
     frozen_node,
-    map_relations,
     rebuilt,
     subformulas,
     subst,
@@ -315,36 +313,70 @@ def _shared(parts: list[frozenset[str]]) -> frozenset[str]:
     return out if out else _CLOSED
 
 
-def subst_expr_vars(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Substitute expression variables; shadowed binders are respected.
-    Formula guards receive the corresponding term substitution, so mapped
-    values there must denote atoms (EVar or AtomParam)."""
-    if not mapping:
-        return e
-    if isinstance(e, EVar):
-        return mapping.get(e.name, e)
-    if isinstance(e, (AtomParam, AtomsSet)):
+def subst_expr(e: Expr, image: dict[Expr, Expr]) -> Expr:
+    """Capture-avoiding substitution keyed by leaves: an `EVar` key
+    replaces that free variable and an `AtomParam` key renames that atom,
+    guards included, each by the atom-denoting image[key].  A comprehension
+    binder, as a guard quantifier in `formulas.subst`, is renamed apart only
+    when something under it was replaced and an incoming variable has its
+    name.  A subtree that nothing reaches comes back as the same node."""
+    return _subst(e, image, None) if image else e
+
+
+def _terms(image: dict[Expr, Expr]) -> dict[Term, Term]:
+    """`image` as the substitution of formula terms that guards receive."""
+    return {as_term(k): as_term(v) for k, v in image.items()}
+
+
+def _subst(e: Expr, image: dict[Expr, Expr], terms: dict[Term, Term] | None) -> Expr:
+    """`subst_expr` with the guards' `terms`, built at the first set reached."""
+    if isinstance(e, _Leaf):
+        return image.get(e, e)
+    if isinstance(e, AtomsSet):
         return e
     if isinstance(e, ETuple):
-        items = tuple(subst_expr_vars(i, mapping) for i in e.items)
+        items = tuple([_subst(i, image, terms) for i in e.items])
         return e if unchanged(items, e.items) else ETuple(items)
-    if isinstance(e, SetComp):
-        inner = {k: v for k, v in mapping.items() if k not in e.binders}
-        terms = {k: as_term(v) for k, v in inner.items()}
-        element = subst_expr_vars(e.element, inner)
-        guard = subst(e.guard, terms)
-        if element is e.element and guard is e.guard:
-            return e
-        return SetComp(element, e.binders, guard)
+    if terms is None:
+        terms = _terms(image)
     if isinstance(e, Union):
-        cs = tuple(subst_expr_vars(c, mapping) for c in e.clauses)
+        cs = tuple([_subst(c, image, terms) for c in e.clauses])
         return e if unchanged(cs, e.clauses) else Union(cs)
-    raise TypeError(f"not an expression: {e!r}")
+    if not isinstance(e, SetComp):
+        raise TypeError(f"not an expression: {e!r}")
+    shadowed = [k for k in image if isinstance(k, EVar) and k.name in e.binders]
+    if shadowed:
+        image = {k: v for k, v in image.items() if k not in shadowed}
+        terms = _terms(image)
+    out = _rebound(e, image, terms, e.binders)
+    if out is e:
+        return e
+    incoming = {x.name for x in image.values() if isinstance(x, EVar)}
+    captured = incoming.intersection(e.binders)
+    if not captured:
+        return out
+    used, renamed = incoming.union(expr_names(e)), {}
+    for b in e.binders:
+        if b in captured:
+            renamed[b] = fresh_name(b, used)
+            used.add(renamed[b])
+    image = {**image, **{EVar(b): EVar(n) for b, n in renamed.items()}}
+    return _rebound(e, image, _terms(image), tuple(renamed.get(b, b) for b in e.binders))
+
+
+def _rebound(c: SetComp, image: dict, terms: dict, binders: tuple[str, ...]) -> SetComp:
+    """The clause c with `image` substituted into its element and `terms`
+    into its guard, bound by `binders`; c itself when nothing changed."""
+    element = _subst(c.element, image, terms)
+    guard = subst(c.guard, terms)
+    if element is c.element and guard is c.guard and binders is c.binders:
+        return c
+    return SetComp(element, binders, guard)
 
 
 def instantiate(e: Expr, valuation: dict[str, Atom]) -> Expr:
     """Replace free expression variables by concrete atoms."""
-    return subst_expr_vars(e, {k: AtomParam(v) for k, v in valuation.items()})
+    return subst_expr(e, {EVar(k): AtomParam(v) for k, v in valuation.items()})
 
 
 def as_term(e: Expr) -> Term:
@@ -369,69 +401,15 @@ def act(mapping: dict[Atom, Atom], e: Expr) -> Expr:
         raise DomainError(
             "atom map cannot fix the missing parameters injectively; extend it first"
         )
-    return _map_atoms(e, {a: AtomParam(b) for a, b in full.items()})
+    return subst_expr(e, {AtomParam(a): AtomParam(b) for a, b in full.items()})
 
 
 def abstract_params(e: Expr, mapping: dict[Atom, str]) -> Expr:
     """Replace concrete atoms by expression variables (the reverse of
     instantiation); every occurrence of a mapped atom is rewritten, guards
-    included.  Unmapped atoms stay."""
-    return _map_atoms(e, {a: EVar(n) for a, n in mapping.items()})
-
-
-def _map_atoms(e: Expr, image: dict[Atom, Expr]) -> Expr:
-    """e with every atom a in `image` replaced by the atom-denoting image[a],
-    guards included; other atoms stay, and so does every node in which no
-    atom moved.  An image variable would be captured by a guard quantifier
-    binding its name, or by a comprehension binder of its name around an
-    atom mapped to it, so both are refused."""
-    terms = {a: as_term(x) for a, x in image.items()}
-    names = {x.name for x in image.values() if isinstance(x, EVar)}
-
-    def rel(r: Rel) -> Rel:
-        args = tuple(terms.get(t.value, t) if isinstance(t, Const) else t for t in r.args)
-        return r if unchanged(args, r.args) else Rel(r.name, args)
-
-    def ren(x: Expr) -> Expr:
-        if isinstance(x, AtomParam):
-            return image.get(x.value, x)
-        if isinstance(x, (EVar, AtomsSet)):
-            return x
-        if isinstance(x, ETuple):
-            items = tuple(ren(i) for i in x.items)
-            return x if unchanged(items, x.items) else ETuple(items)
-        if isinstance(x, SetComp):
-            element = ren(x.element)
-            if names:
-                _refuse_capture(x, names, image)
-            guard = map_relations(x.guard, rel)
-            if element is x.element and guard is x.guard:
-                return x
-            return SetComp(element, x.binders, guard)
-        if isinstance(x, Union):
-            cs = tuple(ren(c) for c in x.clauses)
-            return x if unchanged(cs, x.clauses) else Union(cs)
-        raise TypeError(f"not an expression: {x!r}")
-
-    return ren(e)
-
-
-def _refuse_capture(c: SetComp, names: set[str], image: dict[Atom, Expr]) -> None:
-    """Raise ValidationError when abstracting the atoms of `image` in the
-    clause c would bind one of the new variables `names` inside c."""
-    for g in subformulas(c.guard):
-        if isinstance(g, (Exists, Forall)) and g.var in names:
-            raise ValidationError(
-                f"abstraction variable {g.var!r} is already bound in a guard"
-            )
-    bound = names.intersection(c.binders)
-    if bound:
-        for a in expr_params(c):
-            x = image.get(a)
-            if isinstance(x, EVar) and x.name in bound:
-                raise ValidationError(
-                    f"abstraction variable {x.name!r} is already bound in a comprehension"
-                )
+    included, and a binder that would capture a new variable is renamed
+    apart.  Unmapped atoms stay."""
+    return subst_expr(e, {AtomParam(a): EVar(n) for a, n in mapping.items()})
 
 
 def rename_clause(c: SetComp, fresh: NameSource) -> SetComp:
@@ -439,7 +417,5 @@ def rename_clause(c: SetComp, fresh: NameSource) -> SetComp:
     if not c.binders:
         return c
     new = tuple(fresh.fresh() for _ in c.binders)
-    mapping = {b: EVar(n) for b, n in zip(c.binders, new)}
-    element = subst_expr_vars(c.element, mapping)
-    guard = subst(c.guard, {b: Var(n) for b, n in zip(c.binders, new)})
-    return SetComp(element, new, guard)
+    image = {EVar(b): EVar(n) for b, n in zip(c.binders, new)}
+    return _rebound(c, image, _terms(image), new)

@@ -197,10 +197,10 @@ class Backend:
     # ------------------------------------------------------------------
     # vocabulary validation
 
-    def validate(self, f: Formula, internal: bool = False) -> None:
+    def validate(self, f: Formula) -> None:
         for g in subformulas(f):
             if isinstance(g, Rel):
-                self._check_literal(g, internal)
+                self._check_literal(g, False)
 
     def _check_literal(self, g: Rel, internal: bool) -> None:
         """Raise VocabularyError unless the relation atom g is in the
@@ -223,9 +223,9 @@ class Backend:
     # ------------------------------------------------------------------
     # literal normalization (theory hooks)
 
-    def pre_transform(self, f: Formula) -> Formula:
-        """Rewrite defined relation symbols before elimination; `_nf`
-        calls it on each relation atom."""
+    def pre_transform(self, f: Rel) -> Formula:
+        """Rewrite the relation atom f by the symbols it defines, before
+        elimination; `_nf` calls it on each relation atom."""
         return f
 
     def normalize_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
@@ -235,8 +235,8 @@ class Backend:
 
     def _nf(self, f: Formula, negate: bool = False) -> Formula:
         """The normal form of f, or with `negate` of its negation, in one
-        walk: each relation atom is checked as `validate` checks it with
-        `internal`, expanded by `pre_transform`, and folded by
+        walk: each relation atom is checked against the vocabulary and the
+        `work_relations`, expanded by `pre_transform`, and folded by
         `normalize_literal` with the negation pushed onto it; implications
         are expanded and quantifiers dualised under a negation.  A formula
         of `_normal` is its own normal form."""

@@ -22,7 +22,6 @@ from .formulas import (
     land,
     lor,
     lt,
-    map_relations,
     ne,
 )
 from .dlo import DloBackend, _spread
@@ -37,10 +36,17 @@ class CyclicBackend(DloBackend):
 
     # -- R expansion ------------------------------------------------------
 
-    def pre_transform(self, f: Formula) -> Formula:
-        # `Backend._nf` calls this on each relation atom and canonicalizes
-        # the connectives of the readings
-        return map_relations(f, _linear_readings)
+    def pre_transform(self, f: Rel) -> Formula:
+        """R(a, b, c) as its three linear readings; other relations
+        unchanged.  `Backend._nf` normalizes the literals of the readings."""
+        if f.name != "R":
+            return f
+        a, b, c = f.args
+        return lor(
+            land(lt(a, b), lt(b, c)),
+            land(lt(b, c), lt(c, a)),
+            land(lt(c, a), lt(a, b)),
+        )
 
     # -- types -------------------------------------------------------------
 
@@ -109,18 +115,6 @@ class CyclicBackend(DloBackend):
             "the circular order has no proper self-embedding avoiding a region, "
             "so independence constraints are unavailable"
         )
-
-
-def _linear_readings(r: Rel) -> Formula:
-    """R(a, b, c) as its three linear readings; other relations unchanged."""
-    if r.name != "R":
-        return r
-    a, b, c = r.args
-    return lor(
-        land(lt(a, b), lt(b, c)),
-        land(lt(b, c), lt(c, a)),
-        land(lt(c, a), lt(a, b)),
-    )
 
 
 def _ccw_heads(base, members) -> list:

@@ -22,17 +22,18 @@ A pickled node is rebuilt through its constructor, so a hash never travels
 between processes (string hashes differ per process), and a pickled or
 copied term is the live one.
 
-Two traversals serve every job that only reads or rewrites relation atoms:
-`subformulas` lists the nodes (vocabulary checks, the atoms a formula
-mentions, the capture check of atom abstraction) and `map_relations`
-rebuilds a formula with each relation atom replaced (atom renaming, the
-circle's expansion of R).  Walks that handle binders (`free_vars`,
-`all_names`, `subst`) keep their own recursion, and so does the one walk
-that handles polarity, the backends' normal form `Backend._nf`.  The two
-rewrites, `map_relations` and `subst`, return the very node they were
-given wherever nothing in it changed (`unchanged` compares the rewritten
-children with the originals by identity), so their results share every
-unchanged subtree with their input.
+One traversal reads every node, `subformulas` (vocabulary checks, the
+atoms a formula mentions), and one rewrites, `subst`, keyed by terms: a
+`Var` key substitutes that free variable and a `Const` key renames that
+atom, so instantiation, atom renaming and the abstraction of atoms by
+variables are one capture-avoiding walk.  Walks that only read binders
+(`free_vars`, `all_names`) keep their own recursion, and so does the one
+walk that handles polarity, the backends' normal form `Backend._nf`.
+`subst` rebuilds connectives through `land`, `lor` and `lnot`, so its
+results are canonical, and returns the very node it was given wherever
+nothing in it changed (`unchanged` compares the rewritten children with
+the originals by identity), so its results share every unchanged subtree
+with their input.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, fields
@@ -390,77 +391,45 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield g
 
 
-def map_relations(f: Formula, fn) -> Formula:
-    """f with every relation atom r replaced by fn(r).  Every other node is
-    rebuilt by its own constructor, so argument order is kept, and only
-    when a child changed: a subtree in which fn returned every atom itself
-    comes back as the same node."""
-    if isinstance(f, Rel):
-        return fn(f)
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        body = map_relations(f.body, fn)
-        return f if body is f.body else Not(body)
-    if isinstance(f, (And, Or)):
-        args = tuple(map_relations(g, fn) for g in f.args)
-        return f if unchanged(args, f.args) else type(f)(args)
-    if isinstance(f, Implies):
-        premise = map_relations(f.premise, fn)
-        conclusion = map_relations(f.conclusion, fn)
-        if premise is f.premise and conclusion is f.conclusion:
-            return f
-        return Implies(premise, conclusion)
-    if isinstance(f, (Exists, Forall)):
-        body = map_relations(f.body, fn)
-        return f if body is f.body else type(f)(f.var, body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def unchanged(new: tuple, old: tuple) -> bool:
     """Whether every rewritten child in `new` is the original node at the
     same place in `old`: then a rewrite keeps the parent itself."""
     return all(map(is_, new, old))
 
 
-def subst(f: Formula, mapping: dict[str, Term]) -> Formula:
-    """Capture-avoiding substitution of terms for free variables.  A
-    subtree that no substitution reaches comes back as the same node."""
-    if not mapping:
-        return f
-    if isinstance(f, (Top, Bot)):
+def subst(f: Formula, mapping: dict[Term, Term]) -> Formula:
+    """Capture-avoiding substitution keyed by terms: a `Var` key replaces
+    that free variable, a `Const` key renames that atom everywhere.  A
+    connective is rebuilt through `land`, `lor` or `lnot`, so the result is
+    canonical.  A binder is renamed apart only when something under it was
+    replaced and an incoming term is its variable.  A subtree that no
+    substitution reaches comes back as the same node."""
+    if not mapping or isinstance(f, (Top, Bot)):
         return f
     if isinstance(f, Rel):
-        args = tuple(
-            mapping.get(t.name, t) if isinstance(t, Var) else t for t in f.args
-        )
+        args = tuple([mapping.get(t, t) for t in f.args])
         return f if unchanged(args, f.args) else Rel(f.name, args)
     if isinstance(f, Not):
         body = subst(f.body, mapping)
         return f if body is f.body else lnot(body)
     if isinstance(f, (And, Or)):
-        args = tuple(subst(g, mapping) for g in f.args)
-        if unchanged(args, f.args):
-            return f
-        return (land if isinstance(f, And) else lor)(*args)
+        args = tuple([subst(g, mapping) for g in f.args])
+        return f if unchanged(args, f.args) else (land if isinstance(f, And) else lor)(*args)
     if isinstance(f, Implies):
-        premise = subst(f.premise, mapping)
-        conclusion = subst(f.conclusion, mapping)
-        if premise is f.premise and conclusion is f.conclusion:
-            return f
-        return Implies(premise, conclusion)
+        parts = (subst(f.premise, mapping), subst(f.conclusion, mapping))
+        return f if unchanged(parts, (f.premise, f.conclusion)) else Implies(*parts)
     if isinstance(f, (Exists, Forall)):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        captured = {v.name for v in inner.values() if isinstance(v, Var)}
-        if f.var in captured:
-            # rename the binder away from incoming terms
-            used = all_names(f.body) | set(inner) | captured
-            new = fresh_name(f.var, used)
-            body = subst(f.body, {f.var: Var(new)})
-            body = subst(body, inner)
-            return type(f)(new, body)
-        body = subst(f.body, inner)
-        return f if body is f.body else type(f)(f.var, body)
+        bound = Var(f.var)
+        if bound in mapping:
+            mapping = {k: v for k, v in mapping.items() if k is not bound}
+        body = subst(f.body, mapping)
+        if body is f.body:
+            return f
+        if bound not in mapping.values():
+            return type(f)(f.var, body)
+        used = all_names(f.body).union(t.name for t in mapping.values() if isinstance(t, Var))
+        new = fresh_name(f.var, used)
+        return type(f)(new, subst(f.body, {**mapping, bound: Var(new)}))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -19,10 +19,10 @@ search's pruning by one sentence per tuple of pieces.
 `scratch_consistent` and `reference_conjuncts` are the conjunct kernel and
 the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
-`reference_nf` is the normal form in three walks, the vocabulary check,
-the whole formula's `pre_transform`, and `nnf` with `reference_norm`
-normalizing every literal after it, the reference for the library's one
-walk `Backend._nf`.
+`reference_nf` is the normal form in two walks, the vocabulary check of
+each relation atom, and `nnf` with `reference_norm` after it, which
+expands each literal by `pre_transform` and then normalizes it, the
+reference for the library's one walk `Backend._nf`.
 `reference_qe` eliminates every quantifier binder by binder, the reference
 for the library's one-search decision of closed quantifier blocks.
 `reference_sat` substitutes a valuation into the eliminated formula and
@@ -81,7 +81,7 @@ from atomiso.exprs import (
     free_expr_vars,
     kind,
     rename_clause,
-    subst_expr_vars,
+    subst_expr,
     union_of,
 )
 from atomiso.structures import (
@@ -113,6 +113,7 @@ from atomiso.theories.formulas import (
     lnot,
     lor,
     quantify,
+    subformulas,
     subst,
 )
 
@@ -320,16 +321,18 @@ def nnf(f, negate: bool = False):
 
 
 def reference_norm(backend, f):
-    """Every literal of a negation-normal formula normalized by the
-    backend's `normalize_literal`."""
+    """Every literal of a negation-normal formula expanded by the
+    backend's `pre_transform` and normalized by its `normalize_literal`."""
     if isinstance(f, (Top, Bot)):
         return f
-    if isinstance(f, Rel):
-        return backend.normalize_literal(f.name, f.args, True)
+    if isinstance(f, Rel) or isinstance(f, Not) and isinstance(f.body, Rel):
+        positive = isinstance(f, Rel)
+        rel = f if positive else f.body
+        g = backend.pre_transform(rel)
+        if g is not rel:
+            return reference_norm(backend, nnf(g, not positive))
+        return backend.normalize_literal(rel.name, rel.args, positive)
     if isinstance(f, Not):
-        body = f.body
-        if isinstance(body, Rel):
-            return backend.normalize_literal(body.name, body.args, False)
         return reference_norm(backend, nnf(f))
     if isinstance(f, And):
         return land(*(reference_norm(backend, g) for g in f.args))
@@ -343,11 +346,14 @@ def reference_norm(backend, f):
 
 
 def reference_nf(backend, f):
-    """`backend._nf(f)` as three walks: the vocabulary check of
-    `validate`, the backend's `pre_transform` of the whole formula, and
-    its negation normal form with every literal then normalized."""
-    backend.validate(f, internal=True)
-    return reference_norm(backend, nnf(backend.pre_transform(f)))
+    """`backend._nf(f)` as two walks: each relation atom checked by
+    `_check_literal` against the vocabulary and the `work_relations`, then
+    the negation normal form with every literal expanded and normalized by
+    `reference_norm`."""
+    for g in subformulas(f):
+        if isinstance(g, Rel):
+            backend._check_literal(g, True)
+    return reference_norm(backend, nnf(f))
 
 
 def reference_qe(backend, f):
@@ -405,7 +411,7 @@ def reference_sat(backend, f, valuation) -> bool:
     variable replaced by its constant and every literal normalized again,
     which folds the ground formula to TRUE or FALSE."""
     q = backend.qe(f)
-    g = reference_norm(backend, subst(q, {k: Const(v) for k, v in valuation.items()}))
+    g = reference_norm(backend, subst(q, {Var(k): Const(v) for k, v in valuation.items()}))
     assert isinstance(g, (Top, Bot)), g
     return isinstance(g, Top)
 
@@ -517,7 +523,7 @@ def reference_fn_apply(comp, fn, x):
         fst, snd = c.element.items
         witness = comp.backend.find_witness(land(c.guard, comp.equal(x, fst)), c.binders)
         if witness is not None:
-            return subst_expr_vars(snd, {b: AtomParam(witness[b]) for b in c.binders})
+            return subst_expr(snd, {EVar(b): AtomParam(witness[b]) for b in c.binders})
     raise DomainError("value lies outside the function's domain")
 
 

@@ -1,6 +1,6 @@
 """Rewrites that rebuild every node they reach: `reference_map_relations`,
-`reference_subst`, `reference_subst_expr_vars` and `reference_map_atoms`,
-the reference for the library's rewrites, which keep each subtree in which
+`reference_subst` and `reference_subst_expr`, the reference for the
+library's one substitution per layer, which keeps each subtree in which
 nothing changed.
 
 They are kept apart from `oracles.py` because the benchmark imports that
@@ -8,11 +8,10 @@ module, so every line there is compiled inside the measured process and
 shows in its peak memory.
 """
 
-from atomiso.exprs import AtomParam, AtomsSet, ETuple, EVar, Expr, SetComp, Union
+from atomiso.exprs import AtomParam, AtomsSet, ETuple, EVar, Expr, SetComp, Union, as_term
 from atomiso.theories.formulas import (
     And,
     Bot,
-    Const,
     Exists,
     Forall,
     Implies,
@@ -48,12 +47,13 @@ def reference_map_relations(f, fn):
 
 
 def reference_subst(f, mapping: dict):
-    """Capture-avoiding substitution, every connective rebuilt by `land`,
-    `lor` or `lnot` and every other node by its constructor."""
+    """Substitution keyed by terms (a `Var` key for a free variable, a
+    `Const` key for an atom), every connective rebuilt by `land`, `lor` or
+    `lnot` and every other node by its constructor."""
     if not mapping or isinstance(f, (Top, Bot)):
         return f
     if isinstance(f, Rel):
-        return Rel(f.name, tuple(mapping.get(t.name, t) if isinstance(t, Var) else t for t in f.args))
+        return Rel(f.name, tuple(mapping.get(t, t) for t in f.args))
     if isinstance(f, Not):
         return lnot(reference_subst(f.body, mapping))
     if isinstance(f, And):
@@ -65,52 +65,29 @@ def reference_subst(f, mapping: dict):
     if isinstance(f, (Exists, Forall)):
         # the library renames a binder that an incoming variable would meet;
         # callers of this reference pass mappings that never do
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        assert f.var not in {v.name for v in inner.values() if isinstance(v, Var)}
+        inner = {k: v for k, v in mapping.items() if k != Var(f.var)}
+        assert Var(f.var) not in inner.values()
         return type(f)(f.var, reference_subst(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def reference_subst_expr_vars(e: Expr, mapping: dict) -> Expr:
-    """Substitution of expression variables, every node rebuilt."""
-    if not mapping:
+def reference_subst_expr(e: Expr, image: dict) -> Expr:
+    """Substitution keyed by leaves (an `EVar` key for a free variable, an
+    `AtomParam` key for an atom), every node rebuilt."""
+    if not image:
         return e
-    if isinstance(e, EVar):
-        return mapping.get(e.name, e)
-    if isinstance(e, (AtomParam, AtomsSet)):
+    if isinstance(e, (EVar, AtomParam)):
+        return image.get(e, e)
+    if isinstance(e, AtomsSet):
         return e
     if isinstance(e, ETuple):
-        return ETuple(tuple(reference_subst_expr_vars(i, mapping) for i in e.items))
+        return ETuple(tuple(reference_subst_expr(i, image) for i in e.items))
     if isinstance(e, SetComp):
-        inner = {k: v for k, v in mapping.items() if k not in e.binders}
-        terms = {k: Var(v.name) if isinstance(v, EVar) else Const(v.value) for k, v in inner.items()}
-        return SetComp(
-            reference_subst_expr_vars(e.element, inner), e.binders, reference_subst(e.guard, terms)
-        )
+        inner = {k: v for k, v in image.items() if k not in map(EVar, e.binders)}
+        # as for guard quantifiers, callers never pass a binder's name in
+        assert not {x for x in inner.values() if isinstance(x, EVar)} & set(map(EVar, e.binders))
+        terms = {as_term(k): as_term(v) for k, v in inner.items()}
+        return SetComp(reference_subst_expr(e.element, inner), e.binders, reference_subst(e.guard, terms))
     if isinstance(e, Union):
-        return Union(tuple(reference_subst_expr_vars(c, mapping) for c in e.clauses))
+        return Union(tuple(reference_subst_expr(c, image) for c in e.clauses))
     raise TypeError(f"not an expression: {e!r}")
-
-
-def reference_map_atoms(e: Expr, image: dict) -> Expr:
-    """e with every atom a in `image` replaced by the atom-denoting
-    image[a], guards included, every node rebuilt."""
-    terms = {a: Var(x.name) if isinstance(x, EVar) else Const(x.value) for a, x in image.items()}
-
-    def rel(r):
-        return Rel(r.name, tuple(terms.get(t.value, t) if isinstance(t, Const) else t for t in r.args))
-
-    def ren(x):
-        if isinstance(x, AtomParam):
-            return image.get(x.value, x)
-        if isinstance(x, (EVar, AtomsSet)):
-            return x
-        if isinstance(x, ETuple):
-            return ETuple(tuple(ren(i) for i in x.items))
-        if isinstance(x, SetComp):
-            return SetComp(ren(x.element), x.binders, reference_map_relations(x.guard, rel))
-        if isinstance(x, Union):
-            return Union(tuple(ren(c) for c in x.clauses))
-        raise TypeError(f"not an expression: {x!r}")
-
-    return ren(e)

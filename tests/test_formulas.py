@@ -124,8 +124,8 @@ def test_different_paths_build_equal_nodes(name):
         _same(lor(*parts), lor(*shuffled))
         _same(land(parts[0], land(parts[1], parts[2])), land(land(*shuffled), parts[0]))
     for f in fs:
-        there = subst(f, {"x": Var("t")})
-        back = subst(there, {"t": Var("x")})
+        there = subst(f, {Var("x"): Var("t")})
+        back = subst(there, {Var("t"): Var("x")})
         _same(back, f)
         once = nnf(f)
         _same(nnf(once), once)
@@ -296,7 +296,7 @@ def test_subst_renames_a_binder_that_would_capture():
     f = Exists("y", land(Rel("<", (x, y)), Rel("<", (y, y1))))
     y2 = Var("y2")
     want = Exists("y2", land(Rel("<", (y, y2)), Rel("<", (y2, y1))))
-    _same(subst(f, {"x": y}), want)
+    _same(subst(f, {x: y}), want)
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -17,7 +17,7 @@ from atomiso.exprs import (
     Union,
     expr_params,
     kind,
-    subst_expr_vars,
+    subst_expr,
 )
 from atomiso.parser import (
     MAX_NESTING,
@@ -235,10 +235,10 @@ def test_error_positions():
 
 def _with_zz(e, pick):
     """e with the variable use that `pick()` first answers True for renamed
-    `zz`: an element's through `subst_expr_vars`, a guard literal's through
+    `zz`: an element's through `subst_expr`, a guard literal's through
     `formulas.subst`.  `pick` is asked once per use."""
     if isinstance(e, EVar):
-        return subst_expr_vars(e, {e.name: EVar("zz")}) if pick() else e
+        return subst_expr(e, {e: EVar("zz")}) if pick() else e
     if isinstance(e, ETuple):
         return ETuple(tuple(_with_zz(i, pick) for i in e.items))
     if isinstance(e, Union):
@@ -252,7 +252,7 @@ def _guard_with_zz(f, pick):
     if isinstance(f, Rel):
         for t in f.args:
             if isinstance(t, Var) and pick():
-                return subst(f, {t.name: Var("zz")})
+                return subst(f, {t: Var("zz")})
         return f
     if isinstance(f, Not):
         return Not(_guard_with_zz(f.body, pick))
