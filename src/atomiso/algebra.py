@@ -594,7 +594,7 @@ def breach_block(comp: Compiler, parts, breach) -> Formula:
     independent instances.  Keeping the first names is sound, as every part
     is closed and its names are reserved before any fresh name is drawn;
     it also lets the sentences about one clause repeat, and so hit the
-    compile and `qe` memos."""
+    `qe` memo, and the inclusion memo where the elements are sets."""
     for c in parts:
         comp.names.reserve(expr_names(c))
     renamed = [parts[0], *(rename_clause(c, comp.names) for c in parts[1:])]

@@ -11,7 +11,7 @@ the negation onto it and folds it by `normalize_literal`.  Every output of
 `eliminate` joins `_normal`, which `_nf` and `_eliminate` return unchanged,
 so the compiled memberships and inclusions that come back inside later
 sentences of the same question are not walked again; `forget` empties it
-with the caches that hold those outputs.  Truth under a valuation is the
+with the memos at the end of the question.  Truth under a valuation is the
 eliminated formula evaluated on the valuation's atoms, each literal by
 `GROUND`, which `normalize_literal` folds by too: no formula or term is
 built.  A closed chain of like quantifiers, as in every sentence behind a
@@ -170,21 +170,22 @@ class Backend:
     dense: bool = True
 
     def __init__(self):
-        self._qe_cache: dict[Formula, Formula] = {}
-        #: every output of `eliminate`, each kept by `_qe_cache` or by a
-        #: `Compiler` cache: quantifier-free and in normal form already;
-        #: `forget` empties it with those caches, at the end of a question
+        #: per formula asked about, its elimination and its free variables:
+        #: `sat` needs both, and the free variables of a guard that
+        #: `orbit_decomposition` tests at every row are walked only once
+        self._qe_cache: dict[Formula, tuple[Formula, frozenset[str]]] = {}
+        #: every output of `eliminate` in this question: quantifier-free and
+        #: in normal form already.  Each is an elimination of `_qe_cache`,
+        #: an inclusion of the `Compiler`'s memo, or a membership the
+        #: compiler built in this question; `forget` empties it with the
+        #: memos, at the end of the question
         self._normal: set[Formula] = set()
-        #: the free variables of each formula `sat` was asked about, for as
-        #: long as `_qe_cache` holds its elimination
-        self._free: dict[Formula, frozenset[str]] = {}
 
     def forget(self) -> None:
-        """Empty the QE memo and the two memos that mirror it; a `Compiler`
-        calls this at the end of each question, with its own caches."""
+        """Empty the QE memo and `_normal`; a `Compiler` calls this at the
+        end of each question, with its own memos."""
         self._qe_cache.clear()
         self._normal.clear()
-        self._free.clear()
 
     # ------------------------------------------------------------------
     # atoms
@@ -359,18 +360,20 @@ class Backend:
     # quantifier elimination
 
     def qe(self, f: Formula) -> Formula:
-        """`eliminate(f)`, memoised in `_qe_cache` until `forget`, one entry
-        per miss, keyed by the formula node itself: its hash and key are
-        cached on the node, so a lookup costs one hash read, plus one key
-        comparison on a hit.  A caller that keeps its own cache of the
-        result, as `Compiler` does, calls `eliminate` instead, so that no
-        formula is held twice."""
-        hit = self._qe_cache.get(f)
-        if hit is not None:
-            return hit
-        out = self.eliminate(f)
-        self._qe_cache[f] = out
-        return out
+        """`eliminate(f)`, memoised in `_qe_cache` until `forget`.  A caller
+        that keeps its own cache of the result, as `Compiler` does, calls
+        `eliminate` instead, so that no formula is held twice."""
+        return self._qe_entry(f)[0]
+
+    def _qe_entry(self, f: Formula) -> tuple[Formula, frozenset[str]]:
+        """The `_qe_cache` entry of f, `(eliminate(f), free_vars(f))`, made
+        on a miss.  The memo is keyed by the formula node itself: its hash
+        and key are cached on the node, so a lookup costs one hash read,
+        plus one key comparison on a hit."""
+        entry = self._qe_cache.get(f)
+        if entry is None:
+            entry = self._qe_cache[f] = (self.eliminate(f), free_vars(f))
+        return entry
 
     def eliminate(self, f: Formula) -> Formula:
         """Equivalent quantifier-free formula; parameters never grow.
@@ -516,11 +519,10 @@ class Backend:
     def sat(self, f: Formula, valuation: Valuation) -> bool:
         """Truth of f under a valuation covering its free variables: the
         quantifier-free `qe(f)` evaluated at the valuation's atoms
-        (`_holds_at`), with no formula or term built.  The free variables
-        of f are walked once per formula, in `_free`."""
-        fvs = self._free.get(f)
-        if fvs is None:
-            fvs = self._free[f] = free_vars(f)
+        (`_holds_at`), with no formula or term built.  The elimination and
+        the free variables of f come from one lookup of the QE memo, so f
+        is eliminated before a missing variable is reported."""
+        q, fvs = self._qe_entry(f)
         missing = fvs.difference(valuation)
         if missing:
             raise ValuationError(
@@ -528,7 +530,7 @@ class Backend:
             )
         for v in valuation.values():
             self.check_atom(v)
-        return self._holds_at(self.qe(f), valuation)
+        return self._holds_at(q, valuation)
 
     def _holds_at(self, f: Formula, valuation: Valuation) -> bool:
         """Truth of a normalized quantifier-free formula once each variable

@@ -34,7 +34,7 @@ from atomiso.errors import DensenessError, DomainError, ResourceError, Validatio
 from atomiso.exprs import ETuple, SetComp, Union, clauses, expr_params, union_of
 from atomiso.parser import parse, print_expr
 from atomiso.structures import check_isomorphism, mode_kind, structure_from_dict, validate_structure
-from atomiso.theories import backend_names, get_backend
+from atomiso.theories import backend_names, base, get_backend
 from fixtures_helpers import (
     circle_pair,
     kneser_pair,
@@ -625,7 +625,10 @@ def test_rotation_pairs_search_the_pinned_tree(monkeypatch, r, mode, verdict, ca
 
 def test_the_search_decomposes_each_set_once(monkeypatch):
     """On the dlo 3-chains the pruning and the final check decompose the
-    edge relation over the same parameters: the memo does it once."""
+    edge relation over the same parameters, and on the equality 4-tuples
+    the search asks for the decompositions of the universe and the edge
+    relation many times over: the memo makes each (set, parameters) pair
+    once."""
     decompose = algebra._decompose
     calls = Counter()
 
@@ -639,6 +642,30 @@ def test_the_search_decomposes_each_set_once(monkeypatch):
     assert cert.verdict == FOUND
     assert calls[chains.relations[0].interp.key, frozenset()] == 1
     assert set(calls.values()) == {1}
+    calls.clear()
+    tuples = equality_tuples(4)
+    cert = decide_definable_iso(Compiler(get_backend("equality")), tuples, tuples)
+    assert cert.verdict == FOUND
+    assert calls and set(calls.values()) == {1}
+
+
+def test_the_free_variables_of_each_guard_are_walked_once(monkeypatch):
+    """Validation and the search on the 4-subsets, in one block, ask `sat`
+    about a few guards at every row of their types: the QE memo walks the
+    free variables of each distinct formula once."""
+    walk = base.free_vars
+    walked = Counter()
+    monkeypatch.setattr(base, "free_vars", lambda f: walked.update([f]) or walk(f))
+    st = equality_subsets(4)
+    comp = Compiler(get_backend("equality"))
+    asked = Counter()
+    sat = comp.backend.sat
+    monkeypatch.setattr(comp.backend, "sat", lambda f, v: asked.update([f]) or sat(f, v))
+    with comp:
+        validate_structure(comp, st)
+        assert decide_definable_iso(comp, st, st).verdict == FOUND
+    assert sum(asked.values()) > len(asked)
+    assert {f: walked[f] for f in asked} == dict.fromkeys(asked, 1)
 
 
 def test_stepping_back_fails_exactly_off_the_covered_region():

@@ -145,16 +145,22 @@ def test_sat_requires_full_valuation():
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
 def test_sat_requires_a_variable_that_elimination_drops(name):
     # x = x eliminates to TRUE, yet x is free in the formula asked about;
-    # its free variables are walked once, and the QE cache takes one entry
+    # the QE memo's one entry holds both, so f is eliminated and walked once
     b = get_backend(name)
     f = eq(_X, _X)
-    assert b.qe(f) == TRUE and len(b._qe_cache) == 1
+    entry = {f: (TRUE, frozenset({"x"}))}
+    assert b.qe(f) == TRUE and b._qe_cache == entry
     for _ in range(2):
         with pytest.raises(ValuationError, match="misses variables: x"):
             b.sat(f, {})
-    assert len(b._qe_cache) == 1 and b._free == {f: frozenset({"x"})}
+    assert b._qe_cache == entry
     atom = 1 if name == "equality" else Fraction(1)
-    assert b.sat(f, {"x": atom}) and len(b._qe_cache) == 1
+    assert b.sat(f, {"x": atom}) and b._qe_cache == entry
+    # sat eliminates before it reports the missing variable
+    fresh = get_backend(name)
+    with pytest.raises(ValuationError, match="misses variables: x"):
+        fresh.sat(f, {})
+    assert fresh._qe_cache == entry
 
 
 def test_find_witness_prefers_parameters_then_fresh():
@@ -375,12 +381,16 @@ def test_resubmitted_outputs_eliminate_as_on_a_fresh_backend(name):
 
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
 def test_known_normal_formulas_are_each_held_by_a_cache(name):
-    # `_normal` keeps no formula alive that no cache keeps: after compiles,
-    # membership and subset questions and `holds` calls, every member is,
-    # as an object, a value of the QE cache or of a compile cache
+    # `_normal` keeps no formula alive that the question did not make: after
+    # compiles, membership and subset questions and `holds` calls, every
+    # member is, as an object, an elimination of the QE memo, an inclusion
+    # of the compiler's memo, or a membership compiled in the block
     rng = random.Random(53)
     comp = Compiler(get_backend(name))
     b = comp.backend
+    members = []
+    member = comp.member
+    comp.member = lambda x, s: members.append(member(x, s)) or members[-1]
     with comp:
         for _ in range(20):
             params = sample_atoms(rng, name, 2)
@@ -389,13 +399,15 @@ def test_known_normal_formulas_are_each_held_by_a_cache(name):
             is_subset(comp, e2, e1)
             least_support(comp, e1)
             comp.holds(gen_formula(rng, name, [], params, depth=3, qdepth=2))
-        held = {id(v) for v in b._qe_cache.values()}
+        held = {id(q) for q, _ in b._qe_cache.values()}
         assert held and len(b._normal) > len(held)
-        for cache in (comp._eq_cache, comp._mem_cache, comp._sub_cache):
-            held |= {id(v) for v in cache.values()}
+        held |= {id(v) for v in comp._sub_cache.values()}
+        # memberships compile on each call, and no memo holds them
+        assert members and any(id(f) not in held for f in b._normal)
+        held |= set(map(id, members))
         assert all(id(f) in held for f in b._normal)
     # and the question's end empties them together
-    assert not b._normal and not b._qe_cache and not b._free
+    assert not b._normal and not b._qe_cache and not comp._sub_cache
 
 
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
