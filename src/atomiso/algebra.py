@@ -39,7 +39,7 @@ through tuples alone are injective in their binders (`_element_injective`):
 
 from dataclasses import dataclass, field
 
-from .compile import Compiler, question
+from .compile import Compiler, conjoin, question
 from .errors import (
     BindingError,
     DomainError,
@@ -474,8 +474,16 @@ def supported_by(comp: Compiler, x: Expr, S) -> bool:
     are those of its canonical value, so the image of x is another value.
     And the atoms of x support x.  Otherwise one sentence: every
     valuation of x's atoms with their type over the atoms of S among them
-    gives x again.  Only those atoms matter, as the least support of x lies
-    among its atoms and supports are closed upward."""
+    gives a value below x (`_below`).  Only those atoms matter, as the least
+    support of x lies among its atoms and supports are closed upward.
+
+    One inclusion is enough, because the automorphisms G fixing the atoms
+    of S among x's atoms pointwise form a group.  By homogeneity the values
+    that the valuations of that type give are the images gx for g in G.  If
+    gx <= x for every g in G, then also g^-1 x <= x, and applying g, which
+    preserves <=, gives x <= gx; antisymmetry leaves gx = x.  The abstracted
+    body is the same node at every greedy step of `least_support`, so the
+    inclusion memo of the compiler serves them all."""
     _require_closed(x)
     S = frozenset(S)
     if not S.issuperset(_shown_atoms(x)):
@@ -484,7 +492,19 @@ def supported_by(comp: Compiler, x: Expr, S) -> bool:
     if S.issuperset(occs):
         return True
     t = comp.backend.type_of(binders, tuple(occs), S.intersection(occs))
-    return comp.holds(quantify(Forall, binders, Implies(t, comp.equal(body, x))))
+    return comp.holds(quantify(Forall, binders, Implies(t, _below(comp, body, x))))
+
+
+def _below(comp: Compiler, e1: Expr, e2: Expr) -> Formula:
+    """The formula e1 <= e2 for two values of one shape: inclusion of sets,
+    componentwise on tuples and equality of atoms.  Only the top is ordered:
+    the memberships inside an inclusion keep their equalities."""
+    k = kind(e1)
+    if k == "set":
+        return comp.subset(e1, e2)
+    if k == "atom":
+        return comp.equal(e1, e2)
+    return conjoin(_below(comp, a, b) for a, b in zip(e1.items, e2.items))
 
 
 @question

@@ -5,7 +5,8 @@ inclusion all compile to formulas over the atom vocabulary whose free
 variables are exactly the free expression variables involved.  Results are
 quantifier-free.  Inclusions are the one memo, keyed by the two sets'
 structural keys: an equality of sets is the conjunction of its two
-inclusions, so it reads that memo twice, and `is_subset` reads it once.
+inclusions, so it reads that memo twice (once when the first inclusion
+is FALSE), and `is_subset` reads it once.
 Equalities and memberships compile on each call; the keys of the calls
 nested inside a compile carry fresh binder names, so a memo of theirs
 would rarely hit.  A membership or an inclusion runs the backend's
@@ -33,6 +34,7 @@ reaches an answer that a caller keeps into a later question.
 """
 
 import functools
+from collections.abc import Iterable
 from types import MappingProxyType
 
 from .exprs import (
@@ -46,6 +48,7 @@ from .exprs import (
 from .theories.base import Backend
 from .theories.formulas import (
     FALSE,
+    Bot,
     Exists,
     Forall,
     Formula,
@@ -96,7 +99,8 @@ class Compiler:
 
     def equal(self, e1: Expr, e2: Expr) -> Formula:
         """Quantifier-free formula stating that e1 and e2 denote the same
-        value; values of different kinds are simply never equal."""
+        value; values of different kinds are simply never equal.  The first
+        FALSE tuple component or inclusion ends the compile."""
         self.names.reserve(expr_names(e1) | expr_names(e2))
         k1, k2 = kind(e1), kind(e2)
         if k1 != k2:
@@ -106,8 +110,8 @@ class Compiler:
         if k1 == "tuple":
             if len(e1.items) != len(e2.items):
                 return FALSE
-            return land(*(self.equal(a, b) for a, b in zip(e1.items, e2.items)))
-        return land(self.subset(e1, e2), self.subset(e2, e1))
+            return conjoin(self.equal(a, b) for a, b in zip(e1.items, e2.items))
+        return conjoin(self.subset(a, b) for a, b in ((e1, e2), (e2, e1)))
 
     def member(self, x: Expr, s: Expr) -> Formula:
         """Quantifier-free formula stating that the value of x belongs to
@@ -154,6 +158,17 @@ class Compiler:
 
     def holds(self, sentence: Formula) -> bool:
         return self.backend.holds(sentence)
+
+
+def conjoin(parts: Iterable[Formula]) -> Formula:
+    """The conjunction of `parts`, compiled one at a time: the first FALSE
+    settles it, and the parts after it are not compiled."""
+    kept = []
+    for part in parts:
+        if isinstance(part, Bot):
+            return part
+        kept.append(part)
+    return land(*kept)
 
 
 def question(fn):

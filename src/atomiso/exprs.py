@@ -28,7 +28,8 @@ constructors, so its key is set again and its leaves are the live ones.
 Every rewrite is one capture-avoiding walk, `subst_expr`, keyed by leaves
 (an `EVar` for a free variable, an `AtomParam` for an atom), which rewrites
 guards by `formulas.subst`: `instantiate`, `act`, `abstract_params` and
-`rename_clause` each call it.  It returns the very node it was given
+`rename_clause` each run it (`act` with a renaming of the moved atoms that
+checks each atom it meets).  It returns the very node it was given
 wherever nothing in it changed, so a rewritten expression shares every
 unchanged subtree with its input, and its guards are canonical.  Guards
 are read with `formulas.subformulas` (atom occurrences).  `as_term` is the
@@ -394,14 +395,41 @@ def act(mapping: dict[Atom, Atom], e: Expr) -> Expr:
     Atoms of e missing from the mapping are kept fixed; the caller-facing
     contract is that the mapping extended with those fixed points must still
     be injective (the backend validates the full automorphism conditions).
+    Only the moved atoms are substituted, in one walk, and that walk checks
+    the fixed points: an atom it meets off the mapping may not be the image
+    of a mapped one.
     """
-    full = {a: a for a in expr_params(e)}
-    full.update(mapping)
-    if len(set(full.values())) != len(full):
-        raise DomainError(
-            "atom map cannot fix the missing parameters injectively; extend it first"
-        )
-    return subst_expr(e, {AtomParam(a): AtomParam(b) for a, b in full.items()})
+    if len(set(mapping.values())) != len(mapping):
+        raise DomainError(_NOT_INJECTIVE)
+    # moved: another atom, or an equal one of another type (an int onto a
+    # Fraction), as leaves are interned per type and value
+    moved = [(a, b) for a, b in mapping.items() if a != b or type(a) is not type(b)]
+    if not moved:
+        return e
+    clash = {b for _, b in moved}.difference(mapping)
+    image = _Renaming({AtomParam(a): AtomParam(b) for a, b in moved}, map(AtomParam, clash))
+    terms = _Renaming({Const(a): Const(b) for a, b in moved}, map(Const, clash))
+    return _subst(e, image, terms)
+
+
+_NOT_INJECTIVE = "atom map cannot fix the missing parameters injectively; extend it first"
+
+
+class _Renaming(dict):
+    """The atom renaming of `act`, keyed by leaves or by terms, that raises
+    DomainError on looking up a `clash` key: an atom left fixed onto which
+    the renaming maps another one."""
+
+    __slots__ = ("clash",)
+
+    def __init__(self, pairs: dict, clash):
+        super().__init__(pairs)
+        self.clash = frozenset(clash)
+
+    def get(self, key, default=None):
+        if key in self.clash:
+            raise DomainError(_NOT_INJECTIVE)
+        return super().get(key, default)
 
 
 def abstract_params(e: Expr, mapping: dict[Atom, str]) -> Expr:

@@ -6,18 +6,20 @@ pipeline (one normal-form walk, miniscoping, disjunctive normal form with
 consistency pruning, per-conjunct variable elimination) and the derived
 operations: truth under a valuation, deterministic witness search and
 complete types.  The normal form is one walk, `_nf`, which checks each
-relation atom against the vocabulary, expands it by `pre_transform`, pushes
-the negation onto it and folds it by `normalize_literal`.  Every output of
-`eliminate` joins `_normal`, which `_nf` and `_eliminate` return unchanged,
-so the compiled memberships and inclusions that come back inside later
-sentences of the same question are not walked again; `forget` empties it
-with the memos at the end of the question.  Truth under a valuation is the
-eliminated formula evaluated on the valuation's atoms, each literal by
-`GROUND`, which `normalize_literal` folds by too: no formula or term is
-built.  A closed chain of like quantifiers, as in every sentence behind a
-verdict, is not eliminated binder by binder: it is decided by one pruned DNF
-search over the variable-disjoint components of its body, since an
-existential closure holds exactly when some literal set of the DNF is
+relation atom against the vocabulary, pushes the negation onto it and folds
+it by `normalize_literal`; a node in which nothing changed comes back as
+itself.  Every output of `eliminate` joins `_normal`, which `_nf` and
+`_eliminate` return unchanged, so the compiled memberships and inclusions
+that come back inside later sentences of the same question are not walked
+again; `forget` empties it with the memos at the end of the question.
+Truth under a valuation is the eliminated formula evaluated on the
+valuation's atoms, each literal by `GROUND`, which `normalize_literal`
+folds by too: no formula or term is built.  A run of universals is
+eliminated as existentials under one negation on entering the run and one
+on leaving it.  A closed chain of like quantifiers, as in every sentence
+behind a verdict, is not eliminated binder by binder: it is decided by one
+pruned DNF search over the variable-disjoint components of its body, since
+an existential closure holds exactly when some literal set of the DNF is
 consistent.
 
 The DNF is kept absorbed: a disjunction, and each step of the fold that
@@ -27,21 +29,27 @@ an absorbed set contains an extension of the set that absorbed it, so the
 folded DNF is the minimal part of the unabsorbed one, and the products
 that elimination builds stay small.
 
-One conjunct kernel serves all three backends.  Every backend normalizes its
-literals to =, != and < (the pure set is the order-free reduct of the dense
-order, and the circle is cut open into the linear order before elimination),
-so consistency, `eliminate_from_conjunct` and `conjunct_witness` are written
+One conjunct kernel serves all three backends.  The kernel reads =, != and
+< (the pure set is the order-free reduct of the dense order), so
+consistency, `eliminate_from_conjunct` and `conjunct_witness` are written
 once, over union-find classes and the strict-order digraph between them.
-That state is a `ConjunctState`, and it is extended literal by literal.
-`conjuncts` decides each union of a kept conjunct with a branch of the next
-argument by growing the kept conjunct's state by the branch's new literals,
-before the union is built; a kept union carries the state and the growth it
-came from, so that its own state is built once.  `conjunct_witness` extends
-one state by its pins.  A backend supplies only `normalize_literal`, whose =
-case is the shared `normalize_equality`, and `_witness_candidates`, the
-values a witness class may take beyond the parameters and the values already
-taken (the least fresh ids for the pure set, one simplest rational per gap
-for the orders).
+The circle is cut open into the linear order lazily: its R stays a literal
+(a `deferred` relation), which the kernel's state does not read, and
+`_unfold` rewrites it into =, != and < only where it is needed, in the
+conjuncts whose R literals mention the variable `eliminate_from_conjunct`
+eliminates, before the DNF that decides a closed block, and before the
+conjuncts of a witness search.  The kernel's state is a `ConjunctState`,
+and it is extended literal by literal.  `conjuncts` folds the arguments of
+a conjunction fewest branches first, and decides each union of a kept
+conjunct with a branch of the next argument by growing the kept conjunct's
+state by the branch's new literals, before the union is built; a kept union
+carries the state and the growth it came from, so that its own state is
+built once.  `conjunct_witness` extends one state by its pins.  A backend
+supplies only `normalize_literal`, whose = case is the shared
+`normalize_equality`, `unfold_literal` for its `deferred` relations, and
+`_witness_candidates`, the values a witness class may take beyond the
+parameters and the values already taken (the least fresh ids for the pure
+set, one simplest rational per gap for the orders).
 
 Complete types are built in one place.  Quantifier elimination in a
 homogeneous structure makes the orbit of an atom tuple over a parameter set
@@ -85,14 +93,19 @@ from .formulas import (
     land,
     lor,
     subformulas,
+    unchanged,
 )
 
 Valuation = dict[str, Atom]
 _NAME = operator.attrgetter("name")
 _VALUE = operator.attrgetter("value")
-#: each normal-form relation on two atoms: the one definition of ground =
-#: and <, by which `normalize_literal` folds and `Backend.sat` evaluates
-GROUND = {"=": operator.eq, "<": operator.lt}
+#: each normal-form relation: the one definition of ground =, < and the
+#: circle's R, by which `normalize_literal` folds and `Backend.sat` evaluates
+GROUND = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "R": lambda a, b, c: a < b < c or b < c < a or c < a < b,
+}
 
 
 def normalize_equality(args: tuple[Term, ...], positive: bool) -> Formula:
@@ -224,10 +237,15 @@ class Backend:
     # ------------------------------------------------------------------
     # literal normalization (theory hooks)
 
-    def pre_transform(self, f: Rel) -> Formula:
-        """Rewrite the relation atom f by the symbols it defines, before
-        elimination; `_nf` calls it on each relation atom."""
-        return f
+    #: relations whose literals `normalize_literal` keeps but the conjunct
+    #: kernel does not read: `_unfold` rewrites them by `unfold_literal` only
+    #: where a variable of theirs is eliminated or a DNF decides
+    deferred: frozenset[str] = frozenset()
+
+    def unfold_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
+        """A literal of a `deferred` relation, or its negation, as a
+        normalized quantifier-free formula over =, != and <."""
+        raise NotImplementedError
 
     def normalize_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
         """Rewrite one literal into the backend's literal normal form,
@@ -237,26 +255,31 @@ class Backend:
     def _nf(self, f: Formula, negate: bool = False) -> Formula:
         """The normal form of f, or with `negate` of its negation, in one
         walk: each relation atom is checked against the vocabulary and the
-        `work_relations`, expanded by `pre_transform`, and folded by
-        `normalize_literal` with the negation pushed onto it; implications
-        are expanded and quantifiers dualised under a negation.  A formula
-        of `_normal` is its own normal form."""
+        `work_relations` and folded by `normalize_literal` with the negation
+        pushed onto it; implications are expanded and quantifiers dualised
+        under a negation.  A formula of `_normal` is its own normal form,
+        and without `negate` a node in which nothing changed comes back as
+        itself."""
         if not negate and f in self._normal:
             return f
         if isinstance(f, Rel):
             self._check_literal(f, True)
-            g = self.pre_transform(f)
-            if g is not f:
-                return self._nf(g, negate)
-            return self.normalize_literal(f.name, f.args, not negate)
+            g = self.normalize_literal(f.name, f.args, not negate)
+            return f if g == f else g
         if isinstance(f, Not):
-            return self._nf(f.body, not negate)
+            g = self._nf(f.body, not negate)
+            return f if g == f else g
         if isinstance(f, (And, Or)):
             parts = [self._nf(g, negate) for g in f.args]
+            if not negate and unchanged(parts, f.args):
+                return f
             return lor(*parts) if isinstance(f, And) == negate else land(*parts)
         if isinstance(f, (Exists, Forall)):
+            body = self._nf(f.body, negate)
+            if not negate and body is f.body:
+                return f
             kind = Forall if isinstance(f, Exists) == negate else Exists
-            return kind(f.var, self._nf(f.body, negate))
+            return kind(f.var, body)
         if isinstance(f, Implies):
             if negate:
                 return land(self._nf(f.premise), self._nf(f.conclusion, True))
@@ -272,15 +295,27 @@ class Backend:
         """exists var: the conjunction of lits, as a quantifier-free formula.
 
         An equality on var substitutes its other side everywhere (the least
-        such literal by key).  Otherwise every lower bound of var is put
-        below every upper bound, as the order is dense, and a != on var is
-        dropped, as every region holds infinitely many atoms."""
+        such literal by key), a `deferred` literal included.  Otherwise a
+        `deferred` literal on var is unfolded, and each conjunct of the
+        unfolded set is eliminated from.  Otherwise every lower bound of var
+        is put below every upper bound, as the order is dense, and a != on
+        var is dropped, as every region holds infinitely many atoms."""
         v = Var(var)
         for lit in sorted(lits, key=lambda l: l.key):
             if isinstance(lit, Rel) and lit.name == "=" and _occurs(v, lit):
                 other = lit.args[1] if lit.args[0] is v else lit.args[0]
                 return land(
                     *(self._subst_literal(l, v, other) for l in lits if l is not lit)
+                )
+        if self.deferred:
+            cut = [
+                l for l in lits
+                if (l.body if type(l) is Not else l).name in self.deferred and _occurs(v, l)
+            ]
+            if cut:
+                rest = land(*lits.difference(cut), *map(self._unfold, cut))
+                return lor(
+                    *(self.eliminate_from_conjunct(var, c) for c in self.conjuncts(rest))
                 )
         lowers: list[Term] = []
         uppers: list[Term] = []
@@ -391,8 +426,9 @@ class Backend:
     def _eliminate(self, f: Formula) -> Formula:
         """Eliminate the quantifiers of a normalized formula, innermost
         first: a closed quantifier block by `_decide_block`, any other
-        binder by `_exists`, a universal as the negated existential of its
-        negated body.  A quantifier directly under an open one is open too,
+        binder by `_exists`, a run of universals as the negated existentials
+        of its negated body, negated once on entering the run and once on
+        leaving it.  A quantifier directly under an open one is open too,
         so `free_vars` is walked once per chain of quantifiers.  A formula
         of `_normal` is returned unchanged."""
         if isinstance(f, (Top, Bot, Rel, Not)) or f in self._normal:
@@ -410,12 +446,13 @@ class Backend:
             chain.append(f)
             f = f.body
         out = self._eliminate(f)
+        negated = False
         for q in reversed(chain):
-            if isinstance(q, Exists):
-                out = self._exists(q.var, out)
-            else:
-                out = self._nf(self._exists(q.var, self._nf(out, True)), True)
-        return out
+            if isinstance(q, Forall) != negated:
+                out = self._nf(out, True)
+                negated = not negated
+            out = self._exists(q.var, out)
+        return self._nf(out, True) if negated else out
 
     def _decide_block(self, f: Formula) -> Formula:
         """TRUE or FALSE for a closed chain of like quantifiers.
@@ -425,9 +462,10 @@ class Backend:
         of the negation fails.  An existential closure holds exactly when
         some literal set of its pruned DNF is consistent, and `conjuncts`
         keeps only consistent sets, every unsatisfiable single literal
-        being folded by `normalize_literal`.  The top-level conjunction is
-        split into variable-disjoint components first, each satisfiable on
-        its own, so that no product of their DNFs is built."""
+        being folded by `normalize_literal`, once the `deferred` literals
+        are unfolded.  The top-level conjunction is split into
+        variable-disjoint components first, each satisfiable on its own, so
+        that no product of their DNFs is built."""
         kind = type(f)
         body = f.body
         while type(body) is kind:
@@ -435,6 +473,7 @@ class Backend:
         inner = self._eliminate(body)
         if kind is Forall:
             inner = self._nf(inner, True)
+        inner = self._unfold(inner)
         sat = all(self.conjuncts(part) for part in _components(inner))
         return TRUE if sat == (kind is Exists) else FALSE
 
@@ -461,7 +500,10 @@ class Backend:
     def conjuncts(self, f: Formula) -> list[frozenset[Formula]]:
         """Disjunctive normal form as literal sets, theory-pruned.
 
-        A conjunction extends its kept literal sets one argument at a time.
+        A conjunction extends its kept literal sets one argument at a time,
+        the arguments with the fewest branches first (a stable sort): the
+        minimal consistent unions do not depend on the order, and the kept
+        sets stay few while the wide arguments come last.
         Each branch b of the next argument is decided by extending the
         `ConjunctState` of a kept set c by the literals of b not in c
         (`_grow`), before the union c | b is built: only consistent unions
@@ -493,8 +535,7 @@ class Backend:
         if isinstance(f, And):
             # each kept set with the state it grew from and its split
             acc = [(frozenset(), ConjunctState.EMPTY, None)]
-            for g in f.args:
-                branches = self.conjuncts(g)
+            for branches in sorted(map(self.conjuncts, f.args), key=len):
                 grown: dict[frozenset[Formula], tuple] = {}
                 for c, parent, split in acc:
                     state = parent if split is None else parent._with(*split)
@@ -512,6 +553,23 @@ class Backend:
                     return []
             return [c for c, _, _ in acc]
         raise TypeError(f"unexpected in DNF conversion: {f!r}")
+
+    def _unfold(self, f: Formula) -> Formula:
+        """f with every `deferred` literal unfolded by `unfold_literal`; a
+        node with none comes back as itself."""
+        if not self.deferred:
+            return f
+        kind = type(f)
+        if kind is And or kind is Or:
+            args = [self._unfold(g) for g in f.args]
+            if unchanged(args, f.args):
+                return f
+            return land(*args) if kind is And else lor(*args)
+        if kind is Rel or kind is Not:
+            rel = f if kind is Rel else f.body
+            if rel.name in self.deferred:
+                return self.unfold_literal(rel.name, rel.args, kind is Rel)
+        return f
 
     # ------------------------------------------------------------------
     # satisfiability and witnesses
@@ -536,7 +594,9 @@ class Backend:
         """Truth of a normalized quantifier-free formula once each variable
         takes its atom in `valuation`.  And and Or short-circuit; a literal,
         = or < after normalization, compares its arguments' atoms by
-        `GROUND`, so the ground semantics stay in one place."""
+        `GROUND`, so the ground semantics stay in one place.  A backend
+        with a `deferred` relation of another arity evaluates its literals
+        first."""
         kind = type(f)
         if kind is And or kind is Or:
             # an And fails at its first false argument, an Or holds at its
@@ -574,7 +634,7 @@ class Backend:
             return {} if isinstance(q, Top) else None
         if isinstance(q, Bot):
             return None
-        conjs = self.conjuncts(q)
+        conjs = self.conjuncts(self._unfold(q))
         conjs.sort(key=lambda c: tuple(sorted(l.key for l in c)))
         for c in conjs:
             w = self.conjunct_witness(c, fvs, params)
@@ -647,6 +707,8 @@ class Backend:
 
 class ConjunctState:
     """The theory state of one consistent set of normal-form literals.
+    Only =, != and < are read: a `deferred` literal, the circle's R, is
+    left out, so a state with one prunes less, never wrongly.
 
     `root` maps every term of an equality literal that does not represent
     its class to the representative, a constant whenever the class holds
@@ -686,11 +748,12 @@ class ConjunctState:
         for lit in lits:
             if lit in known:
                 continue
-            if isinstance(lit, Not):
-                ne.append(lit.body.args)
+            if type(lit) is Not:
+                if lit.body.name == "=":
+                    ne.append(lit.body.args)
             elif lit.name == "<":
                 lt.append(lit.args)
-            else:
+            elif lit.name == "=":
                 a, b = lit.args
                 a, b = root.get(a, a), root.get(b, b)
                 while a in up:

@@ -2,26 +2,34 @@
 relation R, where R(a,b,c) holds when b lies on the arc from a to c taken
 counterclockwise (equivalently a<b<c up to rotation of the three).
 
-Elimination reuses the dense-linear machinery by expanding R into its three
-linear readings up front; the complete-type hooks use only R and equality,
-so orbit formulas never mention <.  The circle is not dense in the sense
-parameter elimination needs (no self-embedding misses a point of every
-arc), so `independence_formula` raises DensenessError.
+R stays a literal through normalization, rotated so that its least
+argument comes first, and elimination cuts the circle open lazily: a
+literal R(a,b,c) is unfolded into its three linear readings, and
+not R(a,b,c) into a=b, b=c, a=c or the readings of R(a,c,b), only where
+one of its variables is eliminated or a DNF decides (`Backend.deferred`),
+so the dense-linear machinery does the rest.  The complete-type hooks use
+only R and equality, so orbit formulas never mention <.  The circle is not
+dense in the sense parameter elimination needs (no self-embedding misses a
+point of every arc), so `independence_formula` raises DensenessError.
 """
 
 import math
 from fractions import Fraction
 
 from ..errors import DensenessError
+from .base import GROUND
 from .formulas import (
+    FALSE,
+    TRUE,
     Const,
     Formula,
+    Not,
     Rel,
     Term,
+    Var,
     cyc,
     land,
     lor,
-    lt,
     ne,
 )
 from .dlo import DloBackend, _spread
@@ -32,21 +40,55 @@ class CyclicBackend(DloBackend):
     relations = {"=": 2, "R": 3}
     # elimination cuts the circle open, so its own output uses the linear order
     work_relations = {"<": 2, "<=": 2}
+    deferred = frozenset({"R"})
     dense = False
 
-    # -- R expansion ------------------------------------------------------
+    # -- R ------------------------------------------------------------------
 
-    def pre_transform(self, f: Rel) -> Formula:
-        """R(a, b, c) as its three linear readings; other relations
-        unchanged.  `Backend._nf` normalizes the literals of the readings."""
-        if f.name != "R":
-            return f
-        a, b, c = f.args
+    def normalize_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
+        """R(a, b, c) folds to FALSE with a repeated argument and by its
+        ground truth with constant ones, and otherwise rotates to begin at
+        its least argument by key; the other relations as over the dense
+        order."""
+        if name != "R":
+            return super().normalize_literal(name, args, positive)
+        a, b, c = args
+        if a == b or b == c or a == c:
+            return FALSE if positive else TRUE
+        if all(isinstance(t, Const) for t in args):
+            return TRUE if GROUND["R"](a.value, b.value, c.value) == positive else FALSE
+        i = min(range(3), key=lambda i: args[i].key)
+        lit = Rel("R", args[i:] + args[:i])
+        return lit if positive else Not(lit)
+
+    def unfold_literal(self, name: str, args: tuple[Term, ...], positive: bool) -> Formula:
+        """R(a, b, c) as its three linear readings; not R(a, b, c) as two of
+        its arguments meeting or the readings of R(a, c, b), six disjuncts
+        of at most two literals."""
+        a, b, c = args
+        if not positive:
+            return lor(
+                *(self.normalize_literal("=", pair, True) for pair in ((a, b), (b, c), (a, c))),
+                self.unfold_literal(name, (a, c, b), True),
+            )
+
+        def lt(x: Term, y: Term) -> Formula:
+            return self.normalize_literal("<", (x, y), True)
+
         return lor(
             land(lt(a, b), lt(b, c)),
             land(lt(b, c), lt(c, a)),
             land(lt(c, a), lt(a, b)),
         )
+
+    def _holds_at(self, f: Formula, valuation) -> bool:
+        """An R literal, which the shared walk's binary case does not read,
+        by `GROUND`; any other node as the shared walk does."""
+        rel = f.body if type(f) is Not else f
+        if type(rel) is Rel and rel.name == "R":
+            values = [valuation[t.name] if isinstance(t, Var) else t.value for t in rel.args]
+            return GROUND["R"](*values) == (rel is f)
+        return super()._holds_at(f, valuation)
 
     # -- types -------------------------------------------------------------
 

@@ -21,8 +21,8 @@ the pruned disjunctive normal form rebuilt from nothing for every literal
 set, the reference for the library's incremental `ConjunctState`.
 `reference_nf` is the normal form in two walks, the vocabulary check of
 each relation atom, and `nnf` with `reference_norm` after it, which
-expands each literal by `pre_transform` and then normalizes it, the
-reference for the library's one walk `Backend._nf`.
+normalizes each literal, the reference for the library's one walk
+`Backend._nf`.
 `reference_qe` eliminates every quantifier binder by binder, the reference
 for the library's one-search decision of closed quantifier blocks.
 `reference_sat` substitutes a valuation into the eliminated formula and
@@ -321,16 +321,13 @@ def nnf(f, negate: bool = False):
 
 
 def reference_norm(backend, f):
-    """Every literal of a negation-normal formula expanded by the
-    backend's `pre_transform` and normalized by its `normalize_literal`."""
+    """Every literal of a negation-normal formula normalized by the
+    backend's `normalize_literal`."""
     if isinstance(f, (Top, Bot)):
         return f
     if isinstance(f, Rel) or isinstance(f, Not) and isinstance(f.body, Rel):
         positive = isinstance(f, Rel)
         rel = f if positive else f.body
-        g = backend.pre_transform(rel)
-        if g is not rel:
-            return reference_norm(backend, nnf(g, not positive))
         return backend.normalize_literal(rel.name, rel.args, positive)
     if isinstance(f, Not):
         return reference_norm(backend, nnf(f))
@@ -348,7 +345,7 @@ def reference_norm(backend, f):
 def reference_nf(backend, f):
     """`backend._nf(f)` as two walks: each relation atom checked by
     `_check_literal` against the vocabulary and the `work_relations`, then
-    the negation normal form with every literal expanded and normalized by
+    the negation normal form with every literal normalized by
     `reference_norm`."""
     for g in subformulas(f):
         if isinstance(g, Rel):

@@ -62,6 +62,7 @@ from atomiso.parser import parse, parse_atoms, print_expr
 from atomiso.structures import check_isomorphism, structure_from_dict
 from atomiso.theories import get_backend
 from atomiso.theories.formulas import TRUE, Bot, Const, Rel, Top, Var, format_atom_value, land, lnot
+from eager_references import two_inclusions_supported_by
 from fixtures_helpers import NESTED_CYCLIC, NESTED_CYCLIC_ORBITS
 from generators import (
     equivalent_variant,
@@ -395,6 +396,51 @@ def test_least_support_matches_the_greedy_reference(backend_name):
                 assert supported_by(comp, x, S) == (support <= S), (x, S)
                 if not _shown(x) <= S:
                     assert sent == []
+
+
+def _finite(*values):
+    """The finite set literal of `values`, as the parser builds {a, b}."""
+    return union_of(*(Union((SetComp(v, (), TRUE),)) for v in values))
+
+
+def _inclusion_value(rng, backend_name, atoms):
+    """A closed value whose support test compiles an inclusion: a set, a
+    tuple with set components, or a finite literal of atoms or of sets,
+    such as {atoms - {c}, {a, b}}, where a moved {a, b} still lies inside
+    an element of the value when c is fixed."""
+    s = gen_set_expr(rng, backend_name, atoms, max_binders=2, depth=2)
+    pair = _finite(*map(AtomParam, rng.sample(atoms, 2)))
+    c = Const(rng.choice(atoms))
+    wide = rng.choice((s, ATOMS, Union((SetComp(EVar("g"), ("g",), lnot(Rel("=", (Var("g"), c)))),))))
+    roll = rng.random()
+    if roll < 0.3:
+        return s
+    if roll < 0.5:
+        return ETuple((s, AtomParam(rng.choice(atoms))))
+    if roll < 0.65:
+        return ETuple((pair, s))
+    if roll < 0.8:
+        return ETuple((s, gen_set_expr(rng, backend_name, atoms, max_binders=1, depth=1)))
+    return _finite(wide, pair)
+
+
+@pytest.mark.parametrize("backend_name", ["equality", "dlo", "cyclic"])
+def test_one_inclusion_decides_support_as_the_equality_does(backend_name):
+    # supported_by asks that every moved copy of x lies below x; the
+    # reference asks that it equals x, both inclusions compiled
+    rng = random.Random(4401)
+    comp = Compiler(get_backend(backend_name))
+    ref = Compiler(get_backend(backend_name))
+    verdicts = Counter()
+    for _ in range(60):
+        x = _inclusion_value(rng, backend_name, sample_atoms(rng, backend_name, 3))
+        atoms = sorted(expr_params(x))
+        for k in range(len(atoms) + 1):
+            for S in map(frozenset, itertools.combinations(atoms, k)):
+                got = supported_by(comp, x, S)
+                assert got == two_inclusions_supported_by(ref, x, S), (x, S)
+                verdicts[got] += 1
+    assert min(verdicts[True], verdicts[False]) >= 30, verdicts
 
 
 def test_least_support_of_a_nested_cyclic_set(cyc_comp):

@@ -56,6 +56,7 @@ from atomiso.theories.formulas import (
     subformulas,
     subst,
 )
+from eager_references import eager_readings
 from generators import gen_automorphism, gen_formula, gen_set_expr, sample_atoms
 from oracles import extend_automorphism, nnf, product_expr, value_shape
 from reference_rewrites import reference_map_relations, reference_subst, reference_subst_expr
@@ -246,6 +247,20 @@ def test_act_rejects_collisions():
     e = parse("{(#1, #2)}")
     with pytest.raises(DomainError):
         act({1: 2}, e)  # would glue #1 onto the untouched #2
+    # the untouched atom is met in a guard only
+    guarded = parse("{(a, #1) | a in atoms, a != #2}")
+    with pytest.raises(DomainError):
+        act({1: 2}, guarded)
+    # two atoms sent to one, whether or not e holds them
+    with pytest.raises(DomainError):
+        act({1: 3, 5: 3}, e)
+    # a fixed point given in the map counts as an image too
+    with pytest.raises(DomainError):
+        act({1: 2, 2: 2}, parse("{(#1, #3)}"))
+    # an image that e does not hold, or a moved one, glues nothing
+    assert expr_params(act({1: 7, 2: 2}, e)) == frozenset({7, 2})
+    assert expr_params(act({1: 2}, parse("{(#1, #3)}"))) == frozenset({2, 3})
+    assert expr_params(act({1: 2, 2: 1}, e)) == frozenset({1, 2})
 
 
 @pytest.mark.parametrize("name", backend_names())
@@ -329,7 +344,7 @@ def test_formula_and_atom_walks_are_pinned():
             atoms = sample_atoms(rng, name, 3)
             f = gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=2)
             verdicts = [_verdict(j, f, i) for j in judges for i in (False, True)]
-            expanded = reference_map_relations(f, b.pre_transform)
+            expanded = reference_map_relations(f, eager_readings)
             out.append((verdicts, sorted(formula_atoms(f)), nnf(expanded).key))
             e = gen_set_expr(rng, name, atoms[:2], max_binders=2, depth=2)
             occs = param_occurrences(e)
@@ -459,8 +474,8 @@ def test_rewrites_equal_the_rebuilding_reference_and_keep_what_nothing_moved_in(
             assert got.key == reference_subst(g, terms).key, (name, g)
             assert (got is g) == (not (formula_atoms(g) & moved)), (name, g)
             if isinstance(g, Rel):
-                # the cyclic backend expands R into its linear readings
-                assert (backend.pre_transform(g) is g) == (name != "cyclic" or g.name != "R")
+                # the cyclic backend unfolds R into its linear readings
+                assert (backend._unfold(g) is g) == (name != "cyclic" or g.name != "R")
             got = subst(g, into)
             assert got.key == reference_subst(g, into).key, (name, g)
             if free_vars(g).isdisjoint(free):

@@ -23,6 +23,7 @@ from atomiso.theories.formulas import (
     Exists,
     Forall,
     Formula,
+    Implies,
     Not,
     Or,
     Rel,
@@ -40,6 +41,7 @@ from atomiso.theories.formulas import (
     quantify,
     subformulas,
 )
+from eager_references import eager_eliminate
 from generators import gen_formula, gen_qf_formula, gen_set_expr, sample_atoms
 from oracles import (
     const_folding_sat,
@@ -186,8 +188,8 @@ def test_find_witness_deterministic():
 # eliminated formula shows
 WITNESS_DIGESTS = {
     "equality": "b2df4024658797df4044b4552b16abf95ab71481357b4efe4e15f2536e215a25",
-    "dlo": "72e20407d083cb86e8533689c047a7d0cea9606a4c5a86c5a668f40fe1657d4f",
-    "cyclic": "c5803569abccbe6e1ffed82ca14a7c2afd8a779b6cb8a90eaf619c67e48ae4f7",
+    "dlo": "67d675667bf9eaae50bb94b7fb307644a7182c94902ee850f30644830ce5b167",
+    "cyclic": "b945bbe1ee38923de9b888be5dc810c9cf9aade3868dcf61acace209043f1e98",
 }
 
 
@@ -230,7 +232,8 @@ def _raw_conjuncts(f, cap=64):
 
 
 def test_conjunct_kernel_matches_oracle():
-    # every literal set of the unpruned DNF of eliminated random formulas:
+    # every literal set of the unpruned DNF of eliminated random formulas,
+    # the circle's R unfolded into the literals the kernel reads:
     # consistency is satisfiability, and a witness exists exactly then
     for name in backend_names():
         rng = random.Random(19)
@@ -239,7 +242,7 @@ def test_conjunct_kernel_matches_oracle():
         while min(seen.values()) < 60:
             atoms = sample_atoms(rng, name, 3)
             f = gen_formula(rng, name, ["u", "v", "w"], atoms, depth=3, qdepth=2)
-            for c in _raw_conjuncts(b.qe(f)) or ():
+            for c in _raw_conjuncts(b._unfold(b.qe(f))) or ():
                 fvs = sorted(free_vars(land(*c)))
                 sat = eval_formula(name, quantify(Exists, fvs, land(*c)), {})
                 assert (ConjunctState.EMPTY.extended(c) is not None) == sat, (name, c)
@@ -257,13 +260,14 @@ def test_conjunct_kernel_matches_oracle():
 def test_a_state_grown_literal_by_literal_matches_the_scratch_kernel(name):
     # without a merge `_with` copies only the successor sets it grows, and a
     # merge rebuilds them: each step's verdict is the from-scratch one, and
-    # extending a state leaves the state itself as it was
+    # extending a state leaves the state itself as it was (R unfolded, as
+    # the state reads only =, != and <)
     rng = random.Random(31)
     b = get_backend(name)
     verdicts = {True: 0, False: 0}
     for _ in range(120):
         atoms = sample_atoms(rng, name, 3)
-        f = b.qe(gen_qf_formula(rng, name, ["u", "v", "w", "x"], atoms, depth=3))
+        f = b._unfold(b.qe(gen_qf_formula(rng, name, ["u", "v", "w", "x"], atoms, depth=3)))
         for c in _raw_conjuncts(f) or ():
             state, seen = ConjunctState.EMPTY, frozenset()
             for lit in sorted(c, key=lambda l: l.key):
@@ -281,8 +285,58 @@ def test_a_state_grown_literal_by_literal_matches_the_scratch_kernel(name):
 
 # a literal each backend folds in its own way, as (positive, relation): a
 # negated = over the pure set, a negated < (a disjunction once normalized)
-# over dlo, and R (cut open into < before elimination) over the circle
+# over dlo, and R (rotated, and cut open into < only where it is
+# eliminated) over the circle
 _FOLDED_LITERAL = {"equality": (False, "="), "dlo": (False, "<"), "cyclic": (True, "R")}
+
+
+def test_lazy_r_eliminates_as_the_eager_readings_do():
+    # R stays a literal until one of its variables is eliminated or a DNF
+    # decides; the reference cuts every R into its linear readings before
+    # the normal form.  The two eliminations are equivalent, a witness
+    # satisfies the formula, and only an unsatisfiable formula has none
+    rng = random.Random(4402)
+    b, ref, judge = (get_backend("cyclic") for _ in range(3))
+    names = ["u", "v", "w"]
+    # not R(u, v, w) where exactly two arguments meet: each pair in turn,
+    # as a sentence, as an open elimination and at a constant
+    u, v, w = map(Var, names)
+    met = []
+    for p, q, r in ((u, v, w), (v, w, u), (u, w, v)):
+        body = land(eq(p, q), ne(p, r), ne(q, r), lnot(cyc(u, v, w)))
+        met += [quantify(Exists, names, body), Exists(r.name, body)]
+        met.append(Exists(p.name, land(eq(p, Const(Fraction(1))), body)))
+    randoms = (
+        gen_formula(rng, "cyclic", names, sample_atoms(rng, "cyclic", 3), depth=3, qdepth=2)
+        for _ in range(150)
+    )
+    kept = witnessed = 0
+    for f in itertools.chain(met, randoms):
+        got, want = b.qe(f), eager_eliminate(ref, f)
+        kept += any(isinstance(g, Rel) and g.name == "R" for g in subformulas(got))
+        both = quantify(Forall, names, land(Implies(got, want), Implies(want, got)))
+        assert judge.holds(both), (f, got, want)
+        w = b.find_witness(f)
+        fvs = sorted(free_vars(f))
+        if w is None:
+            assert not judge.holds(quantify(Exists, fvs, f)), f
+        else:
+            assert judge.sat(f, w) and eval_formula("cyclic", f, w), (f, w)
+            witnessed += 1
+    assert kept >= 30 and witnessed >= 30, (kept, witnessed)
+
+
+def test_r_holds_at_its_ground_truth():
+    # `_holds_at` reads R and not R by GROUND; the oracle sweeps the circle
+    b = get_backend("cyclic")
+    x, y, z = map(Var, "xyz")
+    one = Const(Fraction(1))
+    lits = [cyc(x, y, z), cyc(z, y, x), cyc(x, one, y), cyc(one, x, x)]
+    pool = exhaustive_pool("cyclic", {Fraction(1)}, 1)
+    for lit in lits + [lnot(l) for l in lits]:
+        for values in itertools.product(pool, repeat=3):
+            val = dict(zip("xyz", values))
+            assert b._holds_at(lit, val) == eval_formula("cyclic", lit, val), (lit, val)
 
 
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
@@ -412,9 +466,11 @@ def test_known_normal_formulas_are_each_held_by_a_cache(name):
 
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
 def test_incremental_conjuncts_match_the_scratch_kernel(name):
-    # the DNF of normalized random formulas equals the union-then-check
-    # reference, order included, and every extension of a kept literal set
-    # by a branch gets the verdict of the from-scratch kernel on the union
+    # the DNF of normalized random formulas, R unfolded, equals the
+    # union-then-check reference as a set of literal sets (the fold takes the
+    # arguments fewest branches first, the reference in their order), and
+    # every extension of a kept literal set by a branch gets the verdict of
+    # the from-scratch kernel on the union
     rng = random.Random(23)
     b = get_backend(name)
     names = ["u", "v", "w", "x"]
@@ -423,12 +479,13 @@ def test_incremental_conjuncts_match_the_scratch_kernel(name):
     # drawn to reach 100 verdicts of each kind
     for _ in range(300):
         atoms = sample_atoms(rng, name, 3)
-        f = land(
+        f = b._unfold(land(
             b.qe(gen_qf_formula(rng, name, names, atoms, depth=3)),
             b.qe(gen_formula(rng, name, names[:3], atoms, depth=3, qdepth=1)),
-        )
+        ))
         pairs = []
-        assert b.conjuncts(f) == reference_conjuncts(f, pairs), (name, f)
+        got, want = b.conjuncts(f), reference_conjuncts(f, pairs)
+        assert len(got) == len(set(got)) and set(got) == set(want), (name, f)
         for c, br in pairs:
             ok = scratch_consistent(c | br)
             state = ConjunctState.EMPTY.extended(c)
@@ -441,14 +498,17 @@ def test_incremental_conjuncts_match_the_scratch_kernel(name):
 def test_absorbed_dnf_agrees_with_the_unabsorbed_one(name):
     # conjuncts keeps no literal set inside another, keeps exactly the
     # minimal sets of the union-then-check DNF without absorption, and the
-    # two agree as disjunctions on a pool sweep
+    # two agree as disjunctions on a pool sweep (R unfolded, as the
+    # reference reads only =, != and <)
     rng = random.Random(29)
     b = get_backend(name)
     names = ["x", "y", "z"]
     fired = 0
     for _ in range(60):
         atoms = sample_atoms(rng, name, 2)
-        p, q, r = (b.qe(gen_qf_formula(rng, name, names, atoms, depth=3)) for _ in range(3))
+        p, q, r = (
+            b._unfold(b.qe(gen_qf_formula(rng, name, names, atoms, depth=3))) for _ in range(3)
+        )
         # q or (q and r) gives absorption something to drop
         f = land(p, lor(q, land(q, r)) if rng.random() < 0.5 else q)
         got = b.conjuncts(f)
@@ -529,8 +589,10 @@ def _closed_sentence(rng, name, atoms):
 @pytest.mark.parametrize("name", ["equality", "dlo", "cyclic"])
 def test_closed_blocks_match_binder_by_binder_elimination(name):
     # qe decides a closed chain of like quantifiers by one DNF search over
-    # variable-disjoint components; the sentence's truth and every eliminated
-    # formula, open ones included, must match the binder-by-binder reference
+    # variable-disjoint components; the sentence's truth must match the
+    # binder-by-binder reference, and every eliminated open formula must be
+    # equivalent to the reference's, which negates twice per universal where
+    # qe negates once per run of them
     rng = random.Random(31)
     b = get_backend(name)
     verdicts = {True: 0, False: 0}
@@ -544,7 +606,9 @@ def test_closed_blocks_match_binder_by_binder_elimination(name):
         assert got == (TRUE if truth else FALSE), (name, s, got)
         verdicts[truth] += 1
         f = gen_formula(rng, name, ["u", "v"], atoms, depth=3, qdepth=2)
-        assert b.qe(f) == reference_qe(b, f), (name, f)
+        got, want = b.qe(f), reference_qe(b, f)
+        both = quantify(Forall, ["u", "v"], land(Implies(got, want), Implies(want, got)))
+        assert eval_formula(name, both, {}), (name, f, got, want)
     assert min(verdicts.values()) >= 40, verdicts
 
 
