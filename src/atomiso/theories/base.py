@@ -34,22 +34,20 @@ One conjunct kernel serves all three backends.  The kernel reads =, != and
 consistency, `eliminate_from_conjunct` and `conjunct_witness` are written
 once, over union-find classes and the strict-order digraph between them.
 The circle is cut open into the linear order lazily: its R stays a literal
-(a `deferred` relation), which the kernel's state does not read, and
-`_unfold` rewrites it into =, != and < only where it is needed, in the
-conjuncts whose R literals mention the variable `eliminate_from_conjunct`
-eliminates, before the DNF that decides a closed block, and before the
-conjuncts of a witness search.  The kernel's state is a `ConjunctState`,
-and it is extended literal by literal.  `conjuncts` folds the arguments of
-a conjunction fewest branches first, and decides each union of a kept
-conjunct with a branch of the next argument by growing the kept conjunct's
-state by the branch's new literals, before the union is built; a kept union
-carries the state and the growth it came from, so that its own state is
-built once.  `conjunct_witness` extends one state by its pins.  A backend
-supplies only `normalize_literal`, whose = case is the shared
-`normalize_equality`, `unfold_literal` for its `deferred` relations, and
-`_witness_candidates`, the values a witness class may take beyond the
-parameters and the values already taken (the least fresh ids for the pure
-set, one simplest rational per gap for the orders).
+(a `deferred` relation), which the kernel does not read, and `_unfold`
+rewrites it into =, != and < only where it is needed, in the conjuncts
+whose R literals mention the variable `eliminate_from_conjunct` eliminates,
+before the DNF that decides a closed block, and before the conjuncts of a
+witness search.  Whether a literal set holds together is decided in one
+place, by `consistent`, from nothing each time: no state is carried from
+one set to the next.  `conjuncts` folds the arguments of a conjunction
+fewest branches first and decides each union of a kept conjunct with a
+branch of the next argument once; `conjunct_witness` decides the literals
+with each pin it tries.  A backend supplies only `normalize_literal`, whose
+= case is the shared `normalize_equality`, `unfold_literal` for its
+`deferred` relations, and `_witness_candidates`, the values a witness class
+may take beyond the parameters and the values already taken (the least
+fresh ids for the pure set, one simplest rational per gap for the orders).
 
 Complete types are built in one place.  Quantifier elimination in a
 homogeneous structure makes the orbit of an atom tuple over a parameter set
@@ -347,17 +345,17 @@ class Backend:
         """A valuation of `fvs` satisfying every literal, or None when the
         literals are inconsistent.
 
-        The classes without a constant take values one by one, in the order
-        of their least variable, never backtracking: each takes the first
-        candidate consistent with the values fixed so far, trying the
-        parameters, then the values already taken, then the backend's
-        `_witness_candidates` around all of those, which by homogeneity
-        meet every region a consistent value can lie in."""
-        state = ConjunctState.EMPTY.extended(lits)
-        if state is None:
+        The classes are those of `consistent`.  The classes without a
+        constant take values one by one, in the order of their least
+        variable, never backtracking: each takes the first candidate c
+        whose pin head = c is `consistent` with the literals and the pins
+        fixed so far, trying the parameters, then the values already taken,
+        then the backend's `_witness_candidates` around all of those, which
+        by homogeneity meet every region a consistent value can lie in."""
+        if not consistent(lits):
             return None
         # the classes of the equality literals' terms and of `fvs`
-        root = state.root
+        root = _classes(lits)
         members: dict[Term, list[Term]] = {}
         for t in {*root, *root.values(), *map(Var, fvs)}:
             members.setdefault(root.get(t, t), []).append(t)
@@ -368,6 +366,7 @@ class Backend:
                 value[cls] = cls.value
             else:
                 heads.append(min(mem, key=_NAME))
+        fixed = [*lits]
         for head in sorted(heads, key=_NAME):
             taken = set(value.values())
             cands = itertools.chain(
@@ -376,12 +375,12 @@ class Backend:
                 self._witness_candidates(sorted(taken | set(params))),
             )
             for c in cands:
-                pinned = state.extended((eq(head, Const(c)),))
-                if pinned is not None:
+                pin = eq(head, Const(c))
+                if consistent([*fixed, pin]):
                     break
             else:
                 return None
-            state = pinned
+            fixed.append(pin)
             value[root.get(head, head)] = c
         return {v: value[root.get(Var(v), Var(v))] for v in fvs}
 
@@ -428,9 +427,11 @@ class Backend:
         first: a closed quantifier block by `_decide_block`, any other
         binder by `_exists`, a run of universals as the negated existentials
         of its negated body, negated once on entering the run and once on
-        leaving it.  A quantifier directly under an open one is open too,
-        so `free_vars` is walked once per chain of quantifiers.  A formula
-        of `_normal` is returned unchanged."""
+        leaving it.  A quantifier whose variable does not occur in the
+        eliminated body is skipped before any negation, so no negation pair
+        rewrites a body it does not bind.  A quantifier directly under an
+        open one is open too, so `free_vars` is walked once per chain of
+        quantifiers.  A formula of `_normal` is returned unchanged."""
         if isinstance(f, (Top, Bot, Rel, Not)) or f in self._normal:
             return f
         if isinstance(f, And):
@@ -448,6 +449,8 @@ class Backend:
         out = self._eliminate(f)
         negated = False
         for q in reversed(chain):
+            if not _occurs(Var(q.var), out):
+                continue
             if isinstance(q, Forall) != negated:
                 out = self._nf(out, True)
                 negated = not negated
@@ -504,15 +507,12 @@ class Backend:
         the arguments with the fewest branches first (a stable sort): the
         minimal consistent unions do not depend on the order, and the kept
         sets stay few while the wide arguments come last.
-        Each branch b of the next argument is decided by extending the
-        `ConjunctState` of a kept set c by the literals of b not in c
-        (`_grow`), before the union c | b is built: only consistent unions
-        are built and deduplicated, in first-seen order.  A new union
-        carries the state it grew from and the split `_grow` returned, and
-        its own state is built from them once, by `_with`, when the next
-        argument extends it.  A kept set that already contains a branch is
-        kept as it is, with no branch tried: every other union with a
-        branch contains it and would be dropped as not minimal.
+        The union c | b of a kept set c and each branch b of the next
+        argument is decided by `consistent`, once per step: the consistent
+        unions are kept in first-seen order.  A kept set that already
+        contains a branch is kept as it is, with no branch tried: every
+        other union with a branch contains it and would be dropped as not
+        minimal.
 
         A disjunction and each step of a conjunction then drop every set
         that strictly contains another kept one (`_minimal`), so the result
@@ -533,25 +533,24 @@ class Backend:
                         out.append(c)
             return _minimal(out)
         if isinstance(f, And):
-            # each kept set with the state it grew from and its split
-            acc = [(frozenset(), ConjunctState.EMPTY, None)]
+            acc = [frozenset()]
             for branches in sorted(map(self.conjuncts, f.args), key=len):
-                grown: dict[frozenset[Formula], tuple] = {}
-                for c, parent, split in acc:
-                    state = parent if split is None else parent._with(*split)
+                # each union tried in this step, with its verdict
+                tried: dict[frozenset[Formula], bool] = {}
+                for c in acc:
                     if any(b <= c for b in branches):
                         # c meets the argument already, and every other
                         # union with a branch contains c
-                        grown.setdefault(c, (state, None))
+                        tried.setdefault(c, True)
                         continue
                     for b in branches:
-                        step = state._grow(b, c)
-                        if step is not None:
-                            grown.setdefault(c | b, (state, step))
-                acc = [(u, *grown[u]) for u in _minimal(list(grown))]
+                        u = c | b
+                        if u not in tried:
+                            tried[u] = consistent(u)
+                acc = _minimal([u for u, ok in tried.items() if ok])
                 if not acc:
                     return []
-            return [c for c, _, _ in acc]
+            return acc
         raise TypeError(f"unexpected in DNF conversion: {f!r}")
 
     def _unfold(self, f: Formula) -> Formula:
@@ -705,161 +704,82 @@ class Backend:
         raise NotImplementedError
 
 
-class ConjunctState:
-    """The theory state of one consistent set of normal-form literals.
-    Only =, != and < are read: a `deferred` literal, the circle's R, is
-    left out, so a state with one prunes less, never wrongly.
+def consistent(lits) -> bool:
+    """Whether a set of normal-form literals holds together, decided from
+    nothing.  Only =, != and < are read: a `deferred` literal, the circle's
+    R, is left out, so a set with one prunes less, never wrongly.
 
-    `root` maps every term of an equality literal that does not represent
-    its class to the representative, a constant whenever the class holds
-    one.  `ne` and `lt`
-    hold the argument pairs of the != and < literals.  `succ` is the
-    strict-order digraph over the classes, in which the constant classes on
-    its edges (`chain`, ascending) are also chained in value order.  Two
-    constants, a != or a < inside one class contradict; without < nothing
-    else can, the atoms being infinite.  With <, the literals are consistent
-    exactly when that digraph has no cycle; a constant off every < edge lies
-    on no cycle, so chaining only these is exact."""
-
-    __slots__ = ("root", "ne", "lt", "succ", "chain")
-
-    EMPTY: "ConjunctState"
-
-    def __init__(self, root, ne, lt, succ, chain):
-        self.root: dict[Term, Term] = root
-        self.ne: tuple[tuple[Term, Term], ...] = ne
-        self.lt: tuple[tuple[Term, Term], ...] = lt
-        self.succ: dict[Term, frozenset[Term]] = succ
-        self.chain: tuple[Const, ...] = chain
-
-    def extended(self, lits) -> "ConjunctState | None":
-        """This state extended by `lits`, or None when they contradict it."""
-        grown = self._grow(lits, ())
-        return None if grown is None else self._with(*grown)
-
-    def _split(self, lits, known):
-        """The literals of `lits` not in `known`, as the merges of classes
-        they make (a map from each merged representative to the new one)
-        and their != and < pairs; None when they merge two constants."""
-        root = self.root
-        up: dict[Term, Term] = {}
-        ne: list[tuple[Term, Term]] = []
-        lt: list[tuple[Term, Term]] = []
-        for lit in lits:
-            if lit in known:
-                continue
-            if type(lit) is Not:
-                if lit.body.name == "=":
-                    ne.append(lit.body.args)
-            elif lit.name == "<":
-                lt.append(lit.args)
-            elif lit.name == "=":
-                a, b = lit.args
-                a, b = root.get(a, a), root.get(b, b)
-                while a in up:
-                    a = up[a]
-                while b in up:
-                    b = up[b]
-                if a == b:
-                    continue
-                if isinstance(a, Const):
-                    if isinstance(b, Const):
-                        return None
-                    up[b] = a
-                else:
-                    up[a] = b
-        for t, r in up.items():
-            while r in up:
-                r = up[r]
-            up[t] = r
-        return up, ne, lt
-
-    def _merged(self, up) -> dict[Term, Term]:
-        """The class representatives after the merges `up`."""
-        if not up:
-            return self.root
-        root = {t: up.get(r, r) for t, r in self.root.items()}
-        root.update(up)
-        return root
-
-    def _grow(self, lits, known):
-        """The split of the literals of `lits` not in `known` (see
-        `_split`), or None when they contradict this state."""
-        split = self._split(lits, known)
-        if split is None:
-            return None
-        up, ne, lt = split
-        root = self._merged(up)
-        # a merge may put an old != or < pair inside one class, and moves
-        # the old < pairs it touches onto the merged class
-        for a, b in itertools.chain(ne, self.ne) if up else ne:
-            if root.get(a, a) == root.get(b, b):
-                return None
-        edges: list[tuple[Term, Term]] = []
-        for a, b in lt:
-            a, b = root.get(a, a), root.get(b, b)
-            if a == b:
-                return None
-            edges.append((a, b))
-        if up:
-            old = self.root
-            for a, b in self.lt:
-                ra, rb = root.get(a, a), root.get(b, b)
-                if ra == rb:
-                    return None
-                if ra != old.get(a, a) or rb != old.get(b, b):
-                    edges.append((ra, rb))
-        if edges and self._closes_cycle(edges, root if up else None):
-            return None
-        return split
-
-    def _closes_cycle(self, edges, root) -> bool:
-        """Whether the new `edges` close a cycle with the old digraph, read
-        through the merged representatives `root` (None without merges).
-        The old digraph is acyclic and a merged class has its old edges
-        among `edges`, so a new cycle runs through some new edge (u, v):
-        u is reachable from v."""
-        _, edges = _joined_chain(self.chain, edges)
-        new: dict[Term, list[Term]] = {}
-        for a, b in edges:
-            new.setdefault(a, []).append(b)
-        succ = self.succ
-        for u, v in edges:
-            stack = [v]
-            seen = {v}
-            while stack:
-                n = stack.pop()
-                nxt = succ.get(n, ())
-                if root is not None and nxt:
-                    nxt = [root.get(w, w) for w in nxt]
-                if n in new:
-                    nxt = [*nxt, *new[n]]
-                for w in nxt:
-                    if w == u:
-                        return True
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+    Two constants in one equality class (`_classes`) or a != inside one
+    contradict; without < nothing else can, the atoms being infinite.  The
+    < literals are edges between the class representatives, and the
+    constants on those edges are also chained in value order: the literals
+    are consistent exactly when that digraph has no cycle, a < inside one
+    class being a loop.  A constant off every edge lies on no cycle, so
+    chaining only these is exact."""
+    root = _classes(lits)
+    if root is None:
         return False
+    succ: dict[Term, list[Term]] = {}
+    for lit in lits:
+        if type(lit) is Not:
+            if lit.body.name == "=":
+                a, b = lit.body.args
+                if root.get(a, a) == root.get(b, b):
+                    return False
+        elif lit.name == "<":
+            a, b = lit.args
+            succ.setdefault(root.get(a, a), []).append(root.get(b, b))
+    if not succ:
+        return True
+    chain = sorted(
+        {t for t in itertools.chain(succ, *succ.values()) if isinstance(t, Const)},
+        key=_VALUE,
+    )
+    for p, q in zip(chain, chain[1:]):
+        succ.setdefault(p, []).append(q)
+    # acyclic exactly when repeatedly removing a node with no edge into it
+    # removes them all (Kahn)
+    into: dict[Term, int] = {}
+    for ws in succ.values():
+        for w in ws:
+            into[w] = into.get(w, 0) + 1
+    ready = [u for u in succ if u not in into]
+    left = len(succ.keys() | into.keys())
+    while ready:
+        left -= 1
+        for w in succ.get(ready.pop(), ()):
+            into[w] -= 1
+            if not into[w]:
+                ready.append(w)
+    return not left
 
-    def _with(self, up, ne, lt) -> "ConjunctState":
-        """This state with a split added that does not contradict it.  A
-        merge rebuilds the digraph; otherwise it grows by the new edges, an
-        old successor set copied only where it grows."""
-        root = self._merged(up)
-        lts = self.lt + tuple(lt)
-        if up:
-            succ, chain, new = {}, (), lts
-        else:
-            succ, chain, new = dict(self.succ), self.chain, lt
-        edges = [(root.get(a, a), root.get(b, b)) for a, b in new]
-        chain, edges = _joined_chain(chain, edges)
-        for a, b in edges:
-            succ[a] = succ.get(a, frozenset()) | {b}
-        return ConjunctState(root, self.ne + tuple(ne), lts, succ, chain)
 
-
-ConjunctState.EMPTY = ConjunctState({}, (), (), {}, ())
+def _classes(lits) -> dict[Term, Term] | None:
+    """The equality classes of the = literals of `lits`, by union-find: each
+    term of an = literal that does not represent its class maps to the
+    representative, a constant whenever the class holds one.  None when two
+    constants meet in one class."""
+    root: dict[Term, Term] = {}
+    for lit in lits:
+        if type(lit) is Rel and lit.name == "=":
+            a, b = lit.args
+            while a in root:
+                a = root[a]
+            while b in root:
+                b = root[b]
+            if a == b:
+                continue
+            if isinstance(a, Const):
+                if isinstance(b, Const):
+                    return None
+                root[b] = a
+            else:
+                root[a] = b
+    for t, r in root.items():
+        while r in root:
+            r = root[r]
+        root[t] = r
+    return root
 
 
 def _occurs(v: Var, f: Formula) -> bool:
@@ -901,17 +821,6 @@ def _components(f: Formula) -> list[Formula]:
                 rest.append(group)
         groups = rest + [(names, members)]
     return [land(*(f.args[i] for i in sorted(members))) for _, members in groups]
-
-
-def _joined_chain(chain: tuple[Const, ...], edges: list) -> tuple[tuple[Const, ...], list]:
-    """The constant chain once the constants on `edges` join it, and
-    `edges` with the chain edges of each newly touched constant."""
-    fresh = {u for e in edges for u in e if isinstance(u, Const)}
-    fresh.difference_update(chain)
-    if not fresh:
-        return chain, edges
-    chain = tuple(sorted((*chain, *fresh), key=_VALUE))
-    return chain, edges + [(p, q) for p, q in zip(chain, chain[1:]) if p in fresh or q in fresh]
 
 
 def _minimal(sets: list[frozenset]) -> list[frozenset]:

@@ -17,8 +17,9 @@ tuple of graph clauses, the unoptimised reference for the library's
 transport at orbit representatives, and `piece_tuple_compatible` the
 search's pruning by one sentence per tuple of pieces.
 `scratch_consistent` and `reference_conjuncts` are the conjunct kernel and
-the pruned disjunctive normal form rebuilt from nothing for every literal
-set, the reference for the library's incremental `ConjunctState`.
+the pruned disjunctive normal form, unions built before they are checked,
+the references for the library's `consistent` (a recursive search where
+the library peels off sources) and the fold of `Backend.conjuncts`.
 `reference_nf` is the normal form in two walks, the vocabulary check of
 each relation atom, and `nnf` with `reference_norm` after it, which
 normalizes each literal, the reference for the library's one walk

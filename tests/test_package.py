@@ -1,7 +1,8 @@
 """The package's public surface: the exported names and the README's
 library example; the imports of every module, which must all be used; the
-package's own functions and classes, which the package must all use; and
-the names the docs quote, which must all be defined."""
+package's own functions and classes, which the package must all use; the
+names the docs quote, which must all be defined; and the mutants of the
+kill matrix, which must each apply at one place."""
 
 import ast
 import os
@@ -17,6 +18,7 @@ import atomiso
 import atomiso.theories
 from atomiso.parser import KEYWORDS
 from atomiso.structures import MODES
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -148,3 +150,14 @@ def test_every_backticked_name_is_defined():
         for where, names in quoted.items()
     }
     assert {where: names for where, names in undefined.items() if names} == {}
+
+
+def test_every_mutant_applies_at_one_place():
+    # a change that moves or removes mutated code, or renames a test that a
+    # mutant names, updates the kill matrix in `tests/mutants.py` with it
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (ROOT / "src" / m.file).read_text().count(m.text) == 1, m.id
+        for test in m.tests:
+            path, name = test.split("::")
+            assert f"\ndef {name.split('[')[0]}(" in (ROOT / path).read_text(), (m.id, test)
